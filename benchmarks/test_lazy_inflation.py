@@ -11,7 +11,8 @@ are never inflated.  Two workloads probe the two ends of the claim:
   of the trace's total uncompressed bytes (it is 0 here);
 * the **seeded-race** variant (same stencil plus one hot scalar raced in
   the first interval): the lazy path must produce a byte-identical race
-  set to the eager always-inflate path while still inflating less.
+  set to the eager reference path (``FastPathOptions(enabled=False)``:
+  build and compare every pair) while still inflating less.
 
 Both legs are timed; the rendered comparison lands in
 ``benchmarks/results/lazy_inflation.txt``.
@@ -23,8 +24,11 @@ import tempfile
 import time
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
-from repro.offline.options import PruningOptions
+from repro.offline import (
+    AnalysisOptions,
+    FastPathOptions,
+    SerialOfflineAnalyzer,
+)
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
 
@@ -36,10 +40,8 @@ CELLS_PER_THREAD = 48
 #: decompress at most this fraction of the trace's uncompressed bytes.
 INFLATION_BOUND = 0.25
 
-LAZY = AnalysisOptions()  # digests + lazy inflation are the defaults
-EAGER = AnalysisOptions(
-    pruning=PruningOptions(use_digests=False, lazy_inflate=False)
-)
+LAZY = AnalysisOptions()  # the frame-digest prune is the default
+EAGER = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
 
 
 def _program(seeded_race: bool):

@@ -54,7 +54,7 @@ from .common.exitcodes import (
 from .harness.tables import fmt_bytes, fmt_seconds
 from .harness.tools import TOOL_NAMES
 from .obs import prometheus_text, write_json
-from .offline.options import AnalysisOptions, FastPathOptions, PruningOptions
+from .offline.options import AnalysisOptions, FastPathOptions
 from .workloads import REGISTRY
 
 
@@ -291,9 +291,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             enabled=not args.no_fastpath,
             result_cache=bool(args.cache or args.cache_dir),
             cache_dir=args.cache_dir,
-        ),
-        pruning=PruningOptions(
-            lazy_inflate=not args.no_lazy,
             static_skip=not args.no_static,
         ),
     )
@@ -391,12 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-fastpath",
         action="store_true",
-        help="disable digest pruning and solver memoization",
-    )
-    p.add_argument(
-        "--no-lazy",
-        action="store_true",
-        help="disable the meta-digest pre-filter (always inflate frames)",
+        help="disable frame-digest pruning and solver memoization "
+        "(build and compare every pair)",
     )
     p.add_argument(
         "--no-static",

@@ -1,10 +1,9 @@
 """The supported public API: detect, analyze, watch, and Session.
 
 One facade over the whole pipeline.  Every flow the CLI exposes routes
-through here, and the per-mode analyzer classes are implementation
-detail (their legacy names — ``OfflineAnalyzer``,
-``ParallelOfflineAnalyzer``, ``StreamingAnalyzer`` — still work but emit
-:class:`DeprecationWarning`).
+through here; the per-mode analyzer classes
+(``SerialOfflineAnalyzer``, ``DistributedOfflineAnalyzer``,
+``StreamAnalyzer``) are implementation detail.
 
 Quick tour::
 
@@ -29,8 +28,10 @@ Quick tour::
         print(session.result().races.describe_all())
 
 All three analysis modes produce byte-identical race sets, with the
-pair-analysis fast path on (the default) or off — see
-:class:`~repro.offline.options.FastPathOptions`.
+pair-decision cascade (static skip → pair cache → frame-digest prune →
+build + compare) on, the default, or off — one
+:class:`~repro.offline.options.AnalysisOptions` carrying one
+:class:`~repro.offline.options.FastPathOptions` configures all of it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .harness.tools import RunResult, driver
 from .obs import Instrumentation
 from .offline.analyzer import SerialOfflineAnalyzer
 from .offline.engine import AnalysisResult
-from .offline.options import AnalysisOptions, FastPathOptions, PruningOptions
+from .offline.options import AnalysisOptions, FastPathOptions
 from .offline.parallel import DistributedOfflineAnalyzer, default_workers
 from .offline.report import RaceSet
 from .serve import (
@@ -71,7 +72,6 @@ __all__ = [
     "DegradationReport",
     "FastPathOptions",
     "JobWal",
-    "PruningOptions",
     "QuarantinedShard",
     "RunResult",
     "ServeConfig",

@@ -14,7 +14,6 @@ from .errors import (
 from .config import (
     ArcherConfig,
     NodeConfig,
-    OfflineConfig,
     RunConfig,
     SchedulerConfig,
     SwordConfig,
@@ -41,7 +40,6 @@ __all__ = [
     "NO_PARENT",
     "NO_REGION",
     "NodeConfig",
-    "OfflineConfig",
     "PCRegistry",
     "ReproError",
     "RunConfig",

@@ -185,31 +185,6 @@ class NodeConfig:
 
 
 @dataclass(slots=True)
-class OfflineConfig:
-    """Offline-analysis knobs.
-
-    Attributes:
-        chunk_events: streaming granularity -- how many decoded events the
-            reader hands to the tree builder at a time (paper: "reads access
-            information from log files in small chunks").
-        workers: worker processes for the "cluster" mode (Table III's MT
-            column distributes interval-tree comparison across nodes).
-        use_ilp_crosscheck: additionally verify each Diophantine overlap
-            verdict with the branch-and-bound ILP (slow; for tests).
-    """
-
-    chunk_events: int = 65_536
-    workers: int = 1
-    use_ilp_crosscheck: bool = False
-
-    def validate(self) -> None:
-        if self.chunk_events <= 0:
-            raise ConfigError("chunk_events must be positive")
-        if self.workers <= 0:
-            raise ConfigError("workers must be positive")
-
-
-@dataclass(slots=True)
 class RunConfig:
     """Everything needed to execute one workload under one tool."""
 

@@ -76,14 +76,5 @@ class AnalysisError(ReproError):
     """The offline analysis encountered an internal inconsistency."""
 
 
-class DigestVersionError(ReproError):
-    """A serialized access digest was written by a newer format version.
-
-    Raised instead of silently mis-reading fields the current code does
-    not know about; the persistent result cache treats it as a counted
-    miss and evicts the entry.
-    """
-
-
 class SolverError(ReproError):
     """The ILP / Diophantine overlap solver was given an invalid system."""

@@ -26,7 +26,6 @@ from ..archer.tool import ArcherTool
 from ..common.config import (
     ArcherConfig,
     NodeConfig,
-    OfflineConfig,
     RunConfig,
     SchedulerConfig,
     SwordConfig,
@@ -227,7 +226,6 @@ class SwordDriver:
         node: Optional[NodeConfig] = None,
         yield_every: int = 0,
         sword_config: Optional[SwordConfig] = None,
-        offline_config: Optional[OfflineConfig] = None,
         analysis_options: Optional[AnalysisOptions] = None,
         trace_dir: Optional[str] = None,
         keep_trace: bool = False,
@@ -282,7 +280,7 @@ class SwordDriver:
             trace = TraceDir(trace_path, integrity=integrity_mode)
             t1 = time.perf_counter()
             analysis = SerialOfflineAnalyzer(
-                trace, offline_config, obs=obs, options=analysis_options
+                trace, options=analysis_options, obs=obs
             ).analyze()
             result.offline_seconds = time.perf_counter() - t1
             result.races = analysis.races
@@ -291,15 +289,9 @@ class SwordDriver:
             # Salvage has a single (serial) code path; skip the MT pass.
             if mt_workers > 1 and integrity_mode == "strict":
                 t2 = time.perf_counter()
-                if analysis_options is not None:
-                    mt_opts = analysis_options.copy(workers=mt_workers)
-                else:
-                    mt_opts = AnalysisOptions(
-                        chunk_events=(
-                            offline_config or OfflineConfig()
-                        ).chunk_events,
-                        workers=mt_workers,
-                    )
+                mt_opts = (analysis_options or AnalysisOptions()).copy(
+                    workers=mt_workers
+                )
                 mt = DistributedOfflineAnalyzer(
                     TraceDir(trace_path), obs=obs, options=mt_opts
                 ).analyze()

@@ -1,7 +1,6 @@
 """Self-balancing interval trees with strided-interval summarisation."""
 
 from .builder import TreeBuilder, build_tree
-from .digest import TreeDigest, digests_may_race
 from .interval import StridedInterval, interval_from_access
 from .serialize import TREE_FORMAT, tree_from_rows, tree_to_rows
 from .tree import BLACK, IntervalTree, Node, RED
@@ -14,9 +13,7 @@ __all__ = [
     "StridedInterval",
     "TREE_FORMAT",
     "TreeBuilder",
-    "TreeDigest",
     "build_tree",
-    "digests_may_race",
     "interval_from_access",
     "tree_from_rows",
     "tree_to_rows",

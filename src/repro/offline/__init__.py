@@ -3,7 +3,6 @@
 from .analyzer import (
     AnalysisResult,
     AnalysisStats,
-    OfflineAnalyzer,
     SerialOfflineAnalyzer,
     analyze_trace,
     check_node_pair,
@@ -13,11 +12,7 @@ from .engine import AnalysisEngine
 from .intervals import IntervalData, IntervalInventory, IntervalKey
 from .options import AnalysisOptions, FastPathOptions
 from .oracle import oracle_races
-from .parallel import (
-    DistributedOfflineAnalyzer,
-    ParallelOfflineAnalyzer,
-    default_workers,
-)
+from .parallel import DistributedOfflineAnalyzer, default_workers
 from .report import RaceReport, RaceSet, make_report
 
 __all__ = [
@@ -30,8 +25,6 @@ __all__ = [
     "IntervalData",
     "IntervalInventory",
     "IntervalKey",
-    "OfflineAnalyzer",
-    "ParallelOfflineAnalyzer",
     "RaceReport",
     "RaceSet",
     "ResultCache",

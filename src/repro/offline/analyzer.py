@@ -18,9 +18,7 @@ this module is the post-mortem driver around it (the distributed and
 streaming drivers are :mod:`repro.offline.parallel` and
 :mod:`repro.stream.analyzer`).
 
-The supported entry point is :func:`repro.api.analyze`;
-:class:`OfflineAnalyzer` remains as a deprecated alias of
-:class:`SerialOfflineAnalyzer`.
+The supported entry point is :func:`repro.api.analyze`.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ from __future__ import annotations
 import os
 import time
 
-from ..common.config import OfflineConfig
-from ..common.deprecation import warn_once
 from ..obs import Instrumentation, get_obs
 from ..sword.reader import TraceDir
 from .engine import (
@@ -45,7 +41,6 @@ from .report import RaceSet
 __all__ = [
     "AnalysisResult",
     "AnalysisStats",
-    "OfflineAnalyzer",
     "SerialOfflineAnalyzer",
     "analyze_trace",
     "check_node_pair",
@@ -58,12 +53,11 @@ class SerialOfflineAnalyzer:
     def __init__(
         self,
         trace: TraceDir | str | os.PathLike,
-        config: OfflineConfig | None = None,
-        obs: Instrumentation | None = None,
         *,
         options: AnalysisOptions | None = None,
+        obs: Instrumentation | None = None,
     ) -> None:
-        self.options = options or AnalysisOptions.from_config(config)
+        self.options = options or AnalysisOptions()
         if not isinstance(trace, TraceDir):
             trace = TraceDir(trace, integrity=self.options.integrity)
         elif trace.integrity_mode != self.options.integrity:
@@ -72,7 +66,6 @@ class SerialOfflineAnalyzer:
             self.options = self.options.copy(integrity=trace.integrity_mode)
         self.trace = trace
         self.salvage = self.options.integrity == "salvage"
-        self.config = self.options.offline_config()
         self.obs = obs or self.options.obs or get_obs()
         self.engine = AnalysisEngine(trace, options=self.options, obs=self.obs)
 
@@ -146,26 +139,11 @@ class SerialOfflineAnalyzer:
         self.engine.close()
 
 
-class OfflineAnalyzer(SerialOfflineAnalyzer):
-    """Deprecated alias; use :func:`repro.api.analyze` instead."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_once(
-            "OfflineAnalyzer",
-            "OfflineAnalyzer is deprecated; use repro.api.analyze(trace) "
-            "(or repro.offline.SerialOfflineAnalyzer)",
-        )
-        super().__init__(*args, **kwargs)
-
-
 def analyze_trace(
     path: str | os.PathLike | TraceDir,
-    config: OfflineConfig | None = None,
     *,
     options: AnalysisOptions | None = None,
     obs: Instrumentation | None = None,
 ) -> AnalysisResult:
     """Convenience: open a trace directory and analyze it."""
-    return SerialOfflineAnalyzer(
-        path, config, obs=obs, options=options
-    ).analyze()
+    return SerialOfflineAnalyzer(path, options=options, obs=obs).analyze()

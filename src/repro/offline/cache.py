@@ -15,7 +15,7 @@ files invalidates exactly the entries it affects:
   canonically (by interval identity, exactly like the engine's
   comparison) so either argument order finds the same entry.
 
-Trees are stored with their digests via the exact-shape serialisation
+Trees are stored via the exact-shape serialisation
 (:mod:`repro.itree.serialize`) — a reloaded tree probes in the same
 order as the built one, preserving canonical-witness determinism.  Pair
 verdicts store the full report list the comparison generated (often
@@ -40,8 +40,6 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from ..common.errors import DigestVersionError
-from ..itree.digest import TreeDigest
 from ..itree.serialize import TREE_FORMAT, tree_from_rows, tree_to_rows
 from ..itree.tree import IntervalTree
 from ..sword.traceformat import (
@@ -80,7 +78,11 @@ class ResultCache:
     """Content-addressed store of interval trees and pair verdicts."""
 
     def __init__(
-        self, trace_path: str | os.PathLike, cache_dir: str | os.PathLike | None = None
+        self,
+        trace_path: str | os.PathLike,
+        cache_dir: str | os.PathLike | None = None,
+        *,
+        registry=None,
     ) -> None:
         self.trace_path = Path(trace_path)
         self.root = (
@@ -93,7 +95,12 @@ class ResultCache:
         self.pair_hits = 0
         self.misses = 0
         self.corrupt_evictions = 0
-        self._m_corrupt = get_obs().registry.counter(
+        # The owning engine passes its own registry: explicitly threaded
+        # bundles (api.analyze(obs=...), thread-mode serve shards) are
+        # never installed as ambient.
+        if registry is None:
+            registry = get_obs().registry
+        self._m_corrupt = registry.counter(
             "offline.pair_cache_corrupt_evictions",
             "corrupt/truncated cache entries deleted on discovery",
         )
@@ -196,49 +203,28 @@ class ResultCache:
     def _tree_path(self, token: str) -> Path:
         return self.root / "trees" / f"{token}.json"
 
-    def load_tree(
-        self, interval: IntervalData
-    ) -> Optional[tuple[IntervalTree, TreeDigest, int]]:
-        """Reload one interval's tree, digest, and event count — or None."""
+    def load_tree(self, interval: IntervalData) -> Optional[IntervalTree]:
+        """Reload one interval's tree, or None on a miss."""
         path = self._tree_path(self.interval_token(interval))
         payload = self._read(path)
         if payload is None or payload.get("format") != TREE_FORMAT:
             self.misses += 1
             return None
         try:
+            # Only "nodes" is read: entries written before the tree
+            # digest was dropped carry extra keys and still load.
             tree = tree_from_rows(payload["nodes"])
-            digest = TreeDigest.from_json(payload["digest"])
-            events = int(payload["events_in"])
-        except (
-            DigestVersionError,
-            KeyError,
-            ValueError,
-            TypeError,
-            StopIteration,
-        ):
-            # A digest from a newer format version is unusable here; it
-            # joins torn/corrupt entries as a counted, evicted miss.
+        except (KeyError, ValueError, TypeError, StopIteration):
             self._evict(path)
             self.misses += 1
             return None
         self.tree_hits += 1
-        return tree, digest, events
+        return tree
 
-    def store_tree(
-        self,
-        interval: IntervalData,
-        tree: IntervalTree,
-        digest: TreeDigest,
-        events_in: int,
-    ) -> None:
+    def store_tree(self, interval: IntervalData, tree: IntervalTree) -> None:
         self._write(
             self._tree_path(self.interval_token(interval)),
-            {
-                "format": TREE_FORMAT,
-                "digest": digest.to_json(),
-                "events_in": events_in,
-                "nodes": tree_to_rows(tree),
-            },
+            {"format": TREE_FORMAT, "nodes": tree_to_rows(tree)},
         )
 
     # -- pair verdicts -----------------------------------------------------------

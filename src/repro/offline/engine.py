@@ -2,11 +2,12 @@
 
 One implementation serves all three analysis modes:
 
-* **post-mortem** — :class:`~repro.offline.analyzer.OfflineAnalyzer` walks a
-  complete pair plan over a closed trace directory;
-* **distributed** — :class:`~repro.offline.parallel.ParallelOfflineAnalyzer`
-  workers each drive an engine over their shard of the plan;
-* **streaming** — :class:`~repro.stream.analyzer.StreamingAnalyzer` feeds the
+* **post-mortem** — :class:`~repro.offline.analyzer.SerialOfflineAnalyzer`
+  walks a complete pair plan over a closed trace directory;
+* **distributed** — :class:`~repro.offline.parallel.
+  DistributedOfflineAnalyzer` workers each drive an engine over their shard
+  of the plan;
+* **streaming** — :class:`~repro.stream.analyzer.StreamAnalyzer` feeds the
   engine interval pairs while the traced program is still running.
 
 The engine is agnostic about where its inputs come from: it only needs a
@@ -28,12 +29,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..common.config import OfflineConfig
 from ..ilp.bruteforce import bruteforce_overlap
 from ..ilp.memo import SolverMemo
 from ..ilp.overlap import constraint_of, intervals_share_address
 from ..itree.builder import TreeBuilder
-from ..itree.digest import TreeDigest, digests_may_race
 from ..itree.tree import IntervalTree
 from ..obs import (
     COUNT_BUCKETS,
@@ -42,7 +41,7 @@ from ..obs import (
     get_obs,
 )
 from ..omp.mutexset import MutexSetTable
-from ..sword.digest import FrameDigest, fold_digests
+from ..sword.digest import FrameDigest, digests_may_race, fold_digests
 from ..sword.integrity import IntegrityReport
 from .cache import ResultCache
 from .intervals import IntervalData
@@ -227,48 +226,31 @@ class AnalysisEngine:
     def __init__(
         self,
         source,
-        config: OfflineConfig | None = None,
         *,
         options: AnalysisOptions | None = None,
-        tree_cache_capacity: int = 64,
         obs: Instrumentation | None = None,
     ) -> None:
         self.source = source
-        if options is None:
-            options = AnalysisOptions.from_config(
-                config, tree_cache_capacity=tree_cache_capacity
-            )
+        options = options or AnalysisOptions()
         options.validate()
         self.options = options
-        self.config = options.offline_config()
         self.obs = obs or options.obs or get_obs()
         self.stats = AnalysisStats()
         self._tree_cache = TreeCache(capacity=options.tree_cache_capacity)
         self._readers: dict[int, object] = {}
         fast = options.fastpath
-        self._memo = (
-            SolverMemo(fast.solver_memo_capacity) if fast.memo_active else None
-        )
-        self._prune = fast.pruning_active
-        pruning = options.pruning
-        #: Meta-digest pre-filter: decide pairs from the frame-resident
+        self._memo = SolverMemo() if fast.enabled else None
+        #: Frame-digest pre-filter: decide pairs from the meta-row
         #: digests *before* scheduling any inflation.
-        self._lazy = (
-            self._prune and pruning.use_digests and pruning.lazy_inflate
-        )
-        #: When meta digests are absent, keep pruning on tree digests
-        #: (which costs one inflation per interval) as before.
-        self._fallback = pruning.fallback_inflate
+        self._prune = fast.enabled
         #: pid -> proven-free pcs from the trace's static verdict table;
         #: pairs touching one are skipped before digest pruning.  Empty
         #: when the trace carries no table or static_skip is off.
         self._static_free: dict[int, frozenset[int]] = {}
-        if pruning.static_skip:
+        if fast.static_skip:
             table = getattr(source, "static_verdicts", None)
             if table is not None:
                 self._static_free = table.proven_free_by_pid()
-        # Digests survive LRU eviction of their trees (they are tiny).
-        self._digests: dict[object, TreeDigest] = {}
         self._meta_digests: dict[object, FrameDigest | None] = {}
         self._inflated_seen: dict[int, int] = {}
         self._result_cache = self._attach_result_cache(fast)
@@ -343,7 +325,7 @@ class AnalysisEngine:
             path = getattr(self.source, "directory", None)
         if path is None:
             return None
-        return ResultCache(path, fast.cache_dir)
+        return ResultCache(path, fast.cache_dir, registry=self.obs.registry)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -381,23 +363,12 @@ class AnalysisEngine:
             self._readers[gid] = reader
         return reader
 
-    def digest_of(self, interval: IntervalData) -> TreeDigest:
-        """The interval's access digest (building its tree if needed)."""
-        digest = self._digests.get(interval.key)
-        if digest is None:
-            tree = self.build_tree(interval)
-            digest = self._digests.get(interval.key)
-            if digest is None:
-                digest = TreeDigest.of_tree(tree)
-                self._digests[interval.key] = digest
-        return digest
-
     def _interval_digest(self, interval: IntervalData) -> FrameDigest | None:
         """Fold the interval's frame-resident digests (no inflation).
 
         None when any chunk lacks a meta-row digest (v1 traces, rows from
         a newer digest version, sources that do not carry digests) — the
-        caller falls back to inflation.
+        caller builds and compares the pair.
         """
         key = interval.key
         if key in self._meta_digests:
@@ -419,12 +390,10 @@ class AnalysisEngine:
         if self._result_cache is not None:
             loaded = self._result_cache.load_tree(interval)
             if loaded is not None:
-                tree, digest, _events = loaded
                 self.stats.tree_cache_disk_hits += 1
                 self._m_tree_disk_hits.inc()
-                self._digests[key] = digest
-                self._tree_cache.put(key, tree)
-                return tree
+                self._tree_cache.put(key, loaded)
+                return loaded
         t0 = time.perf_counter()
         with self.obs.tracer.span(
             "tree-build", category="offline", gid=key.gid,
@@ -436,7 +405,7 @@ class AnalysisEngine:
                 view = reader.frame_at(begin, size)
                 for records in view.iter_events():
                     # Re-chunk to the configured streaming granularity.
-                    step = self.config.chunk_events
+                    step = self.options.chunk_events
                     for lo in range(0, records.shape[0], step):
                         builder.add_records(records[lo : lo + step])
             tree = builder.finish()
@@ -455,13 +424,8 @@ class AnalysisEngine:
         self._m_tree_nodes.observe(len(tree))
         self._m_events_read.inc(builder.events_in)
         self._m_build_seconds.observe(elapsed)
-        if self._prune or self._result_cache is not None:
-            digest = TreeDigest.of_tree(tree)
-            self._digests[key] = digest
-            if self._result_cache is not None:
-                self._result_cache.store_tree(
-                    interval, tree, digest, builder.events_in
-                )
+        if self._result_cache is not None:
+            self._result_cache.store_tree(interval, tree)
         self._tree_cache.put(key, tree)
         return tree
 
@@ -556,7 +520,7 @@ class AnalysisEngine:
                     si,
                     other,
                     mutexsets,
-                    crosscheck=self.config.use_ilp_crosscheck,
+                    crosscheck=self.options.use_ilp_crosscheck,
                     memo=self._memo,
                 )
                 if address is None:
@@ -622,15 +586,13 @@ class AnalysisEngine:
     ) -> None:
         """Compare one interval pair (the unit of scheduling).
 
-        Fast path, in cost order: (1) a persistent pair-verdict hit
-        replays the cached reports without touching any tree; (2) the
-        frame-resident meta-row digests prove the pair cannot race and it
-        is pruned *before any payload byte is decompressed*; (3) when
-        meta digests are absent, the tree digests (one inflation per
-        interval) prune the comparison as before; (4) the trees are
-        compared with the memoized solver.  Every path produces the
-        identical contribution to ``races`` (the naive path's reports,
-        exactly).
+        In cost order: (1) a persistent pair-verdict hit replays the
+        cached reports without touching any tree; (2) the frame-resident
+        meta-row digests prove the pair cannot race and it is pruned
+        *before any payload byte is decompressed*; (3) the trees are
+        built and compared with the memoized solver — also the path for
+        pairs with a digest-less row.  Every path produces the identical
+        contribution to ``races`` (the naive path's reports, exactly).
         """
         if self._result_cache is not None:
             self._pair_cache_lookups += 1
@@ -646,7 +608,7 @@ class AnalysisEngine:
             self._m_pair_cache_rate.set(
                 self._result_cache.pair_hits / self._pair_cache_lookups
             )
-        if self._lazy:
+        if self._prune:
             da = self._interval_digest(ia)
             db = self._interval_digest(ib)
             if da is not None and db is not None and not digests_may_race(da, db):
@@ -658,16 +620,6 @@ class AnalysisEngine:
                 if self._result_cache is not None:
                     self._result_cache.store_pair(ia, ib, [])
                 return
-        if (
-            self._prune
-            and self._fallback
-            and not digests_may_race(self.digest_of(ia), self.digest_of(ib))
-        ):
-            self.stats.pairs_pruned += 1
-            self._m_pruned.inc()
-            if self._result_cache is not None:
-                self._result_cache.store_pair(ia, ib, [])
-            return
         tree_a = self.build_tree(ia)
         tree_b = self.build_tree(ib)
         candidates0 = self.stats.overlap_candidates

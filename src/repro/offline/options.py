@@ -1,14 +1,12 @@
 """One options object for every analysis mode.
 
-The serial, distributed, and streaming drivers historically grew their
-own keyword sets (workers here, checkpointing there, tree-cache bounds in
-a third place).  :class:`AnalysisOptions` unifies them: every driver and
-the shared :class:`~repro.offline.engine.AnalysisEngine` consume this one
-dataclass, and :mod:`repro.api` passes it through unchanged.
+:class:`AnalysisOptions` is the single options object: every driver, the
+shared :class:`~repro.offline.engine.AnalysisEngine`, the service's shard
+specs, and :mod:`repro.api` consume this one dataclass unchanged.
 
-:class:`FastPathOptions` gates the pair-analysis fast path (digest
-pruning, solver memoization, persistent result cache).  Everything is
-on by default except the persistent cache, which writes to disk and is
+:class:`FastPathOptions` gates the pair-decision cascade (static skip →
+pair cache → frame-digest prune → build + compare).  Everything is on by
+default except the persistent cache, which writes to disk and is
 therefore opt-in.
 """
 
@@ -17,70 +15,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..common.config import OfflineConfig
+from ..common.errors import ConfigError
 from ..obs import Instrumentation
-
-
-@dataclass(slots=True)
-class PruningOptions:
-    """How the engine uses frame-resident digests on compressed traces.
-
-    The compressed-trace redesign: collection-time digests ride each
-    chunk's meta row, so most interval pairs can be decided without
-    inflating any payload bytes.  All combinations preserve
-    canonical-witness determinism — only ``bytes_inflated`` changes.
-    """
-
-    #: Consume meta-row digests at all (off = always inflate).
-    use_digests: bool = True
-    #: Run the digest pre-filter *before* scheduling any inflation, so
-    #: pruned pairs cost zero decompressed bytes.
-    lazy_inflate: bool = True
-    #: When meta digests are absent (v1 traces, digest-less rows), fall
-    #: back to inflating and pruning on tree digests as before.
-    fallback_inflate: bool = True
-    #: Skip site pairs the trace's static verdict table proved race-free
-    #: before digest pruning even looks at them.  Off, the engine solves
-    #: those pairs dynamically (synthesised DEFINITE_RACE reports are
-    #: still injected — they are data, not an optimisation).
-    static_skip: bool = True
-
-    def validate(self) -> None:  # symmetry with the sibling options
-        return None
 
 
 @dataclass(slots=True)
 class FastPathOptions:
     """Toggles for the pair-analysis fast path.
 
-    All three accelerations preserve canonical-witness determinism: the
+    Every acceleration preserves canonical-witness determinism: the
     analysis result is byte-identical with the fast path on or off.
     """
 
-    #: Master switch; False restores the naive path exactly.
+    #: Master switch for frame-digest pruning, the solver memo, and the
+    #: persistent cache; False is the naive reference path (build and
+    #: compare every pair) the parity suites pin everything else against.
     enabled: bool = True
-    #: Prune pairs whose access digests prove no shared racy byte.
-    digest_pruning: bool = True
-    #: Memoize Diophantine solves on the translated constraint shape.
-    solver_memo: bool = True
-    solver_memo_capacity: int = 4096
     #: Persist per-interval trees and pair verdicts keyed by trace
     #: content hashes (opt-in: writes under the trace directory, or
     #: ``cache_dir`` when set).  Only engaged for closed traces.
     result_cache: bool = False
     cache_dir: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.solver_memo_capacity < 1:
-            raise ValueError("solver_memo_capacity must be >= 1")
-
-    @property
-    def pruning_active(self) -> bool:
-        return self.enabled and self.digest_pruning
-
-    @property
-    def memo_active(self) -> bool:
-        return self.enabled and self.solver_memo
+    #: Skip site pairs the trace's static verdict table proved race-free.
+    #: Independent of ``enabled``.  Off, the engine solves those pairs
+    #: dynamically (synthesised DEFINITE_RACE reports are still injected
+    #: — they are data, not an optimisation).
+    static_skip: bool = True
 
     @property
     def cache_active(self) -> bool:
@@ -98,7 +58,12 @@ class AnalysisOptions:
     """
 
     # Engine / all modes.
+    #: Streaming granularity: how many decoded events the reader hands
+    #: to the tree builder at a time (paper: "reads access information
+    #: from log files in small chunks").
     chunk_events: int = 65536
+    #: Additionally verify each Diophantine overlap verdict by brute
+    #: force (slow; for tests).
     use_ilp_crosscheck: bool = False
     tree_cache_capacity: int = 64
     #: ``"strict"`` fails fast on any trace defect; ``"salvage"``
@@ -106,13 +71,10 @@ class AnalysisOptions:
     #: :class:`~repro.sword.integrity.IntegrityReport` to the result.
     integrity: str = "strict"
     fastpath: FastPathOptions = field(default_factory=FastPathOptions)
-    #: Compressed-trace pruning behaviour (meta-digest pre-filter,
-    #: lazy inflation, tree-digest fallback).
-    pruning: PruningOptions = field(default_factory=PruningOptions)
     #: Instrumentation bundle; None means the ambient bundle.
     obs: Optional[Instrumentation] = None
 
-    # Distributed mode.
+    # Distributed mode: worker processes (Table III's MT column).
     workers: int = 1
 
     # Streaming mode.
@@ -121,7 +83,10 @@ class AnalysisOptions:
     max_pairs: Optional[int] = None
 
     def validate(self) -> None:
-        self.offline_config()  # OfflineConfig.validate covers the shared knobs
+        if self.chunk_events <= 0:
+            raise ConfigError("chunk_events must be positive")
+        if self.workers <= 0:
+            raise ConfigError("workers must be positive")
         if self.tree_cache_capacity < 1:
             raise ValueError("tree_cache_capacity must be >= 1")
         if self.checkpoint_every < 1:
@@ -131,37 +96,6 @@ class AnalysisOptions:
                 f"integrity must be 'strict' or 'salvage', "
                 f"got {self.integrity!r}"
             )
-        self.fastpath.validate()
-        self.pruning.validate()
-
-    def offline_config(self) -> OfflineConfig:
-        """The legacy config equivalent (validated)."""
-        config = OfflineConfig(
-            chunk_events=self.chunk_events,
-            workers=self.workers,
-            use_ilp_crosscheck=self.use_ilp_crosscheck,
-        )
-        config.validate()
-        return config
 
     def copy(self, **overrides) -> "AnalysisOptions":
         return replace(self, **overrides)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: OfflineConfig | None,
-        *,
-        obs: Optional[Instrumentation] = None,
-        **overrides,
-    ) -> "AnalysisOptions":
-        """Lift a legacy :class:`OfflineConfig` (or None) into options."""
-        if config is None:
-            return cls(obs=obs, **overrides)
-        return cls(
-            chunk_events=config.chunk_events,
-            workers=config.workers,
-            use_ilp_crosscheck=config.use_ilp_crosscheck,
-            obs=obs,
-            **overrides,
-        )

@@ -14,8 +14,7 @@ code path means the byte-identical-races guarantee is proven once, and a
 drift apart.
 
 The supported entry point is :func:`repro.api.analyze` with
-``mode="parallel"``; :class:`ParallelOfflineAnalyzer` remains as a
-deprecated alias of :class:`DistributedOfflineAnalyzer`.
+``mode="parallel"``.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from ..common.config import OfflineConfig
-from ..common.deprecation import warn_once
 from ..obs import Instrumentation, get_obs
 from ..sword.reader import TraceDir
 from .analyzer import SerialOfflineAnalyzer
@@ -49,17 +46,15 @@ class DistributedOfflineAnalyzer:
     def __init__(
         self,
         trace: TraceDir | str | os.PathLike,
-        config: OfflineConfig | None = None,
-        obs: Instrumentation | None = None,
         *,
         options: AnalysisOptions | None = None,
+        obs: Instrumentation | None = None,
     ) -> None:
         if not isinstance(trace, TraceDir):
             trace = TraceDir(trace)
         self.trace = trace
-        self.options = options or AnalysisOptions.from_config(config)
+        self.options = options or AnalysisOptions()
         self.options.validate()
-        self.config = self.options.offline_config()
         self.obs = obs or self.options.obs or get_obs()
 
     def analyze(self) -> AnalysisResult:
@@ -134,15 +129,3 @@ class DistributedOfflineAnalyzer:
         registry.gauge("offline_mt.races").set(len(races))
         return AnalysisResult(races=races, stats=stats)
 
-
-class ParallelOfflineAnalyzer(DistributedOfflineAnalyzer):
-    """Deprecated alias; use ``repro.api.analyze(trace, mode="parallel")``."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_once(
-            "ParallelOfflineAnalyzer",
-            "ParallelOfflineAnalyzer is deprecated; use "
-            "repro.api.analyze(trace, mode='parallel') "
-            "(or repro.offline.DistributedOfflineAnalyzer)",
-        )
-        super().__init__(*args, **kwargs)

@@ -16,11 +16,11 @@ runs it on a worker like any other shard.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..offline.intervals import IntervalInventory, IntervalKey
-from ..offline.options import AnalysisOptions, FastPathOptions, PruningOptions
+from ..offline.options import AnalysisOptions, FastPathOptions
 from ..sword.reader import TraceDir
 from .tracing import ObsConfig
 
@@ -38,10 +38,10 @@ class ShardSpec:
     trace_path: str
     kind: str = PAIRS
     pair_keys: tuple[tuple[IntervalKey, IntervalKey], ...] = ()
-    chunk_events: int = 65536
-    use_ilp_crosscheck: bool = False
-    fastpath: Optional[FastPathOptions] = None
-    pruning: Optional[PruningOptions] = None
+    #: The options the worker's engine runs with, exactly as submitted
+    #: (``obs`` stripped: bundles are not picklable — ``obs_config`` is
+    #: the recipe for the worker-side one).
+    options: AnalysisOptions = field(default_factory=AnalysisOptions)
     #: Correlation context: which tenant's job and which distributed
     #: trace this shard belongs to (empty outside the service).
     tenant: str = ""
@@ -83,14 +83,7 @@ def shard_fastpath(
     """
     if cache_dir is None:
         return base
-    return FastPathOptions(
-        enabled=base.enabled,
-        digest_pruning=base.digest_pruning,
-        solver_memo=base.solver_memo,
-        solver_memo_capacity=base.solver_memo_capacity,
-        result_cache=base.enabled,
-        cache_dir=cache_dir,
-    )
+    return replace(base, result_cache=base.enabled, cache_dir=cache_dir)
 
 
 def plan_shards(
@@ -123,7 +116,9 @@ def plan_shards(
     options = options or AnalysisOptions()
     if not isinstance(trace, TraceDir):
         trace = TraceDir(trace, integrity=options.integrity)
-    fastpath = shard_fastpath(options.fastpath, cache_dir)
+    shard_opts = options.copy(
+        fastpath=shard_fastpath(options.fastpath, cache_dir), obs=None
+    )
     trace_digest = ""
     if checkpoint_dir is not None:
         from .checkpoint import trace_token  # deferred: import cycle
@@ -151,10 +146,7 @@ def plan_shards(
                 index=0,
                 trace_path=str(trace.path),
                 kind=SALVAGE,
-                chunk_events=options.chunk_events,
-                use_ilp_crosscheck=options.use_ilp_crosscheck,
-                fastpath=fastpath,
-                pruning=options.pruning,
+                options=shard_opts,
                 tenant=tenant,
                 trace_id=trace_id,
                 obs_config=obs_config,
@@ -180,10 +172,7 @@ def plan_shards(
                 trace_path=str(trace.path),
                 kind=PAIRS,
                 pair_keys=pair_keys,
-                chunk_events=options.chunk_events,
-                use_ilp_crosscheck=options.use_ilp_crosscheck,
-                fastpath=fastpath,
-                pruning=options.pruning,
+                options=shard_opts,
                 tenant=tenant,
                 trace_id=trace_id,
                 obs_config=obs_config,

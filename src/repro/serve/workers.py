@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 from ..obs import NULL_OBS, Instrumentation, set_obs
 from ..offline.engine import AnalysisEngine, AnalysisStats
 from ..offline.intervals import IntervalInventory
-from ..offline.options import AnalysisOptions, FastPathOptions, PruningOptions
 from ..offline.report import RaceReport, RaceSet
 from ..sword.reader import TraceDir
 from .shards import SALVAGE, ShardSpec
@@ -65,16 +64,6 @@ def race_rows(races: RaceSet) -> list[tuple]:
         )
         for r in races
     ]
-
-
-def shard_options(spec: ShardSpec) -> AnalysisOptions:
-    return AnalysisOptions(
-        chunk_events=spec.chunk_events,
-        use_ilp_crosscheck=spec.use_ilp_crosscheck,
-        fastpath=spec.fastpath or FastPathOptions(),
-        pruning=spec.pruning or PruningOptions(),
-        integrity="salvage" if spec.kind == SALVAGE else "strict",
-    )
 
 
 def run_shard(spec: ShardSpec) -> ShardOutcome:
@@ -145,8 +134,7 @@ def _execute_shard(spec: ShardSpec, obs: Instrumentation) -> ShardOutcome:
     Salvage shards run the full serial salvage analysis and carry the
     integrity ledger home.
     """
-    options = shard_options(spec)
-    options.obs = obs
+    options = spec.options.copy(obs=obs)
     outcome = ShardOutcome(
         job_id=spec.job_id, index=spec.index, worker_pid=os.getpid()
     )

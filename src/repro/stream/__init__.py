@@ -15,7 +15,6 @@ reporting races while the application is still running
 from .analyzer import (
     LiveTraceSource,
     StreamAnalyzer,
-    StreamingAnalyzer,
     StreamingInterrupted,
     replay_analyze,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "IncrementalPairScheduler",
     "LiveTraceSource",
     "StreamAnalyzer",
-    "StreamingAnalyzer",
     "StreamingInterrupted",
     "TraceObserver",
     "WatchResult",

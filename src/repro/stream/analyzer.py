@@ -22,8 +22,6 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from ..common.config import OfflineConfig
-from ..common.deprecation import warn_once
 from ..obs import Instrumentation, get_obs
 from ..offline.engine import AnalysisEngine, AnalysisResult, AnalysisStats
 from ..offline.intervals import IntervalData
@@ -63,7 +61,6 @@ class StreamAnalyzer(TraceObserver):
 
     Args:
         directory: the trace directory being produced (or replayed).
-        config: offline-analysis tuning (chunking, ILP crosscheck).
         options: unified :class:`AnalysisOptions`; the explicit keyword
             arguments below override the matching fields when given.
         checkpoint_path: enable resumable progress at this file.
@@ -78,7 +75,6 @@ class StreamAnalyzer(TraceObserver):
     def __init__(
         self,
         directory: str | Path,
-        config: OfflineConfig | None = None,
         *,
         options: AnalysisOptions | None = None,
         checkpoint_path: str | Path | None = None,
@@ -90,8 +86,7 @@ class StreamAnalyzer(TraceObserver):
     ) -> None:
         self.directory = Path(directory)
         options = (
-            options.copy() if options is not None
-            else AnalysisOptions.from_config(config)
+            options.copy() if options is not None else AnalysisOptions()
         )
         if checkpoint_path is not None:
             options.checkpoint_path = str(checkpoint_path)
@@ -103,7 +98,6 @@ class StreamAnalyzer(TraceObserver):
             options.tree_cache_capacity = tree_cache_capacity
         options.validate()
         self.options = options
-        self.config = options.offline_config()
         self.obs = obs or options.obs or get_obs()
         self.on_race = on_race
         registry = self.obs.registry
@@ -258,23 +252,8 @@ class StreamAnalyzer(TraceObserver):
         return AnalysisResult(races=self.races, stats=stats)
 
 
-class StreamingAnalyzer(StreamAnalyzer):
-    """Deprecated alias; use ``repro.api.Session`` or
-    ``repro.api.analyze(trace, mode="streaming")`` instead."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_once(
-            "StreamingAnalyzer",
-            "StreamingAnalyzer is deprecated; use repro.api.Session / "
-            "repro.api.analyze(trace, mode='streaming') "
-            "(or repro.stream.StreamAnalyzer)",
-        )
-        super().__init__(*args, **kwargs)
-
-
 def replay_analyze(
     trace: TraceDir | str | Path,
-    config: OfflineConfig | None = None,
     *,
     options: AnalysisOptions | None = None,
     checkpoint_path: str | Path | None = None,
@@ -292,7 +271,6 @@ def replay_analyze(
         trace = TraceDir(trace)
     analyzer = StreamAnalyzer(
         trace.path,
-        config,
         options=options,
         checkpoint_path=checkpoint_path,
         max_pairs=max_pairs,

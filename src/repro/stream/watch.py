@@ -24,7 +24,6 @@ from typing import Any, Optional
 
 from ..common.config import (
     NodeConfig,
-    OfflineConfig,
     RunConfig,
     SchedulerConfig,
     SwordConfig,
@@ -201,7 +200,6 @@ def watch(
     node: Optional[NodeConfig] = None,
     yield_every: int = 0,
     sword_config: Optional[SwordConfig] = None,
-    offline_config: Optional[OfflineConfig] = None,
     options: Optional[AnalysisOptions] = None,
     trace_dir: Optional[str] = None,
     keep_trace: bool = False,
@@ -230,7 +228,6 @@ def watch(
         tool = SwordTool(config, accountant, obs=obs)
         analyzer = StreamAnalyzer(
             trace_path,
-            offline_config,
             options=options,
             checkpoint_path=checkpoint_path,
             on_race=on_race,

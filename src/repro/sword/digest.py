@@ -10,22 +10,25 @@ concurrent interval pairs without ever inflating the compressed payload
 bytes (cf. Kini, Mathur & Viswanathan, "Data Race Detection on
 Compressed Traces": detection directly over the compressed form).
 
-The field layout is attribute-compatible with
-:class:`repro.itree.digest.TreeDigest` (``nodes``/``lo``/``hi``/
-``writes``/``reads``/``all_atomic``/``gcd``/``width``), so
-:func:`repro.itree.digest.digests_may_race` applies unchanged — the same
-soundness argument holds:
+It is the only access summary in the system: :meth:`FrameDigest.fold`
+combines the chunks of one interval and :func:`digests_may_race` decides
+— without inflating either side — whether *any* access pair could satisfy
+the race condition (cf. Shim et al., "Data Race Satisfiability on Array
+Elements": most array-access pairs fall to algebraic filters before any
+solver call).
 
-* ``gcd`` divides every bulk stride *and* every access's low-endpoint
-  offset from ``lo``, hence every touched byte is ``lo + k (mod gcd)``
-  for some ``k in [0, width)``;
-* folding two digests reduces ``gcd`` by ``|lo_a - lo_b|`` as well, which
-  re-anchors both windows onto the combined minimum without widening the
-  residue claim.
+Residue argument.  ``gcd`` divides every bulk stride *and* every access's
+low-endpoint offset from ``lo``, hence every touched byte is
+``lo + k (mod gcd)`` for some ``k in [0, width)`` — a single residue
+window per digest.  Folding two digests reduces ``gcd`` by
+``|lo_a - lo_b|`` as well, which re-anchors both windows onto the
+combined minimum without widening the residue claim.  For two digests,
+reduce both windows modulo ``G = gcd(g_a, g_b)``; if the windows do not
+intersect mod ``G``, no byte is shared and the pair cannot race.
 
 Digest-less rows (v1 traces, pre-digest v2 traces, tokens from a *newer*
-digest version) simply decode to ``digest=None`` and the engine falls
-back to inflation.
+digest version) simply decode to ``digest=None`` and the engine builds
+and compares the pair's trees.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ _TOKEN_FIELDS = 11
 
 @dataclass(frozen=True, slots=True)
 class FrameDigest:
-    """O(1) access summary of one trace chunk (or a fold of several).
-
-    ``nodes`` counts access records (the name matches
-    :class:`~repro.itree.digest.TreeDigest` so the shared
-    ``digests_may_race`` filter duck-types over both).
-    """
+    """O(1) access summary of one trace chunk (or a fold of several)."""
 
     #: All records in the chunk, including structural events.
     events: int
@@ -180,11 +178,38 @@ def fold_digests(digests) -> "FrameDigest | None":
     return total
 
 
+def digests_may_race(a: FrameDigest, b: FrameDigest) -> bool:
+    """Conservative pair filter: False only when no access pair can race.
+
+    Applies the race condition's necessary conditions at digest level: at
+    least one write somewhere, not everything atomic on both sides,
+    intersecting byte boxes, and a shared residue class (when the residue
+    windows are narrow enough mod ``G`` to be conclusive).
+    """
+    if a.nodes == 0 or b.nodes == 0:
+        return False
+    if a.writes == 0 and b.writes == 0:
+        return False  # every access pair lacks a write
+    if a.all_atomic and b.all_atomic:
+        return False  # every access pair is atomic-vs-atomic
+    if a.hi < b.lo or b.hi < a.lo:
+        return False  # disjoint bounding boxes
+    big = math.gcd(a.gcd, b.gcd)
+    if big > 0 and a.width + b.width <= big:
+        # A's residues mod G are [0, wa) from a.lo; B's are [0, wb) from
+        # b.lo.  They intersect iff (b.lo - a.lo) mod G falls in
+        # (-wb, wa) mod G; outside that, no shared byte exists.
+        d = (b.lo - a.lo) % big
+        if a.width <= d <= big - b.width:
+            return False
+    return True
+
+
 def decode_digest(token: str) -> "FrameDigest | None":
     """Parse one ``d<version>=`` meta-row token.
 
     Returns None for tokens written by a *newer* digest version (the
-    reader falls back to inflation — forward compatibility); raises
+    engine compares such pairs in full — forward compatibility); raises
     :class:`ValueError` for anything malformed at a known version.
     """
     head, sep, body = token.partition("=")

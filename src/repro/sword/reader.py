@@ -42,7 +42,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..common.deprecation import warn_once
 from ..common.errors import CodecError, TraceFormatError
 from ..common.events import EVENT_BYTES, EVENT_DTYPE
 from ..obs import get_obs
@@ -557,36 +556,6 @@ class ThreadTraceReader:
                     )
                 )
         return spans
-
-    # -- deprecated eager surface ----------------------------------------------
-
-    def read_range(self, begin: int, size: int) -> np.ndarray:
-        """Deprecated eager read; use :meth:`frame_at` + ``events()``."""
-        warn_once(
-            "ThreadTraceReader.read_range",
-            "ThreadTraceReader.read_range() is deprecated; use "
-            "frame_at(begin, size).events() for lazy, digest-aware access",
-        )
-        return self._read_range(begin, size)
-
-    def iter_range(self, begin: int, size: int) -> Iterator[np.ndarray]:
-        """Deprecated eager iteration; use ``frame_at(...).iter_events()``."""
-        warn_once(
-            "ThreadTraceReader.iter_range",
-            "ThreadTraceReader.iter_range() is deprecated; use "
-            "frame_at(begin, size).iter_events() for lazy, digest-aware "
-            "access",
-        )
-        return self._iter_range(begin, size)
-
-    def read_chunk(self, row: MetaRow) -> np.ndarray:
-        """Deprecated eager read of a meta row's chunk."""
-        warn_once(
-            "ThreadTraceReader.read_chunk",
-            "ThreadTraceReader.read_chunk() is deprecated; use "
-            "frame_at(row.data_begin, row.size).events()",
-        )
-        return self._read_range(row.data_begin, row.size)
 
 
 def build_interval_label(

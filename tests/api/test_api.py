@@ -1,4 +1,4 @@
-"""The repro.api facade covers every flow; legacy entry points warn."""
+"""The repro.api facade covers every flow; no legacy entry point remains."""
 
 import json
 from pathlib import Path
@@ -6,11 +6,9 @@ from pathlib import Path
 import pytest
 
 import repro.api as api
-from repro.common import deprecation
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import OfflineAnalyzer, ParallelOfflineAnalyzer, analyze_trace
+from repro.offline import analyze_trace
 from repro.omp import OpenMPRuntime
-from repro.stream import StreamingAnalyzer
 from repro.sword import SwordTool, TraceDir
 from repro.workloads import REGISTRY
 
@@ -168,48 +166,7 @@ def test_tracedir_reader_accepts_pathlike(trace_dir):
         assert reader.uncompressed_bytes >= 0
 
 
-# -- deprecation shims ---------------------------------------------------------
-
-
-def test_offline_analyzer_deprecated(trace_dir):
-    deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="OfflineAnalyzer is deprecated"):
-        analyzer = OfflineAnalyzer(TraceDir(trace_dir))
-    assert analyzer.analyze().race_count == 2
-
-
-def test_parallel_analyzer_deprecated(trace_dir):
-    deprecation.reset()
-    with pytest.warns(
-        DeprecationWarning, match="ParallelOfflineAnalyzer is deprecated"
-    ):
-        analyzer = ParallelOfflineAnalyzer(TraceDir(trace_dir))
-    assert analyzer.analyze().race_count == 2
-
-
-def test_streaming_analyzer_deprecated(trace_dir):
-    deprecation.reset()
-    with pytest.warns(
-        DeprecationWarning, match="StreamingAnalyzer is deprecated"
-    ):
-        StreamingAnalyzer(trace_dir)
-
-
-def test_deprecation_warns_once_per_class(trace_dir, recwarn):
-    deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="OfflineAnalyzer is deprecated"):
-        OfflineAnalyzer(TraceDir(trace_dir))
-    recwarn.clear()
-    # Second (and every later) instantiation is silent: old harnesses
-    # construct these in per-workload loops.
-    OfflineAnalyzer(TraceDir(trace_dir))
-    OfflineAnalyzer(TraceDir(trace_dir))
-    assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-    # Other shims still get their own first warning.
-    with pytest.warns(
-        DeprecationWarning, match="StreamingAnalyzer is deprecated"
-    ):
-        StreamingAnalyzer(trace_dir)
+# -- the compatibility layer is gone ---------------------------------------------
 
 
 def test_new_names_do_not_warn(trace_dir, recwarn):
@@ -220,3 +177,19 @@ def test_new_names_do_not_warn(trace_dir, recwarn):
     DistributedOfflineAnalyzer(TraceDir(trace_dir))
     StreamAnalyzer(trace_dir)
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+    # ... and the shims they replaced are deleted, not merely silenced.
+    import repro.offline
+    import repro.stream
+    from repro.sword.reader import ThreadTraceReader
+
+    for owner, legacy in [
+        (repro.offline, "OfflineAnalyzer"),
+        (repro.offline, "ParallelOfflineAnalyzer"),
+        (repro.stream, "StreamingAnalyzer"),
+        (ThreadTraceReader, "read_range"),
+        (ThreadTraceReader, "iter_range"),
+        (ThreadTraceReader, "read_chunk"),
+        (api.AnalysisOptions, "from_config"),
+        (api.AnalysisOptions, "offline_config"),
+    ]:
+        assert not hasattr(owner, legacy), legacy

@@ -6,7 +6,6 @@ from repro.common.config import (
     MiB,
     ArcherConfig,
     NodeConfig,
-    OfflineConfig,
     RunConfig,
     SchedulerConfig,
     SWORD_AUX_BYTES,
@@ -15,6 +14,7 @@ from repro.common.config import (
     SwordConfig,
 )
 from repro.common.errors import ConfigError
+from repro.offline.options import AnalysisOptions
 
 
 def test_paper_constants():
@@ -54,7 +54,9 @@ def test_node_and_offline_validation():
     with pytest.raises(ConfigError):
         NodeConfig(memory_limit=0).validate()
     with pytest.raises(ConfigError):
-        OfflineConfig(workers=0).validate()
+        AnalysisOptions(workers=0).validate()
+    with pytest.raises(ConfigError):
+        AnalysisOptions(chunk_events=0).validate()
     with pytest.raises(ConfigError):
         RunConfig(nthreads=0).validate()
     RunConfig().validate()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.faults.fixtures import *  # noqa: F401,F403 (fault-injection fixtures)
-from repro.offline import OfflineAnalyzer, oracle_races
+from repro.offline import SerialOfflineAnalyzer, oracle_races
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.sword import SwordTool, TraceDir
 
@@ -59,6 +59,6 @@ def sword_and_oracle(program, trace_path, *, nthreads=4, seed=0, yield_every=0):
         tool=ToolMux([rec, sword]),
     )
     rt.run(program)
-    analysis = OfflineAnalyzer(TraceDir(trace_path)).analyze()
+    analysis = SerialOfflineAnalyzer(TraceDir(trace_path)).analyze()
     oracle = oracle_races(rec, rt.mutexsets)
     return analysis.races, oracle, rec, rt

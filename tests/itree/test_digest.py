@@ -1,19 +1,29 @@
-"""Access digests: the pair-level prune must never drop a real race."""
+"""Access digests: the pair-level prune must never drop a real race.
 
-import math
+The one summary (:class:`~repro.sword.digest.FrameDigest`) and the one
+predicate (``digests_may_race``) are checked here against the interval
+tree's own brute force: digest the records of a set of accesses, and
+whenever the predicate prunes, no node pair of the same accesses races.
+"""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.events import (
+    EVENT_DTYPE,
+    FLAG_ATOMIC,
+    FLAG_WRITE,
+    KIND_ACCESS,
+)
 from repro.ilp import intervals_share_address
 from repro.itree import (
     IntervalTree,
     StridedInterval,
-    TreeDigest,
-    digests_may_race,
     tree_from_rows,
     tree_to_rows,
 )
+from repro.sword.digest import FrameDigest, digests_may_race
 
 
 def interval(low, stride=1, size=1, count=1, write=True, atomic=False, pc=0):
@@ -28,6 +38,22 @@ def make_tree(intervals):
     for si in intervals:
         tree.insert(si)
     return tree
+
+
+def digest_of(intervals) -> FrameDigest:
+    """The frame digest of the access records behind ``intervals``."""
+    records = np.zeros(len(intervals), dtype=EVENT_DTYPE)
+    for rec, si in zip(records, intervals):
+        rec["kind"] = KIND_ACCESS
+        rec["flags"] = (FLAG_WRITE if si.is_write else 0) | (
+            FLAG_ATOMIC if si.is_atomic else 0
+        )
+        rec["addr"] = si.low
+        rec["size"] = si.size
+        rec["count"] = si.count
+        rec["stride"] = si.stride
+        rec["pc"] = si.pc
+    return FrameDigest.from_records(records)
 
 
 def pair_races(a: StridedInterval, b: StridedInterval) -> bool:
@@ -55,8 +81,8 @@ tree_st = st.lists(intervals_st, min_size=0, max_size=5)
 @given(tree_st, tree_st)
 def test_prune_is_sound(ia, ib):
     """digests_may_race == False implies no node pair races."""
-    da = TreeDigest.of_tree(make_tree(ia))
-    db = TreeDigest.of_tree(make_tree(ib))
+    da = digest_of(ia)
+    db = digest_of(ib)
     if not digests_may_race(da, db):
         for a in ia:
             for b in ib:
@@ -64,49 +90,42 @@ def test_prune_is_sound(ia, ib):
 
 
 def test_digest_of_empty_tree():
-    d = TreeDigest.of_tree(make_tree([]))
+    d = digest_of([])
     assert d.nodes == 0
     assert not digests_may_race(d, d)
 
 
 def test_disjoint_boxes_pruned():
-    da = TreeDigest.of_tree(make_tree([interval(0, size=8)]))
-    db = TreeDigest.of_tree(make_tree([interval(100, size=8)]))
+    da = digest_of([interval(0, size=8)])
+    db = digest_of([interval(100, size=8)])
     assert not digests_may_race(da, db)
 
 
 def test_read_read_pruned():
-    da = TreeDigest.of_tree(make_tree([interval(0, write=False)]))
-    db = TreeDigest.of_tree(make_tree([interval(0, write=False)]))
+    da = digest_of([interval(0, write=False)])
+    db = digest_of([interval(0, write=False)])
     assert not digests_may_race(da, db)
 
 
 def test_atomic_atomic_pruned():
-    da = TreeDigest.of_tree(make_tree([interval(0, atomic=True)]))
-    db = TreeDigest.of_tree(make_tree([interval(0, atomic=True)]))
+    da = digest_of([interval(0, atomic=True)])
+    db = digest_of([interval(0, atomic=True)])
     assert not digests_may_race(da, db)
 
 
 def test_disjoint_residue_classes_pruned():
     """Two interleaved strided sweeps that never touch the same byte."""
     # Thread A sweeps bytes {0, 8, 16, ...}; thread B sweeps {4, 12, 20, ...}.
-    da = TreeDigest.of_tree(make_tree([interval(0, stride=8, size=4, count=50)]))
-    db = TreeDigest.of_tree(make_tree([interval(4, stride=8, size=4, count=50)]))
+    da = digest_of([interval(0, stride=8, size=4, count=50)])
+    db = digest_of([interval(4, stride=8, size=4, count=50)])
     assert da.gcd == 8 and db.gcd == 8
     assert not digests_may_race(da, db)
 
 
 def test_shared_residue_class_not_pruned():
-    da = TreeDigest.of_tree(make_tree([interval(0, stride=8, size=4, count=50)]))
-    db = TreeDigest.of_tree(make_tree([interval(8, stride=8, size=4, count=50)]))
+    da = digest_of([interval(0, stride=8, size=4, count=50)])
+    db = digest_of([interval(8, stride=8, size=4, count=50)])
     assert digests_may_race(da, db)
-
-
-def test_digest_json_roundtrip():
-    d = TreeDigest.of_tree(
-        make_tree([interval(0, stride=8, size=4, count=5), interval(64)])
-    )
-    assert TreeDigest.from_json(d.to_json()) == d
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,12 +158,20 @@ def test_residue_window_math_matches_brute_force():
         (interval(0, stride=6, size=2, count=10), interval(3, stride=6, size=2, count=10)),
         (interval(0, stride=6, size=2, count=10), interval(2, stride=6, size=2, count=10)),
         (interval(1, stride=9, size=3, count=7), interval(5, stride=9, size=3, count=7)),
+        (interval(0, stride=6, size=2, count=10), interval(1, stride=6, size=2, count=10)),
     ]
     for a, b in cases:
-        da = TreeDigest.of_tree(make_tree([a]))
-        db = TreeDigest.of_tree(make_tree([b]))
-        shared = bool(set(a.addresses()) & set(b.addresses())) if hasattr(a, "addresses") else (
-            intervals_share_address(a, b) is not None
-        )
+        da = digest_of([a])
+        db = digest_of([b])
+        bytes_a = {
+            a.low + k * a.stride + j
+            for k in range(a.count) for j in range(a.size)
+        }
+        bytes_b = {
+            b.low + k * b.stride + j
+            for k in range(b.count) for j in range(b.size)
+        }
+        shared = bool(bytes_a & bytes_b)
+        assert shared == (intervals_share_address(a, b) is not None)
         if not digests_may_race(da, db):
             assert not shared

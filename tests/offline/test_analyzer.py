@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.common.config import OfflineConfig
 from repro.common.sourceloc import pc_of
-from repro.offline import OfflineAnalyzer
+from repro.offline import AnalysisOptions, FastPathOptions, SerialOfflineAnalyzer
 from repro.sword import TraceDir
 
 from conftest import sword_and_oracle
@@ -213,8 +212,9 @@ def test_streaming_chunk_size_does_not_change_result(trace_dir):
 
     races, oracle, _rec, _rt = sword_and_oracle(program, trace_dir)
     for chunk_events in (1, 7, 1000):
-        result = OfflineAnalyzer(
-            TraceDir(trace_dir), OfflineConfig(chunk_events=chunk_events)
+        result = SerialOfflineAnalyzer(
+            TraceDir(trace_dir),
+            options=AnalysisOptions(chunk_events=chunk_events),
         ).analyze()
         assert result.races.pc_pairs() == races.pc_pairs() == oracle.pc_pairs()
 
@@ -230,8 +230,8 @@ def test_ilp_crosscheck_mode(trace_dir):
         m.parallel(body, nthreads=2)
 
     races, _oracle, _rec, _rt = sword_and_oracle(program, trace_dir, nthreads=2)
-    checked = OfflineAnalyzer(
-        TraceDir(trace_dir), OfflineConfig(use_ilp_crosscheck=True)
+    checked = SerialOfflineAnalyzer(
+        TraceDir(trace_dir), options=AnalysisOptions(use_ilp_crosscheck=True)
     ).analyze()
     assert checked.races.pc_pairs() == races.pc_pairs()
 
@@ -245,7 +245,7 @@ def test_stats_populated(trace_dir):
         m.parallel(body)
 
     sword_and_oracle(program, trace_dir)
-    result = OfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    result = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
     assert result.stats.intervals > 0
     # The disjoint per-thread writes are fully decided from the frame
     # digests: every pair is pruned with zero payload bytes inflated.
@@ -255,13 +255,11 @@ def test_stats_populated(trace_dir):
     assert result.stats.bytes_inflated == 0
     assert result.stats.total_seconds >= 0
 
-    # With the meta-digest pre-filter off, the same trace builds trees
-    # and reads events the eager way.
-    from repro.offline.options import AnalysisOptions, PruningOptions
-
-    eager = OfflineAnalyzer(
+    # On the reference path (no frame-digest prune) the same trace
+    # builds trees and reads events the eager way.
+    eager = SerialOfflineAnalyzer(
         TraceDir(trace_dir),
-        options=AnalysisOptions(pruning=PruningOptions(use_digests=False)),
+        options=AnalysisOptions(fastpath=FastPathOptions(enabled=False)),
     ).analyze()
     assert eager.stats.trees_built > 0
     assert eager.stats.events_read > 0

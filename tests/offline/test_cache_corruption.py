@@ -110,3 +110,24 @@ def test_field_level_garbage_evicted_then_restored(tmp_path):
         if victim.exists():
             reloaded = json.loads(victim.read_text())
             assert isinstance(reloaded["nodes"], list)
+
+
+def test_corrupt_evictions_counted_on_an_explicit_bundle(tmp_path):
+    """The counter lands on the bundle the caller threads in — the way
+    ``api.analyze(obs=...)`` and thread-mode serve shards run — not on
+    the ambient one."""
+    from repro import api
+    from repro.obs import get_obs
+
+    trace_path = tmp_path / "trace"
+    _collect(trace_path)
+    api.analyze(trace_path, options=_cached_options())
+    entries = sorted((trace_path / ".sword-cache").rglob("*.json"))
+    assert entries
+    for path in entries:
+        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+    bundle = live()
+    assert get_obs() is not bundle  # explicit, never installed as ambient
+    api.analyze(trace_path, obs=bundle, options=_cached_options())
+    counters = bundle.registry.snapshot()["counters"]
+    assert counters["offline.pair_cache_corrupt_evictions"] >= len(entries)

@@ -1,10 +1,11 @@
 """Digest-pruned lazy analysis is byte-identical to full inflation.
 
-The compressed-trace property: with the meta-digest pre-filter on, the
-race set must equal the eager (always-inflate) analysis byte-for-byte
-across the corpus — clean traces, delta-filtered traces, and salvage
-recovery of torn traces — while race-free regular workloads decompress
-zero payload bytes.
+The compressed-trace property: with the frame-digest prune on, the
+race set must equal the eager reference path (``FastPathOptions(
+enabled=False)``: build and compare every pair) byte-for-byte across the
+corpus — clean traces, delta-filtered traces, and salvage recovery of
+torn traces — while race-free regular workloads decompress zero payload
+bytes.  Rows without a usable digest are compared, never pruned.
 """
 
 import json
@@ -15,16 +16,10 @@ import pytest
 from conftest import run_program
 from repro import api
 from repro.common.config import SwordConfig
-from repro.common.errors import DigestVersionError
-from repro.itree.digest import TreeDigest
 from repro.offline.analyzer import SerialOfflineAnalyzer
 from repro.offline.cache import ResultCache
 from repro.offline.intervals import IntervalInventory
-from repro.offline.options import (
-    AnalysisOptions,
-    FastPathOptions,
-    PruningOptions,
-)
+from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.sword import SwordTool, TraceDir
 
 
@@ -65,7 +60,7 @@ def collect(program, trace_dir, **config):
 def analyze(trace_dir, *, lazy=True, integrity="strict"):
     options = AnalysisOptions(
         integrity=integrity,
-        pruning=PruningOptions(use_digests=lazy, lazy_inflate=lazy),
+        fastpath=FastPathOptions(enabled=lazy),
     )
     return api.analyze(str(trace_dir), options=options)
 
@@ -138,37 +133,68 @@ def test_interval_digests_ride_the_inventory(tmp_path):
         assert all(d is not None for d in data.digests)
 
 
-class TestTreeDigestVersioning:
-    def test_newer_payload_raises_typed_error(self):
-        digest = TreeDigest(
-            nodes=1, lo=0, hi=7, writes=1, reads=0,
-            all_atomic=False, gcd=0, width=8,
-        )
-        payload = digest.to_json()
-        assert TreeDigest.from_json(payload) == digest  # round trip
-        assert TreeDigest.from_json({k: v for k, v in payload.items()
-                                     if k != "version"}) == digest  # legacy
-        payload["version"] = 99
-        with pytest.raises(DigestVersionError):
-            TreeDigest.from_json(payload)
+def strip_digests(trace_dir, replacement) -> None:
+    """Rewrite every meta row's ``d1=`` token (plain, non-durable rows)."""
+    for meta in trace_dir.glob("thread_*.meta"):
+        lines = []
+        for line in meta.read_text().splitlines():
+            if line.startswith("#"):
+                lines.append(line)
+                continue
+            body, _, token = line.rpartition(" ")
+            assert token.startswith("d1=")
+            lines.append(
+                body if replacement is None else f"{body} {replacement}"
+            )
+        meta.write_text("\n".join(lines) + "\n")
 
-    def test_cache_evicts_newer_version_entries_as_counted_misses(self, tmp_path):
-        trace_path = tmp_path / "trace"
-        collect(racy_program, trace_path)
-        trace = TraceDir(trace_path)
-        inventory = IntervalInventory(trace)
-        interval = next(iter(inventory.intervals.values()))
-        options = AnalysisOptions(
-            fastpath=FastPathOptions(result_cache=True),
-        )
-        with SerialOfflineAnalyzer(trace, options=options) as analyzer:
-            analyzer.build_tree(interval)
-        cache = ResultCache(trace_path)
-        path = cache._tree_path(cache.interval_token(interval))
-        payload = json.loads(path.read_text())
-        payload["digest"]["version"] = 99
-        path.write_text(json.dumps(payload))
-        assert cache.load_tree(interval) is None
-        assert cache.misses == 1
-        assert cache.corrupt_evictions == 1
-        assert not path.exists()
+
+@pytest.mark.parametrize("replacement", [None, "d9=from-the-future"])
+@pytest.mark.parametrize("program", [disjoint_program, racy_program])
+def test_digestless_rows_are_compared_not_pruned(
+    tmp_path, program, replacement
+):
+    """Hand-written v1-style rows and newer-version tokens carry no
+    usable digest: the pair goes straight to build + compare."""
+    collect(program, tmp_path)
+    with_digests = analyze(tmp_path, lazy=True)
+    strip_digests(tmp_path, replacement)
+    inventory = IntervalInventory(TraceDir(tmp_path))
+    assert all(
+        d is None for data in inventory.intervals.values()
+        for d in data.digests
+    )
+    lazy = analyze(tmp_path, lazy=True)
+    eager = analyze(tmp_path, lazy=False)
+    assert race_bytes(lazy) == race_bytes(eager) == race_bytes(with_digests)
+    assert lazy.stats.concurrent_pairs > 0
+    assert lazy.stats.pairs_pruned == 0
+    assert lazy.stats.frames_pruned == 0
+    assert lazy.stats.bytes_inflated == eager.stats.bytes_inflated > 0
+
+
+def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):
+    """Tree entries used to carry ``digest``/``events_in`` keys; such an
+    entry (whatever its digest version) must load, never raise."""
+    trace_path = tmp_path / "trace"
+    collect(racy_program, trace_path)
+    trace = TraceDir(trace_path)
+    interval = next(iter(IntervalInventory(trace).intervals.values()))
+    options = AnalysisOptions(fastpath=FastPathOptions(result_cache=True))
+    with SerialOfflineAnalyzer(trace, options=options) as analyzer:
+        built = analyzer.build_tree(interval)
+    cache = ResultCache(trace_path)
+    path = cache._tree_path(cache.interval_token(interval))
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"format", "nodes"}
+    payload["digest"] = {"version": 99, "nodes": 1}
+    payload["events_in"] = 7
+    path.write_text(json.dumps(payload))
+    loaded = cache.load_tree(interval)
+    assert loaded is not None and len(loaded) == len(built)
+    assert cache.corrupt_evictions == 0
+    # A genuinely torn entry is still a counted, evicted miss.
+    path.write_text(json.dumps({"format": payload["format"]}))
+    assert cache.load_tree(interval) is None
+    assert cache.corrupt_evictions == 1
+    assert not path.exists()

@@ -12,13 +12,12 @@ import tempfile
 
 import pytest
 
-from repro.common.config import (
-    OfflineConfig,
-    RunConfig,
-    SchedulerConfig,
-    SwordConfig,
+from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
+from repro.offline import (
+    AnalysisOptions,
+    DistributedOfflineAnalyzer,
+    SerialOfflineAnalyzer,
 )
-from repro.offline import OfflineAnalyzer, ParallelOfflineAnalyzer
 from repro.omp import OpenMPRuntime
 from repro.stream import replay_analyze
 from repro.sword import SwordTool, TraceDir
@@ -59,11 +58,11 @@ def test_all_modes_byte_identical(workload):
 
         # Some racy workloads are undetectable by any dynamic tool
         # (seeded_races == 0); parity must still hold on the empty set.
-        serial = OfflineAnalyzer(TraceDir(trace_path)).analyze().races
+        serial = SerialOfflineAnalyzer(TraceDir(trace_path)).analyze().races
         assert len(serial) == workload.seeded_races
 
-        distributed = ParallelOfflineAnalyzer(
-            TraceDir(trace_path), OfflineConfig(workers=2)
+        distributed = DistributedOfflineAnalyzer(
+            TraceDir(trace_path), options=AnalysisOptions(workers=2)
         ).analyze().races
         streaming = replay_analyze(trace_path).races
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.common.config import OfflineConfig, RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import OfflineAnalyzer, ParallelOfflineAnalyzer
+from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
+from repro.offline import (
+    AnalysisOptions,
+    DistributedOfflineAnalyzer,
+    SerialOfflineAnalyzer,
+)
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
 
@@ -38,25 +42,25 @@ def collected(trace_dir):
 
 
 def test_parallel_matches_serial(collected):
-    serial = OfflineAnalyzer(TraceDir(collected)).analyze()
-    parallel = ParallelOfflineAnalyzer(
-        TraceDir(collected), OfflineConfig(workers=3)
+    serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
+    parallel = DistributedOfflineAnalyzer(
+        TraceDir(collected), options=AnalysisOptions(workers=3)
     ).analyze()
     assert parallel.races.pc_pairs() == serial.races.pc_pairs()
     assert parallel.stats.concurrent_pairs == serial.stats.concurrent_pairs
 
 
 def test_single_worker_falls_back_to_serial(collected):
-    result = ParallelOfflineAnalyzer(
-        TraceDir(collected), OfflineConfig(workers=1)
+    result = DistributedOfflineAnalyzer(
+        TraceDir(collected), options=AnalysisOptions(workers=1)
     ).analyze()
-    serial = OfflineAnalyzer(TraceDir(collected)).analyze()
+    serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
     assert result.races.pc_pairs() == serial.races.pc_pairs()
 
 
 def test_more_workers_than_pairs(collected):
-    result = ParallelOfflineAnalyzer(
-        TraceDir(collected), OfflineConfig(workers=64)
+    result = DistributedOfflineAnalyzer(
+        TraceDir(collected), options=AnalysisOptions(workers=64)
     ).analyze()
-    serial = OfflineAnalyzer(TraceDir(collected)).analyze()
+    serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
     assert result.races.pc_pairs() == serial.races.pc_pairs()

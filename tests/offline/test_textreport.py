@@ -1,7 +1,7 @@
 """Text report rendering."""
 
 from repro.common.sourceloc import pc_of
-from repro.offline import OfflineAnalyzer
+from repro.offline import SerialOfflineAnalyzer
 from repro.offline.textreport import REPORT_NAME, render_report, write_report
 from repro.sword import TraceDir
 
@@ -20,7 +20,7 @@ def _analysis(trace_dir):
         m.parallel(body)
 
     sword_and_oracle(program, trace_dir)
-    return OfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    return SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
 
 
 def test_render_contains_stats_and_sites(trace_dir):
@@ -50,6 +50,6 @@ def test_empty_report(trace_dir):
         m.parallel(body)
 
     sword_and_oracle(program, trace_dir)
-    result = OfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    result = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
     text = render_report(result)
     assert "data races: 0" in text

@@ -15,7 +15,7 @@ import pytest
 import repro.api as api
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.offline import oracle_races
-from repro.offline.options import AnalysisOptions, PruningOptions
+from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.sword import SwordTool, TraceDir
 from repro.workloads import REGISTRY
@@ -30,7 +30,7 @@ WORKLOADS = [
     "hpccg",
 ]
 
-NO_SKIP = AnalysisOptions(pruning=PruningOptions(static_skip=False))
+NO_SKIP = AnalysisOptions(fastpath=FastPathOptions(static_skip=False))
 
 
 def _blob(races) -> bytes:

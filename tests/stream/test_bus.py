@@ -105,7 +105,7 @@ def test_chunk_data_durable_when_notified(trace_dir):
             if reader is None:
                 reader = ThreadTraceReader(trace_dir, gid, live=True)
                 self.readers[gid] = reader
-            records = reader.read_range(row.data_begin, row.size)
+            records = reader.frame_at(row.data_begin, row.size).events()
             self.events_seen += records.shape[0]
 
         def on_trace_end(self, producer):

@@ -8,7 +8,7 @@ import pytest
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.offline.intervals import IntervalInventory
 from repro.omp import OpenMPRuntime
-from repro.stream import IncrementalPairScheduler, StreamingAnalyzer, replay_trace
+from repro.stream import IncrementalPairScheduler, StreamAnalyzer, replay_trace
 from repro.stream.checkpoint import pair_key
 from repro.sword import SwordTool, TraceDir
 from repro.sword.traceformat import MetaRow
@@ -126,7 +126,7 @@ def test_plan_matches_batch_planner(name):
             for a, b in IntervalInventory(trace).concurrent_pairs()
         }
 
-        analyzer = StreamingAnalyzer(trace_path)
+        analyzer = StreamAnalyzer(trace_path)
         streamed = set()
         process = analyzer._process
 

@@ -8,11 +8,11 @@ import pytest
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.common.errors import TraceFormatError
-from repro.offline import OfflineAnalyzer
+from repro.offline import SerialOfflineAnalyzer
 from repro.omp import OpenMPRuntime
 from repro.stream import (
     Checkpoint,
-    StreamingAnalyzer,
+    StreamAnalyzer,
     StreamingInterrupted,
     replay_analyze,
     replay_trace,
@@ -56,13 +56,13 @@ def test_watch_matches_post_mortem(trace_dir):
     workload = REGISTRY.get("c_md")
     watched = watch(workload, nthreads=4, seed=0)
     make_trace(trace_dir)
-    post = OfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    post = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
     assert blob(watched.races) == blob(post.races)
 
 
 def test_replay_analyze_matches_post_mortem(trace_dir):
     trace = make_trace(trace_dir, name="figure2-nested")
-    post = OfflineAnalyzer(trace).analyze()
+    post = SerialOfflineAnalyzer(trace).analyze()
     streamed = replay_analyze(trace_dir)
     assert blob(streamed.races) == blob(post.races)
     assert streamed.stats.concurrent_pairs == post.stats.concurrent_pairs
@@ -71,7 +71,7 @@ def test_replay_analyze_matches_post_mortem(trace_dir):
 def test_checkpoint_kill_and_resume(trace_dir, tmp_path):
     """The acceptance scenario: die mid-analysis, resume, same race set."""
     trace = make_trace(trace_dir)
-    gold = OfflineAnalyzer(trace).analyze().races
+    gold = SerialOfflineAnalyzer(trace).analyze().races
     ckpt = tmp_path / "checkpoint.json"
 
     with pytest.raises(StreamingInterrupted):
@@ -87,11 +87,11 @@ def test_checkpoint_kill_and_resume(trace_dir, tmp_path):
 def test_resume_skips_checkpointed_pairs(trace_dir, tmp_path):
     trace = make_trace(trace_dir, name="plusplus-orig-yes")
     ckpt = tmp_path / "checkpoint.json"
-    first = StreamingAnalyzer(trace_dir, checkpoint_path=ckpt)
+    first = StreamAnalyzer(trace_dir, checkpoint_path=ckpt)
     replay_trace(trace, first)
     assert first.pairs_analyzed > 0 and first.pairs_skipped == 0
 
-    second = StreamingAnalyzer(trace_dir, checkpoint_path=ckpt)
+    second = StreamAnalyzer(trace_dir, checkpoint_path=ckpt)
     replay_trace(trace, second)
     assert second.pairs_analyzed == 0
     assert second.pairs_skipped == first.pairs_analyzed
@@ -129,7 +129,7 @@ def test_streaming_handles_race_free_workload():
 def test_streaming_tasking_extension_parity(trace_dir):
     """Tasky groups wait for the seal, then judge with the final graph."""
     trace = make_trace(trace_dir, name="task-reduce-racy")
-    post = OfflineAnalyzer(trace).analyze()
+    post = SerialOfflineAnalyzer(trace).analyze()
     assert blob(replay_analyze(trace_dir).races) == blob(post.races)
     watched = watch(REGISTRY.get("task-reduce-racy"), nthreads=4, seed=0)
     assert blob(watched.races) == blob(post.races)

@@ -72,7 +72,7 @@ def test_corrupted_payload_detected_on_read(collected):
     reader = trace.reader(gid)
     with pytest.raises((CodecError, TraceFormatError)):
         for row in reader.rows:
-            reader.read_chunk(row)
+            reader.frame_at(row.data_begin, row.size).events()
     reader.close()
 
 
@@ -106,7 +106,7 @@ def test_chunk_pointing_past_log_detected(collected):
     reader = trace.reader(gid)
     bad_row = reader.rows[-1]
     with pytest.raises(TraceFormatError):
-        reader.read_chunk(bad_row)
+        reader.frame_at(bad_row.data_begin, bad_row.size).events()
     reader.close()
 
 
@@ -122,7 +122,7 @@ def test_unknown_codec_id_detected(collected):
     reader = trace.reader(gid)
     with pytest.raises(CodecError):
         for row in reader.rows:
-            reader.read_chunk(row)
+            reader.frame_at(row.data_begin, row.size).events()
     reader.close()
 
 

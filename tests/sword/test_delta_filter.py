@@ -121,8 +121,8 @@ class TestFilteredTraces:
             with plain.reader(gid) as a, filt.reader(gid) as b:
                 assert a.uncompressed_bytes == b.uncompressed_bytes
                 assert (
-                    a.read_range(0, a.uncompressed_bytes).tobytes()
-                    == b.read_range(0, b.uncompressed_bytes).tobytes()
+                    a.frame_at(0, a.uncompressed_bytes).events().tobytes()
+                    == b.frame_at(0, b.uncompressed_bytes).events().tobytes()
                 )
         assert _blob(api.analyze(filt).races) == _blob(api.analyze(plain).races)
 

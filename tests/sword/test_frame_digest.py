@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from conftest import run_program
-from repro.common import deprecation
 from repro.common.errors import TraceFormatError
 from repro.common.events import EVENT_DTYPE, FLAG_WRITE, KIND_ACCESS
 from repro.common.config import SwordConfig
-from repro.itree.digest import digests_may_race
 from repro.sword import SwordTool, TraceDir
-from repro.sword.digest import FrameDigest, decode_digest, fold_digests
+from repro.sword.digest import (
+    FrameDigest,
+    decode_digest,
+    digests_may_race,
+    fold_digests,
+)
 from repro.sword.traceformat import MetaRow, parse_meta_file, format_meta_file
 
 
@@ -186,13 +189,3 @@ class TestCollectedDigests:
             view = reader.frame_at(row.data_begin, 40)
             assert view.digest is None
             assert view.events().shape[0] == 1
-
-    def test_deprecated_readers_warn_once_and_delegate(self, trace_dir):
-        trace = self._collect(trace_dir, self._program)
-        deprecation.reset()
-        with trace.reader(trace.thread_gids[0]) as reader:
-            row = reader.rows[0]
-            with pytest.warns(DeprecationWarning, match="read_range"):
-                eager = reader.read_range(row.data_begin, row.size)
-            lazy = reader.frame_at(row.data_begin, row.size).events()
-            assert eager.tobytes() == lazy.tobytes()

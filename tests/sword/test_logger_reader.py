@@ -67,7 +67,7 @@ def test_chunks_decode_to_original_accesses(trace_dir):
     for gid in trace.thread_gids:
         with trace.reader(gid) as reader:
             for row in reader.rows:
-                records = reader.read_chunk(row)
+                records = reader.frame_at(row.data_begin, row.size).events()
                 mask = records["kind"] == KIND_ACCESS
                 all_accesses.extend(records[mask]["count"].tolist())
     # 2 threads x (1 write range + 1 read range) of 32 elements.
@@ -95,7 +95,7 @@ def test_buffer_flushes_span_interval_chunks(trace_dir):
     for gid in trace.thread_gids:
         with trace.reader(gid) as reader:
             for row in reader.rows:
-                records = reader.read_chunk(row)
+                records = reader.frame_at(row.data_begin, row.size).events()
                 total += int((records["kind"] == KIND_ACCESS).sum())
     # Two worksharing loops of 512 iterations each (distributed across the
     # team), one access per iteration.
@@ -110,8 +110,8 @@ def test_every_codec_roundtrips_a_trace(trace_dir, codec):
     counts = 0
     for gid in trace.thread_gids:
         with trace.reader(gid) as reader:
-            for row in reader.rows:
-                counts += reader.read_chunk(row).shape[0]
+            for view in reader.frames():
+                counts += view.events().shape[0]
     assert counts > 0
 
 
@@ -121,8 +121,11 @@ def test_streaming_iter_range_matches_read_range(trace_dir):
     gid = trace.thread_gids[0]
     with trace.reader(gid) as reader:
         row = max(reader.rows, key=lambda r: r.size)
-        whole = reader.read_range(row.data_begin, row.size)
-        streamed = list(reader.iter_range(row.data_begin, row.size))
+        # Two views: events() memoizes, and iter_events() would replay it.
+        whole = reader.frame_at(row.data_begin, row.size).events()
+        streamed = list(
+            reader.frame_at(row.data_begin, row.size).iter_events()
+        )
         assert sum(part.shape[0] for part in streamed) == whole.shape[0]
         assert (np.concatenate(streamed) == whole).all()
 
@@ -134,9 +137,9 @@ def test_read_past_end_rejected(trace_dir):
         from repro.common.errors import TraceFormatError
 
         with pytest.raises(TraceFormatError):
-            reader.read_range(0, reader.uncompressed_bytes + 40)
+            reader.frame_at(0, reader.uncompressed_bytes + 40).events()
         with pytest.raises(TraceFormatError):
-            reader.read_range(1, 40)  # misaligned
+            reader.frame_at(1, 40).events()  # misaligned
 
 
 def test_memory_charge_is_per_thread_and_bounded(trace_dir):

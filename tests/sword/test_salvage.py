@@ -101,7 +101,7 @@ def test_payload_crc_mismatch_truncates_in_salvage(clean_trace):
     try:
         with pytest.raises(TraceFormatError, match="payload CRC"):
             for row in reader.rows:
-                reader.read_chunk(row)
+                reader.frame_at(row.data_begin, row.size).events()
     finally:
         reader.close()
     result = _salvage(clean_trace)
