@@ -7,6 +7,9 @@ offset-span judgment, and ARCHER's vectorised shadow processing (for the
 comparison baseline).
 """
 
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,13 @@ from repro.itree.builder import TreeBuilder
 from repro.itree.interval import StridedInterval
 from repro.itree.tree import IntervalTree
 from repro.memory.address_space import AddressSpace
+from repro.offline.engine import _COLUMNAR_MIN_NODE_PRODUCT, AnalysisEngine
+from repro.offline.intervals import IntervalKey
+from repro.offline.report import RaceSet
+from repro.omp.mutexset import MutexSetTable
 from repro.osl.concurrency import concurrent_intervals, make_interval_label
 from repro.sword.buffer import EventBuffer
+from repro.tasking.graph import TaskGraph
 
 
 def _intervals(n, rng):
@@ -148,3 +156,85 @@ def test_bench_archer_shadow_bulk(benchmark):
 
     hits = benchmark(process)
     assert hits == [] or hits  # either is valid; kernel must complete
+
+
+def _compare_kernels(n):
+    """Scalar vs columnar comparison of two n-node trees, the latter with
+    the column views already built (a tree is compared against every
+    other thread's) and built inside the timed call; returns
+    (rows, scalar, warm columnar, cold columnar seconds) after checking
+    that all three produce the same reports and counts."""
+    rng = np.random.default_rng(n)
+
+    def intervals():
+        lows = np.sort(rng.integers(0, n * 64, size=n))
+        return [
+            StridedInterval(low=int(lo), stride=8, size=8, count=int(c),
+                            is_write=bool(w), is_atomic=False, pc=int(pc),
+                            msid=0)
+            for lo, c, w, pc in zip(
+                lows,
+                rng.integers(1, 64, size=n),
+                rng.integers(0, 8, size=n) == 0,
+                rng.integers(0x1000, 0x1008, size=n),
+            )
+        ]
+
+    nodes_a, nodes_b = intervals(), intervals()
+    source = types.SimpleNamespace(
+        mutexsets=MutexSetTable(), task_graph=TaskGraph()
+    )
+    ia = types.SimpleNamespace(key=IntervalKey(gid=0, pid=1, bid=0))
+    ib = types.SimpleNamespace(key=IntervalKey(gid=1, pid=1, bid=0))
+
+    def run(kernel):
+        best, outcome = float("inf"), None
+        for _ in range(5 if n <= 256 else 2):
+            tree_a = IntervalTree.build_from_sorted(nodes_a)
+            tree_b = IntervalTree.build_from_sorted(nodes_b)
+            if kernel == "warm":
+                tree_a.columns(), tree_b.columns()
+            engine = AnalysisEngine(source)
+            sink = []
+            args = (tree_a, tree_b, ia, ib, RaceSet(), None, sink, None)
+            t0 = time.perf_counter()
+            if kernel == "scalar":
+                engine._compare_scalar(*args, False)
+            else:
+                engine._compare_columnar(*args)
+            best = min(best, time.perf_counter() - t0)
+            outcome = (
+                sink, engine.stats.overlap_candidates, engine.stats.ilp_solves
+            )
+        return best, outcome
+
+    scalar_s, expected = run("scalar")
+    warm_s, warm_out = run("warm")
+    cold_s, cold_out = run("cold")
+    assert warm_out == cold_out == expected
+    return expected[1], scalar_s, warm_s, cold_s
+
+
+def test_bench_compare_kernels(save_result):
+    """Where the columnar join overtakes the scalar walk — the measurement
+    behind ``engine._COLUMNAR_MIN_NODE_PRODUCT``."""
+    lines = [
+        "compare kernels: scalar walk vs columnar join "
+        "(warm = column views cached, cold = built in the call)",
+        f"{'nodes':>11} {'rows':>7} {'scalar':>10} {'warm':>10} {'cold':>10}"
+        f" {'scalar rows/s':>14} {'warm rows/s':>12}",
+    ]
+    for n in (8, 32, 64, 256, 4096):
+        rows, scalar_s, warm_s, cold_s = _compare_kernels(n)
+        lines.append(
+            f"{n:>5}x{n:<5} {rows:>7} {scalar_s * 1e3:>8.3f}ms "
+            f"{warm_s * 1e3:>8.3f}ms {cold_s * 1e3:>8.3f}ms "
+            f"{rows / scalar_s:>14,.0f} {rows / warm_s:>12,.0f}"
+        )
+    side = int(_COLUMNAR_MIN_NODE_PRODUCT ** 0.5)
+    lines.append(
+        f"gate: columnar from {_COLUMNAR_MIN_NODE_PRODUCT} node pairs "
+        f"({side}x{side})"
+    )
+    save_result("compare_kernels", "\n".join(lines))
+    assert cold_s < scalar_s  # the largest size

@@ -388,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-fastpath",
         action="store_true",
-        help="disable frame-digest pruning and solver memoization "
-        "(build and compare every pair)",
+        help="disable frame-digest pruning, solver memoization and the "
+        "columnar comparison (build every pair, compare node by node)",
     )
     p.add_argument(
         "--no-static",

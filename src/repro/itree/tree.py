@@ -13,12 +13,20 @@ Implementation notes:
   augmentation maintained on rotations and on the ancestor paths;
 * :meth:`IntervalTree.validate` re-checks every invariant (BST order, red
   and black rules, black-height, augmentation) and is exercised by the
-  property-based tests after random operation sequences.
+  property-based tests after random operation sequences;
+* :meth:`IntervalTree.columns` is the same in-order node sequence as NumPy
+  columns (:class:`TreeColumns`), built on first use and dropped by
+  ``insert``/``delete`` — what the engine's columnar pair comparison joins
+  instead of walking nodes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from .interval import StridedInterval
 
@@ -45,6 +53,49 @@ class Node:
         return f"<Node {color} key={self.key} max={self.max_high}>"
 
 
+@dataclass(frozen=True, slots=True)
+class TreeColumns:
+    """A tree's nodes in in-order, as the NumPy columns a join reads.
+
+    Row ``i`` is the ``i``-th node :meth:`IntervalTree.__iter__` yields, so
+    ``low`` ascends (insertion order among ties) while ``high`` need not.
+    ``pcs`` are the distinct program counters, ascending, and
+    ``pc_rank[i]`` is row ``i``'s index into them.
+
+    A view lives as long as its tree, so it is kept small (27 bytes a
+    node): fields no join reads (stride, size, count, point) stay on the
+    intervals, and ``msid`` / ``pc_rank`` are int32.
+    """
+
+    low: np.ndarray
+    high: np.ndarray
+    write: np.ndarray
+    atomic: np.ndarray
+    dense: np.ndarray
+    msid: np.ndarray
+    pcs: np.ndarray
+    pc_rank: np.ndarray
+
+    @classmethod
+    def from_intervals(cls, intervals: list[StridedInterval]) -> "TreeColumns":
+        n = len(intervals)
+
+        def column(field: str, dtype=np.int64) -> np.ndarray:
+            return np.fromiter(map(attrgetter(field), intervals), dtype, n)
+
+        pcs, pc_rank = np.unique(column("pc"), return_inverse=True)
+        return cls(
+            low=column("low"),
+            high=column("high"),
+            write=column("is_write", np.bool_),
+            atomic=column("is_atomic", np.bool_),
+            dense=column("dense", np.bool_),
+            msid=column("msid", np.int32),
+            pcs=pcs,
+            pc_rank=pc_rank.astype(np.int32),
+        )
+
+
 class IntervalTree:
     """Self-balancing interval tree over strided intervals."""
 
@@ -54,6 +105,7 @@ class IntervalTree:
         self.nil.left = self.nil.right = self.nil.parent = self.nil
         self.root = self.nil
         self._size = 0
+        self._columns: Optional[TreeColumns] = None
 
     def __len__(self) -> int:
         return self._size
@@ -137,6 +189,7 @@ class IntervalTree:
         self._update_max_upward(z)
         self._insert_fixup(z)
         self._size += 1
+        self._columns = None
         return z
 
     def _insert_fixup(self, z: Node) -> None:
@@ -266,6 +319,7 @@ class IntervalTree:
         if y_original_color == BLACK:
             self._delete_fixup(x)
         self._size -= 1
+        self._columns = None
 
     def _delete_fixup(self, x: Node) -> None:
         while x is not self.root and x.color == BLACK:
@@ -369,6 +423,16 @@ class IntervalTree:
     def intervals(self) -> list[StridedInterval]:
         """All stored intervals in ascending low order."""
         return [n.interval for n in self]
+
+    def columns(self) -> TreeColumns:
+        """The in-order column view (built once, until the next mutation).
+
+        Intervals must not be mutated once stored — the tree's keys and
+        ``max_high`` already rely on that, and so does this cache.
+        """
+        if self._columns is None:
+            self._columns = TreeColumns.from_intervals(self.intervals())
+        return self._columns
 
     def height(self) -> int:
         """Actual tree height (0 for empty; for tests of balance)."""

@@ -29,6 +29,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..ilp.bruteforce import bruteforce_overlap
 from ..ilp.memo import SolverMemo
 from ..ilp.overlap import constraint_of, intervals_share_address
@@ -40,13 +42,32 @@ from ..obs import (
     Instrumentation,
     get_obs,
 )
-from ..omp.mutexset import MutexSetTable
+from ..omp.mutexset import EMPTY_MSID, MutexSetTable
 from ..sword.digest import FrameDigest, digests_may_race, fold_digests
 from ..sword.integrity import IntegrityReport
 from .cache import ResultCache
 from .intervals import IntervalData
 from .options import AnalysisOptions
 from .report import RaceSet, make_report
+
+#: Candidate rows the columnar comparison materialises at a time.  The
+#: join's temporaries are bounded by this, not by the candidate count
+#: (solve_heavy's 2.8 M candidates: +0.2 MB traced peak over the scalar
+#: walk here, +33 MB at 1 Mi rows).  8 Ki and 16 Ki rows are equally
+#: fast (0.32 / 0.15 / 0.11 / 0.11 / 0.14 / 0.21 s at 1 Ki / 4 Ki / 8 Ki /
+#: 16 Ki / 64 Ki / 1 Mi), but an int64 temporary of 16 Ki rows is 128 KiB,
+#: malloc's mmap threshold: every block then maps, faults in and unmaps
+#: its temporaries (~2 000 minor faults and 4-16 ms of system time an
+#: analysis, different every run); 64 KiB ones are recycled from the heap.
+_JOIN_BLOCK_ROWS = 1 << 13
+
+#: ``len(tree_a) * len(tree_b)`` below which the scalar walk wins: the
+#: join pays NumPy's fixed per-call cost (~0.05-0.1 ms a comparison, and
+#: a column build the first time a tree is joined) whatever the tree
+#: sizes, against ~8 us for a 1x1-node pair.  64x64 is where the join
+#: wins even with both column builds inside the call; re-measure with
+#: benchmarks/test_micro_kernels.py::test_bench_compare_kernels.
+_COLUMNAR_MIN_NODE_PRODUCT = 4096
 
 
 @dataclass(slots=True)
@@ -252,6 +273,8 @@ class AnalysisEngine:
             if table is not None:
                 self._static_free = table.proven_free_by_pid()
         self._meta_digests: dict[object, FrameDigest | None] = {}
+        #: (pid, bid) -> does that barrier interval hold explicit tasks?
+        self._tasky_regions: dict[tuple[int, int], bool] = {}
         self._inflated_seen: dict[int, int] = {}
         self._result_cache = self._attach_result_cache(fast)
         registry = self.obs.registry
@@ -459,29 +482,21 @@ class AnalysisEngine:
         collects every report this comparison generated — the result
         cache stores that list so a later run can replay the comparison
         without the trees.
-        """
-        from ..tasking.graph import decode_point
 
+        :meth:`_compare_scalar` defines the result; on the fast path,
+        pairs big enough to repay NumPy's fixed cost get the same rows,
+        reports and counts from :meth:`_compare_columnar`.
+        """
         key_a = (ia.key.gid, ia.key.pid, ia.key.bid)
         key_b = (ib.key.gid, ib.key.pid, ib.key.bid)
         if key_b < key_a:
             tree_a, tree_b = tree_b, tree_a
             ia, ib = ib, ia
-        mutexsets = self.source.mutexsets
-        graph = self.source.task_graph
         use_tasks = (
-            len(graph) > 0
+            len(self.source.task_graph) > 0
             and (ia.key.pid, ia.key.bid) == (ib.key.pid, ib.key.bid)
-            and any(
-                t.pid == ia.key.pid and t.bid == ia.key.bid
-                for t in graph.tasks()
-            )
+            and self._region_has_tasks(ia.key.pid, ia.key.bid)
         )
-        # Per-comparison dedup only: a site pair repeating across *this*
-        # pair's nodes is solved once, but other interval pairs still get
-        # to contribute their own witness so the canonical-witness merge in
-        # RaceSet stays independent of pair order across analysis modes.
-        seen_here: set[tuple[int, int]] = set()
         # Statically proven-free pcs apply only within one region
         # instance: a pc's verdict says nothing about other regions.
         static_free = (
@@ -489,6 +504,50 @@ class AnalysisEngine:
             if self._static_free and ia.key.pid == ib.key.pid
             else None
         )
+        if (
+            self.options.fastpath.enabled
+            and not self.options.use_ilp_crosscheck
+            and not use_tasks
+            and len(tree_a) * len(tree_b) >= _COLUMNAR_MIN_NODE_PRODUCT
+        ):
+            self._compare_columnar(
+                tree_a, tree_b, ia, ib, races, on_race, sink, static_free
+            )
+        else:
+            self._compare_scalar(
+                tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
+                use_tasks,
+            )
+
+    def _region_has_tasks(self, pid: int, bid: int) -> bool:
+        """Does the barrier interval hold explicit tasks?  (One task-graph
+        scan per region instance: its task set is final before any of its
+        pairs is compared.)"""
+        known = self._tasky_regions.get((pid, bid))
+        if known is None:
+            known = any(
+                t.pid == pid and t.bid == bid
+                for t in self.source.task_graph.tasks()
+            )
+            self._tasky_regions[(pid, bid)] = known
+        return known
+
+    def _compare_scalar(
+        self, tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
+        use_tasks,
+    ) -> None:
+        """The race condition, one candidate node pair at a time (the
+        paper's ``RACE_CHECK`` loop): the naive reference path, and the
+        path for task-gated, cross-checked and small pairs."""
+        from ..tasking.graph import decode_point
+
+        mutexsets = self.source.mutexsets
+        graph = self.source.task_graph
+        # Per-comparison dedup only: a site pair repeating across *this*
+        # pair's nodes is solved once, but other interval pairs still get
+        # to contribute their own witness so the canonical-witness merge in
+        # RaceSet stays independent of pair order across analysis modes.
+        seen_here: set[tuple[int, int]] = set()
         for node in tree_a:
             si = node.interval
             for hit in tree_b.iter_overlaps(si.low, si.high):
@@ -526,24 +585,151 @@ class AnalysisEngine:
                 if address is None:
                     continue
                 seen_here.add(pair_key)
-                report = make_report(
-                    pc_a=si.pc,
-                    pc_b=other.pc,
-                    address=address,
-                    write_a=si.is_write,
-                    write_b=other.is_write,
-                    gid_a=ia.key.gid,
-                    gid_b=ib.key.gid,
-                    pid_a=ia.key.pid,
-                    pid_b=ib.key.pid,
-                    bid_a=ia.key.bid,
-                    bid_b=ib.key.bid,
+                self._report_race(si, other, address, ia, ib, races, on_race, sink)
+
+    def _compare_columnar(
+        self, tree_a, tree_b, ia, ib, races, on_race, sink, static_free
+    ) -> None:
+        """:meth:`_compare_scalar` as a blocked join over column views.
+
+        Rows are candidate (A node, B node) pairs in the scalar probe
+        order — A in-order major, B in-order minor — so "the first row
+        of a pc pair that races" is the witness the scalar loop reports.
+        Each block applies the scalar loop's tests as masks in its order;
+        only rows that are not both dense reach the (memoized) solver,
+        one at a time and in row order, so the memo sees the same calls.
+        """
+        ca, cb = tree_a.columns(), tree_b.columns()
+        # An A row's window of B rows: from the first row whose running
+        # max high (the max_high augmentation, in-order) reaches the
+        # probe's low, up to the last row starting at or before the
+        # probe's high (where the scalar walk stops).
+        first = np.searchsorted(np.maximum.accumulate(cb.high), ca.low, "left")
+        stop = np.searchsorted(cb.low, ca.high, "right")
+        width = np.maximum(stop - first, 0)
+        ends = np.cumsum(width)
+        total = int(ends[-1]) if len(ends) else 0
+        starts = ends - width
+        # A pc pair as one int64: pcs ranked over both trees (rank order
+        # is pc order), key = low rank * #pcs + high rank.
+        pcs = np.union1d(ca.pcs, cb.pcs)
+        rank_a = np.searchsorted(pcs, ca.pcs)[ca.pc_rank]
+        rank_of_b = np.searchsorted(pcs, cb.pcs)
+        free = (
+            np.isin(pcs, np.fromiter(static_free, np.int64, len(static_free)))
+            if static_free
+            else None
+        )
+        mutexsets = self.source.mutexsets
+        stats = self.stats
+        #: Keys needing no more solves: raced or statically skipped
+        #: (the scalar loop's ``seen_here``).
+        decided = np.empty(0, np.int64)
+        #: Both trees' in-order intervals, walked out for the first row
+        #: that needs the objects (a solver row or a report).
+        nodes = None
+        for r0 in range(0, total, _JOIN_BLOCK_ROWS):
+            r1 = min(r0 + _JOIN_BLOCK_ROWS, total)
+            a0 = int(np.searchsorted(ends, r0, "right"))
+            a1 = int(np.searchsorted(ends, r1, "left"))
+            reps = width[a0 : a1 + 1].copy()
+            reps[0] -= r0 - starts[a0]
+            reps[-1] -= ends[a1] - r1
+            ai = np.repeat(np.arange(a0, a1 + 1), reps)
+            bi = np.arange(r0, r1) - starts[ai] + first[ai]
+            # The window bounds low_B <= high_A; this is the other half.
+            overlap = cb.high[bi] >= ca.low[ai]
+            ai, bi = ai[overlap], bi[overlap]
+            stats.overlap_candidates += len(ai)
+            ra, rb = rank_a[ai], rank_of_b[cb.pc_rank[bi]]
+            key = np.minimum(ra, rb) * len(pcs) + np.maximum(ra, rb)
+            live = ~np.isin(key, decided)
+            if free is not None:
+                skip = live & (free[ra] | free[rb])
+                if skip.any():
+                    skipped = np.unique(key[skip])
+                    stats.site_pairs_skipped += len(skipped)
+                    self._m_site_pairs_skipped.inc(len(skipped))
+                    decided = np.concatenate((decided, skipped))
+                    live &= ~skip
+            ai, bi, key = ai[live], bi[live], key[live]
+            # ``rows`` index the live rows; each test narrows them.
+            rows = np.flatnonzero(
+                (ca.write[ai] | cb.write[bi]) & ~(ca.atomic[ai] & cb.atomic[bi])
+            )
+            ma, mb = ca.msid[ai[rows]], cb.msid[bi[rows]]
+            locked = np.flatnonzero((ma != EMPTY_MSID) & (mb != EMPTY_MSID))
+            if len(locked):
+                span = int(mb.max()) + 1
+                sets, inverse = np.unique(
+                    ma[locked].astype(np.int64) * span + mb[locked],
+                    return_inverse=True,
                 )
-                if sink is not None:
-                    sink.append(report)
-                if races.add(report) and on_race is not None:
-                    on_race(races.get(report.key))
-                self.stats.races_found = len(races)
+                disjoint = np.array(
+                    [mutexsets.disjoint(*divmod(s, span)) for s in sets.tolist()]
+                )
+                rows = np.delete(rows, locked[~disjoint[inverse]])
+            dense = ca.dense[ai[rows]] & cb.dense[bi[rows]]
+            # key -> (first racing row, witness address) within this block.
+            racing: dict[int, tuple[int, int]] = {}
+            easy = rows[dense]
+            if len(easy):
+                keys, at = np.unique(key[easy], return_index=True)
+                easy = easy[at]
+                address = np.maximum(ca.low[ai[easy]], cb.low[bi[easy]])
+                racing = dict(
+                    zip(keys.tolist(), zip(easy.tolist(), address.tolist()))
+                )
+            hard = rows[~dense].tolist()
+            if nodes is None and (hard or racing):
+                nodes = tree_a.intervals(), tree_b.intervals()
+            for row in hard:
+                k = int(key[row])
+                if k in racing and racing[k][0] < row:
+                    continue  # the scalar loop had the key in seen_here
+                result = self._memo.share_address(
+                    nodes[0][ai[row]], nodes[1][bi[row]]
+                )
+                if result is not None:
+                    racing[k] = (row, result.address)
+            # Every live row is a solve, except those behind their key's
+            # first racing row.
+            solves = len(key)
+            if racing:
+                raced = np.array(sorted(racing))
+                raced_at = np.array([racing[k][0] for k in raced.tolist()])
+                at = np.minimum(np.searchsorted(raced, key), len(raced) - 1)
+                solves -= np.count_nonzero(
+                    (raced[at] == key) & (np.arange(len(key)) > raced_at[at])
+                )
+                decided = np.concatenate((decided, raced))
+            stats.ilp_solves += int(solves)
+            for row, address in sorted(racing.values()):
+                self._report_race(
+                    nodes[0][ai[row]], nodes[1][bi[row]], address,
+                    ia, ib, races, on_race, sink,
+                )
+
+    def _report_race(self, si, other, address, ia, ib, races, on_race, sink):
+        """One racing node pair into ``races`` / ``sink`` / ``on_race``."""
+        report = make_report(
+            pc_a=si.pc,
+            pc_b=other.pc,
+            address=address,
+            write_a=si.is_write,
+            write_b=other.is_write,
+            gid_a=ia.key.gid,
+            gid_b=ib.key.gid,
+            pid_a=ia.key.pid,
+            pid_b=ib.key.pid,
+            bid_a=ia.key.bid,
+            bid_b=ib.key.bid,
+        )
+        if sink is not None:
+            sink.append(report)
+        if races.add(report) and on_race is not None:
+            on_race(races.get(report.key))
+        self.stats.races_found = len(races)
 
     def _replay_reports(self, reports, races: RaceSet, on_race) -> None:
         """Feed cached reports through the same add/notify path a live
@@ -628,24 +814,28 @@ class AnalysisEngine:
         memo_m0 = self._memo.misses if self._memo is not None else 0
         sink: list | None = [] if self._result_cache is not None else None
         t0 = time.perf_counter()
-        with self.obs.tracer.span("pair-compare", category="offline"):
-            self.compare_trees(
-                tree_a, tree_b, ia, ib, races, on_race=on_race, sink=sink
-            )
-        elapsed = time.perf_counter() - t0
-        self.stats.compare_seconds += elapsed
-        # Candidate/solve counters mirror at pair grain so the comparison
-        # inner loop stays untouched.
-        self._m_candidates.inc(self.stats.overlap_candidates - candidates0)
-        self._m_ilp.inc(self.stats.ilp_solves - solves0)
-        if self._memo is not None:
-            dh = self._memo.hits - memo_h0
-            dm = self._memo.misses - memo_m0
-            self.stats.solver_memo_hits += dh
-            self.stats.solver_memo_misses += dm
-            self._m_memo_hits.inc(dh)
-            self._m_memo_misses.inc(dm)
-        self._m_compare_seconds.observe(elapsed)
+        try:
+            with self.obs.tracer.span("pair-compare", category="offline"):
+                self.compare_trees(
+                    tree_a, tree_b, ia, ib, races, on_race=on_race, sink=sink
+                )
+        finally:
+            # Mirrored at pair grain (the comparison itself only touches
+            # the stats), and also when the comparison raised: a pair
+            # salvage mode abandons must not leave stats and registry
+            # disagreeing.
+            elapsed = time.perf_counter() - t0
+            self.stats.compare_seconds += elapsed
+            self._m_candidates.inc(self.stats.overlap_candidates - candidates0)
+            self._m_ilp.inc(self.stats.ilp_solves - solves0)
+            if self._memo is not None:
+                dh = self._memo.hits - memo_h0
+                dm = self._memo.misses - memo_m0
+                self.stats.solver_memo_hits += dh
+                self.stats.solver_memo_misses += dm
+                self._m_memo_hits.inc(dh)
+                self._m_memo_misses.inc(dm)
+            self._m_compare_seconds.observe(elapsed)
         self._m_races.set(len(races))
         self._sync_inflated()
         if self._result_cache is not None:

@@ -27,9 +27,10 @@ class FastPathOptions:
     analysis result is byte-identical with the fast path on or off.
     """
 
-    #: Master switch for frame-digest pruning, the solver memo, and the
-    #: persistent cache; False is the naive reference path (build and
-    #: compare every pair) the parity suites pin everything else against.
+    #: Master switch for frame-digest pruning, the solver memo, the
+    #: columnar tree comparison, and the persistent cache; False is the
+    #: naive reference path (build every pair, compare node by node) the
+    #: parity suites pin everything else against.
     enabled: bool = True
     #: Persist per-interval trees and pair verdicts keyed by trace
     #: content hashes (opt-in: writes under the trace directory, or

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.itree.interval import StridedInterval
+from repro.itree.serialize import tree_from_rows, tree_to_rows
 from repro.itree.tree import BLACK, IntervalTree
 
 
@@ -166,3 +167,75 @@ def test_property_interleaved_insert_delete_keeps_invariants(ops):
             live.append(t.insert(si(lo, lo + length)))
         t.validate()
     assert len(t) == len(live)
+
+
+# -- column view ----------------------------------------------------------------
+
+
+def _mixed_intervals(n, seed):
+    rng = random.Random(seed)
+    return [
+        StridedInterval(
+            low=rng.randrange(400),
+            stride=rng.randrange(1, 20),
+            size=rng.choice([1, 4, 8]),
+            count=rng.randrange(1, 6),
+            is_write=rng.random() < 0.5,
+            is_atomic=rng.random() < 0.2,
+            pc=0x1000 + rng.randrange(5),
+            msid=rng.randrange(3),
+            point=rng.randrange(4) << 24,
+        )
+        for _ in range(n)
+    ]
+
+
+def assert_columns_match(tree):
+    cols = tree.columns()
+    nodes = [n.interval for n in tree]
+    for name, attr in (
+        ("low", "low"), ("high", "high"), ("write", "is_write"),
+        ("atomic", "is_atomic"), ("dense", "dense"), ("msid", "msid"),
+    ):
+        assert getattr(cols, name).tolist() == [getattr(s, attr) for s in nodes]
+    assert cols.pcs.tolist() == sorted({s.pc for s in nodes})
+    assert cols.pcs[cols.pc_rank].tolist() == [s.pc for s in nodes]
+
+
+class TestColumns:
+    def test_empty_tree(self):
+        cols = IntervalTree().columns()
+        assert cols.low.shape == cols.pc_rank.shape == cols.pcs.shape == (0,)
+
+    def test_bulk_built(self):
+        ivs = sorted(_mixed_intervals(200, 1), key=lambda s: s.low)
+        assert_columns_match(IntervalTree.build_from_sorted(ivs))
+
+    def test_reloaded_from_rows(self):
+        ivs = sorted(_mixed_intervals(64, 2), key=lambda s: s.low)
+        tree = IntervalTree.build_from_sorted(ivs)
+        assert_columns_match(tree_from_rows(tree_to_rows(tree)))
+
+    def test_incrementally_built_equals_bulk_built(self):
+        ivs = _mixed_intervals(150, 3)
+        incremental = IntervalTree()
+        for iv in ivs:
+            incremental.insert(iv)
+        assert_columns_match(incremental)
+        bulk = IntervalTree.build_from_sorted(sorted(ivs, key=lambda s: s.low))
+        # Equal keys descend right, so ties keep insertion order either way.
+        assert incremental.intervals() == bulk.intervals()
+        assert incremental.columns().high.tolist() == bulk.columns().high.tolist()
+
+    def test_cached_until_mutated(self):
+        tree = IntervalTree()
+        nodes = [tree.insert(iv) for iv in _mixed_intervals(20, 4)]
+        first = tree.columns()
+        assert tree.columns() is first
+        tree.insert(si(7, 9))
+        assert tree.columns() is not first
+        assert_columns_match(tree)
+        second = tree.columns()
+        tree.delete(nodes[5])
+        assert tree.columns() is not second
+        assert_columns_match(tree)

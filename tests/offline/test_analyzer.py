@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.offline.engine as engine_mod
+from repro import api
 from repro.common.sourceloc import pc_of
+from repro.obs import live
 from repro.offline import AnalysisOptions, FastPathOptions, SerialOfflineAnalyzer
 from repro.sword import TraceDir
 
@@ -264,3 +267,40 @@ def test_stats_populated(trace_dir):
     assert eager.stats.trees_built > 0
     assert eager.stats.events_read > 0
     assert eager.stats.bytes_inflated > 0
+
+
+def test_abandoned_pair_keeps_stats_and_counters_agreeing(trace_dir, monkeypatch):
+    """Salvage mode swallows an exception raised mid-comparison; the
+    solves and candidates counted up to that point must reach the
+    registry too, not only the stats."""
+    def program(m):
+        a = m.alloc_array("a", 64)
+
+        def body(ctx):
+            for i in range(8):
+                ctx.write(a, 8 * i, 1.0, pc=pc_of("s.c", i))
+        m.parallel(body, nthreads=2)
+
+    sword_and_oracle(program, trace_dir, nthreads=2)
+    solve = engine_mod.check_node_pair
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("solver fell over")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "check_node_pair", failing)
+    obs = live()
+    result = api.analyze(trace_dir, integrity="salvage", obs=obs)
+    assert result.integrity.pairs_skipped == 1
+    counters = obs.snapshot()["counters"]
+    assert result.stats.ilp_solves == 3
+    assert result.stats.ilp_solves == counters["offline.ilp_solves"]
+    assert (
+        result.stats.overlap_candidates
+        == counters["offline.overlap_candidates"]
+    )
+    histogram = obs.snapshot()["histograms"]["offline.pair_compare_seconds"]
+    assert histogram["count"] == 1

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from repro.archer import ArcherTool
 from repro.common.config import ArcherConfig, RunConfig, SchedulerConfig
 from repro.common.sourceloc import pc_of
+from repro.offline import SerialOfflineAnalyzer
 from repro.omp import OpenMPRuntime
+from repro.sword import TraceDir
+from repro.tasking.graph import TaskGraph
 
 from conftest import sword_and_oracle
 
@@ -143,6 +146,37 @@ def test_task_races_with_other_threads(trace_dir):
         m.parallel(body, nthreads=3)
 
     assert len(check(program, trace_dir)) == 1
+
+
+def test_task_graph_scanned_once_per_region_instance(trace_dir, monkeypatch):
+    """Whether a barrier interval holds tasks is asked of the graph once,
+    not once per pair compared within it."""
+    def program(m):
+        x = m.alloc_array("x", 2)
+
+        def body(ctx):
+            for phase in range(2):
+                if ctx.tid == 0:
+                    ctx.task(lambda c: c.write(x, phase, 1.0, pc=pc_of("tr.c", 66)))
+                else:
+                    ctx.read(x, phase, pc=pc_of("tr.c", 67))
+                ctx.barrier()
+        m.parallel(body, nthreads=3)
+
+    assert len(check(program, trace_dir)) == 1
+    scans = []
+    tasks = TaskGraph.tasks
+    monkeypatch.setattr(
+        TaskGraph, "tasks", lambda self: scans.append(1) or tasks(self)
+    )
+    analyzer = SerialOfflineAnalyzer(TraceDir(trace_dir))
+    result = analyzer.analyze()
+    assert len(result.races) == 1
+    regions = analyzer.engine._tasky_regions
+    assert sum(regions.values()) == 2  # both phases hold a task
+    assert result.stats.concurrent_pairs > len(regions)
+    # One scan by the pair planner, one per region instance compared.
+    assert len(scans) == 1 + len(regions)
 
 
 def test_locked_tasks_do_not_race(trace_dir):
