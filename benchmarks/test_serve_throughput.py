@@ -70,6 +70,9 @@ def test_serve_throughput(benchmark, save_result):
             f"  ttfr:      p50={_fmt_ms(report.ttfr_p50)} "
             f"p99={_fmt_ms(report.ttfr_p99)} "
             f"over {len(report.ttfr_seconds)} racy job(s)",
+            f"  pairs:     {report.pairs_planned} planned, "
+            f"{report.pairs_pruned} pruned, "
+            f"{report.pairs_shipped} shipped to shards",
             f"  cache:     {report.cache_hits} cross-job hit(s)",
             f"  steals:    {report.shard_steals}",
             f"  parity:    "

@@ -43,6 +43,8 @@ from .harness import collect_trace
 
 #: Workloads the chaos scenarios run by default: racy (a non-empty race
 #: set makes byte-identity a real check) and small enough for smoke CI.
+#: At the default 4 threads, 6 of its 12 concurrent pairs survive the
+#: plan-time prune — two shards at ``shard_pairs=4``, so shard 1 exists.
 DEFAULT_WORKLOAD = "plusplus-orig-yes"
 
 
@@ -214,7 +216,7 @@ def resume_sweep(
     workload: Union[str, Workload] = DEFAULT_WORKLOAD,
     *,
     jobs: int = 2,
-    nthreads: int = 2,
+    nthreads: int = 4,
     seed: int = 0,
     shard_pairs: int = 8,
     max_points: Optional[int] = None,
@@ -373,7 +375,7 @@ class DegradationScenarioResult:
 def poison_degradation(
     workload: Union[str, Workload] = DEFAULT_WORKLOAD,
     *,
-    nthreads: int = 2,
+    nthreads: int = 4,
     seed: int = 0,
     shard_pairs: int = 4,
     poison: tuple[int, ...] = (1,),
@@ -423,6 +425,7 @@ def poison_degradation(
             job = svc._job(job_id)
             job.done.wait(timeout=120)
             result.state = job.state
+            result.error = job.error  # job-fatal only: a refused target
             degraded_json = job.races.to_json()
             result.degraded_races = len(degraded_json)
             result.subset_ok = set(map(str, degraded_json)) <= set(
@@ -468,7 +471,26 @@ def sabotage(
     past ``timeout_s``, so the pool's deadline fires (and keeps firing
     on the requeued attempts) until the shard's crash budget is spent.
     Thread-worker services only — the seam does not cross processes.
+
+    A job whose plan has no shard at a requested index fails with a
+    ``chaos:`` error instead of running unsabotaged: plans hold only the
+    pairs that survive the plan-time prune, so a target that vanished
+    must not let a scenario pass vacuously.
     """
+    targets = set(poison) | set(stall)
+    plan_job = service.scheduler._plan
+
+    def checked_plan(job):
+        plan = plan_job(job)
+        missing = sorted(i for i in targets if i >= len(plan.shards))
+        if missing:
+            raise ValueError(
+                f"chaos: no shard {missing} to sabotage, the plan of "
+                f"{job.trace_path} has {len(plan.shards)} shard(s)"
+            )
+        return plan
+
+    service.scheduler._plan = checked_plan
     original = service.pool._execute
 
     def chaotic(spec):

@@ -86,7 +86,13 @@ def add_faults_subcommands(parser: argparse.ArgumentParser) -> None:
     )
     p.add_argument("workload", nargs="?", default="plusplus-orig-yes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=2)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=4,
+        help="threads per trace; the poison scenario needs >= 2 shards "
+        "to survive the plan-time prune (the default workload has 1 at 2)",
+    )
     p.add_argument(
         "--jobs", type=int, default=2, help="submissions in the reference run"
     )

@@ -236,6 +236,52 @@ def check_node_pair(
     return None if result is None else result.address
 
 
+class DigestPruner:
+    """Cascade stage 1: decide a pair from its meta-row digests alone.
+
+    The one fold + :func:`~repro.sword.digest.digests_may_race` test
+    both :meth:`AnalysisEngine.analyze_pair` and the shard planner
+    (:func:`repro.serve.shards.plan_shards`) apply, so a pair pruned at
+    plan time is exactly a pair the engine would have pruned.  Each
+    interval's chunk digests are folded once and kept by interval key.
+    """
+
+    __slots__ = ("_folded",)
+
+    def __init__(self) -> None:
+        self._folded: dict[object, FrameDigest | None] = {}
+
+    def digest(self, interval: IntervalData) -> FrameDigest | None:
+        """Fold the interval's frame-resident digests (no inflation).
+
+        None when any chunk lacks a meta-row digest (v1 traces, rows from
+        a newer digest version, sources that do not carry digests) — the
+        caller builds and compares the pair.
+        """
+        key = interval.key
+        if key in self._folded:
+            return self._folded[key]
+        digests = getattr(interval, "digests", None)
+        folded = None
+        if digests is not None and len(digests) == len(interval.chunks):
+            folded = fold_digests(digests)
+        self._folded[key] = folded
+        return folded
+
+    def prunes(self, ia: IntervalData, ib: IntervalData) -> bool:
+        """True when the digests prove no access pair of (ia, ib) races."""
+        da = self.digest(ia)
+        if da is None:
+            return False
+        db = self.digest(ib)
+        return db is not None and not digests_may_race(da, db)
+
+
+def pair_frames(ia: IntervalData, ib: IntervalData) -> int:
+    """Chunks a pruned pair leaves un-inflated (the frames_pruned unit)."""
+    return len(ia.chunks) + len(ib.chunks)
+
+
 class AnalysisEngine:
     """Tree construction and pair comparison over one trace source.
 
@@ -262,17 +308,16 @@ class AnalysisEngine:
         fast = options.fastpath
         self._memo = SolverMemo() if fast.enabled else None
         #: Frame-digest pre-filter: decide pairs from the meta-row
-        #: digests *before* scheduling any inflation.
-        self._prune = fast.enabled
+        #: digests *before* scheduling any inflation (None: naive path).
+        self._pruner = DigestPruner() if fast.enabled else None
         #: pid -> proven-free pcs from the trace's static verdict table;
-        #: pairs touching one are skipped before digest pruning.  Empty
-        #: when the trace carries no table or static_skip is off.
+        #: site pairs touching one are skipped inside the comparison.
+        #: Empty when the trace carries no table or static_skip is off.
         self._static_free: dict[int, frozenset[int]] = {}
         if fast.static_skip:
             table = getattr(source, "static_verdicts", None)
             if table is not None:
                 self._static_free = table.proven_free_by_pid()
-        self._meta_digests: dict[object, FrameDigest | None] = {}
         #: (pid, bid) -> does that barrier interval hold explicit tasks?
         self._tasky_regions: dict[tuple[int, int], bool] = {}
         self._inflated_seen: dict[int, int] = {}
@@ -385,23 +430,6 @@ class AnalysisEngine:
             reader = self.source.reader(gid)
             self._readers[gid] = reader
         return reader
-
-    def _interval_digest(self, interval: IntervalData) -> FrameDigest | None:
-        """Fold the interval's frame-resident digests (no inflation).
-
-        None when any chunk lacks a meta-row digest (v1 traces, rows from
-        a newer digest version, sources that do not carry digests) — the
-        caller builds and compares the pair.
-        """
-        key = interval.key
-        if key in self._meta_digests:
-            return self._meta_digests[key]
-        digests = getattr(interval, "digests", None)
-        folded = None
-        if digests is not None and len(digests) == len(interval.chunks):
-            folded = fold_digests(digests)
-        self._meta_digests[key] = folded
-        return folded
 
     def build_tree(self, interval: IntervalData) -> IntervalTree:
         """Stream one interval's chunks into a summarised tree (cached)."""
@@ -772,39 +800,35 @@ class AnalysisEngine:
     ) -> None:
         """Compare one interval pair (the unit of scheduling).
 
-        In cost order: (1) a persistent pair-verdict hit replays the
-        cached reports without touching any tree; (2) the frame-resident
-        meta-row digests prove the pair cannot race and it is pruned
-        *before any payload byte is decompressed*; (3) the trees are
-        built and compared with the memoized solver — also the path for
-        pairs with a digest-less row.  Every path produces the identical
-        contribution to ``races`` (the naive path's reports, exactly).
+        In cost order: (1) the frame-resident meta-row digests prove the
+        pair cannot race and it is pruned *before any payload byte is
+        decompressed* — and before any cache file is hashed, read or
+        written: a digest test is cheaper than the lookup it would
+        save; (2) a persistent pair-verdict hit replays the cached
+        reports without touching any tree; (3) the trees are built and
+        compared with the memoized solver — also the path for pairs
+        with a digest-less row.  Every path produces the identical
+        contribution to ``races`` (the naive path's reports, exactly),
+        and every pair takes exactly one: ``pairs_pruned +
+        pair_cache_hits + compared == concurrent_pairs``.
         """
+        if self._pruner is not None and self._pruner.prunes(ia, ib):
+            frames = pair_frames(ia, ib)
+            self.stats.pairs_pruned += 1
+            self.stats.frames_pruned += frames
+            self._m_pruned.inc()
+            self._m_frames_pruned.inc(frames)
+            return
         if self._result_cache is not None:
             self._pair_cache_lookups += 1
             cached = self._result_cache.load_pair(ia, ib)
-            if cached is not None:
-                self.stats.pair_cache_hits += 1
-                self._m_pair_cache_hits.inc()
-                self._m_pair_cache_rate.set(
-                    self._result_cache.pair_hits / self._pair_cache_lookups
-                )
-                self._replay_reports(cached, races, on_race)
-                return
             self._m_pair_cache_rate.set(
                 self._result_cache.pair_hits / self._pair_cache_lookups
             )
-        if self._prune:
-            da = self._interval_digest(ia)
-            db = self._interval_digest(ib)
-            if da is not None and db is not None and not digests_may_race(da, db):
-                frames = len(ia.chunks) + len(ib.chunks)
-                self.stats.pairs_pruned += 1
-                self.stats.frames_pruned += frames
-                self._m_pruned.inc()
-                self._m_frames_pruned.inc(frames)
-                if self._result_cache is not None:
-                    self._result_cache.store_pair(ia, ib, [])
+            if cached is not None:
+                self.stats.pair_cache_hits += 1
+                self._m_pair_cache_hits.inc()
+                self._replay_reports(cached, races, on_race)
                 return
         tree_a = self.build_tree(ia)
         tree_b = self.build_tree(ib)

@@ -5,7 +5,9 @@ trees are built independently and the tree-vs-tree comparisons are spread
 out, bringing multi-hour analyses down to seconds/minutes (Table III's MT
 column, §IV-C).  We reproduce the structure with a process pool over the
 *same shard machinery the analysis service runs on*: the pair plan is cut
-by :func:`repro.serve.shards.plan_shards`, every shard is executed by
+by :func:`repro.serve.shards.plan_shards` (which parses the meta files
+once, decides every pair the frame digests can, and ships only the
+survivors), every shard is executed by
 :func:`repro.serve.workers.run_shard` (workers open the trace directory
 themselves — no tree pickling, exactly like remote nodes reading a shared
 filesystem), and race sets are merged at the coordinator.  One worker
@@ -59,6 +61,12 @@ class DistributedOfflineAnalyzer:
 
     def analyze(self) -> AnalysisResult:
         """Plan centrally, compare in parallel, merge race sets."""
+        if self.options.integrity == "salvage":
+            # Salvage threads an integrity ledger through planning and
+            # pair analysis: that is the serial driver, whole.
+            return SerialOfflineAnalyzer(
+                self.trace, obs=self.obs, options=self.options
+            ).analyze()
         # Deferred: repro.offline.__init__ imports this module, and
         # repro.serve imports repro.offline — a module-level import here
         # would close the cycle mid-initialisation.
@@ -80,29 +88,29 @@ class DistributedOfflineAnalyzer:
             )
         stats.intervals = plan.intervals
         stats.concurrent_pairs = plan.concurrent_pairs
+        stats.pairs_pruned = plan.pairs_pruned
+        stats.frames_pruned = plan.frames_pruned
         stats.plan_seconds = time.perf_counter() - t0
 
         races = RaceSet()
-        nworkers = min(self.options.workers, max(1, len(plan.shards)))
-        if nworkers <= 1 or plan.concurrent_pairs == 0:
-            # Degenerate case: fall back to the serial analyzer.
-            return SerialOfflineAnalyzer(
-                self.trace, obs=self.obs, options=self.options
-            ).analyze()
-
+        nworkers = min(self.options.workers, len(plan.shards))
         with self.obs.tracer.span(
             "compare-scatter", category="offline-mt", workers=nworkers
         ):
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                for outcome in pool.map(run_shard, plan.shards):
-                    for report in outcome.reports():
-                        races.add(report)
-                    merge_stats(stats, outcome.stats)
-                    if outcome.spans:
-                        # One trace-viewer row per worker process.
-                        self.obs.tracer.ingest(
-                            outcome.spans, tid=outcome.worker_pid
-                        )
+            if nworkers > 1:
+                with ProcessPoolExecutor(max_workers=nworkers) as pool:
+                    outcomes = list(pool.map(run_shard, plan.shards))
+            else:
+                # One shard, or none (the plan decided every pair):
+                # nothing to scatter, so no pool to pay for.
+                outcomes = [run_shard(spec) for spec in plan.shards]
+        for outcome in outcomes:
+            for report in outcome.reports():
+                races.add(report)
+            merge_stats(stats, outcome.stats)
+            if outcome.spans:
+                # One trace-viewer row per worker process.
+                self.obs.tracer.ingest(outcome.spans, tid=outcome.worker_pid)
         # Coordinator-side verdict injection: one contribution regardless
         # of the shard count, merged by RaceSet's canonical minimum just
         # like the serial driver's.

@@ -239,6 +239,11 @@ def run_serve_command(args: argparse.Namespace) -> int:
         f"rejected: {report.rejected_quota} quota, "
         f"{report.rejected_backpressure} backpressure"
     )
+    print(
+        f"pairs: {report.pairs_planned} planned, "
+        f"{report.pairs_pruned} pruned, "
+        f"{report.pairs_shipped} shipped to shards"
+    )
     for flavor, counts in sorted(report.flavors.items()):
         print(
             f"  {flavor}: {counts['finished']} job(s), "

@@ -125,9 +125,10 @@ class DegradationReport:
     """What a ``DEGRADED`` job is missing, and why.
 
     ``pair_coverage`` is the fraction of the job's planned concurrent
-    pairs actually analyzed: races over the covered pairs are exact (the
-    merged set is a strict subset of the full answer); pairs inside
-    quarantined shards are simply *unchecked*, never misreported.
+    pairs actually decided — pruned at plan time or analyzed by a shard
+    that came home: races over the covered pairs are exact (the merged
+    set is a strict subset of the full answer); pairs inside quarantined
+    shards are simply *unchecked*, never misreported.
     """
 
     job_id: str
@@ -196,6 +197,9 @@ class JobRecord:
     checkpoint_hits: int = 0
     #: The planner's total concurrent-pair count (coverage denominator).
     pairs_total: int = 0
+    #: Pairs that survived the plan-time digest prune and went out in
+    #: pair shards (a salvage job ships its whole trace instead: 0).
+    pairs_shipped: int = 0
     #: Poison shards set aside after exhausting their retry/crash budget.
     quarantined: list = field(default_factory=list)
     #: Structured account of what a DEGRADED job is missing.
@@ -260,6 +264,9 @@ class JobRecord:
                 "races": len(self.races),
                 "shards_total": self.shards_total,
                 "shards_done": self.shards_done,
+                "pairs_planned": self.stats.concurrent_pairs,
+                "pairs_pruned": self.stats.pairs_pruned,
+                "pairs_shipped": self.pairs_shipped,
                 "ttfr_seconds": self.ttfr_seconds,
                 "elapsed_seconds": self.elapsed_seconds,
                 "cache_hits": self.cache_hits,

@@ -67,6 +67,12 @@ class LoadReport:
     parity_checked: int = 0
     cache_hits: int = 0
     shard_steals: int = 0
+    #: Over finished jobs: concurrent pairs the planner enumerated,
+    #: pairs the frame digests decided (at plan time, or inside the
+    #: salvage shard), and pairs that went out in pair shards.
+    pairs_planned: int = 0
+    pairs_pruned: int = 0
+    pairs_shipped: int = 0
     flavors: dict = field(default_factory=dict)
     #: The service's own ``stats()`` at burst end (per-tenant SLOs,
     #: journal summary) — the operator's view of the same run.
@@ -96,6 +102,9 @@ class LoadReport:
             "parity_checked": self.parity_checked,
             "cache_hits": self.cache_hits,
             "shard_steals": self.shard_steals,
+            "pairs_planned": self.pairs_planned,
+            "pairs_pruned": self.pairs_pruned,
+            "pairs_shipped": self.pairs_shipped,
             "flavors": dict(self.flavors),
             "service": dict(self.service_stats),
         }
@@ -248,6 +257,9 @@ def run_load(
         if status["state"] == "degraded":
             report.jobs_degraded += 1
         report.cache_hits += status["cache_hits"]
+        report.pairs_planned += status["pairs_planned"]
+        report.pairs_pruned += status["pairs_pruned"]
+        report.pairs_shipped += status["pairs_shipped"]
         if status["ttfr_seconds"] is not None:
             report.ttfr_seconds.append(status["ttfr_seconds"])
         flavor = report.flavors.setdefault(

@@ -1,12 +1,14 @@
 """The job scheduler: queue drain, shard fan-out, result merge.
 
 One planner thread pops admitted jobs, decomposes each into shards
-(:func:`~repro.serve.shards.plan_shards`) and deals them to the
-work-stealing pool.  Shard outcomes come back on pool threads and are
-merged under the job's lock; because the race set keeps the canonical
-witness per pc pair regardless of insertion order, the merged result is
-byte-identical to the single-shot serial analysis no matter how shards
-interleave, steal, or retry.
+(:func:`~repro.serve.shards.plan_shards`, which also decides every pair
+the frame digests can — a job with no surviving pair finishes right
+there, at plan time) and deals them to the work-stealing pool.  Shard
+outcomes come back on pool threads and are merged under the job's lock;
+because the race set keeps the canonical witness per pc pair regardless
+of insertion order, the merged result is byte-identical to the
+single-shot serial analysis no matter how shards interleave, steal, or
+retry.
 
 Time-to-first-race is a *service* measurement: the clock starts at
 submission (queue wait included) and stops when the first race lands in
@@ -39,7 +41,7 @@ from .job import (
 )
 from .pool import ShardTask, WorkStealingPool
 from .queue import IngestionQueue
-from .shards import SALVAGE, plan_shards
+from .shards import ShardPlan, plan_shards
 from .tracing import ObsConfig, coord_span, write_job_trace
 from .wal import NULL_WAL
 from .workers import ShardOutcome, merge_stats
@@ -173,24 +175,9 @@ class JobScheduler:
         options.integrity = job.integrity
         return options
 
-    def _schedule(self, job: JobRecord) -> None:
-        with job.lock:
-            if job.cancelled:
-                job.state = CANCELLED
-                self._finalize(job)
-                return
-            if job.deadline_exceeded():
-                job.error = (
-                    f"JobDeadlineError: job {job.job_id} exceeded "
-                    f"deadline_s={job.deadline_s} before planning"
-                )
-                job.state = FAILED
-                self._finalize(job)
-                return
-            job.state = PLANNING
-        t0 = time.perf_counter()
-        plan_wall = time.time()
-        plan = plan_shards(
+    def _plan(self, job: JobRecord) -> ShardPlan:
+        """The job's shard plan (also the chaos harness's seam)."""
+        return plan_shards(
             job.trace_path,
             job_id=job.job_id,
             options=self._job_options(job),
@@ -203,17 +190,52 @@ class JobScheduler:
             checkpoint_dir=self.config.checkpoint_root(),
             shard_timeout_s=self.config.shard_timeout_s,
         )
+
+    def _schedule(self, job: JobRecord) -> None:
+        with job.lock:
+            if job.cancelled:
+                job.state = CANCELLED
+            elif job.deadline_exceeded():
+                job.error = (
+                    f"JobDeadlineError: job {job.job_id} exceeded "
+                    f"deadline_s={job.deadline_s} before planning"
+                )
+                job.state = FAILED
+            else:
+                job.state = PLANNING
+        if job.state != PLANNING:
+            self._finalize(job)  # takes job.lock itself: never under it
+            return
+        t0 = time.perf_counter()
+        plan_wall = time.time()
+        plan = self._plan(job)
         plan_seconds = time.perf_counter() - t0
         with job.lock:
             job.stats.intervals = plan.intervals
             job.stats.concurrent_pairs = plan.concurrent_pairs
             job.stats.plan_seconds = plan_seconds
+            # Plan-time prunes are counted here, once; shards add only
+            # what they prune themselves (the salvage shard: all of it).
+            job.stats.pairs_pruned = plan.pairs_pruned
+            job.stats.frames_pruned = plan.frames_pruned
             job.shards_total = len(plan.shards)
             job.pairs_total = plan.concurrent_pairs
+            job.pairs_shipped = plan.pairs_shipped
+            if self.obs_config is not None and self.obs_config.metrics:
+                merge_snapshots(
+                    job.worker_metrics,
+                    {
+                        "counters": {
+                            "offline.pairs_pruned": plan.pairs_pruned,
+                            "offline.frames_pruned": plan.frames_pruned,
+                        }
+                    },
+                )
             job.trace_spans.append(
                 coord_span(
                     "plan", plan_wall, plan_wall + plan_seconds,
                     shards=len(plan.shards), pairs=plan.concurrent_pairs,
+                    pruned=plan.pairs_pruned,
                 )
             )
             # Coordinator-side verdict injection, before any shard lands:
@@ -221,17 +243,22 @@ class JobScheduler:
             # reports with zero analyzable pairs.
             self._inject_static_verdicts(job)
             job.state = RUNNING
-            if not plan.shards:  # empty trace: trivially clean
-                job.state = DONE
-                self._finalize(job)
-                return
+            if not plan.shards:
+                # No pair survived the plan (or none existed): the job
+                # is decided.  The hot path for every fully pruned trace.
+                job.stats.races_found = len(job.races)
+                self._settle(job)
         self.wal.append(
             "planned",
             job.job_id,
             shards=len(plan.shards),
             pairs=plan.concurrent_pairs,
+            pruned=plan.pairs_pruned,
             tokens=[spec.checkpoint_token for spec in plan.shards],
         )
+        if not plan.shards:
+            self._finalize(job)
+            return
         for spec in plan.shards:
             task = ShardTask(
                 spec=spec,

@@ -7,6 +7,16 @@ that one shard amortises its worker's tree builds — consecutive pairs in
 the plan share intervals, so contiguous slicing keeps each worker's tree
 cache hot.
 
+Plan once, ship what survives.  The planner is the only place a job's
+metadata is parsed: it builds the interval inventory, applies the
+engine's own frame-digest test (:class:`~repro.offline.engine.
+DigestPruner`) to every concurrent pair, counts the pruned pairs on the
+plan, and slices only the survivors into shards — each carrying the
+:class:`~repro.offline.intervals.IntervalData` of its pairs, so a worker
+never scans the meta files again.  The plan is a pure function of the
+trace bytes and the options: a resumed job re-plans the same shards and
+the same checkpoint tokens.
+
 Salvage jobs are planned as a single ``salvage`` shard: recovering a
 damaged trace threads an integrity ledger through planning and pair
 analysis, which is exactly the serial driver's job — the scheduler just
@@ -19,7 +29,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..offline.intervals import IntervalInventory, IntervalKey
+from ..offline.engine import DigestPruner, pair_frames
+from ..offline.intervals import IntervalData, IntervalInventory, IntervalKey
 from ..offline.options import AnalysisOptions, FastPathOptions
 from ..sword.reader import TraceDir
 from .tracing import ObsConfig
@@ -37,7 +48,11 @@ class ShardSpec:
     index: int
     trace_path: str
     kind: str = PAIRS
-    pair_keys: tuple[tuple[IntervalKey, IntervalKey], ...] = ()
+    #: The shard's work, self-contained: both intervals of every pair
+    #: (key, slot, span, label, chunks, digests) as the planner read
+    #: them from the meta files.  An interval shared by several pairs
+    #: is one object, so it pickles once per shard.
+    pairs: tuple[tuple[IntervalData, IntervalData], ...] = ()
     #: The options the worker's engine runs with, exactly as submitted
     #: (``obs`` stripped: bundles are not picklable — ``obs_config`` is
     #: the recipe for the worker-side one).
@@ -59,7 +74,12 @@ class ShardSpec:
 
     @property
     def npairs(self) -> int:
-        return len(self.pair_keys)
+        return len(self.pairs)
+
+    @property
+    def pair_keys(self) -> tuple[tuple[IntervalKey, IntervalKey], ...]:
+        """The pairs' identities (what the checkpoint token hashes)."""
+        return tuple((a.key, b.key) for a, b in self.pairs)
 
 
 @dataclass(slots=True)
@@ -68,7 +88,16 @@ class ShardPlan:
 
     shards: list[ShardSpec] = field(default_factory=list)
     intervals: int = 0
+    #: Every concurrent pair of the trace: pruned here + shipped.
     concurrent_pairs: int = 0
+    #: Pairs (and their chunks) the frame digests decided at plan time;
+    #: they never become shard work.
+    pairs_pruned: int = 0
+    frames_pruned: int = 0
+
+    @property
+    def pairs_shipped(self) -> int:
+        return sum(spec.npairs for spec in self.shards)
 
 
 def shard_fastpath(
@@ -100,11 +129,14 @@ def plan_shards(
     checkpoint_dir: Optional[str] = None,
     shard_timeout_s: Optional[float] = None,
 ) -> ShardPlan:
-    """Plan one job: enumerate concurrent pairs, slice into shards.
+    """Plan one job: enumerate concurrent pairs, prune, slice into shards.
 
-    ``shard_pairs`` caps the shard grain; ``min_shards`` shrinks the
-    grain further when the plan would otherwise produce fewer shards
-    than the caller has workers to feed (small jobs still fan out).
+    With ``options.fastpath.enabled`` every pair the frame digests
+    decide is counted on the plan and dropped; ``shard_pairs`` caps the
+    shard grain over the *surviving* pairs and ``min_shards`` shrinks
+    the grain further when they would otherwise make fewer shards than
+    the caller has workers to feed (small jobs still fan out).  A plan
+    with no surviving pair has no shards: the job is decided.
 
     ``integrity="salvage"`` (on ``options``) short-circuits to a single
     salvage shard — the worker runs the full serial salvage analysis.
@@ -119,66 +151,59 @@ def plan_shards(
     shard_opts = options.copy(
         fastpath=shard_fastpath(options.fastpath, cache_dir), obs=None
     )
-    trace_digest = ""
     if checkpoint_dir is not None:
-        from .checkpoint import trace_token  # deferred: import cycle
+        from .checkpoint import shard_token, trace_token  # import cycle
 
         trace_digest = trace_token(trace.path)
 
-    def _token(kind: str, pair_keys: tuple) -> str:
-        if not trace_digest:
-            return ""
-        from .checkpoint import shard_token  # deferred: import cycle
-
-        return shard_token(
+    def _spec(index: int, kind: str, pairs: tuple) -> ShardSpec:
+        spec = ShardSpec(
+            job_id=job_id,
+            index=index,
+            trace_path=str(trace.path),
+            kind=kind,
+            pairs=pairs,
+            options=shard_opts,
+            tenant=tenant,
+            trace_id=trace_id,
+            obs_config=obs_config,
+            checkpoint_dir=checkpoint_dir,
+            timeout_s=shard_timeout_s,
+        )
+        if checkpoint_dir is None:
+            return spec
+        token = shard_token(
             trace_digest,
             kind=kind,
-            pair_keys=pair_keys,
+            pair_keys=spec.pair_keys,
             chunk_events=options.chunk_events,
             use_ilp_crosscheck=options.use_ilp_crosscheck,
         )
+        return replace(spec, checkpoint_token=token)
 
     plan = ShardPlan()
     if options.integrity == "salvage":
-        plan.shards.append(
-            ShardSpec(
-                job_id=job_id,
-                index=0,
-                trace_path=str(trace.path),
-                kind=SALVAGE,
-                options=shard_opts,
-                tenant=tenant,
-                trace_id=trace_id,
-                obs_config=obs_config,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_token=_token(SALVAGE, ()),
-                timeout_s=shard_timeout_s,
-            )
-        )
+        plan.shards.append(_spec(0, SALVAGE, ()))
         return plan
     inventory = IntervalInventory(trace)
-    pairs = [(a.key, b.key) for a, b in inventory.concurrent_pairs()]
+    pairs = list(inventory.concurrent_pairs())
     plan.intervals = len(inventory)
     plan.concurrent_pairs = len(pairs)
+    if options.fastpath.enabled:
+        pruner = DigestPruner()
+        surviving = []
+        for ia, ib in pairs:
+            if pruner.prunes(ia, ib):
+                plan.pairs_pruned += 1
+                plan.frames_pruned += pair_frames(ia, ib)
+            else:
+                surviving.append((ia, ib))
+        pairs = surviving
     if pairs and min_shards > 1:
         shard_pairs = min(shard_pairs, -(-len(pairs) // min_shards))
     shard_pairs = max(1, shard_pairs)
     for index, lo in enumerate(range(0, len(pairs), shard_pairs)):
-        pair_keys = tuple(pairs[lo : lo + shard_pairs])
         plan.shards.append(
-            ShardSpec(
-                job_id=job_id,
-                index=index,
-                trace_path=str(trace.path),
-                kind=PAIRS,
-                pair_keys=pair_keys,
-                options=shard_opts,
-                tenant=tenant,
-                trace_id=trace_id,
-                obs_config=obs_config,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_token=_token(PAIRS, pair_keys),
-                timeout_s=shard_timeout_s,
-            )
+            _spec(index, PAIRS, tuple(pairs[lo : lo + shard_pairs]))
         )
     return plan

@@ -11,11 +11,11 @@ bundle on arrival; the spans it records come home on the
 
 :func:`stitch_job_trace` then assembles the whole story into a single
 Chrome trace-event JSON: row 0 is the coordinator (queue-wait, triage,
-plan, per-shard merges, retry/backoff), and each worker process gets its
-own row with the shard spans it executed (scan, tree builds, pair
-compares).  Load the file at ``chrome://tracing`` or
-https://ui.perfetto.dev and the job's life — submission to merged race
-set — is one flamegraph.
+plan — with its ``pairs=``/``pruned=``/``shards=`` split — per-shard
+merges, retry/backoff), and each worker process gets its own row with
+the shard spans it executed (tree builds, pair compares).  Load the
+file at ``chrome://tracing`` or https://ui.perfetto.dev and the job's
+life — submission to merged race set — is one flamegraph.
 """
 
 from __future__ import annotations

@@ -12,10 +12,14 @@ shard whose checkpoint already landed.
 Record grammar (all records carry ``v``, ``ts``, ``kind``, ``job``)::
 
     submitted  job tenant trace integrity trace_id deadline_s?
-    planned    job shards pairs tokens[]
+    planned    job shards pairs pruned? tokens[]
     shard-done job shard token races pairs
     merged     job races
     finalized  job state races quarantined?
+
+``planned`` counts every concurrent pair in ``pairs`` and the ones the
+plan-time digest test decided in ``pruned``; ``tokens`` name only the
+shards that shipped (``shards=0``: the plan decided the whole job).
 
 The torn-tail property is inherited from the line grammar: a crash mid
 ``append`` leaves at most one partial line, which the salvage parse

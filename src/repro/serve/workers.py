@@ -6,9 +6,11 @@ DistributedOfflineAnalyzer`) execute — there is exactly one way a pair
 shard is analyzed, so the byte-identical-races guarantee is proven once.
 
 Workers are stateless: each opens the trace directory itself (like a
-remote node reading a shared filesystem), drives the shared
-:class:`~repro.offline.engine.AnalysisEngine` over its pair keys, and
-ships races back as plain tuples — no tree or engine pickling.
+remote node reading a shared filesystem — logs, mutex sets, task graph),
+drives the shared :class:`~repro.offline.engine.AnalysisEngine` over the
+interval pairs its spec carries, and ships races back as plain tuples —
+no tree or engine pickling, and no second scan of the meta files: the
+planner parsed them once and shipped what each shard needs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Iterable, Optional
 
 from ..obs import NULL_OBS, Instrumentation, set_obs
 from ..offline.engine import AnalysisEngine, AnalysisStats
-from ..offline.intervals import IntervalInventory
 from ..offline.report import RaceReport, RaceSet
 from ..sword.reader import TraceDir
 from .shards import SALVAGE, ShardSpec
@@ -165,14 +166,8 @@ def _execute_shard(spec: ShardSpec, obs: Instrumentation) -> ShardOutcome:
         trace = TraceDir(spec.trace_path)
         races = RaceSet()
         with AnalysisEngine(trace, obs=obs, options=options) as engine:
-            with obs.tracer.span("scan", "serve", shard=spec.index):
-                inventory = IntervalInventory(trace)
-            for key_a, key_b in spec.pair_keys:
-                engine.analyze_pair(
-                    inventory.intervals[key_a],
-                    inventory.intervals[key_b],
-                    races,
-                )
+            for ia, ib in spec.pairs:
+                engine.analyze_pair(ia, ib, races)
             outcome.stats = engine.stats
     outcome.rows = race_rows(races)
     outcome.cache_hits = (

@@ -1,4 +1,9 @@
-"""Service-tier chaos: the resume sweep and poison degradation."""
+"""Service-tier chaos: the resume sweep and poison degradation.
+
+``plusplus-orig-yes`` at 4 threads plans 12 concurrent pairs, 6 of which
+survive the plan-time digest prune: two 3-pair shards, so shard 1 exists
+(at 2 threads one pair survives and there is nothing to poison).
+"""
 
 from repro.faults import poison_degradation, resume_sweep
 
@@ -9,7 +14,7 @@ def test_resume_sweep_small_fixed_seed():
     result = resume_sweep(
         "plusplus-orig-yes",
         jobs=2,
-        nthreads=2,
+        nthreads=4,
         seed=0,
         shard_pairs=8,
         max_points=4,
@@ -24,7 +29,7 @@ def test_resume_sweep_small_fixed_seed():
 def test_poison_degradation_fixed_seed():
     result = poison_degradation(
         "plusplus-orig-yes",
-        nthreads=2,
+        nthreads=4,
         seed=0,
         shard_pairs=4,
         poison=(1,),
@@ -40,7 +45,7 @@ def test_stalled_shard_times_out_and_quarantines():
     # its crash budget and lands in quarantine like any other poison.
     result = poison_degradation(
         "plusplus-orig-yes",
-        nthreads=2,
+        nthreads=4,
         seed=0,
         shard_pairs=4,
         poison=(),
@@ -51,3 +56,14 @@ def test_stalled_shard_times_out_and_quarantines():
     assert result.stalled_shards == [1]
     causes = result.report["quarantined"][0]["causes"]
     assert any("ShardTimeoutError" in c for c in causes), causes
+
+
+def test_poisoning_a_vanished_shard_fails_loudly():
+    # 2 threads: one surviving pair, one shard.  The scenario must not
+    # report a clean pass over a job nothing was done to.
+    result = poison_degradation(
+        "plusplus-orig-yes", nthreads=2, seed=0, shard_pairs=4, poison=(1,)
+    )
+    assert not result.ok
+    assert result.state == "failed"
+    assert "chaos: no shard [1]" in result.error

@@ -109,6 +109,16 @@ def test_persistent_cache_warm_run_identical(tmp_path):
     warm = SerialOfflineAnalyzer(TraceDir(trace_path), options=cached).analyze()
     assert warm.stats.pair_cache_hits > 0
     assert blob(warm.races) == blob(cold.races)
+    # The digest test runs before the cache: a pruned pair is pruned
+    # again on the warm run (never a hit) and never cost a verdict file;
+    # only the pairs that were compared are stored and replayed.
+    pairs = cold.stats.concurrent_pairs
+    pruned = cold.stats.pairs_pruned
+    assert 0 < pruned < pairs
+    assert warm.stats.pairs_pruned == pruned
+    assert warm.stats.pair_cache_hits == pairs - pruned
+    stored = list((tmp_path / "trace" / ".sword-cache" / "pairs").iterdir())
+    assert len(stored) == pairs - pruned
     gold = SerialOfflineAnalyzer(TraceDir(trace_path), options=NAIVE).analyze()
     assert blob(warm.races) == blob(gold.races)
     assert (tmp_path / "trace" / ".sword-cache").is_dir()

@@ -1,0 +1,445 @@
+"""Plan once, ship what survives: the shard planner's digest prune.
+
+``plan_shards`` is the only place a job's metadata is parsed.  It applies
+the engine's own frame-digest test to every concurrent pair, counts the
+pruned ones on the plan, and ships each shard the ``IntervalData`` of its
+surviving pairs.  The contract checked here: whatever the planner decides,
+the service and ``mode="parallel"`` return the serial race set byte for
+byte and account for every pair exactly once, and no worker ever scans
+the meta files again.
+"""
+
+import shutil
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
+
+import pytest
+
+import repro.api as api
+from repro.faults.harness import collect_trace
+from repro.offline.engine import AnalysisEngine
+from repro.offline.intervals import IntervalInventory
+from repro.offline.options import AnalysisOptions, FastPathOptions
+from repro.serve import DONE, JobFailedError, ServeConfig, Service, replay_wal
+from repro.serve.shards import PAIRS, SALVAGE, plan_shards
+from repro.serve.wal import WAL_NAME
+from repro.sword import TraceDir
+from repro.sword.traceformat import parse_journal
+
+NTHREADS = 4
+
+#: The four ``serve_mixed`` shapes at the benchmark's smoke size, then
+#: the trace whose verdicts come from the static table alone.
+SHAPES = {
+    "qsomp": ("cpp_qsomp1", {"n": 256}),
+    "lu": ("c_lu", {"n": 16}),
+    "hpccg": ("hpccg", {"n": 256, "iters": 4}),
+    "lulesh": ("lulesh", {"steps": 4}),
+    # Every event elided, two DEFINITE_RACE sites: one synthesised race
+    # and no pair that survives the plan.
+    "wshift": ("staticlab_wshift", {}),
+}
+#: (concurrent pairs, pruned at plan time) per shape, at seed 0.
+PLANNED = {
+    "qsomp": (18, 12),
+    "lu": (102, 16),
+    "hpccg": (186, 114),
+    "lulesh": (408, 408),
+    "wshift": (12, 12),
+}
+#: Per-pair work is a function of the pair alone, so these must equal the
+#: serial analysis however the pairs are cut into shards; ``trees_built``
+#: joins them when one worker shares one cold cache (two workers can
+#: both miss the same tree and both build it).
+PAIR_COUNTERS = (
+    "concurrent_pairs", "pairs_pruned", "frames_pruned",
+    "overlap_candidates", "ilp_solves",
+)
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("plan-prune")
+    paths = {}
+    for label, (workload, params) in SHAPES.items():
+        paths[label] = root / label
+        collect_trace(
+            workload, paths[label], nthreads=NTHREADS, seed=0, **params
+        )
+    # (a) digest-less rows: thread 0's meta rows lose their d1= token
+    # (plain rows, so no CRC to keep in step).
+    stripped = paths["stripped"] = root / "stripped"
+    collect_trace(
+        "c_lu", stripped, nthreads=NTHREADS, seed=0, durable=False, n=16
+    )
+    meta = stripped / "thread_0.meta"
+    lines = []
+    for line in meta.read_text().splitlines():
+        if not line.startswith("#"):
+            line, _, token = line.rpartition(" ")
+            assert token.startswith("d1=")
+        lines.append(line)
+    meta.write_text("\n".join(lines) + "\n")
+    # A torn copy for the salvage job.
+    torn = paths["torn"] = root / "torn"
+    shutil.copytree(paths["hpccg"], torn)
+    log = sorted(torn.glob("thread_*.log"))[0]
+    log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+    # No concurrency at all: one thread, zero pairs.
+    paths["solo"] = root / "solo"
+    collect_trace("c_lu", paths["solo"], nthreads=1, seed=0, n=16)
+    return paths
+
+
+def cached(cache_dir, **fastpath) -> AnalysisOptions:
+    return AnalysisOptions(
+        fastpath=FastPathOptions(
+            result_cache=True, cache_dir=str(cache_dir), **fastpath
+        )
+    )
+
+
+def service(tmp_path, **kwargs) -> Service:
+    kwargs.setdefault("workers", 2)
+    kwargs.setdefault("use_processes", False)
+    kwargs.setdefault("cache_dir", str(tmp_path / "service-cache"))
+    return Service(ServeConfig(**kwargs))
+
+
+def counters(stats, names=PAIR_COUNTERS) -> dict:
+    return {name: getattr(stats, name) for name in names}
+
+
+@pytest.fixture
+def inventories(monkeypatch):
+    """Thread names that constructed an ``IntervalInventory``."""
+    seen = []
+    original = IntervalInventory.__init__
+
+    def spy(self, trace):
+        seen.append(threading.current_thread().name)
+        original(self, trace)
+
+    monkeypatch.setattr(IntervalInventory, "__init__", spy)
+    return seen
+
+
+@pytest.fixture
+def compares(monkeypatch):
+    """One entry per pair that reached build + compare."""
+    seen = []
+    original = AnalysisEngine.compare_trees
+
+    def spy(self, *args, **kwargs):
+        seen.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnalysisEngine, "compare_trees", spy)
+    return seen
+
+
+# -- the plan ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", SHAPES)
+@pytest.mark.parametrize("grain,min_shards", [(32, 2), (4, 1)])
+def test_plan_prunes_counts_and_ships_the_rest(traces, label, grain, min_shards):
+    plan = plan_shards(traces[label], shard_pairs=grain, min_shards=min_shards)
+    pairs, pruned = PLANNED[label]
+    assert (plan.concurrent_pairs, plan.pairs_pruned) == (pairs, pruned)
+    surviving = pairs - pruned
+    assert plan.pairs_shipped == surviving
+    if surviving and min_shards > 1:
+        grain = min(grain, -(-surviving // min_shards))
+    assert len(plan.shards) == -(-surviving // grain)  # ceil
+    assert all(0 < spec.npairs <= grain for spec in plan.shards)
+    # A shard's pairs are self-contained and in plan order: keys are
+    # derived from the shipped intervals, never stored beside them.
+    inventory = IntervalInventory(TraceDir(traces[label]))
+    survivors = [pair for spec in plan.shards for pair in spec.pairs]
+    assert [
+        (a.key, b.key) for a, b in survivors
+    ] == [key for spec in plan.shards for key in spec.pair_keys]
+    for ia, ib in survivors:
+        assert ia == inventory.intervals[ia.key]
+        assert ib == inventory.intervals[ib.key]
+    # Same trace, same options -> the same plan (what resume relies on).
+    again = plan_shards(traces[label], shard_pairs=grain, min_shards=min_shards)
+    assert [s.pair_keys for s in again.shards] == [
+        s.pair_keys for s in plan.shards
+    ]
+
+
+def test_digestless_pairs_are_shipped_not_pruned(traces):
+    whole = plan_shards(traces["lu"], shard_pairs=32)
+    plan = plan_shards(traces["stripped"], shard_pairs=32)
+    assert plan.concurrent_pairs == whole.concurrent_pairs
+    assert 0 < plan.pairs_pruned < whole.pairs_pruned
+    shipped = [key for spec in plan.shards for key in spec.pair_keys]
+    planned = [
+        (a.key, b.key)
+        for a, b in IntervalInventory(
+            TraceDir(traces["stripped"])
+        ).concurrent_pairs()
+    ]
+    # Every pair touching the digest-less thread goes to a worker.
+    digestless = {k for k in planned if 0 in (k[0].gid, k[1].gid)}
+    assert digestless and digestless <= set(shipped)
+
+
+def test_disabled_fastpath_prunes_nothing_at_plan_time(traces):
+    naive = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
+    plan = plan_shards(traces["hpccg"], options=naive, shard_pairs=32)
+    assert plan.pairs_pruned == plan.frames_pruned == 0
+    assert plan.pairs_shipped == plan.concurrent_pairs == PLANNED["hpccg"][0]
+    assert len(plan.shards) == -(-plan.concurrent_pairs // 32)
+
+
+def test_salvage_plan_is_still_one_salvage_shard(traces):
+    plan = plan_shards(
+        traces["torn"], options=AnalysisOptions(integrity="salvage")
+    )
+    assert [spec.kind for spec in plan.shards] == [SALVAGE]
+    assert plan.shards[0].pairs == ()
+    assert plan.pairs_pruned == 0
+    assert all(
+        spec.kind == PAIRS for spec in plan_shards(traces["hpccg"]).shards
+    )
+
+
+# -- service and parallel mode against serial --------------------------------------
+
+
+@pytest.mark.parametrize("label", [*SHAPES, "stripped"])
+def test_service_equals_serial_on_a_cold_cache(
+    tmp_path, traces, inventories, label
+):
+    serial = api.analyze(
+        traces[label], mode="serial", options=cached(tmp_path / "serial")
+    )
+    del inventories[:]
+    # One worker: every tree is built once and shared through the cache,
+    # as in the serial run, so trees_built is comparable too.
+    with service(tmp_path, workers=1) as svc:
+        job_id = svc.submit(traces[label])
+        result = svc.result(job_id, timeout=60)
+        status = svc.status(job_id)
+    names = PAIR_COUNTERS + ("trees_built", "races_found")
+    assert result.races.to_json() == serial.races.to_json()
+    assert counters(result.stats, names) == counters(serial.stats, names)
+    assert result.stats.pair_cache_hits == 0
+    surviving = status["pairs_planned"] - status["pairs_pruned"]
+    assert status["pairs_shipped"] == surviving
+    assert status["shards_total"] == -(-surviving // 32)
+    assert status["state"] == DONE
+    # The planner parsed the metadata, once; no worker did.
+    assert inventories == ["serve-scheduler"]
+
+
+@pytest.mark.parametrize("label", ["qsomp", "hpccg", "lulesh", "wshift"])
+def test_process_pool_service_equals_serial(tmp_path, traces, label):
+    serial = api.analyze(traces[label], mode="serial")
+    with service(tmp_path, use_processes=True) as svc:
+        cold = svc.result(svc.submit(traces[label]), timeout=60)
+        warm_id = svc.submit(traces[label])
+        warm = svc.result(warm_id, timeout=60)
+        status = svc.status(warm_id)
+    for result in (cold, warm):
+        assert result.races.to_json() == serial.races.to_json()
+    assert counters(cold.stats) == counters(serial.stats)
+    # Warm: pruned pairs are pruned again at plan time (they never touch
+    # the cache); exactly the surviving pairs replay from it.
+    pairs, pruned = PLANNED[label]
+    assert warm.stats.pairs_pruned == pruned
+    assert warm.stats.pair_cache_hits == pairs - pruned
+    assert warm.stats.trees_built == warm.stats.ilp_solves == 0
+    assert status["cache_hits"] == pairs - pruned
+
+
+@pytest.mark.parametrize("label", [*SHAPES, "stripped"])
+def test_parallel_mode_equals_serial_on_a_cold_cache(
+    tmp_path, traces, inventories, monkeypatch, label
+):
+    serial = api.analyze(
+        traces[label], mode="serial", options=cached(tmp_path / "serial")
+    )
+    del inventories[:]
+    # The shard code path in-process, one at a time (see above).
+    monkeypatch.setattr(
+        "repro.offline.parallel.ProcessPoolExecutor",
+        lambda max_workers: ThreadPoolExecutor(max_workers=1),
+    )
+    parallel = api.analyze(
+        traces[label],
+        mode="parallel",
+        options=cached(tmp_path / "parallel").copy(workers=2),
+    )
+    names = PAIR_COUNTERS + ("trees_built", "races_found")
+    assert parallel.races.to_json() == serial.races.to_json()
+    assert counters(parallel.stats, names) == counters(serial.stats, names)
+    assert inventories == ["MainThread"]
+
+
+def test_parallel_mode_across_processes(traces):
+    for label in ("hpccg", "lulesh"):
+        serial = api.analyze(traces[label], mode="serial")
+        parallel = api.analyze(
+            traces[label], mode="parallel", options=AnalysisOptions(workers=2)
+        )
+        assert parallel.races.to_json() == serial.races.to_json()
+        assert counters(parallel.stats) == counters(serial.stats)
+
+
+def test_disabled_fastpath_job_ships_every_pair(tmp_path, traces, compares):
+    naive = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
+    serial = api.analyze(traces["qsomp"], mode="serial", options=naive)
+    del compares[:]
+    with service(tmp_path, options=naive) as svc:
+        job_id = svc.submit(traces["qsomp"])
+        result = svc.result(job_id, timeout=60)
+        status = svc.status(job_id)
+    assert result.races.to_json() == serial.races.to_json()
+    assert counters(result.stats) == counters(serial.stats)
+    assert status["pairs_pruned"] == 0
+    assert status["pairs_shipped"] == len(compares) == PLANNED["qsomp"][0]
+
+
+def test_salvage_job_is_one_shard_and_matches_salvage_analyze(tmp_path, traces):
+    baseline = api.analyze(traces["torn"], integrity="salvage")
+    with service(tmp_path) as svc:
+        job_id = svc.submit(traces["torn"], integrity="salvage")
+        result = svc.result(job_id, timeout=60)
+        status = svc.status(job_id)
+    assert status["shards_total"] == 1
+    assert result.races.to_json() == baseline.races.to_json()
+    assert result.integrity is not None
+    # The salvage shard prunes for itself; the coordinator adds nothing.
+    assert counters(result.stats) == counters(baseline.stats)
+    assert status["pairs_pruned"] == baseline.stats.pairs_pruned > 0
+
+
+@pytest.mark.parametrize("mode", ["serial", "streaming", "parallel", "service"])
+def test_every_pair_is_decided_exactly_once(
+    tmp_path, traces, compares, monkeypatch, mode
+):
+    """pruned + cache hits + compared == concurrent pairs, cold and warm."""
+    monkeypatch.setattr(
+        "repro.offline.parallel.ProcessPoolExecutor", ThreadPoolExecutor
+    )
+    trace = traces["hpccg"]
+    pairs, pruned = PLANNED["hpccg"]
+    with ExitStack() as stack:
+        if mode == "service":
+            svc = stack.enter_context(
+                service(tmp_path, cache_dir=str(tmp_path / "cache"))
+            )
+
+            def analyze():
+                return svc.result(svc.submit(trace), timeout=60)
+        else:
+            options = cached(tmp_path / "cache").copy(workers=2)
+
+            def analyze():
+                return api.analyze(trace, mode=mode, options=options)
+
+        for hits in (0, pairs - pruned):  # cold, then warm
+            del compares[:]
+            stats = analyze().stats
+            assert stats.concurrent_pairs == pairs
+            assert stats.pairs_pruned == pruned
+            assert stats.pair_cache_hits == hits
+            assert len(compares) == pairs - pruned - hits
+
+
+# -- zero-shard jobs finish at plan time -------------------------------------------
+
+
+@pytest.mark.parametrize("use_processes", [False, True])
+def test_zero_shard_jobs_finish_at_plan_time(tmp_path, traces, use_processes):
+    """Regression: the empty-plan branch finalized under ``job.lock``,
+    which ``_finalize`` takes again -- the scheduler thread, and with it
+    the service, wedged on the first trace with no concurrent pair."""
+    state = tmp_path / "state"
+    with service(
+        tmp_path, use_processes=use_processes, state_dir=str(state)
+    ) as svc:
+        for label in ("solo", "lulesh", "wshift"):
+            job_id = svc.submit(traces[label])
+            result = svc.result(job_id, timeout=10)
+            status = svc.status(job_id)
+            baseline = api.analyze(traces[label])
+            assert status["state"] == DONE
+            assert status["shards_total"] == status["pairs_shipped"] == 0
+            assert status["elapsed_seconds"] < 1.0  # no worker involved
+            assert result.races.to_json() == baseline.races.to_json()
+            assert result.stats.races_found == len(baseline.races)
+            assert counters(result.stats) == counters(baseline.stats)
+        # The scheduler thread survived: a job with real shards follows.
+        follow_up = svc.submit(traces["qsomp"])
+        assert len(svc.result(follow_up, timeout=60).races) == 8
+        assert svc.stats()["jobs_finished"] == 4
+    # The WAL tells the same story in order: planned (no shards, no
+    # tokens) before merged before finalized.
+    records = parse_journal((state / WAL_NAME).read_text(), salvage=True)
+    first = [r for r in records if r["job"] == "job-000001"]
+    assert [r["kind"] for r in first] == [
+        "submitted", "planned", "merged", "finalized",
+    ]
+    assert first[1]["shards"] == 0 and first[1]["tokens"] == []
+    lulesh = next(
+        r for r in records if r["job"] == "job-000002" and r["kind"] == "planned"
+    )
+    assert (lulesh["pairs"], lulesh["pruned"]) == PLANNED["lulesh"]
+
+
+def test_cancel_during_an_all_pruned_plan_is_honoured(tmp_path, traces):
+    with service(tmp_path) as svc:
+        plan_job = svc.scheduler._plan
+
+        def cancel_then_plan(job):
+            svc.cancel(job.job_id)
+            return plan_job(job)
+
+        svc.scheduler._plan = cancel_then_plan
+        job_id = svc.submit(traces["lulesh"])
+        with pytest.raises(JobFailedError):
+            svc.result(job_id, timeout=10)
+        assert svc.status(job_id)["state"] == "cancelled"
+
+
+# -- the plan is a pure function of trace bytes + options --------------------------
+
+
+def test_resume_at_the_planned_boundary_replans_the_same_tokens(tmp_path, traces):
+    state = tmp_path / "state"
+    config = dict(state_dir=str(state), shard_pairs=8)
+    with service(tmp_path, **config) as svc:
+        job_id = svc.submit(traces["hpccg"])
+        reference = svc.result(job_id, timeout=60).races.to_json()
+    # Kill right after the plan was logged: nothing executed is durable.
+    wal = state / WAL_NAME
+    kept = []
+    for line in wal.read_text().splitlines(keepends=True):
+        kept.append(line)
+        if parse_journal(line, salvage=True)[0]["kind"] == "planned":
+            break
+    wal.write_text("".join(kept))
+    shutil.rmtree(state / "checkpoints")
+    before = replay_wal(wal).jobs[job_id]
+    pairs, pruned = PLANNED["hpccg"]
+    assert before.shards_total == -(-(pairs - pruned) // 8) == len(before.tokens)
+    with service(tmp_path, **config) as svc:
+        result = svc.result(job_id, timeout=60)
+        status = svc.status(job_id)
+    assert result.races.to_json() == reference
+    assert status["resumed"] and status["checkpoint_hits"] == 0
+    planned = [
+        r
+        for r in parse_journal(wal.read_text(), salvage=True)
+        if r["kind"] == "planned"
+    ]
+    assert len(planned) == 2
+    for key in ("shards", "pairs", "pruned", "tokens"):
+        assert planned[0][key] == planned[1][key]
+    assert len(set(planned[0]["tokens"])) == planned[0]["shards"]

@@ -23,17 +23,24 @@ from repro.serve.wal import WAL_NAME
 from repro.sword.traceformat import parse_journal
 
 
+#: Pair shards in ``racy_trace``'s plan under ``durable_service``: 12
+#: concurrent pairs, 6 decided by the plan-time digest prune, the 6
+#: survivors two to a shard.  The fault tests poison by index, so the
+#: count is pinned (``sabotage`` refuses an index the plan lacks).
+SHARDS = 3
+
+
 @pytest.fixture(scope="module")
 def racy_trace(tmp_path_factory):
     trace = tmp_path_factory.mktemp("traces") / "racy"
-    collect_trace("plusplus-orig-yes", trace, nthreads=2, seed=0)
+    collect_trace("plusplus-orig-yes", trace, nthreads=4, seed=0)
     return trace
 
 
 def durable_service(state_dir, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("use_processes", False)
-    kwargs.setdefault("shard_pairs", 4)
+    kwargs.setdefault("shard_pairs", 2)
     kwargs.setdefault("quota", TenantQuota(max_pending=8))
     return Service(ServeConfig(state_dir=str(state_dir), **kwargs))
 
@@ -107,6 +114,7 @@ def test_degraded_job_returns_partial_result(tmp_path, racy_trace):
         assert svc.stats()["jobs_degraded"] == 1
     assert status["state"] == DEGRADED
     assert status["state"] in RESULT_STATES
+    assert status["shards_total"] == SHARDS
     assert status["shards_quarantined"] == 1
     report = status["degradation"]
     assert report["shards_quarantined"] == [1]
@@ -124,7 +132,7 @@ def test_degraded_job_returns_partial_result(tmp_path, racy_trace):
 
 def test_all_shards_quarantined_fails_job(tmp_path, racy_trace):
     with durable_service(tmp_path / "state") as svc:
-        sabotage(svc, poison=(0, 1, 2, 3, 4, 5, 6, 7))
+        sabotage(svc, poison=tuple(range(SHARDS)))
         job_id = svc.submit(racy_trace)
         with pytest.raises(JobFailedError) as exc:
             svc.result(job_id, timeout=60)
@@ -138,7 +146,21 @@ def test_quarantine_disabled_fails_job_directly(tmp_path, racy_trace):
         job_id = svc.submit(racy_trace)
         with pytest.raises(JobFailedError):
             svc.result(job_id, timeout=60)
-        assert svc.status(job_id)["state"] == FAILED
+        status = svc.status(job_id)
+        assert status["state"] == FAILED
+        assert "poisoned shard 1" in status["error"]  # not a refused target
+
+
+def test_sabotage_refuses_a_shard_the_plan_does_not_have(tmp_path, racy_trace):
+    # Plans hold only pairs that survive the plan-time prune; a scenario
+    # whose target vanished must fail loudly, not finish DONE unharmed.
+    with durable_service(tmp_path / "state") as svc:
+        sabotage(svc, poison=(SHARDS,))
+        job_id = svc.submit(racy_trace)
+        with pytest.raises(JobFailedError):
+            svc.result(job_id, timeout=60)
+        error = svc.status(job_id)["error"]
+    assert "chaos: no shard" in error and f"{SHARDS} shard(s)" in error
 
 
 def test_job_deadline_fails_job_not_service(tmp_path, racy_trace):

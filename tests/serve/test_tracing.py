@@ -137,16 +137,31 @@ def test_process_pool_job_stitches_one_trace(racy_trace):
             assert event["ts"] >= job_bar["ts"] - 1.0  # µs tolerance
             assert event["ts"] + event["dur"] <= job_end + 1.0
 
-    # Worker rows: every scan nests inside a shard span on the same row.
+    # The plan span accounts for every concurrent pair: decided at plan
+    # time (pruned) or shipped in one of the shards it counts.
+    plan = next(e for e in coord if e["name"] == "plan")["args"]
+    assert plan["pairs"] == status["pairs_planned"] == 12
+    assert plan["pruned"] == status["pairs_pruned"] == 6
+    assert plan["shards"] == status["shards_total"] == 2
+    assert status["pairs_shipped"] == plan["pairs"] - plan["pruned"]
+
+    # Worker rows: one shard span per shipped shard, carrying its pair
+    # count -- and no per-shard metadata scan: the planner did the one.
     worker = [e for e in events if e["tid"] in worker_tids]
     shard_spans = [e for e in worker if e["name"] == "shard"]
-    scans = [e for e in worker if e["name"] == "scan"]
-    assert shard_spans and scans
-    for scan in scans:
+    assert len(shard_spans) == plan["shards"]
+    assert (
+        sum(s["args"]["pairs"] for s in shard_spans) == status["pairs_shipped"]
+    )
+    assert not [e for e in worker if e["name"] == "scan"]
+    # The engine's own spans still nest inside the shard that ran them.
+    compares = [e for e in worker if e["name"] == "pair-compare"]
+    assert compares
+    for compare in compares:
         assert any(
-            s["tid"] == scan["tid"]
-            and s["ts"] - 1.0 <= scan["ts"]
-            and scan["ts"] + scan["dur"] <= s["ts"] + s["dur"] + 1.0
+            s["tid"] == compare["tid"]
+            and s["ts"] - 1.0 <= compare["ts"]
+            and compare["ts"] + compare["dur"] <= s["ts"] + s["dur"] + 1.0
             for s in shard_spans
         )
 
