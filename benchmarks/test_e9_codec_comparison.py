@@ -1,7 +1,8 @@
 """E9 — regenerate the §III-A codec comparison on real trace corpora."""
 
 import repro.harness.experiments as E
-from repro.sword.compression import by_name
+from repro.common.config import SwordConfig
+from repro.sword.compression import FILTER_DELTA, FILTER_NONE, by_name, filters
 
 
 def test_e9_codecs(benchmark, save_result):
@@ -24,8 +25,12 @@ def test_e9_codecs(benchmark, save_result):
 
 
 def test_e9_compress_throughput_kernels(benchmark):
-    """Micro: default-codec compression of one flush buffer."""
+    """Micro: the default frame encoding of one flush buffer."""
     corpus = E.codec_compare.trace_corpus("c_jacobi01", nthreads=8)
-    codec = by_name("lzrle")
-    result = benchmark(lambda: codec.compress(corpus))
-    assert result is not None
+    config = SwordConfig()
+    codec = by_name(config.codec)
+    filter_id = FILTER_DELTA if config.delta_filter else FILTER_NONE
+    result = benchmark(
+        lambda: codec.compress(filters.encode(filter_id, corpus))
+    )
+    assert len(result) < len(corpus)

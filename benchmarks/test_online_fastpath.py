@@ -2,9 +2,11 @@
 
 Online leg: ``c_arraysweep`` is a dense static-scheduled sweep whose scalar
 and columnar variants emit structurally identical traces (reads then writes
-per chunk, per sweep).  With a C-speed codec the per-event Python overhead
-dominates the scalar run, which is exactly what ``append_access_batch``
-eliminates: one slice assignment per access site per loop nest.
+per chunk, per sweep).  The per-event Python call chain dominates the
+scalar run, which is exactly what ``append_access_batch`` eliminates: one
+slice assignment per access site per loop nest.  The sweep is provably
+race-free, so the static pre-screener would elide every access and leave
+nothing to time — it is switched off here, and the event count is asserted.
 
 Offline leg: the coalescer hands ``IntervalTree.build_from_sorted`` an
 already-sorted interval list, replacing n rebalancing inserts with one
@@ -12,7 +14,9 @@ O(n) median-split construction.
 
 Acceptance: batched online collection >= 3x faster than scalar on the same
 workload (race reports byte-identical — enforced here and in
-``tests/workloads/test_batched_parity.py``), and bulk construction >= 2x
+``tests/workloads/test_batched_parity.py``); the scalar path within 25x of
+the batched one on the same machine (one packed store per record measures
+~16x, a field-by-field store ~38x); and bulk construction >= 2x
 faster than incremental insertion at >= 10k intervals while answering
 overlap queries identically.
 """
@@ -32,15 +36,18 @@ NTHREADS = 4
 N = 8192
 SWEEPS = 4
 ONLINE_TARGET = 3.0
+#: Ceiling on scalar_s / batched_s: a ratio on one machine, so it gates the
+#: per-event cost of the scalar path without a wall-clock number.
+SCALAR_CEILING = 25.0
 REPEATS = 3
 
 TREE_N = 20_000
 TREE_TARGET = 2.0
 
-# A C-speed codec and a buffer wide enough to hold the run: the timing
-# then isolates the event-emission path the batching optimises, not the
-# (shared) compression cost.
-CONFIG = dict(codec="zlib", buffer_events=65536)
+# A buffer wide enough to hold the run, so the timing isolates the
+# event-emission path the batching optimises rather than the (shared)
+# flush cost; and no static elision — this measures emission.
+CONFIG = dict(buffer_events=65536, static_prescreen=False)
 
 
 def _run(batched: int, *, offline: bool = False):
@@ -96,18 +103,25 @@ def test_online_batched_speedup(benchmark, save_result):
         f"({events / scalar_s:,.0f} events/s)",
         f"  batched column appends:     {batched_s:.4f}s  "
         f"({events / batched_s:,.0f} events/s)",
-        f"  speedup {speedup:.2f}x (target >= {ONLINE_TARGET}x)",
+        f"  speedup {speedup:.2f}x (target >= {ONLINE_TARGET}x, "
+        f"scalar within {SCALAR_CEILING:.0f}x of batched)",
         f"  batched events: {batched_full.stats['batched_events']}"
         f"  races: {len(batched_full.races)} (byte-identical to scalar)",
     ]
     save_result("online_fastpath", "\n".join(lines))
 
     assert _blob(batched_full.races) == _blob(scalar_full.races)
+    # Never time an empty run: every access of every sweep is an event.
+    assert events > N * SWEEPS
     assert batched_full.stats["batched_events"] > 0
     assert scalar_full.stats["batched_events"] == 0
     assert speedup >= ONLINE_TARGET, (
         f"batched online collection only {speedup:.2f}x faster than scalar "
         f"(target {ONLINE_TARGET}x)"
+    )
+    assert scalar_s <= SCALAR_CEILING * batched_s, (
+        f"scalar collection {speedup:.1f}x slower than batched "
+        f"(ceiling {SCALAR_CEILING}x)"
     )
 
 

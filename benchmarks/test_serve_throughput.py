@@ -2,7 +2,7 @@
 
 Boots the fleet-tier analysis service (DESIGN.md §3.7) and drives a
 multi-tenant burst from the standard mixed corpus — clean traces,
-delta-filtered traces, and one torn trace submitted in salvage mode —
+legacy-encoded (`lzrle`) traces, and one torn trace submitted in salvage mode —
 measuring what the service is judged on in production:
 
 * **jobs/sec** — terminal jobs over the wall time of the burst;

@@ -49,7 +49,15 @@ class PCRegistry:
         self._next = 0x1000
 
     def pc(self, loc: SourceLoc) -> int:
-        """Return the stable PC for ``loc``, interning it on first use."""
+        """Return the stable PC for ``loc``, interning it on first use.
+
+        A hit — every call after a site's first — is one lock-free
+        ``dict.get`` (atomic under the GIL, and entries are never removed
+        or rebound); only a miss takes the lock, and re-checks under it.
+        """
+        existing = self._by_loc.get(loc)
+        if existing is not None:
+            return existing
         with self._lock:
             existing = self._by_loc.get(loc)
             if existing is not None:

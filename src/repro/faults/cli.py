@@ -72,8 +72,10 @@ def add_faults_subcommands(parser: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--delta-filter",
-        action="store_true",
-        help="collect the clean trace with delta-filtered frames",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="collect the clean trace with (or, --no-delta-filter, "
+        "without) delta-filtered frames; default: SwordConfig's",
     )
     p.add_argument(
         "--out", metavar="PATH", help="write the sweep report JSON artifact"

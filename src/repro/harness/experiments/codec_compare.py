@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ...common.config import RunConfig, SchedulerConfig
+from ...common.config import RunConfig, SchedulerConfig, SwordConfig
 from ...omp.recording import RecordingTool
 from ...omp.runtime import OpenMPRuntime
 from ...sword.compression import available, by_name, filters
@@ -96,6 +96,9 @@ def run(
             )
     table.note("paper: candidates performed similarly; LZO chosen for integration ease")
     table.note("+delta rows precondition addr/pc with the v2 frame delta filter")
+    default = SwordConfig()
+    suffix = "+delta" if default.delta_filter else ""
+    table.note(f"collector default: {default.codec}{suffix}")
     return table
 
 

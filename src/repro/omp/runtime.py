@@ -31,6 +31,7 @@ from ..memory.accounting import NodeMemory
 from ..memory.address_space import AddressSpace
 from ..osl.concurrency import IntervalLabel, IntervalPair
 from ..osl.labels import Label, after_barrier, after_join, fork, initial_label
+from ..tasking.graph import encode_point
 from .mutexset import MutexSetTable
 from .ompt import OmptTool
 from .scheduler import Scheduler, ThreadHandle, spawn_thread
@@ -238,8 +239,6 @@ class SimThread:
 
     def current_point(self) -> int:
         """Encoded execution point ``(entity, seq)`` for access tagging."""
-        from ..tasking.graph import encode_point
-
         if self.task_stack:
             task = self.task_stack[-1]
             return encode_point(task.task_id, task.tseq)

@@ -3,19 +3,24 @@
 SWORD's central memory-overhead claim: each thread collects accesses in a
 fixed-capacity buffer (paper default: 25,000 events ≈ 2 MB, chosen to fit in
 L3) and, when it fills, compresses and writes it out *independently of other
-threads*.  The buffer is a preallocated NumPy structured array — appends are
-O(1) slot assignments, and a flush hands the writer one contiguous block
-with no per-event serialisation work.
+threads*.  The buffer is a preallocated NumPy structured array; a scalar
+append is one packed 40-byte store (``struct.Struct.pack_into`` through a
+byte view of that array — one C call per record, not one NumPy scalar
+assignment per field), a batch append is one slice assignment per column,
+and a flush hands the writer one contiguous block with no per-event
+serialisation work.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
 import numpy as np
 
 from ..common.config import SWORD_BUFFER_EVENTS
 from ..common.events import (
+    EVENT_BYTES,
     EVENT_DTYPE,
     FLAG_ATOMIC,
     FLAG_WRITE,
@@ -23,6 +28,44 @@ from ..common.events import (
     Access,
     AccessBatch,
 )
+
+#: One :data:`EVENT_DTYPE` record as a ``struct`` layout: native byte order,
+#: no padding, fields in dtype order.
+_RECORD = struct.Struct("=BBHIQIiQQ")
+_RECORD_FIELDS = (
+    "kind", "flags", "size", "msid", "addr", "count", "stride", "pc", "aux"
+)
+
+
+def _check_record_layout() -> None:
+    """Refuse to import if ``_RECORD`` and ``EVENT_DTYPE`` ever disagree.
+
+    The packed store writes raw bytes under the array, so a drifted format
+    would corrupt every record silently; an explicit raise (not ``assert``)
+    keeps the guard under ``python -O``.
+    """
+    expected, offset = [], 0
+    for name, code in zip(_RECORD_FIELDS, _RECORD.format[1:]):
+        width = struct.calcsize("=" + code)
+        expected.append((name, "i" if code.islower() else "u", width, offset))
+        offset += width
+    actual = []
+    for name in EVENT_DTYPE.names:
+        dtype, at = EVENT_DTYPE.fields[name][:2]
+        actual.append((name, dtype.kind, dtype.itemsize, at))
+    if (
+        actual != expected
+        or _RECORD.size != EVENT_BYTES
+        or not EVENT_DTYPE.isnative
+    ):
+        raise ImportError(
+            f"EventBuffer record layout {_RECORD.format!r} drifted from "
+            f"EVENT_DTYPE: (name, kind, bytes, offset) {expected} != {actual}"
+        )
+
+
+_check_record_layout()
+_pack_record = _RECORD.pack_into
 
 
 class EventBuffer:
@@ -43,6 +86,8 @@ class EventBuffer:
         self.capacity = capacity
         self.on_flush = on_flush or (lambda records: None)
         self._records = np.zeros(capacity, dtype=EVENT_DTYPE)
+        #: Writable byte view of the same memory, for the packed store.
+        self._bytes = memoryview(self._records.view(np.uint8))
         self._used = 0
         self.flushes = 0
         self.events_total = 0
@@ -64,28 +109,32 @@ class EventBuffer:
         """Fixed allocation size (the bounded overhead)."""
         return self._records.nbytes
 
-    def _slot(self) -> np.ndarray:
+    def append_access(self, access: Access) -> None:
+        """Append one access event (hot path: one packed store).
+
+        The counters move only after the pack succeeded: an out-of-range
+        field raises (``struct.error``) with nothing appended — whatever
+        the failed pack left in the free slot is never read, and the next
+        append overwrites all of it.
+        """
         if self._used == self.capacity:
             self.flush()
-        i = self._used
+        _pack_record(
+            self._bytes,
+            self._used * EVENT_BYTES,
+            KIND_ACCESS,
+            (FLAG_WRITE if access.is_write else 0)
+            | (FLAG_ATOMIC if access.is_atomic else 0),
+            access.size,
+            access.msid,
+            access.addr,
+            access.count,
+            access.stride,
+            access.pc,
+            access.task_point,
+        )
         self._used += 1
         self.events_total += 1
-        return self._records[i]
-
-    def append_access(self, access: Access) -> None:
-        """Append one access event (hot path: writes fields in place)."""
-        rec = self._slot()
-        rec["kind"] = KIND_ACCESS
-        rec["flags"] = (FLAG_WRITE if access.is_write else 0) | (
-            FLAG_ATOMIC if access.is_atomic else 0
-        )
-        rec["size"] = access.size
-        rec["msid"] = access.msid
-        rec["addr"] = access.addr
-        rec["count"] = access.count
-        rec["stride"] = access.stride
-        rec["pc"] = access.pc
-        rec["aux"] = access.task_point
 
     @staticmethod
     def _column(value, lo: int, hi: int):
@@ -122,16 +171,13 @@ class EventBuffer:
 
     def append_event(self, kind: int, *, addr: int = 0, aux: int = 0) -> None:
         """Append a structural runtime event (barrier, mutex, region)."""
-        rec = self._slot()
-        rec["kind"] = kind
-        rec["flags"] = 0
-        rec["size"] = 0
-        rec["msid"] = 0
-        rec["addr"] = addr
-        rec["count"] = 0
-        rec["stride"] = 0
-        rec["pc"] = 0
-        rec["aux"] = aux
+        if self._used == self.capacity:
+            self.flush()
+        _pack_record(
+            self._bytes, self._used * EVENT_BYTES, kind, 0, 0, 0, addr, 0, 0, 0, aux
+        )
+        self._used += 1
+        self.events_total += 1
 
     def flush(self) -> None:
         """Hand the filled prefix to ``on_flush`` and reset.

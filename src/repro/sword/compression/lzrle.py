@@ -1,10 +1,15 @@
-"""Byte run-length codec (the "LZO-like" default).
+"""Byte run-length codec (the "LZO-like" stand-in of the E9 comparison).
 
 Trace records are fixed-width with many zero bytes (high address bits,
-padding, small counts), so run-length encoding captures most of the
-redundancy LZO would.  Run detection is vectorised with NumPy — the codec
-compresses the 1-2 MB flush buffers in a few milliseconds, keeping the
-online phase's overhead shape (cheap, CPU-light flushes) faithful.
+padding, small counts), so run-length encoding captures some of the
+redundancy LZO would.  Run *detection* is vectorised with NumPy, but the
+token stream is emitted by a Python loop over the runs: measured 7-8 MB/s
+at ~1.3x on trace records (E9), i.e. ~135 ms for a 1 MB flush buffer —
+against ~600 MB/s at 20-40x for zlib level 1.  It was the collector's
+default until that was measured end to end (a quarter of collection time
+on dense traces); ``SwordConfig.codec`` now defaults to ``"zlib"``.  This
+codec stays registered as the paper-comparison stand-in and so that
+traces written with it keep reading.
 
 Format: a sequence of tokens.
 

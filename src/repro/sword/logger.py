@@ -172,7 +172,6 @@ class SwordTool(OmptTool):
             "flushes": 0,
             "bytes_uncompressed": 0,
             "bytes_compressed": 0,
-            "filter_bytes_saved": 0,
             "io_seconds": 0.0,
             "threads": 0,
             "flush_retries": 0,
@@ -201,10 +200,6 @@ class SwordTool(OmptTool):
         )
         self._m_bytes_comp = registry.counter(
             "sword.bytes_compressed", "compressed bytes written"
-        )
-        self._m_filter_saved = registry.counter(
-            "sword.filter_bytes_saved",
-            "compressed bytes avoided by delta preconditioning",
         )
         self._m_threads = registry.gauge(
             "sword.threads", "threads with an open trace log"
@@ -349,15 +344,6 @@ class SwordTool(OmptTool):
         self._m_flush_seconds.observe(elapsed)
         if raw:
             self._m_ratio.observe(len(payload) / len(raw))
-        if filter_id:
-            # One reference compression of the unfiltered bytes makes the
-            # savings number exact rather than estimated.  It runs outside
-            # the timed span so flush-latency metrics stay honest, and the
-            # filter is opt-in, so so is this cost.
-            saved = len(self.codec.compress(raw)) - len(payload)
-            self.stats["filter_bytes_saved"] += saved
-            if saved > 0:  # the counter is monotone; the stat keeps the net
-                self._m_filter_saved.inc(saved)
 
     def _write_frame(self, log: _ThreadLog, frame: bytes) -> bool:
         """Write one frame with bounded retry + exponential backoff.

@@ -1,27 +1,42 @@
-"""Kill-anywhere property over delta-filtered traces.
+"""Kill-anywhere property over the legacy frame encoding.
 
-The filter changes what the codec sees, not the framing: payload CRCs
-cover the compressed bytes and each block decodes independently, so a
-kill at any byte of a filtered log must salvage exactly like an
-unfiltered one.
+Every other sweep in this directory cuts the frames production writes
+(delta filter + zlib, :class:`SwordConfig`'s default).  Traces collected
+before that default exist and stay readable, so this file sweeps their
+encoding — ``lzrle``, unfiltered — too.  The encoding changes what the
+codec sees, not the framing: payload CRCs cover the compressed bytes and
+each block decodes independently, so a kill at any byte must salvage the
+same way under both.
 """
 
 from repro.faults.harness import frame_kill_points, kill_sweep
+from repro.sword.compression import FILTER_DELTA, FILTER_NONE, by_name
 from repro.sword.reader import ThreadTraceReader
+
+LEGACY = {"codec": "lzrle", "delta_filter": False}
 
 
 def test_filtered_trace_enumerates_kill_points(collected_trace):
-    trace = collected_trace("figure5-truedep", delta_filter=True)
+    trace = collected_trace("figure5-truedep", **LEGACY)
     points = frame_kill_points(trace)
     kinds = {p.kind for p in points}
     assert {"boundary", "mid-header", "mid-payload", "pre-commit"} <= kinds
 
 
 def test_filtered_blocks_marked_in_index(collected_trace):
-    trace = collected_trace("figure5-truedep", delta_filter=True)
-    with ThreadTraceReader(trace, 0) as reader:
-        assert reader._blocks, "trace has no flushed blocks"
-        assert all(ref.filter_id == 1 for ref in reader._blocks)
+    """Codec and filter ids in the block index follow the encoding."""
+    # The fixture names trace dirs by seed; one seed per encoding.
+    for seed, encoding, codec, filter_id in (
+        (0, {}, "zlib", FILTER_DELTA),
+        (1, LEGACY, "lzrle", FILTER_NONE),
+    ):
+        trace = collected_trace("figure5-truedep", seed=seed, **encoding)
+        with ThreadTraceReader(trace, 0) as reader:
+            assert reader._blocks, "trace has no flushed blocks"
+            assert {ref.filter_id for ref in reader._blocks} == {filter_id}
+            assert {ref.codec_id for ref in reader._blocks} == {
+                by_name(codec).codec_id
+            }
 
 
 def test_kill_sweep_over_filtered_frames():
@@ -31,24 +46,24 @@ def test_kill_sweep_over_filtered_frames():
         seed=0,
         buffer_events=64,
         max_points=12,
-        delta_filter=True,
+        **LEGACY,
     )
     assert result.points, "sweep enumerated no kill points"
     assert result.clean_races >= 1
-    assert result.ok, result.summary() if hasattr(result, "summary") else result
+    assert result.ok, result.summary()
 
 
 def test_filtered_and_unfiltered_sweeps_agree():
-    plain = kill_sweep(
+    default = kill_sweep(
         "antidep1-orig-yes", nthreads=2, seed=1, buffer_events=64, max_points=6
     )
-    filtered = kill_sweep(
+    legacy = kill_sweep(
         "antidep1-orig-yes",
         nthreads=2,
         seed=1,
         buffer_events=64,
         max_points=6,
-        delta_filter=True,
+        **LEGACY,
     )
-    assert plain.ok and filtered.ok
-    assert plain.clean_races == filtered.clean_races
+    assert default.ok and legacy.ok
+    assert default.clean_races == legacy.clean_races

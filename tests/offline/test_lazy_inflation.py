@@ -3,8 +3,8 @@
 The compressed-trace property: with the frame-digest prune on, the
 race set must equal the eager reference path (``FastPathOptions(
 enabled=False)``: build and compare every pair) byte-for-byte across the
-corpus — clean traces, delta-filtered traces, and salvage recovery of
-torn traces — while race-free regular workloads decompress zero payload
+corpus — the default and the legacy frame encoding, and salvage recovery
+of torn traces — while race-free regular workloads decompress zero payload
 bytes.  Rows without a usable digest are compared, never pruned.
 """
 
@@ -77,8 +77,13 @@ def tear(trace_dir) -> None:
     log.write_bytes(data[: 2 * len(data) // 3])
 
 
+#: The default encoding (delta filter + zlib) and the legacy one, which
+#: keeps the pure-Python decode path and unfiltered frames covered.
+ENCODINGS = [{}, {"codec": "lzrle", "delta_filter": False}]
+
+
 @pytest.mark.parametrize("program", [disjoint_program, racy_program])
-@pytest.mark.parametrize("config", [{}, {"delta_filter": True}])
+@pytest.mark.parametrize("config", ENCODINGS)
 def test_lazy_eager_parity(tmp_path, program, config):
     collect(program, tmp_path, **config)
     lazy = analyze(tmp_path, lazy=True)
@@ -87,7 +92,7 @@ def test_lazy_eager_parity(tmp_path, program, config):
     assert eager.stats.bytes_inflated >= lazy.stats.bytes_inflated
 
 
-@pytest.mark.parametrize("config", [{}, {"delta_filter": True}])
+@pytest.mark.parametrize("config", ENCODINGS)
 def test_lazy_eager_parity_on_salvaged_torn_trace(tmp_path, config):
     collect(racy_program, tmp_path, durable=True, **config)
     tear(tmp_path)

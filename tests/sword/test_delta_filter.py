@@ -109,10 +109,16 @@ def tmp_traces():
 
 class TestFilteredTraces:
     def test_filtered_trace_reads_back_identically(self, tmp_traces):
+        # Both encodings are named: neither side is "whatever the default
+        # happens to be".
         plain_dir, filt_dir = tmp_traces(), tmp_traces()
-        collect_trace(WORKLOAD, plain_dir, nthreads=2, buffer_events=64)
         collect_trace(
-            WORKLOAD, filt_dir, nthreads=2, buffer_events=64, delta_filter=True
+            WORKLOAD, plain_dir, nthreads=2, buffer_events=64,
+            codec="lzrle", delta_filter=False,
+        )
+        collect_trace(
+            WORKLOAD, filt_dir, nthreads=2, buffer_events=64,
+            codec="zlib", delta_filter=True,
         )
         plain, filt = TraceDir(plain_dir), TraceDir(filt_dir)
         assert plain.manifest["delta_filter"] is False
@@ -126,16 +132,31 @@ class TestFilteredTraces:
                 )
         assert _blob(api.analyze(filt).races) == _blob(api.analyze(plain).races)
 
-    def test_driver_reports_filter_savings(self):
-        workload = REGISTRY.get(WORKLOAD)
-        result = SwordDriver().run(
-            workload,
-            nthreads=2,
-            seed=0,
-            sword_config=SwordConfig(delta_filter=True, buffer_events=128),
-        )
-        assert "filter_bytes_saved" in result.stats
-        assert len(result.races) >= 1
+    def test_filter_never_costs_bytes_on_a_dense_trace(self):
+        """The filter's reason to exist, measured where it is written:
+        same dense workload, same (default) codec, filter on vs off."""
+        workload = REGISTRY.get("c_arraysweep")
+
+        def collect(delta_filter):
+            return SwordDriver().run(
+                workload,
+                nthreads=2,
+                seed=0,
+                sword_config=SwordConfig(
+                    delta_filter=delta_filter,
+                    buffer_events=512,
+                    static_prescreen=False,
+                ),
+                run_offline=False,
+                n=1024,
+                sweeps=2,
+            ).stats
+
+        on, off = collect(True), collect(False)
+        assert on["events"] == off["events"] > 2 * 1024
+        assert on["bytes_uncompressed"] == off["bytes_uncompressed"]
+        assert on["flushes"] == off["flushes"] > 2
+        assert on["bytes_compressed"] <= off["bytes_compressed"]
 
     def test_mixed_version_dir_analyzes_in_both_modes(self, tmp_traces):
         """One log mixing v1 blocks, plain v2 frames, and filtered frames."""

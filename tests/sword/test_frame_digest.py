@@ -166,7 +166,10 @@ class TestCollectedDigests:
 
         m.parallel(body)
 
-    @pytest.mark.parametrize("config", [{}, {"delta_filter": True}, {"durable": True}])
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"codec": "lzrle", "delta_filter": False}, {"durable": True}],
+    )
     def test_logged_digest_matches_reinflated_frame(self, trace_dir, config):
         trace = self._collect(trace_dir, self._program, **config)
         rows_seen = 0

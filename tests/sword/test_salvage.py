@@ -256,6 +256,7 @@ def _downgrade_to_v1(trace_dir):
         while pos < len(data):
             assert data[pos : pos + 4] == FRAME_MAGIC
             header = unpack_frame_header(data[pos : pos + FRAME_HEADER_BYTES])
+            assert header.filter_id == 0, "v1 blocks cannot carry a filter"
             payload = data[
                 pos + FRAME_HEADER_BYTES :
                 pos + FRAME_HEADER_BYTES + header.compressed_size
@@ -279,7 +280,14 @@ def _downgrade_to_v1(trace_dir):
     manifest_path.write_text(json.dumps(manifest))
 
 
-def test_v1_trace_reads_with_one_warning(clean_trace, tmp_path):
+def test_v1_trace_reads_with_one_warning(tmp_path):
+    # v1 block headers have no filter byte, so a v1 trace is unfiltered
+    # by construction: downgrade frames that were written that way.
+    clean_trace = tmp_path / "clean"
+    collect_trace(
+        WORKLOAD, clean_trace, nthreads=2, seed=0, buffer_events=64,
+        delta_filter=False,
+    )
     strict_races = api.analyze(clean_trace).races.to_json()
     v1 = tmp_path / "v1"
     shutil.copytree(clean_trace, v1)
