@@ -33,8 +33,8 @@ def test_e10_fig5_interval_trees(benchmark, save_result):
     )
     # Two threads, ~999 accesses each, summarised into a handful of nodes.
     assert len(table.rows) == 2
-    for _tid, nodes, events, height in table.rows:
+    for _tid, nodes, events, depth in table.rows:
         assert events > 900
         assert nodes <= 6
-        assert height <= 4
+        assert depth <= 4
     assert "satisfiable: True" in system_text

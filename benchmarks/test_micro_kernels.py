@@ -1,8 +1,8 @@
 """Micro-benchmarks of SWORD's hot kernels.
 
 These time the algorithmic building blocks the paper credits for bringing
-the offline analysis "from days to seconds": interval-tree insertion and
-search, streaming summarisation, the Diophantine overlap solver, the
+the offline analysis "from days to seconds": interval-summary construction
+and search, streaming summarisation, the Diophantine overlap solver, the
 offset-span judgment, and ARCHER's vectorised shadow processing (for the
 comparison baseline).
 """
@@ -43,25 +43,21 @@ def _intervals(n, rng):
     ]
 
 
-def test_bench_tree_insert_10k(benchmark):
+def _summary(ivs):
+    """What ``TreeBuilder.finish`` does with its sealed intervals."""
+    return IntervalTree(sorted(ivs, key=lambda iv: iv.low))
+
+
+def test_bench_summary_build_10k(benchmark):
     rng = np.random.default_rng(0)
     ivs = _intervals(10_000, rng)
-
-    def build():
-        t = IntervalTree()
-        for iv in ivs:
-            t.insert(iv)
-        return t
-
-    tree = benchmark(build)
+    tree = benchmark(_summary, ivs)
     assert len(tree) == 10_000
 
 
 def test_bench_tree_overlap_queries(benchmark):
     rng = np.random.default_rng(1)
-    tree = IntervalTree()
-    for iv in _intervals(10_000, rng):
-        tree.insert(iv)
+    tree = _summary(_intervals(10_000, rng))
     queries = rng.integers(0, 1_000_000, size=1_000)
 
     def probe():
@@ -190,8 +186,8 @@ def _compare_kernels(n):
     def run(kernel):
         best, outcome = float("inf"), None
         for _ in range(5 if n <= 256 else 2):
-            tree_a = IntervalTree.build_from_sorted(nodes_a)
-            tree_b = IntervalTree.build_from_sorted(nodes_b)
+            tree_a = IntervalTree(nodes_a)
+            tree_b = IntervalTree(nodes_b)
             if kernel == "warm":
                 tree_a.columns(), tree_b.columns()
             engine = AnalysisEngine(source)

@@ -1,33 +1,24 @@
-"""Columnar fast-path benchmark: batched online collection + bulk tree build.
+"""Columnar fast-path benchmark: batched online collection.
 
-Online leg: ``c_arraysweep`` is a dense static-scheduled sweep whose scalar
-and columnar variants emit structurally identical traces (reads then writes
+``c_arraysweep`` is a dense static-scheduled sweep whose scalar and
+columnar variants emit structurally identical traces (reads then writes
 per chunk, per sweep).  The per-event Python call chain dominates the
 scalar run, which is exactly what ``append_access_batch`` eliminates: one
 slice assignment per access site per loop nest.  The sweep is provably
 race-free, so the static pre-screener would elide every access and leave
 nothing to time — it is switched off here, and the event count is asserted.
 
-Offline leg: the coalescer hands ``IntervalTree.build_from_sorted`` an
-already-sorted interval list, replacing n rebalancing inserts with one
-O(n) median-split construction.
-
 Acceptance: batched online collection >= 3x faster than scalar on the same
 workload (race reports byte-identical — enforced here and in
-``tests/workloads/test_batched_parity.py``); the scalar path within 25x of
-the batched one on the same machine (one packed store per record measures
-~16x, a field-by-field store ~38x); and bulk construction >= 2x
-faster than incremental insertion at >= 10k intervals while answering
-overlap queries identically.
+``tests/workloads/test_batched_parity.py``); and the scalar path within
+25x of the batched one on the same machine (one packed store per record
+measures ~16x, a field-by-field store ~38x).
 """
 
 import json
-import time
 
 from repro.common.config import SwordConfig
 from repro.harness.tools import SwordDriver
-from repro.itree.interval import StridedInterval
-from repro.itree.tree import IntervalTree
 from repro.workloads import REGISTRY
 
 import repro.workloads.ompscr.suite  # noqa: F401  (registers c_arraysweep)
@@ -40,9 +31,6 @@ ONLINE_TARGET = 3.0
 #: per-event cost of the scalar path without a wall-clock number.
 SCALAR_CEILING = 25.0
 REPEATS = 3
-
-TREE_N = 20_000
-TREE_TARGET = 2.0
 
 # A buffer wide enough to hold the run, so the timing isolates the
 # event-emission path the batching optimises rather than the (shared)
@@ -65,14 +53,6 @@ def _run(batched: int, *, offline: bool = False):
 
 def _blob(races):
     return json.dumps(races.to_json(), sort_keys=True).encode()
-
-
-def _intervals(n):
-    return [
-        StridedInterval(low=i * 8, stride=1, size=8, count=1,
-                        is_write=bool(i % 2), is_atomic=False, pc=i % 13, msid=0)
-        for i in range(n)
-    ]
 
 
 def test_online_batched_speedup(benchmark, save_result):
@@ -124,50 +104,3 @@ def test_online_batched_speedup(benchmark, save_result):
         f"(ceiling {SCALAR_CEILING}x)"
     )
 
-
-def test_bulk_tree_build_speedup(benchmark, save_result):
-    ivs = _intervals(TREE_N)
-
-    def run_suite():
-        incr_s = bulk_s = float("inf")
-        incr = bulk = None
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            tree = IntervalTree()
-            for iv in ivs:
-                tree.insert(iv)
-            incr_s = min(incr_s, time.perf_counter() - t0)
-            incr = tree
-            t0 = time.perf_counter()
-            tree = IntervalTree.build_from_sorted(ivs)
-            bulk_s = min(bulk_s, time.perf_counter() - t0)
-            bulk = tree
-        return incr_s, bulk_s, incr, bulk
-
-    incr_s, bulk_s, incr, bulk = benchmark.pedantic(
-        run_suite, rounds=1, iterations=1
-    )
-
-    speedup = incr_s / bulk_s
-    lines = [
-        f"Bulk interval-tree construction ({TREE_N:,} intervals):",
-        f"  incremental inserts: {incr_s:.4f}s",
-        f"  build_from_sorted:   {bulk_s:.4f}s   speedup {speedup:.2f}x "
-        f"(target >= {TREE_TARGET}x)",
-        f"  heights: incremental {incr.height()}, bulk {bulk.height()}",
-    ]
-    save_result("bulk_tree_build", "\n".join(lines))
-
-    # Correctness: same contents, valid RB shape, identical query answers.
-    bulk.validate()
-    assert len(bulk) == len(incr) == TREE_N
-    for qlo in range(0, TREE_N * 8, TREE_N):
-        qhi = qlo + 1000
-        got = {id(n.interval) for n in bulk.iter_overlaps(qlo, qhi)}
-        want = {id(n.interval) for n in incr.iter_overlaps(qlo, qhi)}
-        assert got == want
-
-    assert speedup >= TREE_TARGET, (
-        f"bulk build only {speedup:.2f}x faster than incremental "
-        f"(target {TREE_TARGET}x)"
-    )

@@ -23,10 +23,9 @@ Two ingestion paths share those semantics:
   a precomputed change-point array, so the Python-level cost is
   proportional to the number of *sealed nodes*, not the number of records.
 
-Sealed intervals accumulate in seal order and the final tree is bulk-built
-by :meth:`IntervalTree.build_from_sorted` from the stably-sorted sequence —
-which is exactly the in-order sequence incremental inserts would have
-produced (equal keys descend right), so query results are identical.
+Sealed intervals accumulate in seal order; :meth:`TreeBuilder.finish`
+sorts them stably by ``low`` (ties keep seal order) and hands the sequence
+to :class:`~repro.itree.tree.IntervalTree`.
 """
 
 from __future__ import annotations
@@ -47,21 +46,16 @@ from .tree import IntervalTree
 
 
 class TreeBuilder:
-    """Incrementally build a summarised interval tree from an access stream."""
+    """Coalesce an access stream into a summarised interval tree."""
 
     def __init__(self) -> None:
-        self.tree = IntervalTree()
         # Open progressions by site key; sealed into ``_pending`` when broken.
         self._open: dict[tuple, StridedInterval] = {}
-        # Sealed intervals in exact seal order (the insertion sequence the
-        # per-record path would have used).
+        # Sealed intervals in exact seal order (the order ties keep).
         self._pending: list[StridedInterval] = []
         # Monotone record counter ordering seals across batches.
         self._seq = 0
         self.events_in = 0
-        #: True once :meth:`finish` built the tree with ``build_from_sorted``
-        #: (as opposed to incremental inserts); the engine counts these.
-        self.bulk_built = False
 
     def add_access(self, access: Access) -> None:
         """Absorb one access event."""
@@ -284,24 +278,13 @@ class TreeBuilder:
             self._open[key] = cur
 
     def finish(self) -> IntervalTree:
-        """Seal all open progressions and return the tree.
-
-        When nothing was inserted out-of-band the tree is bulk-built in one
-        O(n) pass from the stably-sorted seal sequence — in-order-identical
-        (hence query-identical) to inserting every seal incrementally.
-        """
+        """Seal all open progressions and return the summary."""
         self._pending.extend(self._open.values())
         self._open.clear()
-        if self._pending:
-            if not self.tree:
-                self._pending.sort(key=lambda iv: iv.low)  # stable: ties keep seal order
-                self.tree = IntervalTree.build_from_sorted(self._pending)
-                self.bulk_built = True
-            else:
-                for interval in self._pending:
-                    self.tree.insert(interval)
-            self._pending = []
-        return self.tree
+        self._pending.sort(key=lambda iv: iv.low)  # stable: ties keep seal order
+        tree = IntervalTree(self._pending)
+        self._pending = []
+        return tree
 
 
 def build_tree(accesses: Iterable[Access]) -> IntervalTree:

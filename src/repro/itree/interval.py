@@ -13,7 +13,7 @@ is delegated to :mod:`repro.ilp`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,18 +86,7 @@ class StridedInterval:
         offs = np.arange(self.size, dtype=np.int64)
         return (starts[:, None] + offs[None, :]).ravel()
 
-    # -- classification ---------------------------------------------------------
-
-    def same_site(self, other: "StridedInterval") -> bool:
-        """Same access site and qualifiers (coalescing compatibility)."""
-        return (
-            self.pc == other.pc
-            and self.is_write == other.is_write
-            and self.is_atomic == other.is_atomic
-            and self.size == other.size
-            and self.msid == other.msid
-            and self.point == other.point
-        )
+    # -- coalescing -------------------------------------------------------------
 
     def try_extend(self, addr: int) -> bool:
         """Try to absorb a scalar access at ``addr`` (mutates; True on success).
@@ -139,9 +128,6 @@ class StridedInterval:
             self.count += count
             return True
         return False
-
-    def copy(self) -> "StridedInterval":
-        return replace(self)
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         op = "W" if self.is_write else "R"

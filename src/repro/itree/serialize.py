@@ -1,96 +1,43 @@
-"""Exact-shape (de)serialisation of summarised interval trees.
+"""(De)serialisation of interval summaries for the persistent result cache.
 
-The persistent result cache stores per-interval trees across analysis
-runs.  ``iter_overlaps`` enumerates in in-order (shape-independent), so
-witness selection only depends on the stored interval *sequence*; the
-preorder-with-colors encoding is kept because it is also a faithful
-round-trip of the red-black structure (``validate()`` passes on the
-reconstruction) and costs nothing extra.  The tree is stored as a
-preorder walk with explicit nil markers and node colors, and
-reconstructed node-by-node with ``max_high`` recomputed bottom-up — no
-rebalancing, same shape, same colors.
+A summary is its in-order interval sequence, so that is what is stored:
+one nine-field row per interval, in order.  Loading goes through the
+:class:`~repro.itree.tree.IntervalTree` and
+:class:`~repro.itree.interval.StridedInterval` constructors, whose checks
+(rows ascending by ``low``, counts and sizes positive) are what reject a
+reordered or malformed file.
 """
 
 from __future__ import annotations
 
 from .interval import StridedInterval
-from .tree import BLACK, RED, IntervalTree, Node
+from .tree import IntervalTree
 
-#: Bump when the row layout changes (invalidates cached trees).
-#: 2: trees are bulk-built (build_from_sorted) — shapes differ from the
-#: incremental-insert shapes version 1 cached.
-TREE_FORMAT = 2
+#: Bump when the row layout changes (older cached trees become misses).
+#: 3: in-order nine-field rows; 2 was a preorder walk of a red-black tree
+#: with nil markers and a leading colour field.
+TREE_FORMAT = 3
 
 
 def tree_to_rows(tree: IntervalTree) -> list:
-    """Preorder serialisation: one row per node, ``None`` per nil child."""
-    rows: list = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node is tree.nil:
-            rows.append(None)
-            continue
-        si = node.interval
-        rows.append(
-            [
-                1 if node.color == RED else 0,
-                si.low,
-                si.stride,
-                si.size,
-                si.count,
-                1 if si.is_write else 0,
-                1 if si.is_atomic else 0,
-                si.pc,
-                si.msid,
-                si.point,
-            ]
-        )
-        # Preorder: visit left before right, so push right first.
-        stack.append(node.right)
-        stack.append(node.left)
-    return rows
+    """One row per interval, in order (the flags as 0/1)."""
+    return [
+        [
+            si.low, si.stride, si.size, si.count, int(si.is_write),
+            int(si.is_atomic), si.pc, si.msid, si.point,
+        ]
+        for si in tree
+    ]
 
 
 def tree_from_rows(rows: list) -> IntervalTree:
-    """Rebuild the exact tree a :func:`tree_to_rows` walk described."""
-    tree = IntervalTree()
-    it = iter(rows)
+    """Rebuild the summary :func:`tree_to_rows` described; ``ValueError`` /
+    ``TypeError`` on rows of the wrong arity or type, or out of order."""
 
-    def build(parent: Node) -> Node:
-        row = next(it)
-        if row is None:
-            return tree.nil
-        color, low, stride, size, count, write, atomic, pc, msid, point = row
-        node = Node(
-            StridedInterval(
-                low=int(low),
-                stride=int(stride),
-                size=int(size),
-                count=int(count),
-                is_write=bool(write),
-                is_atomic=bool(atomic),
-                pc=int(pc),
-                msid=int(msid),
-                point=int(point),
-            )
+    def interval(low, stride, size, count, write, atomic, pc, msid, point):
+        return StridedInterval(
+            int(low), int(stride), int(size), int(count), bool(write),
+            bool(atomic), int(pc), int(msid), int(point),
         )
-        node.color = RED if color else BLACK
-        node.parent = parent
-        node.left = build(node)
-        node.right = build(node)
-        high = node.interval.high
-        if node.left is not tree.nil:
-            high = max(high, node.left.max_high)
-        if node.right is not tree.nil:
-            high = max(high, node.right.max_high)
-        node.max_high = high
-        tree._size += 1
-        return node
 
-    tree.root = build(tree.nil)
-    try:
-        next(it)
-    except StopIteration:
-        return tree
-    raise ValueError("trailing rows after tree reconstruction")
+    return IntervalTree([interval(*row) for row in rows])

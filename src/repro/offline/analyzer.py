@@ -4,12 +4,14 @@ Pipeline per trace directory:
 
 1. parse metadata, reconstruct the concurrency structure, plan the
    concurrent interval pairs (:mod:`repro.offline.intervals`);
-2. per interval, stream its log chunks and build a summarised interval tree
-   (:mod:`repro.itree.builder`) — trees are cached with a bounded LRU so the
-   pass stays memory-bounded on large traces;
-3. per concurrent pair, walk the smaller tree and probe the larger for
-   byte-extent overlaps (``O(M log M)``), refining every candidate with the
-   exact Diophantine/ILP check, the mutex-set disjointness test, and the
+2. per interval, stream its log chunks and coalesce them into a summarised
+   interval tree (:mod:`repro.itree.builder`) — a sorted array of strided
+   intervals, built once; trees are cached with a bounded LRU so the pass
+   stays memory-bounded on large traces;
+3. per concurrent pair, probe one tree with every interval of the other for
+   byte-extent overlaps (two bisections a probe, or one blocked join over
+   the trees' column views), refining every candidate with the exact
+   Diophantine/ILP check, the mutex-set disjointness test, and the
    write/atomic conditions;
 4. deduplicate into :class:`~repro.offline.report.RaceSet` by pc pair.
 

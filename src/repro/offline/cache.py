@@ -9,15 +9,17 @@ files invalidates exactly the entries it affects:
 * **interval token** — sha256 over the owning thread's log + meta file
   digests plus the interval identity and its chunk list;
 * **context token** — sha256 over the trace-wide tables that feed pair
-  verdicts (mutex sets, task graph, regions) and the cache format
-  version;
+  verdicts (mutex sets, task graph, regions) and the verdict format
+  version (not the tree format: a verdict does not depend on how a tree
+  is laid out on disk);
 * **pair token** — context token plus both interval tokens, oriented
   canonically (by interval identity, exactly like the engine's
   comparison) so either argument order finds the same entry.
 
-Trees are stored via the exact-shape serialisation
-(:mod:`repro.itree.serialize`) — a reloaded tree probes in the same
-order as the built one, preserving canonical-witness determinism.  Pair
+Trees are stored as their in-order rows (:mod:`repro.itree.serialize`)
+and reloaded through the ``IntervalTree`` constructor, which rejects rows
+out of order — a reloaded tree is the built one, row for row, or a miss
+— preserving canonical-witness determinism.  Pair
 verdicts store the full report list the comparison generated (often
 empty); replaying them through :meth:`RaceSet.add` is order-independent.
 
@@ -125,7 +127,6 @@ class ResultCache:
         if self._context_token is None:
             parts = [
                 f"cache-format={CACHE_FORMAT}",
-                f"tree-format={TREE_FORMAT}",
                 _file_sha(self.trace_path / MUTEXSETS_NAME),
                 _file_sha(self.trace_path / TASKS_NAME),
                 _file_sha(self.trace_path / REGIONS_NAME),
@@ -211,10 +212,8 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            # Only "nodes" is read: entries written before the tree
-            # digest was dropped carry extra keys and still load.
             tree = tree_from_rows(payload["nodes"])
-        except (KeyError, ValueError, TypeError, StopIteration):
+        except (KeyError, ValueError, TypeError):
             self._evict(path)
             self.misses += 1
             return None

@@ -65,7 +65,10 @@ _JOIN_BLOCK_ROWS = 1 << 13
 #: join pays NumPy's fixed per-call cost (~0.05-0.1 ms a comparison, and
 #: a column build the first time a tree is joined) whatever the tree
 #: sizes, against ~8 us for a 1x1-node pair.  64x64 is where the join
-#: wins even with both column builds inside the call; re-measure with
+#: with its views cached wins and the one building both inside the call
+#: breaks even (scalar 0.29 ms, warm 0.22, cold 0.30; at 32x32 0.19 /
+#: 0.19 / 0.25 — unmoved by the two-bisection ``iter_overlaps``, which
+#: sped up the walk and the column build alike); re-measure with
 #: benchmarks/test_micro_kernels.py::test_bench_compare_kernels.
 _COLUMNAR_MIN_NODE_PRODUCT = 4096
 
@@ -77,7 +80,6 @@ class AnalysisStats:
     intervals: int = 0
     concurrent_pairs: int = 0
     trees_built: int = 0
-    bulk_tree_builds: int = 0
     tree_nodes: int = 0
     events_read: int = 0
     overlap_candidates: int = 0
@@ -121,7 +123,6 @@ class AnalysisStats:
             "intervals": self.intervals,
             "concurrent_pairs": self.concurrent_pairs,
             "trees_built": self.trees_built,
-            "bulk_tree_builds": self.bulk_tree_builds,
             "tree_nodes": self.tree_nodes,
             "events_read": self.events_read,
             "overlap_candidates": self.overlap_candidates,
@@ -324,9 +325,6 @@ class AnalysisEngine:
         self._result_cache = self._attach_result_cache(fast)
         registry = self.obs.registry
         self._m_trees = registry.counter("offline.trees_built")
-        self._m_bulk_builds = registry.counter(
-            "offline.bulk_tree_builds", "trees constructed via build_from_sorted"
-        )
         self._m_cache_hits = registry.counter("offline.tree_cache_hits")
         self._m_events_read = registry.counter("offline.events_read")
         self._m_candidates = registry.counter("offline.overlap_candidates")
@@ -469,9 +467,6 @@ class AnalysisEngine:
         self.stats.events_read += builder.events_in
         self.stats.build_seconds += elapsed
         self._m_trees.inc()
-        if builder.bulk_built:
-            self.stats.bulk_tree_builds += 1
-            self._m_bulk_builds.inc()
         self._m_tree_nodes.observe(len(tree))
         self._m_events_read.inc(builder.events_in)
         self._m_build_seconds.observe(elapsed)
@@ -576,10 +571,8 @@ class AnalysisEngine:
         # to contribute their own witness so the canonical-witness merge in
         # RaceSet stays independent of pair order across analysis modes.
         seen_here: set[tuple[int, int]] = set()
-        for node in tree_a:
-            si = node.interval
-            for hit in tree_b.iter_overlaps(si.low, si.high):
-                other = hit.interval
+        for si in tree_a:
+            for other in tree_b.iter_overlaps(si.low, si.high):
                 self.stats.overlap_candidates += 1
                 if use_tasks:
                     ent_a, seq_a = decode_point(si.point)

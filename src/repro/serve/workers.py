@@ -184,7 +184,6 @@ def merge_stats(total: AnalysisStats, part: AnalysisStats) -> None:
     analyzer always reported them).
     """
     total.trees_built += part.trees_built
-    total.bulk_tree_builds += part.bulk_tree_builds
     total.tree_nodes += part.tree_nodes
     total.events_read += part.events_read
     total.overlap_candidates += part.overlap_candidates

@@ -173,7 +173,7 @@ class TestE10Examples:
         table, system_text = E.examples_demo.run_fig5(n=500)
         # Two threads, each with a handful of summarised nodes.
         assert len(table.rows) == 2
-        for _tid, nodes, events, _height in table.rows:
+        for _tid, nodes, events, _depth in table.rows:
             assert events > 200
             assert nodes <= 6  # summarisation collapsed the sweep
         assert "satisfiable: True" in system_text

@@ -18,7 +18,7 @@ def test_unit_stride_sweep_collapses_to_one_node():
     """The paper's point: an array sweep becomes one summarised node."""
     tree = build_tree(acc(i * 8, write=True) for i in range(1000))
     assert len(tree) == 1
-    node = next(iter(tree)).interval
+    node = next(iter(tree))
     assert node.count == 1000
     assert node.low == 0
     assert node.stride == 8
@@ -32,14 +32,14 @@ def test_interleaved_sites_keep_separate_progressions():
         events.append(acc(i * 8, write=True, pc=11))    # write a[i]
     tree = build_tree(events)
     assert len(tree) == 2
-    counts = sorted(n.interval.count for n in tree)
+    counts = sorted(n.count for n in tree)
     assert counts == [499, 499]
 
 
 def test_repeated_single_location_is_one_node():
     tree = build_tree(acc(64) for _ in range(100))
     assert len(tree) == 1
-    assert next(iter(tree)).interval.count == 1
+    assert next(iter(tree)).count == 1
 
 
 def test_different_msid_not_coalesced():
@@ -55,14 +55,14 @@ def test_bulk_events_passthrough_and_extend():
     ]
     tree = build_tree(events)
     assert len(tree) == 2
-    counts = sorted(n.interval.count for n in tree)
+    counts = sorted(n.count for n in tree)
     assert counts == [10, 200]
 
 
 def test_non_contiguous_breaks_progression():
     tree = build_tree([acc(0), acc(8), acc(16), acc(1000), acc(1008)])
     assert len(tree) == 2
-    counts = sorted(n.interval.count for n in tree)
+    counts = sorted(n.count for n in tree)
     assert counts == [2, 3]
 
 
@@ -99,8 +99,7 @@ def test_property_summarisation_preserves_address_multiset(ops):
     tree = build_tree(events)
     # Addresses per (pc, write) in the tree...
     got: dict = {}
-    for node in tree:
-        iv = node.interval
+    for iv in tree:
         key = (iv.pc, iv.is_write)
         got.setdefault(key, set()).update(iv.addresses().tolist())
     # ... must equal the union of raw event addresses (sets: duplicates are

@@ -92,14 +92,6 @@ class TestCoalescing:
         assert iv.count == 3
         assert iv.stride == 8
 
-    def test_same_site(self):
-        a = make()
-        assert a.same_site(make())
-        assert not a.same_site(make(pc=2))
-        assert not a.same_site(make(is_write=True))
-        assert not a.same_site(make(msid=5))
-        assert not a.same_site(make(size=8))
-
 
 class TestFromAccess:
     def test_scalar_access(self):

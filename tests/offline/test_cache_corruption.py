@@ -1,7 +1,12 @@
 """Corrupt persistent-cache entries must degrade to misses, never errors."""
 
 import json
+import shutil
 
+import pytest
+
+from repro import api
+from repro.faults.harness import collect_trace
 from repro.harness.tools import SwordDriver
 from repro.obs import live, set_obs
 from repro.offline.analyzer import SerialOfflineAnalyzer
@@ -75,8 +80,6 @@ def test_corrupt_cache_entries_recomputed_not_propagated(tmp_path):
 
 
 def test_field_level_garbage_evicted_then_restored(tmp_path):
-    import shutil
-
     trace_path = tmp_path / "trace"
     _collect(trace_path)
     options = _cached_options()
@@ -116,7 +119,6 @@ def test_corrupt_evictions_counted_on_an_explicit_bundle(tmp_path):
     """The counter lands on the bundle the caller threads in — the way
     ``api.analyze(obs=...)`` and thread-mode serve shards run — not on
     the ambient one."""
-    from repro import api
     from repro.obs import get_obs
 
     trace_path = tmp_path / "trace"
@@ -131,3 +133,106 @@ def test_corrupt_evictions_counted_on_an_explicit_bundle(tmp_path):
     api.analyze(trace_path, obs=bundle, options=_cached_options())
     counters = bundle.registry.snapshot()["counters"]
     assert counters["offline.pair_cache_corrupt_evictions"] >= len(entries)
+
+
+# -- tree entries: valid JSON, wrong content --------------------------------
+
+
+def _swap_rows(rows):
+    """Exchange two rows whose ``low`` differ.  (``low`` taken as the ninth
+    field from the end, nil markers skipped: the same edit then applies to
+    the format-2 preorder layout, where it produced a wrong answer.)"""
+    at = [k for k, row in enumerate(rows) if row is not None]
+    i = at[0]
+    j = next(k for k in at if rows[k][-9] != rows[i][-9])
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _drop_field(rows):
+    rows[len(rows) // 2].pop()
+
+
+def _qsomp_cache(tmp_path):
+    """A cpp_qsomp1 trace analysed once with the cache on, pair verdicts
+    removed so the next run has to load its trees."""
+    trace_path = tmp_path / "trace"
+    collect_trace("cpp_qsomp1", trace_path, nthreads=4, seed=0, n=256)
+    uncached = api.analyze(trace_path, mode="serial")
+    api.analyze(trace_path, mode="serial", options=_cached_options())
+    cache_root = trace_path / ".sword-cache"
+    shutil.rmtree(cache_root / "pairs")
+    trees = sorted((cache_root / "trees").glob("*.json"))
+    assert len(trees) > 1
+    return trace_path, uncached, trees
+
+
+def _analyze_counting(trace_path):
+    bundle = live()
+    result = api.analyze(
+        trace_path, mode="serial", obs=bundle, options=_cached_options()
+    )
+    counters = bundle.registry.snapshot()["counters"]
+    return result, counters.get("offline.pair_cache_corrupt_evictions", 0)
+
+
+@pytest.mark.parametrize("tamper", [_swap_rows, _drop_field])
+def test_tampered_tree_rows_are_a_miss_not_a_wrong_answer(tmp_path, tamper):
+    """Still valid JSON, still a list of rows — but not the summary that
+    was stored.  Rows out of order or of the wrong arity must be rebuilt
+    from the trace, never probed as they are."""
+    trace_path, uncached, trees = _qsomp_cache(tmp_path)
+    for path in trees:
+        payload = json.loads(path.read_text())
+        tamper(payload["nodes"])
+        path.write_text(json.dumps(payload))
+    result, evictions = _analyze_counting(trace_path)
+    assert json.dumps(result.races.to_json(), sort_keys=True) == json.dumps(
+        uncached.races.to_json(), sort_keys=True
+    )
+    assert evictions == len(trees)
+    assert result.stats.tree_cache_disk_hits == 0
+    assert result.stats.trees_built == len(trees)
+
+
+def test_older_cache_generation_is_a_plain_miss_then_overwritten(tmp_path):
+    """What the previous release left behind: ``format: 2`` tree entries
+    (a preorder walk with nil markers and a colour field) at the *same*
+    paths — the interval token does not hash the format — and no usable
+    pair verdicts.  Plain misses, nothing evicted, overwritten in place."""
+    trace_path, uncached, trees = _qsomp_cache(tmp_path)
+    for path in trees:
+        rows = json.loads(path.read_text())["nodes"]
+        preorder = [x for row in rows for x in ([0, *row], None)] + [None]
+        path.write_text(json.dumps({"format": 2, "nodes": preorder}))
+    result, evictions = _analyze_counting(trace_path)
+    assert result.races.to_json() == uncached.races.to_json()
+    assert evictions == 0
+    assert result.stats.tree_cache_disk_hits == 0
+    assert result.stats.trees_built == len(trees)
+    # The rebuild overwrote every entry: the next cold-pairs run loads all.
+    shutil.rmtree(trace_path / ".sword-cache" / "pairs")
+    again, evictions = _analyze_counting(trace_path)
+    assert again.races.to_json() == uncached.races.to_json()
+    assert evictions == 0
+    assert again.stats.tree_cache_disk_hits == len(trees)
+    assert again.stats.trees_built == 0
+
+
+def test_tree_format_does_not_key_pair_verdicts(tmp_path, monkeypatch):
+    """How a tree is laid out on disk is no input to a verdict: a
+    ``TREE_FORMAT`` bump retires the trees and keeps the pairs."""
+    import repro.offline.cache as cache_mod
+
+    trace_path = tmp_path / "trace"
+    _collect(trace_path)
+    cold = SerialOfflineAnalyzer(
+        TraceDir(trace_path), options=_cached_options()
+    ).analyze()
+    assert cold.stats.trees_built > 0
+    monkeypatch.setattr(cache_mod, "TREE_FORMAT", cache_mod.TREE_FORMAT + 1)
+    warm = SerialOfflineAnalyzer(
+        TraceDir(trace_path), options=_cached_options()
+    ).analyze()
+    assert warm.races.to_json() == cold.races.to_json()
+    assert warm.stats.pair_cache_hits > 0
+    assert warm.stats.trees_built == 0

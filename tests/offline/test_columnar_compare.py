@@ -63,7 +63,7 @@ def interval_lists(draw, max_msid):
 
 
 def _tree(intervals):
-    return IntervalTree.build_from_sorted(sorted(intervals, key=lambda s: s.low))
+    return IntervalTree(sorted(intervals, key=lambda s: s.low))
 
 
 def _run(kernel, intervals_a, intervals_b, nsets, static_free):
