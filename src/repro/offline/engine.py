@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,39 +73,56 @@ _JOIN_BLOCK_ROWS = 1 << 13
 _COLUMNAR_MIN_NODE_PRODUCT = 4096
 
 
+def _stat(fold: str, counter: str | None = None, default=0):
+    """An :class:`AnalysisStats` field: how it folds across shards and,
+    when it is mirrored as an ``offline.<field>`` counter, the help string."""
+    return field(default=default, metadata={"fold": fold, "counter": counter})
+
+
 @dataclass(slots=True)
 class AnalysisStats:
-    """Where the offline time went (Table III's OA column breakdown)."""
+    """Where the offline time went (Table III's OA column breakdown).
 
-    intervals: int = 0
-    concurrent_pairs: int = 0
-    trees_built: int = 0
-    tree_nodes: int = 0
-    events_read: int = 0
-    overlap_candidates: int = 0
-    ilp_solves: int = 0
-    races_found: int = 0
-    pairs_pruned: int = 0
-    solver_memo_hits: int = 0
-    solver_memo_misses: int = 0
-    pair_cache_hits: int = 0
-    tree_cache_disk_hits: int = 0
+    Declared once: the JSON shape, the shard merge, the checkpoint
+    decode and the ``offline.*`` counters all derive from the fields.
+    Folds: ``sum`` — work done; ``max`` — phase seconds (shards run
+    concurrently: the critical path) and the verdict-table constants
+    (every shard that saw the table reports the same totals); ``plan``
+    — summed, but the drivers export these as gauges, not counters;
+    ``set`` — assigned from the merged race set, never folded.
+    """
+
+    intervals: int = _stat("plan")
+    concurrent_pairs: int = _stat("plan")
+    trees_built: int = _stat("sum", "")
+    tree_nodes: int = _stat("sum")
+    events_read: int = _stat("sum", "")
+    overlap_candidates: int = _stat("sum", "")
+    ilp_solves: int = _stat("sum", "")
+    races_found: int = _stat("set")
+    pairs_pruned: int = _stat("sum", "pairs dismissed by access digests")
+    solver_memo_hits: int = _stat("sum", "Diophantine solves served memoized")
+    solver_memo_misses: int = _stat("sum", "Diophantine solves computed")
+    pair_cache_hits: int = _stat("sum", "pair verdicts replayed from cache")
+    tree_cache_disk_hits: int = _stat("sum", "trees reloaded from cache")
     #: Uncompressed bytes actually decompressed (the lazy-inflation
     #: claim: scales with races found, not with trace size).
-    bytes_inflated: int = 0
+    bytes_inflated: int = _stat("sum", "uncompressed bytes decompressed")
     #: Chunks decided from their meta-row digests alone (never inflated).
-    frames_pruned: int = 0
+    frames_pruned: int = _stat("sum", "chunks decided without inflation")
     #: Chunks whose payload was inflated for a tree build.
-    frames_inflated: int = 0
+    frames_inflated: int = _stat("sum", "chunks inflated for tree builds")
     #: Static pre-screening (trace-level constants from the verdict
     #: table, plus this analysis' own pair skips).
-    sites_proven_free: int = 0
-    sites_definite_race: int = 0
-    events_elided: int = 0
-    site_pairs_skipped: int = 0
-    plan_seconds: float = 0.0
-    build_seconds: float = 0.0
-    compare_seconds: float = 0.0
+    sites_proven_free: int = _stat("max")
+    sites_definite_race: int = _stat("max")
+    events_elided: int = _stat("max")
+    site_pairs_skipped: int = _stat(
+        "sum", "site pairs skipped on static proven-free verdicts"
+    )
+    plan_seconds: float = _stat("max", default=0.0)
+    build_seconds: float = _stat("max", default=0.0)
+    compare_seconds: float = _stat("max", default=0.0)
 
     @property
     def total_seconds(self) -> float:
@@ -118,34 +135,59 @@ class AnalysisStats:
         return self.events_read / total if total > 0 else 0.0
 
     def to_json(self) -> dict:
-        """Machine-readable stats (the shared report schema)."""
-        return {
-            "intervals": self.intervals,
-            "concurrent_pairs": self.concurrent_pairs,
-            "trees_built": self.trees_built,
-            "tree_nodes": self.tree_nodes,
-            "events_read": self.events_read,
-            "overlap_candidates": self.overlap_candidates,
-            "ilp_solves": self.ilp_solves,
-            "races_found": self.races_found,
-            "pairs_pruned": self.pairs_pruned,
-            "solver_memo_hits": self.solver_memo_hits,
-            "solver_memo_misses": self.solver_memo_misses,
-            "pair_cache_hits": self.pair_cache_hits,
-            "tree_cache_disk_hits": self.tree_cache_disk_hits,
-            "bytes_inflated": self.bytes_inflated,
-            "frames_pruned": self.frames_pruned,
-            "frames_inflated": self.frames_inflated,
-            "sites_proven_free": self.sites_proven_free,
-            "sites_definite_race": self.sites_definite_race,
-            "events_elided": self.events_elided,
-            "site_pairs_skipped": self.site_pairs_skipped,
-            "plan_seconds": self.plan_seconds,
-            "build_seconds": self.build_seconds,
-            "compare_seconds": self.compare_seconds,
-            "total_seconds": self.total_seconds,
-            "events_per_second": self.events_per_second,
-        }
+        """Machine-readable stats (the shared report schema): every
+        field in declaration order, then the two derived figures."""
+        payload = {f.name: getattr(self, f.name) for f in _STAT_FIELDS}
+        payload["total_seconds"] = self.total_seconds
+        payload["events_per_second"] = self.events_per_second
+        return payload
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "AnalysisStats":
+        """Inverse of :meth:`to_json`: unknown and derived keys are
+        ignored, missing ones keep their default (a checkpoint written
+        before a field existed still loads)."""
+        known = [f.name for f in _STAT_FIELDS if f.name in payload]
+        return cls(**{name: payload[name] for name in known})
+
+    def merge(self, part: "AnalysisStats") -> None:
+        """Fold one contribution — a shard's stats, or the plan's — into
+        this total, each field by its declared fold."""
+        for f in _STAT_FIELDS:
+            fold = f.metadata["fold"]
+            if fold != "set":
+                mine, theirs = getattr(self, f.name), getattr(part, f.name)
+                folded = max(mine, theirs) if fold == "max" else mine + theirs
+                setattr(self, f.name, folded)
+
+    def note_static(self, table) -> None:
+        """Copy the static verdict table's trace-level counts."""
+        self.sites_proven_free = table.sites_proven_free
+        self.sites_definite_race = table.sites_definite_race
+        self.events_elided = int(table.events_elided)
+
+    def publish(self, registry, since: "AnalysisStats") -> None:
+        """Advance every mirrored ``offline.<field>`` counter by this
+        ledger's growth over ``since`` and bring ``since`` up to date.
+        Zero deltas are published too: the first call interns all of
+        them, so a snapshot names every counter whatever the run did."""
+        for name, counter, help in _MIRRORED:
+            value = getattr(self, name)
+            registry.counter(counter, help).inc(value - getattr(since, name))
+            setattr(since, name, value)
+
+    def counters(self) -> dict[str, int]:
+        """The mirrored fields as a snapshot's ``counters`` would name them."""
+        return {counter: getattr(self, name) for name, counter, _ in _MIRRORED}
+
+
+_STAT_FIELDS = fields(AnalysisStats)
+#: (field, counter name, help) of every counter-mirrored field.
+_MIRRORED = tuple(
+    (f.name, f"offline.{f.name}", f.metadata["counter"])
+    for f in _STAT_FIELDS
+    if f.metadata["counter"] is not None
+)
 
 
 @dataclass(slots=True)
@@ -323,12 +365,10 @@ class AnalysisEngine:
         self._tasky_regions: dict[tuple[int, int], bool] = {}
         self._inflated_seen: dict[int, int] = {}
         self._result_cache = self._attach_result_cache(fast)
+        #: What :meth:`close` has already published of ``stats``.
+        self._published = AnalysisStats()
         registry = self.obs.registry
-        self._m_trees = registry.counter("offline.trees_built")
         self._m_cache_hits = registry.counter("offline.tree_cache_hits")
-        self._m_events_read = registry.counter("offline.events_read")
-        self._m_candidates = registry.counter("offline.overlap_candidates")
-        self._m_ilp = registry.counter("offline.ilp_solves")
         self._m_races = registry.gauge("offline.races")
         self._m_build_seconds = registry.histogram(
             "offline.tree_build_seconds", "per-interval tree construction",
@@ -341,34 +381,6 @@ class AnalysisEngine:
         self._m_tree_nodes = registry.histogram(
             "offline.tree_nodes", "summarised nodes per built tree",
             buckets=COUNT_BUCKETS,
-        )
-        self._m_pruned = registry.counter(
-            "offline.pairs_pruned", "pairs dismissed by access digests"
-        )
-        self._m_site_pairs_skipped = registry.counter(
-            "offline.site_pairs_skipped",
-            "site pairs skipped on static proven-free verdicts",
-        )
-        self._m_bytes_inflated = registry.counter(
-            "offline.bytes_inflated", "uncompressed bytes decompressed"
-        )
-        self._m_frames_pruned = registry.counter(
-            "offline.frames_pruned", "chunks decided without inflation"
-        )
-        self._m_frames_inflated = registry.counter(
-            "offline.frames_inflated", "chunks inflated for tree builds"
-        )
-        self._m_memo_hits = registry.counter(
-            "offline.solver_memo_hits", "Diophantine solves served memoized"
-        )
-        self._m_memo_misses = registry.counter(
-            "offline.solver_memo_misses", "Diophantine solves computed"
-        )
-        self._m_pair_cache_hits = registry.counter(
-            "offline.pair_cache_hits", "pair verdicts replayed from cache"
-        )
-        self._m_tree_disk_hits = registry.counter(
-            "offline.tree_cache_disk_hits", "trees reloaded from cache"
         )
         self._m_pair_cache_rate = registry.gauge(
             "offline.pair_cache_hit_rate", "persistent pair-cache hit rate"
@@ -396,8 +408,12 @@ class AnalysisEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release every reader this engine opened."""
+        """Release every reader this engine opened, then publish the
+        stats as ``offline.*`` counters — here, not per pair: nothing
+        reads one mid-analysis, and at close stats == counters holds by
+        construction, in every mode, a pair that raised included."""
         self._sync_inflated()
+        self.stats.publish(self.obs.registry, self._published)
         for reader in self._readers.values():
             reader.close()
         self._readers.clear()
@@ -412,7 +428,6 @@ class AnalysisEngine:
             if total > prev:
                 self._inflated_seen[gid] = total
                 self.stats.bytes_inflated += total - prev
-                self._m_bytes_inflated.inc(total - prev)
 
     def __enter__(self) -> "AnalysisEngine":
         return self
@@ -440,7 +455,6 @@ class AnalysisEngine:
             loaded = self._result_cache.load_tree(interval)
             if loaded is not None:
                 self.stats.tree_cache_disk_hits += 1
-                self._m_tree_disk_hits.inc()
                 self._tree_cache.put(key, loaded)
                 return loaded
         t0 = time.perf_counter()
@@ -460,15 +474,12 @@ class AnalysisEngine:
             tree = builder.finish()
         elapsed = time.perf_counter() - t0
         self.stats.frames_inflated += len(interval.chunks)
-        self._m_frames_inflated.inc(len(interval.chunks))
         self._sync_inflated()
         self.stats.trees_built += 1
         self.stats.tree_nodes += len(tree)
         self.stats.events_read += builder.events_in
         self.stats.build_seconds += elapsed
-        self._m_trees.inc()
         self._m_tree_nodes.observe(len(tree))
-        self._m_events_read.inc(builder.events_in)
         self._m_build_seconds.observe(elapsed)
         if self._result_cache is not None:
             self._result_cache.store_tree(interval, tree)
@@ -593,7 +604,6 @@ class AnalysisEngine:
                     # every site of its region; no solve needed.
                     seen_here.add(pair_key)
                     self.stats.site_pairs_skipped += 1
-                    self._m_site_pairs_skipped.inc()
                     continue
                 self.stats.ilp_solves += 1
                 address = check_node_pair(
@@ -670,7 +680,6 @@ class AnalysisEngine:
                 if skip.any():
                     skipped = np.unique(key[skip])
                     stats.site_pairs_skipped += len(skipped)
-                    self._m_site_pairs_skipped.inc(len(skipped))
                     decided = np.concatenate((decided, skipped))
                     live &= ~skip
             ai, bi, key = ai[live], bi[live], key[live]
@@ -779,9 +788,7 @@ class AnalysisEngine:
             table = getattr(self.source, "static_verdicts", None)
         if table is None:
             return
-        self.stats.sites_proven_free = table.sites_proven_free
-        self.stats.sites_definite_race = table.sites_definite_race
-        self.stats.events_elided = int(table.events_elided)
+        self.stats.note_static(table)
         self._replay_reports(table.race_reports(), races, on_race)
 
     def analyze_pair(
@@ -806,11 +813,8 @@ class AnalysisEngine:
         pair_cache_hits + compared == concurrent_pairs``.
         """
         if self._pruner is not None and self._pruner.prunes(ia, ib):
-            frames = pair_frames(ia, ib)
             self.stats.pairs_pruned += 1
-            self.stats.frames_pruned += frames
-            self._m_pruned.inc()
-            self._m_frames_pruned.inc(frames)
+            self.stats.frames_pruned += pair_frames(ia, ib)
             return
         if self._result_cache is not None:
             self._pair_cache_lookups += 1
@@ -820,13 +824,10 @@ class AnalysisEngine:
             )
             if cached is not None:
                 self.stats.pair_cache_hits += 1
-                self._m_pair_cache_hits.inc()
                 self._replay_reports(cached, races, on_race)
                 return
         tree_a = self.build_tree(ia)
         tree_b = self.build_tree(ib)
-        candidates0 = self.stats.overlap_candidates
-        solves0 = self.stats.ilp_solves
         memo_h0 = self._memo.hits if self._memo is not None else 0
         memo_m0 = self._memo.misses if self._memo is not None else 0
         sink: list | None = [] if self._result_cache is not None else None
@@ -837,21 +838,13 @@ class AnalysisEngine:
                     tree_a, tree_b, ia, ib, races, on_race=on_race, sink=sink
                 )
         finally:
-            # Mirrored at pair grain (the comparison itself only touches
-            # the stats), and also when the comparison raised: a pair
-            # salvage mode abandons must not leave stats and registry
-            # disagreeing.
+            # Also when the comparison raised: a pair salvage mode
+            # abandons still spent the time and the memo lookups.
             elapsed = time.perf_counter() - t0
             self.stats.compare_seconds += elapsed
-            self._m_candidates.inc(self.stats.overlap_candidates - candidates0)
-            self._m_ilp.inc(self.stats.ilp_solves - solves0)
             if self._memo is not None:
-                dh = self._memo.hits - memo_h0
-                dm = self._memo.misses - memo_m0
-                self.stats.solver_memo_hits += dh
-                self.stats.solver_memo_misses += dm
-                self._m_memo_hits.inc(dh)
-                self._m_memo_misses.inc(dm)
+                self.stats.solver_memo_hits += self._memo.hits - memo_h0
+                self.stats.solver_memo_misses += self._memo.misses - memo_m0
             self._m_compare_seconds.observe(elapsed)
         self._m_races.set(len(races))
         self._sync_inflated()

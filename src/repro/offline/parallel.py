@@ -72,7 +72,7 @@ class DistributedOfflineAnalyzer:
         # would close the cycle mid-initialisation.
         from ..serve.shards import plan_shards
         from ..serve.tracing import ObsConfig
-        from ..serve.workers import merge_stats, run_shard
+        from ..serve.workers import run_shard
 
         stats = AnalysisStats()
         t0 = time.perf_counter()
@@ -86,10 +86,7 @@ class DistributedOfflineAnalyzer:
                 # ship their spans home for one coordinator flamegraph.
                 obs_config=ObsConfig.from_obs(self.obs),
             )
-        stats.intervals = plan.intervals
-        stats.concurrent_pairs = plan.concurrent_pairs
-        stats.pairs_pruned = plan.pairs_pruned
-        stats.frames_pruned = plan.frames_pruned
+        stats.merge(plan.stats)
         stats.plan_seconds = time.perf_counter() - t0
 
         races = RaceSet()
@@ -107,33 +104,24 @@ class DistributedOfflineAnalyzer:
         for outcome in outcomes:
             for report in outcome.reports():
                 races.add(report)
-            merge_stats(stats, outcome.stats)
+            stats.merge(outcome.stats)
             if outcome.spans:
                 # One trace-viewer row per worker process.
                 self.obs.tracer.ingest(outcome.spans, tid=outcome.worker_pid)
         # Coordinator-side verdict injection: one contribution regardless
         # of the shard count, merged by RaceSet's canonical minimum just
         # like the serial driver's.
-        table = getattr(self.trace, "static_verdicts", None)
-        if table is not None:
-            stats.sites_proven_free = table.sites_proven_free
-            stats.sites_definite_race = table.sites_definite_race
-            stats.events_elided = int(table.events_elided)
-            for report in table.race_reports():
+        if plan.static_verdicts is not None:
+            stats.note_static(plan.static_verdicts)
+            for report in plan.static_verdicts.race_reports():
                 races.add(report)
         stats.races_found = len(races)
-        # Workers run in their own processes; the coordinator mirrors the
-        # merged totals so one registry still tells the whole story.
+        # Workers run in their own processes; the coordinator publishes
+        # the merged ledger under the names the serial driver exports.
         registry = self.obs.registry
-        registry.gauge("offline_mt.workers").set(nworkers)
-        registry.gauge("offline_mt.intervals").set(stats.intervals)
-        registry.gauge("offline_mt.concurrent_pairs").set(
-            stats.concurrent_pairs
-        )
-        registry.counter("offline_mt.trees_built").inc(stats.trees_built)
-        registry.counter("offline_mt.events_read").inc(stats.events_read)
-        registry.counter("offline_mt.ilp_solves").inc(stats.ilp_solves)
-        registry.counter("offline_mt.pairs_pruned").inc(stats.pairs_pruned)
-        registry.gauge("offline_mt.races").set(len(races))
+        stats.publish(registry, AnalysisStats())
+        registry.gauge("offline.intervals").set(stats.intervals)
+        registry.gauge("offline.concurrent_pairs").set(stats.concurrent_pairs)
+        registry.gauge("offline.races").set(len(races))
         return AnalysisResult(races=races, stats=stats)
 

@@ -51,7 +51,7 @@ from .service import Service
 from .shards import ShardPlan, ShardSpec, plan_shards
 from .tracing import ObsConfig, TraceContext, stitch_job_trace, write_job_trace
 from .wal import JobWal, WalReplay, replay_wal
-from .workers import ShardOutcome, merge_stats, run_shard
+from .workers import ShardOutcome, run_shard
 
 __all__ = [
     "ACTIVE_STATES",
@@ -94,7 +94,6 @@ __all__ = [
     "WalReplay",
     "WorkStealingPool",
     "WorkerCrashError",
-    "merge_stats",
     "plan_shards",
     "replay_wal",
     "run_shard",

@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional
 
@@ -41,8 +40,6 @@ __all__ = [
 
 #: Bump to invalidate every existing checkpoint (outcome schema changed).
 CHECKPOINT_FORMAT = 1
-
-_STATS_FIELDS = tuple(f.name for f in dataclass_fields(AnalysisStats))
 
 
 def trace_token(trace_path: str | os.PathLike) -> str:
@@ -93,18 +90,11 @@ def _outcome_to_json(outcome: ShardOutcome) -> dict:
 
 
 def _outcome_from_json(payload: dict, job_id: str, index: int) -> ShardOutcome:
-    stats = AnalysisStats(
-        **{
-            name: payload["stats"][name]
-            for name in _STATS_FIELDS
-            if name in payload["stats"]
-        }
-    )
     return ShardOutcome(
         job_id=job_id,
         index=index,
         rows=[tuple(row) for row in payload["rows"]],
-        stats=stats,
+        stats=AnalysisStats.from_json(payload["stats"]),
         integrity=payload.get("integrity"),
         cache_hits=int(payload.get("cache_hits", 0)),
         from_checkpoint=True,

@@ -44,7 +44,7 @@ from .queue import IngestionQueue
 from .shards import ShardPlan, plan_shards
 from .tracing import ObsConfig, coord_span, write_job_trace
 from .wal import NULL_WAL
-from .workers import ShardOutcome, merge_stats
+from .workers import ShardOutcome
 
 
 class JobScheduler:
@@ -211,37 +211,30 @@ class JobScheduler:
         plan = self._plan(job)
         plan_seconds = time.perf_counter() - t0
         with job.lock:
-            job.stats.intervals = plan.intervals
-            job.stats.concurrent_pairs = plan.concurrent_pairs
+            # The plan enters the ledger the way a shard does; its prunes
+            # are counted here, once — shards add only what they prune
+            # themselves (the salvage shard: all of it).
+            job.stats.merge(plan.stats)
             job.stats.plan_seconds = plan_seconds
-            # Plan-time prunes are counted here, once; shards add only
-            # what they prune themselves (the salvage shard: all of it).
-            job.stats.pairs_pruned = plan.pairs_pruned
-            job.stats.frames_pruned = plan.frames_pruned
             job.shards_total = len(plan.shards)
-            job.pairs_total = plan.concurrent_pairs
+            job.pairs_total = plan.stats.concurrent_pairs
             job.pairs_shipped = plan.pairs_shipped
             if self.obs_config is not None and self.obs_config.metrics:
                 merge_snapshots(
-                    job.worker_metrics,
-                    {
-                        "counters": {
-                            "offline.pairs_pruned": plan.pairs_pruned,
-                            "offline.frames_pruned": plan.frames_pruned,
-                        }
-                    },
+                    job.worker_metrics, {"counters": plan.stats.counters()}
                 )
             job.trace_spans.append(
                 coord_span(
                     "plan", plan_wall, plan_wall + plan_seconds,
-                    shards=len(plan.shards), pairs=plan.concurrent_pairs,
-                    pruned=plan.pairs_pruned,
+                    shards=len(plan.shards),
+                    pairs=plan.stats.concurrent_pairs,
+                    pruned=plan.stats.pairs_pruned,
                 )
             )
             # Coordinator-side verdict injection, before any shard lands:
             # a fully elided trace can carry synthesised DEFINITE_RACE
             # reports with zero analyzable pairs.
-            self._inject_static_verdicts(job)
+            self._inject_static_verdicts(job, plan.static_verdicts)
             job.state = RUNNING
             if not plan.shards:
                 # No pair survived the plan (or none existed): the job
@@ -252,8 +245,8 @@ class JobScheduler:
             "planned",
             job.job_id,
             shards=len(plan.shards),
-            pairs=plan.concurrent_pairs,
-            pruned=plan.pairs_pruned,
+            pairs=plan.stats.concurrent_pairs,
+            pruned=plan.stats.pairs_pruned,
             tokens=[spec.checkpoint_token for spec in plan.shards],
         )
         if not plan.shards:
@@ -274,32 +267,20 @@ class JobScheduler:
             )
             self.pool.submit(task)
 
-    def _inject_static_verdicts(self, job: JobRecord) -> None:
+    def _inject_static_verdicts(self, job: JobRecord, table) -> None:
         """Fold the trace's static verdict table into the job (once).
 
         Pair shards only ever analyze planned pairs, so the synthesised
         DEFINITE_RACE reports — which exist *instead of* events — enter
-        here at the coordinator.  A corrupt or unreadable table falls
-        back to UNKNOWN-everything (no reports, no counts); the salvage
-        shard accounts that loss in its integrity report.
+        here at the coordinator.  ``table`` is the one the planner's
+        trace open parsed: a corrupt table fails a strict job there, and
+        a salvage open drops it to None (UNKNOWN-everything: no reports,
+        no counts; the salvage shard accounts the loss in its integrity
+        report).
         """
-        from ..common.errors import TraceFormatError
-        from ..static.table import STATIC_VERDICTS_KEY, StaticVerdictTable
-        from ..sword.traceformat import MANIFEST_NAME
-
-        try:
-            manifest = json.loads(
-                (Path(job.trace_path) / MANIFEST_NAME).read_text()
-            )
-            payload = manifest.get(STATIC_VERDICTS_KEY)
-            if payload is None:
-                return
-            table = StaticVerdictTable.from_payload(payload)
-        except (OSError, ValueError, TraceFormatError):
+        if table is None:
             return
-        job.stats.sites_proven_free = table.sites_proven_free
-        job.stats.sites_definite_race = table.sites_definite_race
-        job.stats.events_elided = int(table.events_elided)
+        job.stats.note_static(table)
         had_races = len(job.races) > 0
         for report in table.race_reports():
             job.races.add(report)
@@ -318,9 +299,7 @@ class JobScheduler:
             job.ttfr_seconds = time.perf_counter() - job.submitted_at
         if outcome.integrity is not None:  # the (sole) salvage shard
             job.integrity_report = outcome.integrity
-            job.stats = outcome.stats
-        else:
-            merge_stats(job.stats, outcome.stats)
+        job.stats.merge(outcome.stats)
         if outcome.cache_hits:
             job.cache_hits += outcome.cache_hits
             self._m_cache.inc(outcome.cache_hits)

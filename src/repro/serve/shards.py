@@ -10,8 +10,9 @@ cache hot.
 Plan once, ship what survives.  The planner is the only place a job's
 metadata is parsed: it builds the interval inventory, applies the
 engine's own frame-digest test (:class:`~repro.offline.engine.
-DigestPruner`) to every concurrent pair, counts the pruned pairs on the
-plan, and slices only the survivors into shards — each carrying the
+DigestPruner`) to every concurrent pair, counts the pruned pairs in the
+plan's own ``stats`` (merged by the coordinator like a shard's), and
+slices only the survivors into shards — each carrying the
 :class:`~repro.offline.intervals.IntervalData` of its pairs, so a worker
 never scans the meta files again.  The plan is a pure function of the
 trace bytes and the options: a resumed job re-plans the same shards and
@@ -29,9 +30,10 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..offline.engine import DigestPruner, pair_frames
+from ..offline.engine import AnalysisStats, DigestPruner, pair_frames
 from ..offline.intervals import IntervalData, IntervalInventory, IntervalKey
 from ..offline.options import AnalysisOptions, FastPathOptions
+from ..static.table import StaticVerdictTable
 from ..sword.reader import TraceDir
 from .tracing import ObsConfig
 
@@ -84,16 +86,16 @@ class ShardSpec:
 
 @dataclass(slots=True)
 class ShardPlan:
-    """A job's decomposition plus the planner-side statistics."""
+    """A job's decomposition plus the planner's share of the ledger."""
 
     shards: list[ShardSpec] = field(default_factory=list)
-    intervals: int = 0
-    #: Every concurrent pair of the trace: pruned here + shipped.
-    concurrent_pairs: int = 0
-    #: Pairs (and their chunks) the frame digests decided at plan time;
-    #: they never become shard work.
-    pairs_pruned: int = 0
-    frames_pruned: int = 0
+    #: What planning decided: ``intervals``, ``concurrent_pairs`` (every
+    #: one of the trace: pruned here + shipped) and the ``pairs_pruned``
+    #: / ``frames_pruned`` the digests settled — never shard work.
+    stats: AnalysisStats = field(default_factory=AnalysisStats)
+    #: The trace's static verdict table for the coordinator to inject
+    #: (None: no table, or a salvage open dropped a corrupt one).
+    static_verdicts: Optional[StaticVerdictTable] = None
 
     @property
     def pairs_shipped(self) -> int:
@@ -181,21 +183,21 @@ def plan_shards(
         )
         return replace(spec, checkpoint_token=token)
 
-    plan = ShardPlan()
+    plan = ShardPlan(static_verdicts=trace.static_verdicts)
     if options.integrity == "salvage":
         plan.shards.append(_spec(0, SALVAGE, ()))
         return plan
     inventory = IntervalInventory(trace)
     pairs = list(inventory.concurrent_pairs())
-    plan.intervals = len(inventory)
-    plan.concurrent_pairs = len(pairs)
+    plan.stats.intervals = len(inventory)
+    plan.stats.concurrent_pairs = len(pairs)
     if options.fastpath.enabled:
         pruner = DigestPruner()
         surviving = []
         for ia, ib in pairs:
             if pruner.prunes(ia, ib):
-                plan.pairs_pruned += 1
-                plan.frames_pruned += pair_frames(ia, ib)
+                plan.stats.pairs_pruned += 1
+                plan.stats.frames_pruned += pair_frames(ia, ib)
             else:
                 surviving.append((ia, ib))
         pairs = surviving

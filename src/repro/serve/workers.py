@@ -175,37 +175,3 @@ def _execute_shard(spec: ShardSpec, obs: Instrumentation) -> ShardOutcome:
     )
     return outcome
 
-
-def merge_stats(total: AnalysisStats, part: AnalysisStats) -> None:
-    """Fold one shard's stats into the job total.
-
-    Counters sum; phase seconds take the max (shards run concurrently,
-    so the max models the critical path, exactly as the distributed
-    analyzer always reported them).
-    """
-    total.trees_built += part.trees_built
-    total.tree_nodes += part.tree_nodes
-    total.events_read += part.events_read
-    total.overlap_candidates += part.overlap_candidates
-    total.ilp_solves += part.ilp_solves
-    total.pairs_pruned += part.pairs_pruned
-    total.solver_memo_hits += part.solver_memo_hits
-    total.solver_memo_misses += part.solver_memo_misses
-    total.pair_cache_hits += part.pair_cache_hits
-    total.tree_cache_disk_hits += part.tree_cache_disk_hits
-    total.bytes_inflated += part.bytes_inflated
-    total.frames_pruned += part.frames_pruned
-    total.frames_inflated += part.frames_inflated
-    total.site_pairs_skipped += part.site_pairs_skipped
-    # Trace-level constants from the verdict table, not per-shard work:
-    # every shard that saw the table reports the same totals, so max
-    # (not sum) keeps the merged figure honest.
-    total.sites_proven_free = max(
-        total.sites_proven_free, part.sites_proven_free
-    )
-    total.sites_definite_race = max(
-        total.sites_definite_race, part.sites_definite_race
-    )
-    total.events_elided = max(total.events_elided, part.events_elided)
-    total.build_seconds = max(total.build_seconds, part.build_seconds)
-    total.compare_seconds = max(total.compare_seconds, part.compare_seconds)

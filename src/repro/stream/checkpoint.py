@@ -51,16 +51,22 @@ class Checkpoint:
             raise TraceFormatError(
                 f"{self.path}: unreadable checkpoint: {exc}"
             ) from exc
-        version = payload.get("version")
-        if version != CHECKPOINT_VERSION:
+        try:
+            version = payload.get("version")
+            if version != CHECKPOINT_VERSION:
+                raise TraceFormatError(
+                    f"{self.path}: checkpoint version {version!r}, "
+                    f"expected {CHECKPOINT_VERSION}"
+                )
+            self.analyzed = {
+                (tuple(a), tuple(b)) for a, b in payload["analyzed"]
+            }
+            self.races = RaceSet.from_json(payload["races"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # A torn or hand-edited file: valid JSON of the wrong shape.
             raise TraceFormatError(
-                f"{self.path}: checkpoint version {version!r}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        self.analyzed = {
-            (tuple(a), tuple(b)) for a, b in payload["analyzed"]
-        }
-        self.races = RaceSet.from_json(payload["races"])
+                f"{self.path}: malformed checkpoint: {exc!r}"
+            ) from exc
 
     def record(self, key_a: IntervalKey, key_b: IntervalKey) -> None:
         self.analyzed.add(pair_key(key_a, key_b))

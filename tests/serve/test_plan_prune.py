@@ -147,7 +147,7 @@ def compares(monkeypatch):
 def test_plan_prunes_counts_and_ships_the_rest(traces, label, grain, min_shards):
     plan = plan_shards(traces[label], shard_pairs=grain, min_shards=min_shards)
     pairs, pruned = PLANNED[label]
-    assert (plan.concurrent_pairs, plan.pairs_pruned) == (pairs, pruned)
+    assert (plan.stats.concurrent_pairs, plan.stats.pairs_pruned) == (pairs, pruned)
     surviving = pairs - pruned
     assert plan.pairs_shipped == surviving
     if surviving and min_shards > 1:
@@ -174,8 +174,8 @@ def test_plan_prunes_counts_and_ships_the_rest(traces, label, grain, min_shards)
 def test_digestless_pairs_are_shipped_not_pruned(traces):
     whole = plan_shards(traces["lu"], shard_pairs=32)
     plan = plan_shards(traces["stripped"], shard_pairs=32)
-    assert plan.concurrent_pairs == whole.concurrent_pairs
-    assert 0 < plan.pairs_pruned < whole.pairs_pruned
+    assert plan.stats.concurrent_pairs == whole.stats.concurrent_pairs
+    assert 0 < plan.stats.pairs_pruned < whole.stats.pairs_pruned
     shipped = [key for spec in plan.shards for key in spec.pair_keys]
     planned = [
         (a.key, b.key)
@@ -191,9 +191,9 @@ def test_digestless_pairs_are_shipped_not_pruned(traces):
 def test_disabled_fastpath_prunes_nothing_at_plan_time(traces):
     naive = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
     plan = plan_shards(traces["hpccg"], options=naive, shard_pairs=32)
-    assert plan.pairs_pruned == plan.frames_pruned == 0
-    assert plan.pairs_shipped == plan.concurrent_pairs == PLANNED["hpccg"][0]
-    assert len(plan.shards) == -(-plan.concurrent_pairs // 32)
+    assert plan.stats.pairs_pruned == plan.stats.frames_pruned == 0
+    assert plan.pairs_shipped == plan.stats.concurrent_pairs == PLANNED["hpccg"][0]
+    assert len(plan.shards) == -(-plan.stats.concurrent_pairs // 32)
 
 
 def test_salvage_plan_is_still_one_salvage_shard(traces):
@@ -202,7 +202,7 @@ def test_salvage_plan_is_still_one_salvage_shard(traces):
     )
     assert [spec.kind for spec in plan.shards] == [SALVAGE]
     assert plan.shards[0].pairs == ()
-    assert plan.pairs_pruned == 0
+    assert plan.stats.pairs_pruned == 0
     assert all(
         spec.kind == PAIRS for spec in plan_shards(traces["hpccg"]).shards
     )

@@ -1,5 +1,6 @@
 """Durable recovery: WAL resume, checkpoints, degradation, deadlines."""
 
+import json
 import threading
 import time
 
@@ -19,6 +20,8 @@ from repro.serve import (
     TenantQuota,
     replay_wal,
 )
+from repro.offline.engine import AnalysisStats
+from repro.serve.checkpoint import ShardCheckpointStore
 from repro.serve.wal import WAL_NAME
 from repro.sword.traceformat import parse_journal
 
@@ -244,3 +247,45 @@ def test_identical_jobs_share_checkpoints(tmp_path, racy_trace):
         assert (
             svc._job(first).races.to_json() == svc._job(second).races.to_json()
         )
+
+
+def test_checkpoint_written_before_the_ledger_still_loads(tmp_path):
+    """The stored shape did not change: an outcome as the previous
+    commit wrote it — all 25 ``stats`` keys, the two derived ones
+    included — decodes field for field, and one from before
+    ``site_pairs_skipped`` existed loads with it 0."""
+    stats = {
+        "intervals": 0, "concurrent_pairs": 0, "trees_built": 4,
+        "tree_nodes": 36, "events_read": 1024, "overlap_candidates": 96,
+        "ilp_solves": 90, "races_found": 0, "pairs_pruned": 1,
+        "solver_memo_hits": 5, "solver_memo_misses": 85,
+        "pair_cache_hits": 2, "tree_cache_disk_hits": 3,
+        "bytes_inflated": 32768, "frames_pruned": 2, "frames_inflated": 4,
+        "sites_proven_free": 6, "sites_definite_race": 1,
+        "events_elided": 640, "site_pairs_skipped": 7,
+        "plan_seconds": 0.0, "build_seconds": 0.25, "compare_seconds": 0.5,
+        "total_seconds": 0.75, "events_per_second": 1365.3333333333333,
+    }
+    payload = {
+        "format": 1,
+        "rows": [[1, 2, 4096, True, False, 0, 1, 3, 3, 0, 0]],
+        "stats": stats,
+        "integrity": None,
+        "cache_hits": 5,
+    }
+    store = ShardCheckpointStore(tmp_path)
+    (tmp_path / "parent.json").write_text(json.dumps(payload))
+    outcome = store.load("parent", job_id="j", index=2)
+    assert outcome.from_checkpoint and outcome.cache_hits == 5
+    assert outcome.rows == [(1, 2, 4096, True, False, 0, 1, 3, 3, 0, 0)]
+    assert outcome.stats == AnalysisStats(
+        **{k: v for k, v in stats.items()
+           if k not in ("total_seconds", "events_per_second")}
+    )
+    assert outcome.stats.to_json() == stats
+
+    del stats["site_pairs_skipped"]
+    (tmp_path / "older.json").write_text(json.dumps(payload))
+    older = store.load("older", job_id="j", index=2)
+    assert older.stats.site_pairs_skipped == 0
+    assert older.stats.ilp_solves == 90

@@ -1,5 +1,6 @@
 """Service-level behavior: parity, cache reuse, crashes, cancellation."""
 
+import dataclasses
 import threading
 import time
 
@@ -95,6 +96,12 @@ def test_salvage_job_carries_integrity_report(torn_trace):
     assert result.integrity is not None
     assert result.integrity.mode == "salvage"
     assert result.races.to_json() == baseline.races.to_json()
+    # The salvage shard's ledger reaches the job through the ordinary
+    # merge: everything but the clocks equals the single-shot run.
+    clocks = ("plan_seconds", "build_seconds", "compare_seconds")
+    assert dataclasses.replace(
+        result.stats, **dict.fromkeys(clocks, 0.0)
+    ) == dataclasses.replace(baseline.stats, **dict.fromkeys(clocks, 0.0))
 
 
 def test_strict_torn_trace_fails_job_not_service(torn_trace, racy_trace):

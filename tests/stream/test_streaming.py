@@ -113,10 +113,24 @@ def test_checkpoint_save_is_atomic_and_versioned(tmp_path):
         Checkpoint(path)
 
 
-def test_checkpoint_rejects_garbage(tmp_path):
+@pytest.mark.parametrize(
+    "body",
+    [
+        "{not json",
+        "[]",
+        '{"version": 1}',
+        '{"version": 1, "analyzed": [[1]], "races": []}',
+        '{"version": 1, "analyzed": [], "races": [{"x": 1}]}',
+    ],
+    ids=[
+        "not-json", "not-an-object", "no-watermark", "short-pair", "bad-race",
+    ],
+)
+def test_checkpoint_rejects_garbage(tmp_path, body):
+    """A resume file is outside input: any wrong shape is one error."""
     path = tmp_path / "ck.json"
-    path.write_text("{not json")
-    with pytest.raises(TraceFormatError):
+    path.write_text(body)
+    with pytest.raises(TraceFormatError, match="ck.json"):
         Checkpoint(path)
 
 
