@@ -128,15 +128,14 @@ def frame_kill_points(trace_dir: str | Path) -> list[KillPoint]:
             points.append(
                 KillPoint(name, span.start + span.header_bytes // 2, "mid-header")
             )
-            if span.version >= 2:
-                points.append(
-                    KillPoint(
-                        name,
-                        span.start + span.header_bytes + span.payload_bytes // 2,
-                        "mid-payload",
-                    )
+            points.append(
+                KillPoint(
+                    name,
+                    span.start + span.header_bytes + span.payload_bytes // 2,
+                    "mid-payload",
                 )
-                points.append(KillPoint(name, span.end - 4, "pre-commit"))
+            )
+            points.append(KillPoint(name, span.end - 4, "pre-commit"))
             points.append(
                 KillPoint(
                     name,

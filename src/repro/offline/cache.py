@@ -23,10 +23,11 @@ out of order — a reloaded tree is the built one, row for row, or a miss
 verdicts store the full report list the comparison generated (often
 empty); replaying them through :meth:`RaceSet.add` is order-independent.
 
-Writes are atomic (tmp + rename) and failures are swallowed: a
-read-only or corrupted cache degrades to a miss, never to a wrong
-answer.  Corrupt or truncated entries (torn write, bit rot) are
-additionally *evicted* on discovery — counted on
+Trees and verdicts live in two :class:`~repro.common.store.ContentStore`\\ s,
+``trees/`` and ``pairs/``, so writes are atomic and a read-only,
+corrupted or older cache degrades to a miss, never to a wrong answer.
+An entry that fails to decode (torn write, bit rot, tampered rows) is
+evicted on discovery — counted on
 ``offline.pair_cache_corrupt_evictions`` — so one bad entry costs one
 recompute, not one failed read per run forever.  The cache is only
 sound for *closed* traces — the engine never attaches one to a live
@@ -36,12 +37,11 @@ streaming source.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
+from ..common.store import ContentStore, file_sha
 from ..itree.serialize import TREE_FORMAT, tree_from_rows, tree_to_rows
 from ..itree.tree import IntervalTree
 from ..sword.traceformat import (
@@ -57,23 +57,6 @@ from .report import RaceReport
 
 #: Bump to invalidate every existing cache (verdict semantics changed).
 CACHE_FORMAT = 1
-
-_HASH_CHUNK = 1 << 20
-
-
-def _file_sha(path: Path) -> str:
-    """Content digest of one file; missing files hash to a sentinel."""
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            while True:
-                block = fh.read(_HASH_CHUNK)
-                if not block:
-                    break
-                h.update(block)
-    except OSError:
-        return "absent"
-    return h.hexdigest()
 
 
 class ResultCache:
@@ -93,18 +76,20 @@ class ResultCache:
         )
         self._gid_tokens: dict[int, str] = {}
         self._context_token: Optional[str] = None
-        self.tree_hits = 0
-        self.pair_hits = 0
-        self.misses = 0
-        self.corrupt_evictions = 0
         # The owning engine passes its own registry: explicitly threaded
         # bundles (api.analyze(obs=...), thread-mode serve shards) are
         # never installed as ambient.
         if registry is None:
             registry = get_obs().registry
-        self._m_corrupt = registry.counter(
+        evicted = registry.counter(
             "offline.pair_cache_corrupt_evictions",
             "corrupt/truncated cache entries deleted on discovery",
+        ).inc
+        self.trees = ContentStore(
+            self.root / "trees", TREE_FORMAT, on_evict=evicted
+        )
+        self.pairs = ContentStore(
+            self.root / "pairs", CACHE_FORMAT, on_evict=evicted
         )
 
     # -- tokens ------------------------------------------------------------------
@@ -114,9 +99,9 @@ class ResultCache:
         if token is None:
             token = hashlib.sha256(
                 (
-                    _file_sha(self.trace_path / log_name(gid))
+                    file_sha(self.trace_path / log_name(gid))
                     + "|"
-                    + _file_sha(self.trace_path / meta_name(gid))
+                    + file_sha(self.trace_path / meta_name(gid))
                 ).encode()
             ).hexdigest()
             self._gid_tokens[gid] = token
@@ -127,9 +112,9 @@ class ResultCache:
         if self._context_token is None:
             parts = [
                 f"cache-format={CACHE_FORMAT}",
-                _file_sha(self.trace_path / MUTEXSETS_NAME),
-                _file_sha(self.trace_path / TASKS_NAME),
-                _file_sha(self.trace_path / REGIONS_NAME),
+                file_sha(self.trace_path / MUTEXSETS_NAME),
+                file_sha(self.trace_path / TASKS_NAME),
+                file_sha(self.trace_path / REGIONS_NAME),
             ]
             self._context_token = hashlib.sha256(
                 "|".join(parts).encode()
@@ -157,79 +142,19 @@ class ResultCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    # -- storage -----------------------------------------------------------------
-
-    def _read(self, path: Path) -> Optional[dict]:
-        try:
-            text = path.read_text()
-        except OSError:
-            return None  # plain miss (absent or unreadable)
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self._evict(path)
-            return None
-        if not isinstance(payload, dict):
-            self._evict(path)
-            return None
-        return payload
-
-    def _evict(self, path: Path) -> None:
-        """Delete a corrupt/truncated entry so it costs one miss, not many."""
-        self.corrupt_evictions += 1
-        self._m_corrupt.inc()
-        try:
-            path.unlink()
-        except OSError:
-            pass  # never propagate: an unevictable entry stays a miss
-
-    def _write(self, path: Path, payload: dict) -> None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass  # read-only/filled disk: stay a cache, not a failure
-
-    # -- trees -------------------------------------------------------------------
-
-    def _tree_path(self, token: str) -> Path:
-        return self.root / "trees" / f"{token}.json"
+    # -- entries ---------------------------------------------------------------
 
     def load_tree(self, interval: IntervalData) -> Optional[IntervalTree]:
         """Reload one interval's tree, or None on a miss."""
-        path = self._tree_path(self.interval_token(interval))
-        payload = self._read(path)
-        if payload is None or payload.get("format") != TREE_FORMAT:
-            self.misses += 1
-            return None
-        try:
-            tree = tree_from_rows(payload["nodes"])
-        except (KeyError, ValueError, TypeError):
-            self._evict(path)
-            self.misses += 1
-            return None
-        self.tree_hits += 1
-        return tree
-
-    def store_tree(self, interval: IntervalData, tree: IntervalTree) -> None:
-        self._write(
-            self._tree_path(self.interval_token(interval)),
-            {"format": TREE_FORMAT, "nodes": tree_to_rows(tree)},
+        return self.trees.load(
+            self.interval_token(interval),
+            lambda payload: tree_from_rows(payload["nodes"]),
         )
 
-    # -- pair verdicts -----------------------------------------------------------
-
-    def _pair_path(self, token: str) -> Path:
-        return self.root / "pairs" / f"{token}.json"
+    def store_tree(self, interval: IntervalData, tree: IntervalTree) -> None:
+        self.trees.store(
+            self.interval_token(interval), {"nodes": tree_to_rows(tree)}
+        )
 
     def load_pair(
         self, ia: IntervalData, ib: IntervalData
@@ -239,27 +164,17 @@ class ResultCache:
         An empty list is a *hit*: the pair was compared (or pruned) and
         produced nothing.
         """
-        path = self._pair_path(self.pair_token(ia, ib))
-        payload = self._read(path)
-        if payload is None or payload.get("format") != CACHE_FORMAT:
-            self.misses += 1
-            return None
-        try:
-            reports = [RaceReport.from_json(r) for r in payload["reports"]]
-        except (KeyError, ValueError, TypeError):
-            self._evict(path)
-            self.misses += 1
-            return None
-        self.pair_hits += 1
-        return reports
+        return self.pairs.load(
+            self.pair_token(ia, ib),
+            lambda payload: [
+                RaceReport.from_json(r) for r in payload["reports"]
+            ],
+        )
 
     def store_pair(
         self, ia: IntervalData, ib: IntervalData, reports: list[RaceReport]
     ) -> None:
-        self._write(
-            self._pair_path(self.pair_token(ia, ib)),
-            {
-                "format": CACHE_FORMAT,
-                "reports": [r.to_json() for r in reports],
-            },
+        self.pairs.store(
+            self.pair_token(ia, ib),
+            {"reports": [r.to_json() for r in reports]},
         )

@@ -146,9 +146,15 @@ class AnalysisStats:
     def from_json(cls, payload: dict) -> "AnalysisStats":
         """Inverse of :meth:`to_json`: unknown and derived keys are
         ignored, missing ones keep their default (a checkpoint written
-        before a field existed still loads)."""
-        known = [f.name for f in _STAT_FIELDS if f.name in payload]
-        return cls(**{name: payload[name] for name in known})
+        before a field existed still loads), and a payload that is not
+        an object of numbers raises ``TypeError``."""
+        if not isinstance(payload, dict):
+            raise TypeError(f"stats payload is not an object: {payload!r}")
+        known = {f.name: payload[f.name] for f in _STAT_FIELDS if f.name in payload}
+        for name, value in known.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"stats.{name} is not a number: {value!r}")
+        return cls(**known)
 
     def merge(self, part: "AnalysisStats") -> None:
         """Fold one contribution — a shard's stats, or the plan's — into
@@ -819,11 +825,11 @@ class AnalysisEngine:
         if self._result_cache is not None:
             self._pair_cache_lookups += 1
             cached = self._result_cache.load_pair(ia, ib)
+            self.stats.pair_cache_hits += cached is not None
             self._m_pair_cache_rate.set(
-                self._result_cache.pair_hits / self._pair_cache_lookups
+                self.stats.pair_cache_hits / self._pair_cache_lookups
             )
             if cached is not None:
-                self.stats.pair_cache_hits += 1
                 self._replay_reports(cached, races, on_race)
                 return
         tree_a = self.build_tree(ia)

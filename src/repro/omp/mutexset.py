@@ -12,6 +12,8 @@ import json
 import threading
 from pathlib import Path
 
+from ..common.store import atomic_write_text
+
 #: msid of the empty mutex set (never written to the table explicitly).
 EMPTY_MSID = 0
 
@@ -64,10 +66,11 @@ class MutexSetTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Serialise the table as JSON (part of the trace directory)."""
+        """Serialise the table as JSON (part of the trace directory),
+        replacing any previous table in one rename."""
         with self._lock:
             payload = {str(k): sorted(v) for k, v in self._by_id.items()}
-        Path(path).write_text(json.dumps(payload, indent=0, sort_keys=True))
+        atomic_write_text(path, json.dumps(payload, indent=0, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "MutexSetTable":

@@ -12,22 +12,25 @@ jobs, and tenants.
 
 Spans and per-shard metric deltas are deliberately *not* checkpointed:
 they describe one execution, and a checkpoint hit is precisely the case
-where no execution happened.  Writes are atomic (tmp + rename) and read
-failures degrade to a miss — the cache discipline of
-:mod:`repro.offline.cache`, at shard grain.
+where no execution happened.  The entries live in a
+:class:`~repro.common.store.ContentStore` at ``<state_dir>/checkpoints``
+— atomic writes, and an unreadable entry, or one of another format, is a
+miss.  The codec here decodes every field to its type, so a torn or
+tampered entry is evicted and its shard recomputed instead of failing
+the merge; evictions are counted on the store only, not exported as a
+metric.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
-from ..offline.cache import _file_sha
+from ..common.store import ContentStore, file_sha
 from ..offline.engine import AnalysisStats
+from ..sword.integrity import IntegrityReport
 from ..sword.traceformat import MUTEXSETS_NAME, REGIONS_NAME, TASKS_NAME
 from .workers import ShardOutcome
 
@@ -59,7 +62,7 @@ def trace_token(trace_path: str | os.PathLike) -> str:
     )
     names += [MUTEXSETS_NAME, TASKS_NAME, REGIONS_NAME]
     for name in names:
-        parts.append(f"{name}={_file_sha(trace_path / name)}")
+        parts.append(f"{name}={file_sha(trace_path / name)}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
@@ -79,9 +82,13 @@ def shard_token(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+#: ``race_rows`` field types: ``RaceReport``'s ints and its two
+#: ``write_*`` flags.
+_ROW_TYPES = (int, int, int, bool, bool, int, int, int, int, int, int)
+
+
 def _outcome_to_json(outcome: ShardOutcome) -> dict:
     return {
-        "format": CHECKPOINT_FORMAT,
         "rows": [list(row) for row in outcome.rows],
         "stats": outcome.stats.to_json(),
         "integrity": outcome.integrity,
@@ -89,90 +96,50 @@ def _outcome_to_json(outcome: ShardOutcome) -> dict:
     }
 
 
+def _row(row) -> tuple:
+    if (
+        not isinstance(row, list)
+        or len(row) != len(_ROW_TYPES)
+        or any(type(v) is not t for v, t in zip(row, _ROW_TYPES))
+    ):
+        raise ValueError(f"malformed race row {row!r}")
+    return tuple(row)
+
+
 def _outcome_from_json(payload: dict, job_id: str, index: int) -> ShardOutcome:
+    """Every field decoded to its type, or an error the store evicts on:
+    a checkpoint is outside input, and a hit must be safe to merge."""
+    integrity = payload.get("integrity")
+    if integrity is not None:
+        IntegrityReport.from_json(integrity)
+    cache_hits = payload.get("cache_hits", 0)
+    if type(cache_hits) is not int:
+        raise TypeError(f"cache_hits {cache_hits!r} is not an int")
     return ShardOutcome(
         job_id=job_id,
         index=index,
-        rows=[tuple(row) for row in payload["rows"]],
+        rows=[_row(row) for row in payload["rows"]],
         stats=AnalysisStats.from_json(payload["stats"]),
-        integrity=payload.get("integrity"),
-        cache_hits=int(payload.get("cache_hits", 0)),
+        integrity=integrity,
+        cache_hits=cache_hits,
         from_checkpoint=True,
     )
 
 
 class ShardCheckpointStore:
-    """Content-addressed store of completed shard outcomes."""
+    """Completed shard outcomes in a :class:`ContentStore`, one entry
+    per shard token."""
 
     def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, token: str) -> Path:
-        return self.root / f"{token}.json"
-
-    def exists(self, token: str) -> bool:
-        return bool(token) and self._path(token).exists()
+        self.entries = ContentStore(root, CHECKPOINT_FORMAT)
 
     def load(
         self, token: str, *, job_id: str, index: int
     ) -> Optional[ShardOutcome]:
-        """The stored outcome re-keyed to the asking job, or None.
-
-        A corrupt or truncated entry (torn write at kill time) is
-        evicted and costs one recompute — never a wrong answer.
-        """
-        if not token:
-            return None
-        path = self._path(token)
-        try:
-            payload = json.loads(path.read_text())
-        except OSError:
-            self.misses += 1
-            return None
-        except ValueError:
-            self._evict(path)
-            self.misses += 1
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != CHECKPOINT_FORMAT
-        ):
-            self._evict(path)
-            self.misses += 1
-            return None
-        try:
-            outcome = _outcome_from_json(payload, job_id, index)
-        except (KeyError, TypeError, ValueError):
-            self._evict(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return outcome
+        """The stored outcome re-keyed to the asking job, or None."""
+        return self.entries.load(
+            token, lambda payload: _outcome_from_json(payload, job_id, index)
+        )
 
     def store(self, token: str, outcome: ShardOutcome) -> None:
-        """Persist one completed outcome (atomic; failures swallowed)."""
-        if not token:
-            return
-        path = self._path(token)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(_outcome_to_json(outcome), fh)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass  # full/read-only disk: stay a checkpoint, not a failure
-
-    def _evict(self, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        self.entries.store(token, _outcome_to_json(outcome))

@@ -7,17 +7,20 @@ checkpointed pair, and — because :class:`~repro.offline.report.RaceSet`
 merges witnesses canonically — converges on the exact race set an
 uninterrupted run produces.
 
-Writes are atomic (temp file + rename in the same directory), so a crash
-mid-save leaves the previous checkpoint intact.
+Saves go through :func:`repro.common.store.atomic_write_text`, so a
+crash or a failed write mid-save leaves the previous checkpoint intact
+and no temp file behind.  Unlike a store entry, an unreadable checkpoint
+is not a miss: the file is the resume point the caller asked for, so any
+wrong shape raises :class:`TraceFormatError`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from ..common.errors import TraceFormatError
+from ..common.store import atomic_write_text
 from ..offline.intervals import IntervalKey
 from ..offline.report import RaceSet
 
@@ -83,6 +86,6 @@ class Checkpoint:
             ),
             "races": self.races.to_json(),
         }
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=0, sort_keys=True))
-        os.replace(tmp, self.path)
+        atomic_write_text(
+            self.path, json.dumps(payload, indent=0, sort_keys=True)
+        )

@@ -11,10 +11,8 @@ from .traceformat import (
     format_meta_file,
     log_name,
     meta_name,
-    pack_block_header,
     pack_frame,
     parse_meta_file,
-    unpack_block_header,
     unpack_frame_header,
 )
 
@@ -31,9 +29,7 @@ __all__ = [
     "format_meta_file",
     "log_name",
     "meta_name",
-    "pack_block_header",
     "pack_frame",
     "parse_meta_file",
-    "unpack_block_header",
     "unpack_frame_header",
 ]

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +54,7 @@ from ..common.events import (
     KIND_PARALLEL_BEGIN,
     KIND_PARALLEL_END,
 )
+from ..common.store import atomic_write_text
 from ..memory.accounting import NodeMemory
 from ..obs import (
     RATIO_BUCKETS,
@@ -532,26 +532,14 @@ class SwordTool(OmptTool):
             if self.config.fsync_on_flush:
                 os.fsync(fh.fileno())
 
-    def _write_atomic(self, name: str, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, self.dir / name)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def _snapshot_tables(self) -> None:
         """Keep the small run-wide tables recoverable mid-run.
 
-        Written atomically at every region fork (rare relative to event
-        traffic): the mutex-set table and an in-progress manifest, so a
-        kill between forks still leaves a trace the salvage reader can
-        open without the finalised files.
+        Rewritten at every region fork (rare relative to event traffic):
+        the mutex-set table and an in-progress manifest, each through
+        :func:`~repro.common.store.atomic_write_text`, so a kill or a
+        failed write between forks still leaves the previous snapshot — a
+        trace the salvage reader can open without the finalised files.
         """
         if self._runtime is not None:
             self._runtime.mutexsets.save(self.dir / MUTEXSETS_NAME)
@@ -565,8 +553,8 @@ class SwordTool(OmptTool):
         }
         if self._verdict_table.regions:
             snapshot[STATIC_VERDICTS_KEY] = self._verdict_table.to_payload()
-        self._write_atomic(
-            MANIFEST_NAME,
+        atomic_write_text(
+            self.dir / MANIFEST_NAME,
             json.dumps(snapshot, indent=2, sort_keys=True),
         )
 
@@ -683,14 +671,17 @@ class SwordTool(OmptTool):
                 # meta file is already complete on disk.
                 log.meta_file.close()
             else:
-                (self.dir / meta_name(log.gid)).write_text(
-                    format_meta_file(log.rows, durable=self.config.durable)
+                atomic_write_text(
+                    self.dir / meta_name(log.gid),
+                    format_meta_file(log.rows, durable=self.config.durable),
                 )
-        (self.dir / REGIONS_NAME).write_text(
-            json.dumps(self._regions, indent=0, sort_keys=True)
+        atomic_write_text(
+            self.dir / REGIONS_NAME,
+            json.dumps(self._regions, indent=0, sort_keys=True),
         )
-        (self.dir / TASKS_NAME).write_text(
-            json.dumps(self._task_graph.to_json(), indent=0, sort_keys=True)
+        atomic_write_text(
+            self.dir / TASKS_NAME,
+            json.dumps(self._task_graph.to_json(), indent=0, sort_keys=True),
         )
         if self._runtime is not None:
             self._runtime.mutexsets.save(self.dir / MUTEXSETS_NAME)
@@ -705,8 +696,9 @@ class SwordTool(OmptTool):
         if self.dropped_chunks:
             manifest["dropped_chunks"] = self.dropped_chunks
             manifest["lost_rows"] = self.lost_rows
-        (self.dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True)
+        atomic_write_text(
+            self.dir / MANIFEST_NAME,
+            json.dumps(manifest, indent=2, sort_keys=True),
         )
         for obs in self._observers:
             obs.on_trace_end(self)

@@ -24,9 +24,9 @@ Integrity modes (the production-hardening story):
   surviving prefix is served normally — analysis completes on whatever
   data a crashed run left behind.
 
-Format v1 logs (unchecksummed 24-byte headers) are auto-detected per block
-and read transparently; the first v1 block seen in a process emits a
-one-time :class:`UserWarning`.
+Every block must be a CRC frame: anything else where a frame should
+start — an unchecksummed 24-byte ``SWBL`` header of the retired format
+v1 among them — is a frame defect like a torn one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import bisect
 import json
 import os
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -53,8 +52,6 @@ from ..static.table import STATIC_VERDICTS_KEY
 from ..tasking.graph import TaskGraph
 from .integrity import IntegrityReport, ThreadIntegrity
 from .traceformat import (
-    BLOCK_HEADER_BYTES,
-    BLOCK_MAGIC,
     COMMIT_TRAILER_BYTES,
     FRAME_HEADER_BYTES,
     FRAME_MAGIC,
@@ -71,25 +68,10 @@ from .traceformat import (
     parse_journal,
     parse_meta_file,
     parse_meta_file_salvage,
-    unpack_block_header,
     unpack_frame_header,
 )
 
 INTEGRITY_MODES = ("strict", "salvage")
-
-_v1_warned = False
-
-
-def _warn_v1_once(path: Path) -> None:
-    global _v1_warned
-    if not _v1_warned:
-        _v1_warned = True
-        warnings.warn(
-            f"{path}: unframed v1 trace blocks (no checksums); reading in "
-            f"compatibility mode — corruption in v1 payloads is undetectable",
-            UserWarning,
-            stacklevel=3,
-        )
 
 
 def _check_integrity_mode(integrity: str) -> None:
@@ -109,7 +91,7 @@ class _BlockRef:
     compressed_size: int
     uncompressed_size: int
     codec_id: int
-    payload_crc: int | None  # None for v1 blocks
+    payload_crc: int
     filter_id: int  # preconditioning filter (0 = none)
 
 
@@ -124,8 +106,7 @@ class FrameSpan:
     start: int  # file offset of the frame header
     header_bytes: int
     payload_bytes: int  # compressed payload size
-    trailer_bytes: int  # commit trailer (0 for v1 blocks)
-    version: int  # trace format version of this frame (1 or 2)
+    trailer_bytes: int  # commit trailer
 
     @property
     def end(self) -> int:
@@ -297,18 +278,12 @@ class ThreadTraceReader:
                 magic = fh.read(4)
                 if magic == FRAME_MAGIC:
                     advance = self._index_frame(fh, pos, size)
-                elif magic == BLOCK_MAGIC:
-                    _warn_v1_once(self.log_path)
-                    advance = self._index_v1_block(fh, pos, size)
-                elif len(magic) < 4 or pos + BLOCK_HEADER_BYTES > size:
-                    if self.live:
-                        break  # header still being written
-                    if self._defect(pos, "truncated frame header"):
-                        break
+                elif len(magic) < 4 or pos + FRAME_HEADER_BYTES > size:
+                    if not self.live:  # live: header still being written
+                        self._defect(pos, "truncated frame header")
                     break
                 else:
-                    if self._defect(pos, f"bad frame magic {magic!r}"):
-                        break
+                    self._defect(pos, f"bad frame magic {magic!r}")
                     break
                 if advance is None:
                     break  # live tail, or salvage truncation recorded
@@ -320,7 +295,7 @@ class ThreadTraceReader:
             self.integrity.bytes_dropped = max(0, size - pos)
 
     def _index_frame(self, fh, pos: int, size: int) -> int | None:
-        """Index one v2 CRC-framed chunk; returns the next scan position."""
+        """Index one CRC-framed chunk; returns the next scan position."""
         if pos + FRAME_HEADER_BYTES > size:
             if self.live:
                 return None
@@ -360,19 +335,6 @@ class ThreadTraceReader:
                 self._defect(pos, "payload CRC mismatch")
                 return None
         self._admit(header, pos + FRAME_HEADER_BYTES)
-        return end
-
-    def _index_v1_block(self, fh, pos: int, size: int) -> int | None:
-        """Index one legacy unchecksummed v1 block."""
-        fh.seek(pos)
-        header = unpack_block_header(fh.read(BLOCK_HEADER_BYTES))
-        end = pos + BLOCK_HEADER_BYTES + header.compressed_size
-        if end > size:
-            if self.live:
-                return None
-            self._defect(pos, "torn v1 block (payload missing)")
-            return None
-        self._admit(header, pos + BLOCK_HEADER_BYTES)
         return end
 
     def _admit(self, header, payload_offset: int) -> None:
@@ -463,7 +425,7 @@ class ThreadTraceReader:
         ref = self._blocks[i]
         self._file.seek(ref.file_offset)
         payload = self._file.read(ref.compressed_size)
-        if ref.payload_crc is not None and crc32(payload) != ref.payload_crc:
+        if crc32(payload) != ref.payload_crc:
             raise TraceFormatError(
                 f"{self.log_path}: thread {self.gid}, block {i} at byte "
                 f"{ref.file_offset}: payload CRC mismatch"
@@ -533,29 +495,15 @@ class ThreadTraceReader:
     def frame_spans(self) -> list[FrameSpan]:
         """Physical frame layout of the log file (headers, payloads,
         trailers) for tooling that reasons about on-disk byte offsets."""
-        spans: list[FrameSpan] = []
-        for ref in self._blocks:
-            if ref.payload_crc is not None:
-                spans.append(
-                    FrameSpan(
-                        start=ref.file_offset - FRAME_HEADER_BYTES,
-                        header_bytes=FRAME_HEADER_BYTES,
-                        payload_bytes=ref.compressed_size,
-                        trailer_bytes=COMMIT_TRAILER_BYTES,
-                        version=2,
-                    )
-                )
-            else:
-                spans.append(
-                    FrameSpan(
-                        start=ref.file_offset - BLOCK_HEADER_BYTES,
-                        header_bytes=BLOCK_HEADER_BYTES,
-                        payload_bytes=ref.compressed_size,
-                        trailer_bytes=0,
-                        version=1,
-                    )
-                )
-        return spans
+        return [
+            FrameSpan(
+                start=ref.file_offset - FRAME_HEADER_BYTES,
+                header_bytes=FRAME_HEADER_BYTES,
+                payload_bytes=ref.compressed_size,
+                trailer_bytes=COMMIT_TRAILER_BYTES,
+            )
+            for ref in self._blocks
+        ]
 
 
 def build_interval_label(

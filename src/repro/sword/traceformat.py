@@ -3,19 +3,22 @@
 Per-thread files in a trace directory:
 
 * ``thread_<gid>.log``  — concatenated compressed blocks of EVENT_DTYPE
-  records.  Format v2 frames each block with a 32-byte checksummed
-  header and an 8-byte trailing commit marker (layout below), so a
-  reader can skip blocks without decompressing, resynchronise offsets in
-  *uncompressed stream coordinates* (what the metadata refers to), and
-  — the durability property — prove that any byte-level truncation or
-  corruption leaves a detectable, prefix-valid trace.  v1 traces used an
-  unchecksummed 24-byte header; the reader auto-detects them per block.
+  records.  Each block is framed with a 32-byte checksummed header and
+  an 8-byte trailing commit marker (layout below), so a reader can skip
+  blocks without decompressing, resynchronise offsets in *uncompressed
+  stream coordinates* (what the metadata refers to), and — the
+  durability property — prove that any byte-level truncation or
+  corruption leaves a detectable, prefix-valid trace.  Anything else
+  where a frame should start (including the unchecksummed 24-byte
+  ``SWBL`` headers of format v1, which is no longer read) is a frame
+  defect.
 * ``thread_<gid>.meta`` — text rows, one per barrier-interval data chunk,
   with exactly the paper's Table-I columns: ``pid ppid bid offset span
   level data_begin size`` (``data_begin``/``size`` in uncompressed bytes).
   An interval interrupted by a nested region contributes multiple chunks.
   Durable mode appends a per-row CRC32 suffix (``*xxxxxxxx``) so a torn
-  trailing row is detectable; rows without the suffix still parse (v1).
+  trailing row is detectable; rows without the suffix (non-durable
+  traces) parse too.
 
 Run-wide files:
 
@@ -27,7 +30,7 @@ Run-wide files:
 * ``mutexsets.json`` — the interned mutex-set table;
 * ``manifest.json``  — codec, thread list, counters, format version.
 
-Frame layout (format v2, little-endian)::
+Frame layout (little-endian)::
 
     offset  size  field
     0       4     magic "SWB2"
@@ -59,25 +62,17 @@ from dataclasses import dataclass
 from ..common.errors import TraceFormatError
 from .digest import FrameDigest, decode_digest
 
-#: On-disk format version recorded in the manifest.  v1: unchecksummed
-#: 24-byte block headers; v2: CRC-framed chunks + commit markers.
+#: On-disk format version recorded in the manifest (v2: CRC-framed
+#: chunks + commit markers).
 TRACE_FORMAT_VERSION = 2
 
-# -- v1 block framing (legacy; still readable) --------------------------------
-
-BLOCK_MAGIC = b"SWBL"
-#: ``magic, uncompressed stream offset, compressed size, uncompressed size,
-#: codec id, padding``
-BLOCK_HEADER = struct.Struct("<4sQIIB3x")
-BLOCK_HEADER_BYTES = BLOCK_HEADER.size
-assert BLOCK_HEADER_BYTES == 24
-
-# -- v2 CRC framing -----------------------------------------------------------
+# -- CRC framing --------------------------------------------------------------
 
 FRAME_MAGIC = b"SWB2"
-#: v1 header fields plus a filter id (carved from a padding byte, so
-#: pre-filter v2 frames parse as filter 0 = none), payload CRC32, and a
-#: CRC32 over the header itself.
+#: ``magic, uncompressed stream offset, compressed size, uncompressed
+#: size, codec id, filter id`` (carved from a padding byte, so pre-filter
+#: frames parse as filter 0 = none), payload CRC32, and a CRC32 over the
+#: header itself.
 FRAME_HEADER = struct.Struct("<4sQIIBB2xII")
 FRAME_HEADER_BYTES = FRAME_HEADER.size
 assert FRAME_HEADER_BYTES == 32
@@ -102,57 +97,19 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def pack_block_header(
-    uncompressed_offset: int, compressed_size: int, uncompressed_size: int, codec_id: int
-) -> bytes:
-    """Frame one compressed block (legacy v1 header, kept for tests/tools)."""
-    return BLOCK_HEADER.pack(
-        BLOCK_MAGIC, uncompressed_offset, compressed_size, uncompressed_size, codec_id
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
-    """Parsed block frame (either format version)."""
+    """Parsed frame header."""
 
     uncompressed_offset: int
     compressed_size: int
     uncompressed_size: int
     codec_id: int
-    #: CRC32 of the compressed payload; None for v1 blocks (unchecksummed).
-    payload_crc: int | None = None
-    #: Preconditioning filter applied before compression (0 = none; v1
-    #: blocks and pre-filter v2 frames always carry 0).
+    #: CRC32 of the compressed payload.
+    payload_crc: int
+    #: Preconditioning filter applied before compression (0 = none;
+    #: pre-filter frames always carry 0).
     filter_id: int = 0
-
-    @property
-    def version(self) -> int:
-        return 1 if self.payload_crc is None else 2
-
-    @property
-    def header_bytes(self) -> int:
-        return BLOCK_HEADER_BYTES if self.payload_crc is None else FRAME_HEADER_BYTES
-
-    @property
-    def trailer_bytes(self) -> int:
-        return 0 if self.payload_crc is None else COMMIT_TRAILER_BYTES
-
-
-def unpack_block_header(data: bytes) -> BlockHeader:
-    """Parse and validate one v1 block frame."""
-    if len(data) < BLOCK_HEADER_BYTES:
-        raise TraceFormatError("truncated block header")
-    magic, off, csize, usize, codec_id = BLOCK_HEADER.unpack(
-        data[:BLOCK_HEADER_BYTES]
-    )
-    if magic != BLOCK_MAGIC:
-        raise TraceFormatError(f"bad block magic {magic!r}")
-    return BlockHeader(
-        uncompressed_offset=off,
-        compressed_size=csize,
-        uncompressed_size=usize,
-        codec_id=codec_id,
-    )
 
 
 def pack_frame(
@@ -162,7 +119,7 @@ def pack_frame(
     codec_id: int,
     filter_id: int = 0,
 ) -> bytes:
-    """Frame one compressed block as a v2 chunk: header + payload + commit."""
+    """Frame one compressed block: header + payload + commit."""
     payload_crc = crc32(payload)
     head = FRAME_HEADER.pack(
         FRAME_MAGIC,
@@ -179,7 +136,7 @@ def pack_frame(
 
 
 def unpack_frame_header(data: bytes) -> BlockHeader:
-    """Parse and validate one v2 frame header (magic + header CRC)."""
+    """Parse and validate one frame header (magic + header CRC)."""
     if len(data) < FRAME_HEADER_BYTES:
         raise TraceFormatError("truncated frame header")
     raw = data[:FRAME_HEADER_BYTES]
@@ -222,7 +179,7 @@ class MetaRow:
     size: int            # chunk length in uncompressed bytes
     #: Collection-time access summary of the chunk, serialised as a
     #: versioned ``d1=...`` suffix token (durable rows CRC-cover it).
-    #: None for v1 rows, pre-digest v2 rows, and newer-version tokens.
+    #: None for pre-digest rows and newer-version tokens.
     digest: FrameDigest | None = None
 
     def format(self) -> str:

@@ -9,8 +9,12 @@ import sys
 # subdirectories, which are not packages.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+import contextlib
+import errno
+import io
 import shutil
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -62,3 +66,27 @@ def sword_and_oracle(program, trace_path, *, nthreads=4, seed=0, yield_every=0):
     analysis = SerialOfflineAnalyzer(TraceDir(trace_path)).analyze()
     oracle = oracle_races(rec, rt.mutexsets)
     return analysis.races, oracle, rec, rt
+
+
+@contextlib.contextmanager
+def disk_full_midwrite():
+    """Inside the block, every text file opened for writing takes half of
+    the text it is given, then fails with ENOSPC.  ``Path.write_text``
+    and ``os.fdopen`` both open files through ``io.open``."""
+    real_open = io.open
+
+    def opener(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and "b" not in mode:
+            write = fh.write
+
+            def half_write(text):
+                write(text[: len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = half_write
+        return fh
+
+    with mock.patch.object(io, "open", opener):
+        yield

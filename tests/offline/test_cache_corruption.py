@@ -7,6 +7,7 @@ import pytest
 
 from repro import api
 from repro.faults.harness import collect_trace
+from repro.common.store import ContentStore
 from repro.harness.tools import SwordDriver
 from repro.obs import live, set_obs
 from repro.offline.analyzer import SerialOfflineAnalyzer
@@ -32,21 +33,48 @@ def _cached_options():
     )
 
 
-def test_read_evicts_corrupt_entry(tmp_path):
-    cache = ResultCache(tmp_path)
-    path = tmp_path / "entry.json"
-    path.write_text('{"nodes": [1, 2')  # torn write
-    assert cache._read(path) is None
-    assert cache.corrupt_evictions == 1
-    assert not path.exists()  # one miss, not one per run forever
-    # Valid JSON of the wrong shape is equally corrupt.
-    path.write_text('[1, 2, 3]')
-    assert cache._read(path) is None
-    assert cache.corrupt_evictions == 2
-    assert not path.exists()
-    # A plain missing file is a miss, not an eviction.
-    assert cache._read(tmp_path / "absent.json") is None
-    assert cache.corrupt_evictions == 2
+def _value(payload):
+    return payload["value"]
+
+
+#: What is on disk before the store's load (None: nothing).
+ENTRIES = {
+    "absent": None,
+    "torn": '{"format": 3, "value": [1, 2',
+    "non-object": "[1, 2, 3]",
+    "decode-raising": '{"format": 3}',
+    "other-format": '{"format": 2, "value": 7}',
+    "unwritable-root": None,
+}
+
+
+@pytest.mark.parametrize("case", ENTRIES)
+def test_store_load_contract(tmp_path, case):
+    """The one store behind the result cache and the shard checkpoints:
+    a load is the decoded entry or a miss, and only an entry that fails
+    to decode is unlinked and counted."""
+    root = tmp_path / "store"
+    if case == "unwritable-root":
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "store"  # mkdir under a file fails
+    evicted = []
+    store = ContentStore(root, 3, on_evict=lambda: evicted.append(case))
+    path = store.path("entry")
+    if ENTRIES[case] is not None:
+        root.mkdir()
+        path.write_text(ENTRIES[case])
+    if case == "unwritable-root":
+        store.store("entry", {"value": 7})  # returns quietly
+    assert store.load("entry", _value) is None
+    corrupt = case in ("torn", "non-object", "decode-raising")
+    assert store.evictions == len(evicted) == int(corrupt)
+    assert path.exists() == (case == "other-format")
+    if case != "unwritable-root":
+        # Whatever was there, the next store makes the entry a hit.
+        store.store("entry", {"value": 7})
+        assert json.loads(path.read_text()) == {"format": 3, "value": 7}
+        assert store.load("entry", _value) == 7
+        assert [p.name for p in root.iterdir()] == ["entry.json"]
 
 
 def test_corrupt_cache_entries_recomputed_not_propagated(tmp_path):

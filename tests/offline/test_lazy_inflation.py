@@ -189,7 +189,7 @@ def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):
     with SerialOfflineAnalyzer(trace, options=options) as analyzer:
         built = analyzer.build_tree(interval)
     cache = ResultCache(trace_path)
-    path = cache._tree_path(cache.interval_token(interval))
+    path = cache.trees.path(cache.interval_token(interval))
     payload = json.loads(path.read_text())
     assert set(payload) == {"format", "nodes"}
     payload["digest"] = {"version": 99, "nodes": 1}
@@ -197,9 +197,9 @@ def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):
     path.write_text(json.dumps(payload))
     loaded = cache.load_tree(interval)
     assert loaded is not None and len(loaded) == len(built)
-    assert cache.corrupt_evictions == 0
+    assert cache.trees.evictions == 0
     # A genuinely torn entry is still a counted, evicted miss.
     path.write_text(json.dumps({"format": payload["format"]}))
     assert cache.load_tree(interval) is None
-    assert cache.corrupt_evictions == 1
+    assert cache.trees.evictions == 1
     assert not path.exists()

@@ -1,6 +1,7 @@
 """Mutex-set interning table."""
 
 import pytest
+from conftest import disk_full_midwrite
 
 from repro.omp.mutexset import EMPTY_MSID, MutexSetTable
 
@@ -50,3 +51,22 @@ def test_save_load_roundtrip(tmp_path):
     # New interning continues past the loaded ids.
     fresh = loaded.intern(frozenset({100}))
     assert fresh not in ids
+
+
+def test_failed_save_leaves_the_previous_table(tmp_path):
+    """A durable snapshot that dies halfway must leave the last good
+    table: a torn one reads as missing, and salvage then judges every
+    locked pair with an empty table."""
+    first = MutexSetTable()
+    locked = first.intern(frozenset({1, 2}))
+    path = tmp_path / "mutexsets.json"
+    first.save(path)
+    second = MutexSetTable()
+    for i in range(64):
+        second.intern(frozenset({i, i + 1}))
+    with disk_full_midwrite(), pytest.raises(OSError):
+        second.save(path)
+    loaded = MutexSetTable.load(path)
+    assert len(loaded) == len(first)
+    assert loaded.get(locked) == frozenset({1, 2})
+    assert not list(tmp_path.glob("*.tmp"))

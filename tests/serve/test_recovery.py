@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import api
 from repro.faults import sabotage
 from repro.faults.harness import collect_trace
 from repro.serve import (
@@ -21,6 +22,7 @@ from repro.serve import (
     replay_wal,
 )
 from repro.offline.engine import AnalysisStats
+from repro.serve import workers
 from repro.serve.checkpoint import ShardCheckpointStore
 from repro.serve.wal import WAL_NAME
 from repro.sword.traceformat import parse_journal
@@ -289,3 +291,66 @@ def test_checkpoint_written_before_the_ledger_still_loads(tmp_path):
     older = store.load("older", job_id="j", index=2)
     assert older.stats.site_pairs_skipped == 0
     assert older.stats.ilp_solves == 90
+
+
+@pytest.fixture(scope="module")
+def qsomp_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("traces") / "qsomp"
+    collect_trace("cpp_qsomp1", trace, nthreads=4, seed=0, n=256)
+    return trace, api.analyze(trace).races.to_json()
+
+
+def _edit(text, **fields):
+    return json.dumps({**json.loads(text), **fields})
+
+
+#: Shard-checkpoint bodies a torn write or a tamperer leaves behind.
+TAMPERED = {
+    "torn": lambda text: text[:20],
+    "not-an-object": lambda text: "[]",
+    "two-field-row": lambda text: _edit(text, rows=[[1, 2]]),
+    "string-field": lambda text: _edit(
+        text, rows=[[1, 2, "4096", True, False, 0, 1, 3, 3, 0, 0]]
+    ),
+    "non-numeric-stat": lambda text: _edit(
+        text, stats={**json.loads(text)["stats"], "trees_built": "x"}
+    ),
+    "integrity-shape": lambda text: _edit(text, integrity=["not", "a"]),
+    "format-2": lambda text: _edit(text, format=2),
+}
+
+
+@pytest.mark.parametrize("body", TAMPERED)
+def test_tampered_checkpoint_is_recomputed_not_hung(
+    tmp_path, qsomp_trace, body, monkeypatch
+):
+    """A checkpoint is outside input.  One that does not decode field by
+    field is evicted and its shard recomputed — a hit that only fails at
+    the merge would kill the pool thread and leave the job running
+    forever.  Another ``format`` is a plain miss, overwritten."""
+    trace, reference = qsomp_trace
+    state = tmp_path / "state"
+    with durable_service(state, result_cache=False) as svc:
+        svc.result(svc.submit(trace), timeout=30)
+    checkpoints = sorted((state / "checkpoints").glob("*.json"))
+    assert checkpoints
+    for path in checkpoints:
+        path.write_text(TAMPERED[body](path.read_text()))
+    stores = []
+    real_store = workers._checkpoint_store
+
+    def recording_store(spec):
+        stores.append(real_store(spec))
+        return stores[-1]
+
+    monkeypatch.setattr(workers, "_checkpoint_store", recording_store)
+    with durable_service(state, result_cache=False) as svc:
+        job_id = svc.submit(trace)
+        result = svc.result(job_id, timeout=30)
+        assert svc.status(job_id)["state"] == DONE
+    assert result.races.to_json() == reference
+    evictions = sum(store.entries.evictions for store in stores)
+    assert evictions == (0 if body == "format-2" else len(checkpoints))
+    reader = ShardCheckpointStore(state / "checkpoints")
+    for path in checkpoints:
+        assert reader.load(path.stem, job_id="j", index=0) is not None

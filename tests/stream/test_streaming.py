@@ -5,6 +5,7 @@ import shutil
 import tempfile
 
 import pytest
+from conftest import disk_full_midwrite
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.common.errors import TraceFormatError
@@ -103,8 +104,17 @@ def test_checkpoint_save_is_atomic_and_versioned(tmp_path):
     ck = Checkpoint(path)
     ck.analyzed.add(((0, 1, 0), (1, 1, 0)))
     ck.save()
-    assert not path.with_name("ck.json.tmp").exists()
+    assert not list(tmp_path.glob("*.tmp"))
     assert Checkpoint(path).analyzed == ck.analyzed
+
+    # A save that fails partway leaves the previous checkpoint and no
+    # temp file.
+    saved = set(ck.analyzed)
+    ck.analyzed.update(((0, 1, b), (1, 1, b)) for b in range(1, 64))
+    with disk_full_midwrite(), pytest.raises(OSError):
+        ck.save()
+    assert Checkpoint(path).analyzed == saved
+    assert not list(tmp_path.glob("*.tmp"))
 
     payload = json.loads(path.read_text())
     payload["version"] = 99

@@ -1,4 +1,4 @@
-"""Delta preconditioning filter: roundtrips, framed traces, mixed versions."""
+"""Delta preconditioning filter: roundtrips, framed traces, mixed frames."""
 
 import json
 import shutil
@@ -18,7 +18,7 @@ from repro.faults.harness import collect_trace
 from repro.harness.tools import SwordDriver
 from repro.sword.compression import by_id, filters
 from repro.sword.reader import ThreadTraceReader, TraceDir
-from repro.sword.traceformat import log_name, pack_block_header, pack_frame
+from repro.sword.traceformat import log_name, pack_frame
 from repro.workloads import REGISTRY
 
 WORKLOAD = "figure5-truedep"
@@ -159,14 +159,14 @@ class TestFilteredTraces:
         assert on["bytes_compressed"] <= off["bytes_compressed"]
 
     def test_mixed_version_dir_analyzes_in_both_modes(self, tmp_traces):
-        """One log mixing v1 blocks, plain v2 frames, and filtered frames."""
+        """One log mixing unfiltered and delta-filtered frames."""
         trace = tmp_traces()
         collect_trace(
             WORKLOAD, trace, nthreads=2, buffer_events=64, delta_filter=True
         )
         gold = _blob(api.analyze(TraceDir(trace)).races)
         gid = TraceDir(trace).thread_gids[0]
-        _downgrade_blocks(Path(trace), gid)
+        _mix_frame_encodings(Path(trace), gid)
         for mode in ("strict", "salvage"):
             result = api.analyze(trace, integrity=mode)
             assert _blob(result.races) == gold
@@ -174,30 +174,23 @@ class TestFilteredTraces:
         assert report is not None and not report.thread(gid).errors
 
 
-def _downgrade_blocks(trace: Path, gid: int) -> None:
-    """Rewrite one thread log, alternating block encodings per index:
-    v1 (no checksums), v2 unfiltered, v2 delta-filtered."""
+def _mix_frame_encodings(trace: Path, gid: int) -> None:
+    """Rewrite one thread log, alternating frame encodings per index:
+    unfiltered, delta-filtered."""
     with ThreadTraceReader(trace, gid) as reader:
         blocks = [
             (ref, reader._block_bytes(i)) for i, ref in enumerate(reader._blocks)
         ]
-    assert len(blocks) >= 3, "need several blocks to mix encodings"
+    assert len(blocks) >= 2, "need several blocks to mix encodings"
     out = bytearray()
     for i, (ref, data) in enumerate(blocks):
         codec = by_id(ref.codec_id)
-        kind = i % 3
-        if kind == 0:  # legacy v1 block
-            payload = codec.compress(data)
-            out += pack_block_header(
-                ref.uncompressed_offset, len(payload), len(data), ref.codec_id
-            )
-            out += payload
-        elif kind == 1:  # v2 frame, no filter
+        if i % 2 == 0:  # no filter
             payload = codec.compress(data)
             out += pack_frame(
                 ref.uncompressed_offset, payload, len(data), ref.codec_id
             )
-        else:  # v2 frame, delta-filtered
+        else:  # delta-filtered
             payload = codec.compress(filters.encode(filters.FILTER_DELTA, data))
             out += pack_frame(
                 ref.uncompressed_offset,

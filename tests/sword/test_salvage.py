@@ -4,32 +4,27 @@ Property under test (the durability headline): for ANY fault point in a
 trace, salvage analysis completes — no crash — and its race set is a
 subset of the clean run's.  Plus the unit-level behaviours: CRC-mismatch
 truncation, torn/duplicated/deleted meta records, missing run-wide
-files, and v1 backward compatibility.
+files, and retired v1 frames read as defects.
 """
 
 import json
-import shutil
-import warnings
+import struct
 
 import pytest
 
-import repro.sword.reader as reader_mod
 from repro import api
 from repro.common.errors import TraceFormatError
 from repro.faults.harness import collect_trace, frame_kill_points, kill_sweep
 from repro.sword import IntegrityReport, TraceDir
 from repro.sword.traceformat import (
-    BLOCK_HEADER_BYTES,
     COMMIT_TRAILER_BYTES,
     FRAME_HEADER_BYTES,
-    FRAME_MAGIC,
     MANIFEST_NAME,
     MUTEXSETS_NAME,
     REGIONS_JOURNAL_NAME,
     REGIONS_NAME,
     log_name,
     meta_name,
-    pack_block_header,
     unpack_frame_header,
 )
 
@@ -244,70 +239,32 @@ def test_analysis_result_json_carries_integrity_key(clean_trace):
     assert salvage_payload["integrity"]["clean"] is True
 
 
-# -- v1 backward compatibility -------------------------------------------------
+# -- retired v1 frames ----------------------------------------------------------
 
 
-def _downgrade_to_v1(trace_dir):
-    """Rewrite every v2 frame as an unchecksummed v1 block."""
-    for log_path in trace_dir.glob("thread_*.log"):
+def test_v1_blocks_are_frame_defects(clean_trace):
+    """Format v1's unchecksummed 24-byte ``SWBL`` headers are no longer
+    read: strict names the first one as a bad frame, salvage keeps
+    nothing of a log that starts with one."""
+    v1_header = struct.Struct("<4sQIIB3x")
+    for gid in TraceDir(clean_trace).thread_gids:
+        with TraceDir(clean_trace).reader(gid) as reader:
+            blocks = reader._blocks
+        log_path = clean_trace / log_name(gid)
         data = log_path.read_bytes()
-        out = bytearray()
-        pos = 0
-        while pos < len(data):
-            assert data[pos : pos + 4] == FRAME_MAGIC
-            header = unpack_frame_header(data[pos : pos + FRAME_HEADER_BYTES])
-            assert header.filter_id == 0, "v1 blocks cannot carry a filter"
-            payload = data[
-                pos + FRAME_HEADER_BYTES :
-                pos + FRAME_HEADER_BYTES + header.compressed_size
-            ]
-            out += pack_block_header(
-                header.uncompressed_offset,
-                header.compressed_size,
-                header.uncompressed_size,
-                header.codec_id,
+        log_path.write_bytes(b"".join(
+            v1_header.pack(
+                b"SWBL", ref.uncompressed_offset, ref.compressed_size,
+                ref.uncompressed_size, ref.codec_id,
             )
-            out += payload
-            pos += (
-                FRAME_HEADER_BYTES
-                + header.compressed_size
-                + COMMIT_TRAILER_BYTES
-            )
-        log_path.write_bytes(bytes(out))
-    manifest_path = trace_dir / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 1
-    manifest_path.write_text(json.dumps(manifest))
-
-
-def test_v1_trace_reads_with_one_warning(tmp_path):
-    # v1 block headers have no filter byte, so a v1 trace is unfiltered
-    # by construction: downgrade frames that were written that way.
-    clean_trace = tmp_path / "clean"
-    collect_trace(
-        WORKLOAD, clean_trace, nthreads=2, seed=0, buffer_events=64,
-        delta_filter=False,
-    )
-    strict_races = api.analyze(clean_trace).races.to_json()
-    v1 = tmp_path / "v1"
-    shutil.copytree(clean_trace, v1)
-    _downgrade_to_v1(v1)
-    reader_mod._v1_warned = False
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.analyze(v1)
-            again = api.analyze(v1)
-        v1_warnings = [
-            w for w in caught if "v1" in str(w.message)
-        ]
-        assert len(v1_warnings) == 1  # warn once per process, not per read
-    finally:
-        reader_mod._v1_warned = False
-    # Same analysis result through the compatibility path.
-    assert result.races.to_json() == strict_races
-    assert again.races.to_json() == strict_races
-
-
-def test_v1_block_header_is_24_bytes():
-    assert BLOCK_HEADER_BYTES == 24  # layout frozen for compatibility
+            + data[ref.file_offset : ref.file_offset + ref.compressed_size]
+            for ref in blocks
+        ))
+    with pytest.raises(
+        TraceFormatError,
+        match=r"thread \d+, block 0 at byte 0: bad frame magic b'SWBL'",
+    ):
+        api.analyze(clean_trace)
+    result = _salvage(clean_trace)
+    assert result.races.to_json() == []
+    assert result.integrity.chunks_dropped >= 1

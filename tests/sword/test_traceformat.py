@@ -1,10 +1,9 @@
-"""Block framing (v1 + v2 CRC frames) and Table-I metadata rows."""
+"""CRC block framing and Table-I metadata rows."""
 
 import pytest
 
 from repro.common.errors import TraceFormatError
 from repro.sword.traceformat import (
-    BLOCK_HEADER_BYTES,
     COMMIT_TRAILER_BYTES,
     FRAME_HEADER_BYTES,
     FRAME_MAGIC,
@@ -14,37 +13,12 @@ from repro.sword.traceformat import (
     crc32,
     format_meta_file,
     journal_line,
-    pack_block_header,
     pack_frame,
     parse_journal,
     parse_meta_file,
     parse_meta_file_salvage,
-    unpack_block_header,
     unpack_frame_header,
 )
-
-
-class TestBlockHeaders:
-    def test_roundtrip(self):
-        raw = pack_block_header(12345, 678, 91011, 2)
-        header = unpack_block_header(raw)
-        assert header.uncompressed_offset == 12345
-        assert header.compressed_size == 678
-        assert header.uncompressed_size == 91011
-        assert header.codec_id == 2
-
-    def test_fixed_size(self):
-        assert len(pack_block_header(0, 0, 0, 0)) == BLOCK_HEADER_BYTES == 24
-
-    def test_bad_magic(self):
-        raw = bytearray(pack_block_header(1, 2, 3, 4))
-        raw[0] = ord("X")
-        with pytest.raises(TraceFormatError):
-            unpack_block_header(bytes(raw))
-
-    def test_truncated(self):
-        with pytest.raises(TraceFormatError):
-            unpack_block_header(b"SWBL")
 
 
 class TestMetaRows:
@@ -108,9 +82,6 @@ class TestFrameV2:
         assert header.uncompressed_size == 4096
         assert header.codec_id == 2
         assert header.payload_crc == crc32(self.PAYLOAD)
-        assert header.version == 2
-        assert header.header_bytes == FRAME_HEADER_BYTES == 32
-        assert header.trailer_bytes == COMMIT_TRAILER_BYTES == 8
 
     def test_commit_trailer_seals_the_frame(self):
         frame = pack_frame(0, self.PAYLOAD, 100, 1)
@@ -134,12 +105,6 @@ class TestFrameV2:
             unpack_frame_header(bytes(frame))
         with pytest.raises(TraceFormatError, match="truncated"):
             unpack_frame_header(FRAME_MAGIC + b"\x00" * 8)
-
-    def test_v1_headers_have_no_checksum(self):
-        header = unpack_block_header(pack_block_header(5, 6, 7, 1))
-        assert header.version == 1
-        assert header.payload_crc is None
-        assert header.trailer_bytes == 0
 
 
 class TestDurableMetaRows:
