@@ -47,25 +47,20 @@ def test_e6_archer_memory_tracks_baseline_not_threads(benchmark, figures):
         assert archer[24] < archer[8] * 1.4 + 64 * 2**20, name
 
 
-def test_e6_lulesh_offline_cost_tracks_region_count(benchmark, figures):
+def test_e6_lulesh_offline_cost_tracks_region_count(benchmark):
     """The driver behind the paper's LULESH observation: SWORD's offline
-    cost is proportional to the number of parallel regions, and LULESH's
-    region count makes its offline phase as expensive as its collection
-    (Table V's story).
+    work is proportional to the number of parallel regions.
 
-    NOTE (EXPERIMENTS.md): the *direction* of the paper's Figure 7c — the
-    dynamic phase itself being slower than ARCHER's — does not reproduce
-    on this substrate, where buffered trace I/O is cheap relative to the
-    per-access cost of the happens-before baseline.
+    NOTE (EXPERIMENTS.md, E6): two divergences are recorded there.  The
+    *direction* of the paper's Figure 7c — the dynamic phase itself being
+    slower than ARCHER's — does not reproduce on this substrate.  And the
+    paper's "offline pass doubles the cost" ratio is not asserted: the
+    frame-digest prune decides every LULESH pair from metadata, so the
+    offline pass adds only a fraction of the dynamic phase here.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    slow_fig, _mem = figures["lulesh"]
-    sword = dict(slow_fig.get("sword").points)
-    total = dict(slow_fig.get("sword-total").points)
-    # The offline pass at least doubles SWORD's cost on LULESH.
-    assert total[24] > sword[24] * 1.7
-    # And the many-small-regions structure is what drives it: measure the
-    # interval/pair load directly against a low-region benchmark.
+    # Measure the interval/pair load directly against a low-region
+    # benchmark.
     from repro.harness.tools import driver as _driver
     from repro.workloads import REGISTRY as _REG
 

@@ -367,8 +367,6 @@ class AnalysisEngine:
             table = getattr(source, "static_verdicts", None)
             if table is not None:
                 self._static_free = table.proven_free_by_pid()
-        #: (pid, bid) -> does that barrier interval hold explicit tasks?
-        self._tasky_regions: dict[tuple[int, int], bool] = {}
         self._inflated_seen: dict[int, int] = {}
         self._result_cache = self._attach_result_cache(fast)
         #: What :meth:`close` has already published of ``stats``.
@@ -532,10 +530,9 @@ class AnalysisEngine:
         if key_b < key_a:
             tree_a, tree_b = tree_b, tree_a
             ia, ib = ib, ia
-        use_tasks = (
-            len(self.source.task_graph) > 0
-            and (ia.key.pid, ia.key.bid) == (ib.key.pid, ib.key.bid)
-            and self._region_has_tasks(ia.key.pid, ia.key.bid)
+        same_group = (ia.key.pid, ia.key.bid) == (ib.key.pid, ib.key.bid)
+        use_tasks = same_group and self.source.task_graph.holds_tasks(
+            ia.key.pid, ia.key.bid
         )
         # Statically proven-free pcs apply only within one region
         # instance: a pc's verdict says nothing about other regions.
@@ -558,19 +555,6 @@ class AnalysisEngine:
                 tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
                 use_tasks,
             )
-
-    def _region_has_tasks(self, pid: int, bid: int) -> bool:
-        """Does the barrier interval hold explicit tasks?  (One task-graph
-        scan per region instance: its task set is final before any of its
-        pairs is compared.)"""
-        known = self._tasky_regions.get((pid, bid))
-        if known is None:
-            known = any(
-                t.pid == pid and t.bid == bid
-                for t in self.source.task_graph.tasks()
-            )
-            self._tasky_regions[(pid, bid)] = known
-        return known
 
     def _compare_scalar(
         self, tree_a, tree_b, ia, ib, races, on_race, sink, static_free,

@@ -399,7 +399,7 @@ class WorkStealingPool:
             if task.cancelled():
                 self.skipped += 1
                 self._journal("shard-skip", task)
-                task.on_done(None, None)
+                self._deliver(task, None, None)
                 continue
             self._journal("shard-start", task, worker=wid)
             t0 = time.perf_counter()
@@ -413,11 +413,11 @@ class WorkStealingPool:
                 if self._requeue_crashed(task, exc):
                     continue
                 self._journal("shard-error", task, error=str(exc))
-                task.on_done(None, exc)
+                self._deliver(task, None, exc)
                 continue
             except BaseException as exc:  # report, never unwind the pool
                 self._journal("shard-error", task, error=str(exc))
-                task.on_done(None, exc)
+                self._deliver(task, None, exc)
                 continue
             self.executed += 1
             self._m_executed.inc()
@@ -432,7 +432,24 @@ class WorkStealingPool:
                     elapsed,
                     exemplar=getattr(task.spec, "trace_id", "") or None,
                 )
-            task.on_done(outcome, None)
+            self._deliver(task, outcome, None)
+
+    def _deliver(
+        self,
+        task: ShardTask,
+        outcome: Optional[ShardOutcome],
+        error: Optional[BaseException],
+    ) -> None:
+        """Hand a shard's result to its owner.  A raising callback is
+        journalled, never allowed to unwind the worker thread: a dead
+        worker strands every shard left on its deque."""
+        try:
+            task.on_done(outcome, error)
+        except Exception as exc:
+            self._journal(
+                "shard-callback-error", task,
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     # -- the supervisor ----------------------------------------------------------
 

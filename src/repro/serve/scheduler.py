@@ -391,7 +391,14 @@ class JobScheduler:
                 elif not job.error:
                     job.error = f"{type(error).__name__}: {error}"
             if outcome is not None:
-                self._merge(job, outcome)
+                try:
+                    self._merge(job, outcome)
+                except Exception as exc:
+                    # A half-merged shard leaves the job's result
+                    # unknown: fail the job with the cause, and still
+                    # count the shard so the job settles.
+                    if not job.error:
+                        job.error = f"merge: {type(exc).__name__}: {exc}"
             if task is not None:
                 self._record_attempts(job, task)
             if job.shards_done >= job.shards_total:

@@ -2,11 +2,11 @@
 
 The post-mortem pipeline waits for the run to finish before any offline
 work starts.  This package closes that gap: the online logger publishes
-flush events as the trace is produced (:mod:`repro.stream.bus`), an
-incremental scheduler turns the growing interval inventory into sound
-comparisons the moment both sides exist (:mod:`repro.stream.scheduler`),
-and a streaming analyzer drives the shared analysis engine over them,
-reporting races while the application is still running
+flush events as the trace is produced (:mod:`repro.stream.bus`), and a
+streaming analyzer grows the offline phase's interval inventory
+(:class:`~repro.offline.intervals.IntervalInventory`) row by row, takes
+each comparison the moment it is sound, and drives the shared analysis
+engine over it, reporting races while the application is still running
 (:mod:`repro.stream.analyzer`), with resumable checkpoints
 (:mod:`repro.stream.checkpoint`) and a one-call watch mode
 (:mod:`repro.stream.watch`).
@@ -20,12 +20,10 @@ from .analyzer import (
 )
 from .bus import TraceObserver, replay_trace
 from .checkpoint import Checkpoint, pair_key
-from .scheduler import IncrementalPairScheduler
 from .watch import WatchResult, watch
 
 __all__ = [
     "Checkpoint",
-    "IncrementalPairScheduler",
     "LiveTraceSource",
     "StreamAnalyzer",
     "StreamingInterrupted",

@@ -1,9 +1,10 @@
 """The streaming race analyzer: analysis racing the application.
 
 A :class:`StreamAnalyzer` subscribes to the online tool's flush-event
-bus and drives the shared :class:`~repro.offline.engine.AnalysisEngine`
-over pairs emitted by the :class:`~repro.stream.scheduler.
-IncrementalPairScheduler` — while the traced program is still running.
+bus, grows an :class:`~repro.offline.intervals.IntervalInventory` (the
+batch modes' planner) row by row, and drives the shared
+:class:`~repro.offline.engine.AnalysisEngine` over each pair the inventory
+declares ready — while the traced program is still running.
 Races are reported the moment they are confirmed (the live feed), and by
 program end most of the offline work is already done.
 
@@ -24,13 +25,12 @@ from pathlib import Path
 
 from ..obs import Instrumentation, get_obs
 from ..offline.engine import AnalysisEngine, AnalysisResult, AnalysisStats
-from ..offline.intervals import IntervalData
+from ..offline.intervals import IntervalInventory, Pair
 from ..offline.options import AnalysisOptions
 from ..offline.report import RaceSet
 from ..sword.reader import ThreadTraceReader, TraceDir
 from .bus import TraceObserver, replay_trace
 from .checkpoint import Checkpoint
-from .scheduler import IncrementalPairScheduler
 
 
 class StreamingInterrupted(RuntimeError):
@@ -43,12 +43,13 @@ class LiveTraceSource:
 
     ``mutexsets`` and ``task_graph`` are bound at trace begin — to the
     runtime's live tables when observing a run, or to the closed trace's
-    loaded tables when replaying.
+    loaded tables when replaying.  ``regions`` grows as regions fork.
     """
 
     def __init__(self, directory: str | Path, *, live: bool = True) -> None:
         self.directory = Path(directory)
         self.live = live
+        self.regions: dict[int, dict] = {}
         self.mutexsets = None
         self.task_graph = None
 
@@ -61,15 +62,14 @@ class StreamAnalyzer(TraceObserver):
 
     Args:
         directory: the trace directory being produced (or replayed).
-        options: unified :class:`AnalysisOptions`; the explicit keyword
-            arguments below override the matching fields when given.
+        options: unified :class:`AnalysisOptions` (``checkpoint_every``,
+            ``tree_cache_capacity``, ...); the explicit keyword arguments
+            below override the matching fields when given.
         checkpoint_path: enable resumable progress at this file.
-        checkpoint_every: save the checkpoint after this many new pairs.
         on_race: live feed — called with each :class:`RaceReport` the
             first time its pc pair is confirmed.
         max_pairs: analyze at most this many new pairs, then save the
             checkpoint and raise :class:`StreamingInterrupted`.
-        tree_cache_capacity: bound on cached interval trees (LRU).
     """
 
     def __init__(
@@ -78,10 +78,8 @@ class StreamAnalyzer(TraceObserver):
         *,
         options: AnalysisOptions | None = None,
         checkpoint_path: str | Path | None = None,
-        checkpoint_every: int | None = None,
         on_race=None,
         max_pairs: int | None = None,
-        tree_cache_capacity: int | None = None,
         obs: Instrumentation | None = None,
     ) -> None:
         self.directory = Path(directory)
@@ -90,12 +88,8 @@ class StreamAnalyzer(TraceObserver):
         )
         if checkpoint_path is not None:
             options.checkpoint_path = str(checkpoint_path)
-        if checkpoint_every is not None:
-            options.checkpoint_every = checkpoint_every
         if max_pairs is not None:
             options.max_pairs = max_pairs
-        if tree_cache_capacity is not None:
-            options.tree_cache_capacity = tree_cache_capacity
         options.validate()
         self.options = options
         self.obs = obs or options.obs or get_obs()
@@ -125,8 +119,9 @@ class StreamAnalyzer(TraceObserver):
         self.races: RaceSet = (
             self.checkpoint.races if self.checkpoint else RaceSet()
         )
-        self.scheduler = IncrementalPairScheduler(is_tasky=self._is_tasky)
         self.source = LiveTraceSource(self.directory)
+        self.inventory = IntervalInventory(self.source, load=False)
+        self.pairs_planned = 0
         self.engine: AnalysisEngine | None = None
         self.pairs_analyzed = 0
         self.pairs_skipped = 0
@@ -140,12 +135,6 @@ class StreamAnalyzer(TraceObserver):
         self._producer = None
 
     # -- wiring -----------------------------------------------------------------
-
-    def _is_tasky(self, pid: int, bid: int) -> bool:
-        graph = self.source.task_graph
-        if graph is None or len(graph) == 0:
-            return False
-        return any(t.pid == pid and t.bid == bid for t in graph.tasks())
 
     def _race_seen(self, report) -> None:
         if self.first_race_seconds is None and self._t0 is not None:
@@ -181,15 +170,16 @@ class StreamAnalyzer(TraceObserver):
         )
 
     def on_region(self, pid: int, info: dict) -> None:
-        self.scheduler.add_region(pid, info)
+        self.inventory.add_region(pid, info)
 
     def on_chunk(self, gid: int, row) -> None:
-        self.scheduler.add_chunk(gid, row)
+        self.inventory.add_row(gid, row)
 
     def on_interval_end(
         self, gid: int, pid: int, bid: int, slot: int, span: int
     ) -> None:
-        pairs = self.scheduler.complete_interval(gid, pid, bid, slot, span)
+        pairs = self.inventory.complete(gid, pid, bid, slot, span)
+        self.pairs_planned += len(pairs)
         self._process(pairs)
 
     def on_trace_end(self, producer) -> None:
@@ -201,7 +191,7 @@ class StreamAnalyzer(TraceObserver):
 
     # -- pair processing -----------------------------------------------------------
 
-    def _process(self, pairs: list[tuple[IntervalData, IntervalData]]) -> None:
+    def _process(self, pairs: list[Pair]) -> None:
         assert self.engine is not None, "on_trace_begin not delivered"
         for ia, ib in pairs:
             if self.checkpoint is not None and self.checkpoint.contains(
@@ -246,8 +236,8 @@ class StreamAnalyzer(TraceObserver):
                 on_race=self._race_seen,
                 table=getattr(self._producer, "static_verdicts", None),
             )
-        stats.intervals = len(self.scheduler)
-        stats.concurrent_pairs = self.scheduler.pairs_emitted
+        stats.intervals = len(self.inventory)
+        stats.concurrent_pairs = self.pairs_planned
         stats.races_found = len(self.races)
         return AnalysisResult(races=self.races, stats=stats)
 

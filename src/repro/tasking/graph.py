@@ -85,6 +85,8 @@ class TaskGraph:
 
     def __init__(self) -> None:
         self._tasks: dict[int, TaskInfo] = {}
+        #: Barrier intervals (pid, bid) holding at least one task.
+        self._intervals: set[tuple[int, int]] = set()
 
     def add(self, info: TaskInfo) -> None:
         if info.task_id in self._tasks:
@@ -92,6 +94,7 @@ class TaskGraph:
         if info.task_id == IMPLICIT:
             raise ValueError("task id 0 is reserved for implicit tasks")
         self._tasks[info.task_id] = info
+        self._intervals.add((info.pid, info.bid))
 
     def set_wait(self, task_id: int, wait_seq: int) -> None:
         self._tasks[task_id].wait_seq = wait_seq
@@ -107,6 +110,12 @@ class TaskGraph:
 
     def tasks(self) -> list[TaskInfo]:
         return list(self._tasks.values())
+
+    def holds_tasks(self, pid: int, bid: int) -> bool:
+        """Does barrier interval ``(pid, bid)`` hold explicit tasks?  (The
+        answer is final once every thread has completed the interval:
+        its tasks drain at the closing barrier.)"""
+        return (pid, bid) in self._intervals
 
     # -- the judgment -------------------------------------------------------
 

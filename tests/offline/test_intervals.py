@@ -28,11 +28,16 @@ def assert_plan_matches_judgment(inventory):
         key = tuple(sorted([a.key, b.key], key=lambda k: (k.gid, k.pid, k.bid)))
         assert key not in planned, f"pair yielded twice: {key}"
         planned.add(key)
+    trace = inventory.trace
+    labels = {
+        k: trace.interval_label(k.pid, d.slot, k.bid)
+        for k, d in inventory.intervals.items()
+    }
     expected = set()
     for a, b in itertools.combinations(inventory.intervals.values(), 2):
         if a.key.gid == b.key.gid:
             continue
-        if concurrent_intervals(a.label, b.label):
+        if concurrent_intervals(labels[a.key], labels[b.key]):
             key = tuple(
                 sorted([a.key, b.key], key=lambda k: (k.gid, k.pid, k.bid))
             )

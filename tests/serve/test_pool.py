@@ -128,6 +128,20 @@ def test_exhausted_retries_report_error_and_pool_survives():
     assert by_val["fine"] is None  # the pool thread survived the failure
 
 
+def test_a_raising_callback_does_not_kill_the_worker():
+    pool = RecordingPool(1).start()
+    results, done, on_done = collect_outcomes(1)
+
+    def explode(outcome, error):
+        raise RuntimeError("owner bug")
+
+    pool.submit(ShardTask(spec="first", on_done=explode))
+    pool.submit(ShardTask(spec="second", on_done=on_done))
+    assert done.wait(timeout=5.0)  # the lone worker thread survived
+    pool.close()
+    assert results == [("second", None)]
+
+
 def test_nonretryable_error_propagates_to_callback_immediately():
     calls = []
 

@@ -225,6 +225,40 @@ def test_cancel_racing_finalization_cancel_wins(tmp_path, racy_trace):
     assert replay.jobs[box["job_id"]].final_state == CANCELLED
 
 
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_a_raising_merge_fails_the_job_not_the_pool(
+    tmp_path, racy_trace, which
+):
+    # A merge that raised used to unwind the pool thread running the
+    # shard callback: on the last shard the job stayed RUNNING forever,
+    # on an earlier one it finished DONE without that shard's races.
+    # Every wait is bounded so a regression fails instead of hanging.
+    svc = durable_service(tmp_path / "state").start()
+    try:
+        original = svc.scheduler._merge
+        raised = []
+
+        def merge_once(job, outcome):
+            last = job.shards_done == job.shards_total
+            if not raised and (which == "first" or last):
+                raised.append(job.job_id)
+                raise RuntimeError("merge blew up")
+            original(job, outcome)
+
+        svc.scheduler._merge = merge_once
+        job_id = svc.submit(racy_trace)
+        with pytest.raises(JobFailedError):
+            svc.result(job_id, timeout=30)
+        status = svc.status(job_id)
+        assert status["state"] == FAILED
+        assert "merge blew up" in status["error"]
+        follow_up = svc.submit(racy_trace, tenant="other")
+        svc.result(follow_up, timeout=30)
+        assert svc.status(follow_up)["state"] == DONE
+    finally:
+        svc.close(drain=False)
+
+
 def test_cancel_after_finalization_is_a_stable_no(tmp_path, racy_trace):
     state = tmp_path / "state"
     with durable_service(state) as svc:

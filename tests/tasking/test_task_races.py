@@ -149,8 +149,9 @@ def test_task_races_with_other_threads(trace_dir):
 
 
 def test_task_graph_scanned_once_per_region_instance(trace_dir, monkeypatch):
-    """Whether a barrier interval holds tasks is asked of the graph once,
-    not once per pair compared within it."""
+    """Whether a barrier interval holds tasks is answered from the graph's
+    (pid, bid) index: neither the pair planner nor the engine scans the
+    task list, once or per pair compared."""
     def program(m):
         x = m.alloc_array("x", 2)
 
@@ -164,19 +165,19 @@ def test_task_graph_scanned_once_per_region_instance(trace_dir, monkeypatch):
         m.parallel(body, nthreads=3)
 
     assert len(check(program, trace_dir)) == 1
+    groups = {(t.pid, t.bid) for t in TraceDir(trace_dir).task_graph.tasks()}
+    assert len(groups) == 2  # both phases hold a task
     scans = []
     tasks = TaskGraph.tasks
     monkeypatch.setattr(
         TaskGraph, "tasks", lambda self: scans.append(1) or tasks(self)
     )
-    analyzer = SerialOfflineAnalyzer(TraceDir(trace_dir))
-    result = analyzer.analyze()
+    trace = TraceDir(trace_dir)
+    result = SerialOfflineAnalyzer(trace).analyze()
     assert len(result.races) == 1
-    regions = analyzer.engine._tasky_regions
-    assert sum(regions.values()) == 2  # both phases hold a task
-    assert result.stats.concurrent_pairs > len(regions)
-    # One scan by the pair planner, one per region instance compared.
-    assert len(scans) == 1 + len(regions)
+    assert all(trace.task_graph.holds_tasks(*group) for group in groups)
+    assert result.stats.concurrent_pairs > len(groups)
+    assert scans == []
 
 
 def test_locked_tasks_do_not_race(trace_dir):
