@@ -5,7 +5,8 @@ The paper distributes SWORD's offline phase across cluster nodes (Table
 III's MT column): the interval-pair comparison plan is partitioned and each
 worker rebuilds only the trees it needs from the shared trace directory.
 This example collects one larger trace, then runs the offline analysis
-serially and with a process pool, verifying both report identical races.
+serially and through a one-job analysis service with four process
+workers, verifying both report identical races.
 
 Run:  python examples/offline_cluster_analysis.py
 """

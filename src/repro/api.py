@@ -1,9 +1,9 @@
 """The supported public API: detect, analyze, watch, and Session.
 
 One facade over the whole pipeline.  Every flow the CLI exposes routes
-through here; the per-mode analyzer classes
-(``SerialOfflineAnalyzer``, ``DistributedOfflineAnalyzer``,
-``StreamAnalyzer``) are implementation detail.
+through here; what runs each mode (``SerialOfflineAnalyzer``, the
+one-job :class:`Service` behind ``mode="parallel"``, ``StreamAnalyzer``)
+is implementation detail.
 
 Quick tour::
 
@@ -46,7 +46,6 @@ from .obs import Instrumentation
 from .offline.analyzer import SerialOfflineAnalyzer
 from .offline.engine import AnalysisResult
 from .offline.options import AnalysisOptions, FastPathOptions
-from .offline.parallel import DistributedOfflineAnalyzer, default_workers
 from .offline.report import RaceSet
 from .serve import (
     DegradationReport,
@@ -55,6 +54,7 @@ from .serve import (
     ServeConfig,
     Service,
     TenantQuota,
+    analyze_once,
     replay_wal,
 )
 from .stream.analyzer import StreamAnalyzer
@@ -91,6 +91,11 @@ __all__ = [
 JSON_SCHEMA_VERSION = 2
 
 ANALYSIS_MODES = ("auto", "serial", "parallel", "streaming")
+
+
+def default_workers() -> int:
+    """Worker count mirroring "one core per thread tree" (capped sanely)."""
+    return max(2, min(8, os.cpu_count() or 2))
 
 
 def _resolve_workload(workload: Union[str, Workload]) -> Workload:
@@ -148,11 +153,13 @@ def analyze(
 ) -> AnalysisResult:
     """Offline-analyze an existing SWORD trace directory.
 
-    Modes: ``serial`` (one process), ``parallel`` (process pool,
-    ``options.workers`` wide), ``streaming`` (replay the trace through
-    the incremental analyzer — the checkpoint/resume path), or ``auto``
-    (parallel when ``options.workers > 1``, serial otherwise).  All
-    modes return byte-identical race sets.
+    Modes: ``serial`` (one process), ``parallel`` (one job on a
+    short-lived :class:`Service` with ``options.workers`` process
+    workers; a failed shard raises ``JobFailedError``), ``streaming``
+    (replay the trace through the incremental analyzer — the
+    checkpoint/resume path), or ``auto`` (parallel when
+    ``options.workers > 1``, serial otherwise).  All modes return
+    byte-identical race sets.
 
     ``integrity="salvage"`` analyses a damaged trace (crashed run,
     corrupted files): every defect truncates or skips instead of
@@ -172,18 +179,18 @@ def analyze(
         # Salvage needs the single code path that threads the integrity
         # ledger through planning and pair analysis.
         mode = "serial"
-    if not isinstance(trace, TraceDir):
-        trace = TraceDir(trace, integrity=options.integrity)
     if mode == "auto":
         mode = "parallel" if options.workers > 1 else "serial"
-    if mode == "serial":
-        return SerialOfflineAnalyzer(trace, obs=obs, options=options).analyze()
     if mode == "parallel":
         if options.workers <= 1:
             options = options.copy(workers=default_workers())
-        return DistributedOfflineAnalyzer(
-            trace, obs=obs, options=options
-        ).analyze()
+        # The service's planner opens the trace itself.
+        path = trace.path if isinstance(trace, TraceDir) else trace
+        return analyze_once(path, options=options, obs=obs)
+    if not isinstance(trace, TraceDir):
+        trace = TraceDir(trace, integrity=options.integrity)
+    if mode == "serial":
+        return SerialOfflineAnalyzer(trace, obs=obs, options=options).analyze()
     analyzer = StreamAnalyzer(trace.path, options=options, obs=obs)
     replay_trace(trace, analyzer)
     return analyzer.result()

@@ -35,9 +35,9 @@ from ..memory.accounting import NodeMemory
 from ..obs import Instrumentation, get_obs, run_stats
 from ..offline.analyzer import SerialOfflineAnalyzer
 from ..offline.options import AnalysisOptions
-from ..offline.parallel import DistributedOfflineAnalyzer
 from ..offline.report import RaceSet
 from ..omp.runtime import OpenMPRuntime
+from ..serve.service import analyze_once
 from ..sword.logger import SwordTool
 from ..sword.reader import TraceDir
 from ..workloads.base import Workload
@@ -292,9 +292,7 @@ class SwordDriver:
                 mt_opts = (analysis_options or AnalysisOptions()).copy(
                     workers=mt_workers
                 )
-                mt = DistributedOfflineAnalyzer(
-                    TraceDir(trace_path), obs=obs, options=mt_opts
-                ).analyze()
+                mt = analyze_once(trace_path, options=mt_opts, obs=obs)
                 result.offline_mt_seconds = time.perf_counter() - t2
                 analyses["offline_mt"] = mt.stats
                 if mt.races.pc_pairs() != analysis.races.pc_pairs():

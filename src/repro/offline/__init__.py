@@ -12,7 +12,6 @@ from .engine import AnalysisEngine
 from .intervals import IntervalData, IntervalInventory, IntervalKey
 from .options import AnalysisOptions, FastPathOptions
 from .oracle import oracle_races
-from .parallel import DistributedOfflineAnalyzer, default_workers
 from .report import RaceReport, RaceSet, make_report
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "AnalysisOptions",
     "AnalysisResult",
     "AnalysisStats",
-    "DistributedOfflineAnalyzer",
     "FastPathOptions",
     "IntervalData",
     "IntervalInventory",
@@ -31,7 +29,6 @@ __all__ = [
     "SerialOfflineAnalyzer",
     "analyze_trace",
     "check_node_pair",
-    "default_workers",
     "make_report",
     "oracle_races",
 ]

@@ -17,8 +17,8 @@ Pipeline per trace directory:
 
 Steps 2-3 live in the shared :class:`~repro.offline.engine.AnalysisEngine`;
 this module is the post-mortem driver around it (the distributed and
-streaming drivers are :mod:`repro.offline.parallel` and
-:mod:`repro.stream.analyzer`).
+streaming paths are the analysis service's shard pool, :mod:`repro.serve`,
+and :mod:`repro.stream.analyzer`).
 
 The supported entry point is :func:`repro.api.analyze`.
 """
@@ -36,7 +36,7 @@ from .engine import (
     AnalysisStats,
     check_node_pair,
 )
-from .intervals import IntervalData, IntervalInventory
+from .intervals import IntervalInventory
 from .options import AnalysisOptions
 from .report import RaceSet
 
@@ -79,15 +79,7 @@ class SerialOfflineAnalyzer:
         return self
 
     def __exit__(self, *exc) -> None:
-        self._close()
-
-    # -- engine delegation (kept for workers and tests) -------------------------
-
-    def build_tree(self, interval: IntervalData):
-        return self.engine.build_tree(interval)
-
-    def compare_trees(self, tree_a, tree_b, ia, ib, races: RaceSet) -> None:
-        self.engine.compare_trees(tree_a, tree_b, ia, ib, races)
+        self.engine.close()
 
     # -- driver ----------------------------------------------------------------------
 
@@ -127,7 +119,7 @@ class SerialOfflineAnalyzer:
                         )
                         registry.counter("offline.pairs_skipped").inc()
             finally:
-                self._close()
+                self.engine.close()
             if self.salvage:
                 salvaged = self.stats.concurrent_pairs - report.pairs_skipped
                 registry.counter("offline.intervals_salvaged").inc(
@@ -136,9 +128,6 @@ class SerialOfflineAnalyzer:
                 registry.gauge("offline.pairs_salvaged").set(salvaged)
         self.stats.races_found = len(races)
         return AnalysisResult(races=races, stats=self.stats, integrity=report)
-
-    def _close(self) -> None:
-        self.engine.close()
 
 
 def analyze_trace(

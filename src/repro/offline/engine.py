@@ -4,9 +4,9 @@ One implementation serves all three analysis modes:
 
 * **post-mortem** — :class:`~repro.offline.analyzer.SerialOfflineAnalyzer`
   walks a complete pair plan over a closed trace directory;
-* **distributed** — :class:`~repro.offline.parallel.
-  DistributedOfflineAnalyzer` workers each drive an engine over their shard
-  of the plan;
+* **distributed** — the analysis service's shard workers
+  (:func:`~repro.serve.workers.run_shard`, behind both ``repro serve`` and
+  ``mode="parallel"``) each drive an engine over their shard of the plan;
 * **streaming** — :class:`~repro.stream.analyzer.StreamAnalyzer` feeds the
   engine interval pairs while the traced program is still running.
 

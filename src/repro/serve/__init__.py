@@ -47,7 +47,7 @@ from .pool import ShardTask, WorkStealingPool
 from .queue import IngestionQueue
 from .retry import RetryPolicy
 from .scheduler import JobScheduler
-from .service import Service
+from .service import Service, analyze_once
 from .shards import ShardPlan, ShardSpec, plan_shards
 from .tracing import ObsConfig, TraceContext, stitch_job_trace, write_job_trace
 from .wal import JobWal, WalReplay, replay_wal
@@ -94,6 +94,7 @@ __all__ = [
     "WalReplay",
     "WorkStealingPool",
     "WorkerCrashError",
+    "analyze_once",
     "plan_shards",
     "replay_wal",
     "run_shard",

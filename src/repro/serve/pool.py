@@ -101,6 +101,8 @@ class WorkStealingPool:
         self._cv = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._supervisor: Optional[threading.Thread] = None
+        #: Set by close(); the supervisor sleeps out its ticks on it.
+        self._stopping = threading.Event()
         self._executor: ProcessPoolExecutor | None = None
         self._exec_lock = threading.Lock()
         #: In-flight process shards: id(task) -> (task, deadline | None).
@@ -181,6 +183,7 @@ class WorkStealingPool:
                     dropped.extend(dq)
                     dq.clear()
             self._cv.notify_all()
+        self._stopping.set()
         for task in dropped:
             self._journal("shard-cancel", task, reason="pool-closed")
             try:
@@ -462,10 +465,8 @@ class WorkStealingPool:
         broken idle executor so the *next* shard finds a live pool
         instead of discovering the corpse itself.
         """
-        while True:
+        while not self._stopping.wait(_LIVENESS_TICK):
             with self._cv:
-                if self._closed:
-                    return
                 now = time.perf_counter()
                 for key, (task, deadline) in list(self._inflight.items()):
                     if deadline is not None and now > deadline:
@@ -474,4 +475,3 @@ class WorkStealingPool:
                 executor = self._executor
             if executor is not None and getattr(executor, "_broken", False):
                 self._recycle_executor("broken executor detected idle")
-            time.sleep(_LIVENESS_TICK)

@@ -226,6 +226,12 @@ class IngestionQueue:
         with self._lock:
             return len(self._items)
 
+    @property
+    def drained(self) -> bool:
+        """Closed and empty: :meth:`get` can only ever return None."""
+        with self._lock:
+            return self._closed and not self._items
+
     def pending(self, tenant: str) -> int:
         """Jobs this tenant has in flight (queued or running)."""
         with self._lock:

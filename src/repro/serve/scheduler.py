@@ -133,6 +133,10 @@ class JobScheduler:
         while not self._stop.is_set():
             job = self.queue.get(timeout=0.05)
             if job is None:
+                if self.queue.drained:
+                    # Nothing can arrive any more, and get() on a closed
+                    # queue returns at once: looping here would spin.
+                    return
                 continue
             self._record_dequeue(job)
             try:

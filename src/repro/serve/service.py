@@ -10,6 +10,10 @@ admission error), polls ``status``, and collects the merged
 The cross-job result cache is shared by construction: every shard of
 every job runs against one content-hashed cache root, so identical
 traces submitted by different tenants are analyzed once.
+
+:func:`analyze_once` is the one-shot form — ``mode="parallel"`` and
+Table III's MT column: one job through a service that lives exactly as
+long as the call.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..obs import Instrumentation, get_obs
-from ..offline.engine import AnalysisResult
+from ..offline.engine import AnalysisResult, AnalysisStats
+from ..offline.options import AnalysisOptions
 from .config import ServeConfig
 from .errors import JobFailedError, JobNotFoundError, ServiceClosedError
 from .job import (
@@ -447,3 +452,41 @@ class Service:
                 tenant["queue_waits"].append(
                     max(0.0, job.dequeued_wall - job.submitted_wall)
                 )
+
+
+def analyze_once(
+    trace: Union[str, os.PathLike],
+    *,
+    options: AnalysisOptions,
+    obs: Optional[Instrumentation] = None,
+) -> AnalysisResult:
+    """Analyze one trace on a service that lives for this call only.
+
+    ``options.workers`` process workers run the shards.  The service
+    keeps no result cache of its own, so ``options.fastpath`` alone
+    decides caching, as in serial mode.  Quarantine is off: a shard that
+    fails fails the call with :class:`~repro.serve.errors.JobFailedError`
+    instead of returning a partial race set.
+
+    The job's worker spans land on ``obs.tracer``, one row per worker
+    pid, and the merged ledger is published under the ``offline.*``
+    names serial mode uses.
+    """
+    obs = obs or options.obs or get_obs()
+    config = ServeConfig(
+        workers=options.workers, result_cache=False, quarantine=False,
+        options=options,
+    )
+    with Service(config, obs=obs) as service:
+        job_id = service.submit(trace, integrity=options.integrity)
+        result = service.result(job_id)
+        job = service._job(job_id)
+    for pid, spans in job.worker_spans:
+        obs.tracer.ingest(spans, tid=pid)
+    stats = result.stats
+    registry = obs.registry
+    stats.publish(registry, AnalysisStats())
+    registry.gauge("offline.intervals").set(stats.intervals)
+    registry.gauge("offline.concurrent_pairs").set(stats.concurrent_pairs)
+    registry.gauge("offline.races").set(len(result.races))
+    return result

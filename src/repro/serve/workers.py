@@ -1,9 +1,9 @@
 """Shard execution: the one worker entry point for every parallel path.
 
-:func:`run_shard` is what both the service pool and the distributed
-post-mortem analyzer (:class:`~repro.offline.parallel.
-DistributedOfflineAnalyzer`) execute — there is exactly one way a pair
-shard is analyzed, so the byte-identical-races guarantee is proven once.
+:func:`run_shard` is what the service pool executes, for ``repro serve``
+jobs and for one-shot ``mode="parallel"`` calls alike (:func:`~repro.
+serve.service.analyze_once`) — there is exactly one way a pair shard is
+analyzed, so the byte-identical-races guarantee is proven once.
 
 Workers are stateless: each opens the trace directory itself (like a
 remote node reading a shared filesystem — logs, mutex sets, task graph),

@@ -170,11 +170,11 @@ def test_tracedir_reader_accepts_pathlike(trace_dir):
 
 
 def test_new_names_do_not_warn(trace_dir, recwarn):
-    from repro.offline import DistributedOfflineAnalyzer, SerialOfflineAnalyzer
+    from repro.offline import SerialOfflineAnalyzer
     from repro.stream import StreamAnalyzer
 
     SerialOfflineAnalyzer(TraceDir(trace_dir))
-    DistributedOfflineAnalyzer(TraceDir(trace_dir))
+    api.analyze(trace_dir, mode="parallel", options=api.AnalysisOptions(workers=2))
     StreamAnalyzer(trace_dir)
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
     # ... and the shims they replaced are deleted, not merely silenced.

@@ -187,7 +187,7 @@ def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):
     interval = next(iter(IntervalInventory(trace).intervals.values()))
     options = AnalysisOptions(fastpath=FastPathOptions(result_cache=True))
     with SerialOfflineAnalyzer(trace, options=options) as analyzer:
-        built = analyzer.build_tree(interval)
+        built = analyzer.engine.build_tree(interval)
     cache = ResultCache(trace_path)
     path = cache.trees.path(cache.interval_token(interval))
     payload = json.loads(path.read_text())

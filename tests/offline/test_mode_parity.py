@@ -1,9 +1,10 @@
-"""Serial, distributed, and streaming analyses are byte-identical.
+"""Serial, parallel, and streaming analyses are byte-identical.
 
 The engine orients every pair comparison canonically and the RaceSet keeps
 the canonical witness, so the three drivers — which analyze the same pairs
 in very different orders — must serialise to exactly the same bytes on
-every racy workload in the registry.
+every racy workload in the registry.  Parallel mode is one job through a
+short-lived service with two process workers.
 """
 
 import json
@@ -13,11 +14,8 @@ import tempfile
 import pytest
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import (
-    AnalysisOptions,
-    DistributedOfflineAnalyzer,
-    SerialOfflineAnalyzer,
-)
+import repro.api as api
+from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
 from repro.omp import OpenMPRuntime
 from repro.stream import replay_analyze
 from repro.sword import SwordTool, TraceDir
@@ -61,9 +59,9 @@ def test_all_modes_byte_identical(workload):
         serial = SerialOfflineAnalyzer(TraceDir(trace_path)).analyze().races
         assert len(serial) == workload.seeded_races
 
-        distributed = DistributedOfflineAnalyzer(
-            TraceDir(trace_path), options=AnalysisOptions(workers=2)
-        ).analyze().races
+        distributed = api.analyze(
+            trace_path, mode="parallel", options=AnalysisOptions(workers=2)
+        ).races
         streaming = replay_analyze(trace_path).races
 
         gold = blob(serial)

@@ -1,15 +1,23 @@
-"""Distributed offline analysis agrees with the serial analyzer."""
+"""Parallel mode: one job through a short-lived analysis service.
 
-import numpy as np
+``api.analyze(mode="parallel")`` submits the trace to a one-job
+``Service`` and returns its result, so it agrees with the serial analyzer,
+shares the service's worker pool, and fails loudly when a shard fails.
+"""
+
+import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+import repro.api as api
+from repro.__main__ import main
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import (
-    AnalysisOptions,
-    DistributedOfflineAnalyzer,
-    SerialOfflineAnalyzer,
-)
+from repro.obs import live
+from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
 from repro.omp import OpenMPRuntime
+from repro.serve import JobFailedError
 from repro.sword import SwordTool, TraceDir
 
 
@@ -41,26 +49,67 @@ def collected(trace_dir):
     return trace_dir
 
 
+def parallel(trace, workers, **kwargs):
+    return api.analyze(
+        trace, mode="parallel", options=AnalysisOptions(workers=workers),
+        **kwargs,
+    )
+
+
 def test_parallel_matches_serial(collected):
     serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
-    parallel = DistributedOfflineAnalyzer(
-        TraceDir(collected), options=AnalysisOptions(workers=3)
-    ).analyze()
-    assert parallel.races.pc_pairs() == serial.races.pc_pairs()
-    assert parallel.stats.concurrent_pairs == serial.stats.concurrent_pairs
+    result = parallel(collected, 3)
+    assert result.races.pc_pairs() == serial.races.pc_pairs()
+    assert result.stats.concurrent_pairs == serial.stats.concurrent_pairs
 
 
-def test_single_worker_falls_back_to_serial(collected):
-    result = DistributedOfflineAnalyzer(
-        TraceDir(collected), options=AnalysisOptions(workers=1)
-    ).analyze()
+def test_one_requested_worker_widens_to_the_default_pool(collected):
+    result = parallel(collected, 1)
     serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
     assert result.races.pc_pairs() == serial.races.pc_pairs()
 
 
 def test_more_workers_than_pairs(collected):
-    result = DistributedOfflineAnalyzer(
-        TraceDir(collected), options=AnalysisOptions(workers=64)
-    ).analyze()
+    result = parallel(collected, 16)
     serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
+    # More workers than pairs left to compare after the plan-time prune.
+    assert result.stats.concurrent_pairs - result.stats.pairs_pruned < 16
     assert result.races.pc_pairs() == serial.races.pc_pairs()
+
+
+def test_a_failing_shard_fails_the_call(collected, monkeypatch, capsys):
+    def explode(spec):
+        raise RuntimeError("shard exploded")
+
+    # In-process executor, so the patched shard body is what runs.
+    monkeypatch.setattr(
+        "repro.serve.pool.ProcessPoolExecutor", ThreadPoolExecutor
+    )
+    monkeypatch.setattr("repro.serve.pool.run_shard", explode)
+    with pytest.raises(JobFailedError, match="shard exploded"):
+        parallel(collected, 2)
+    capsys.readouterr()
+    argv = ["analyze", collected, "--mode", "parallel", "--workers", "2"]
+    assert main(argv) == 2
+    assert "shard exploded" in capsys.readouterr().err
+
+
+def test_shard_spans_come_home_under_worker_pids(collected, tmp_path):
+    bundle = live()
+    parallel(collected, 2, obs=bundle)
+    pids = {span.tid for span in bundle.tracer.find("shard")}
+    assert pids and os.getpid() not in pids
+
+    events_path = tmp_path / "events.json"
+    argv = [
+        "analyze", collected, "--mode", "parallel", "--workers", "2",
+        "--trace-events", str(events_path),
+    ]
+    assert main(argv) == 1
+    events = json.loads(events_path.read_text())["traceEvents"]
+
+    def rows(name):
+        return {e["tid"] for e in events if e["ph"] == "X" and e["name"] == name}
+
+    assert rows("shard") and rows("analyze")
+    assert not rows("shard") & rows("analyze")

@@ -267,7 +267,7 @@ def test_parallel_mode_equals_serial_on_a_cold_cache(
     del inventories[:]
     # The shard code path in-process, one at a time (see above).
     monkeypatch.setattr(
-        "repro.offline.parallel.ProcessPoolExecutor",
+        "repro.serve.pool.ProcessPoolExecutor",
         lambda max_workers: ThreadPoolExecutor(max_workers=1),
     )
     parallel = api.analyze(
@@ -278,7 +278,9 @@ def test_parallel_mode_equals_serial_on_a_cold_cache(
     names = PAIR_COUNTERS + ("trees_built", "races_found")
     assert parallel.races.to_json() == serial.races.to_json()
     assert counters(parallel.stats, names) == counters(serial.stats, names)
-    assert inventories == ["MainThread"]
+    # Parallel mode is a one-job service: its planner thread parsed the
+    # metadata, once; no worker did.
+    assert inventories == ["serve-scheduler"]
 
 
 def test_parallel_mode_across_processes(traces):
@@ -325,7 +327,7 @@ def test_every_pair_is_decided_exactly_once(
 ):
     """pruned + cache hits + compared == concurrent pairs, cold and warm."""
     monkeypatch.setattr(
-        "repro.offline.parallel.ProcessPoolExecutor", ThreadPoolExecutor
+        "repro.serve.pool.ProcessPoolExecutor", ThreadPoolExecutor
     )
     trace = traces["hpccg"]
     pairs, pruned = PLANNED["hpccg"]

@@ -1,9 +1,11 @@
 """Work-stealing pool mechanics and the shared retry policy."""
 
 import threading
+import time
 
 import pytest
 
+import repro.serve.pool as pool_module
 from repro.common.errors import TraceFormatError
 from repro.serve import PoolClosedError, RetryPolicy, ShardTask, WorkStealingPool
 
@@ -243,3 +245,12 @@ def test_retry_run_reports_backoff_to_hook():
     assert policy.run(fn, on_backoff=observed.append) == "done"
     assert len(observed) == 2
     assert all(0.0 <= s <= 0.01 * (1 << k) for k, s in enumerate(observed))
+
+
+def test_close_does_not_wait_out_a_liveness_tick(monkeypatch):
+    monkeypatch.setattr(pool_module, "_LIVENESS_TICK", 5.0)
+    pool = RecordingPool(1).start()
+    time.sleep(0.05)  # the supervisor is inside its tick now
+    t0 = time.perf_counter()
+    pool.close()
+    assert time.perf_counter() - t0 < 1.0

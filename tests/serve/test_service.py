@@ -15,6 +15,7 @@ from repro.serve import (
     DEGRADED,
     DONE,
     FAILED,
+    IngestionQueue,
     JobFailedError,
     JobNotFoundError,
     ServeConfig,
@@ -171,6 +172,34 @@ def test_cancel_while_running(racy_trace):
             svc.result(job_id, timeout=30)
         assert exc.value.state == "cancelled"
         assert svc.cancel(job_id) is False  # already terminal
+
+
+def test_draining_close_does_not_spin_the_scheduler(racy_trace, monkeypatch):
+    gets = []
+    original_get = IngestionQueue.get
+
+    def counting_get(self, timeout=None):
+        gets.append(timeout)
+        return original_get(self, timeout=timeout)
+
+    monkeypatch.setattr(IngestionQueue, "get", counting_get)
+    with thread_service(workers=1, shard_pairs=64) as svc:
+        started = threading.Event()
+        original_execute = svc.pool._execute
+
+        def slow_execute(spec):
+            started.set()
+            time.sleep(0.5)
+            return original_execute(spec)
+
+        svc.pool._execute = slow_execute
+        job_id = svc.submit(racy_trace)
+        assert started.wait(timeout=10.0)
+        del gets[:]
+        svc.close(drain=True)
+        assert svc.status(job_id)["state"] == DONE
+    # The queue is closed for the whole drain: one get() sees that.
+    assert len(gets) < 100
 
 
 def test_quota_released_after_completion(racy_trace):

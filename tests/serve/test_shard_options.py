@@ -50,7 +50,7 @@ def via_service(trace, options):
 def via_parallel(trace, options, monkeypatch):
     # Same shard code path, run in-process so the recorder can see it.
     monkeypatch.setattr(
-        "repro.offline.parallel.ProcessPoolExecutor", ThreadPoolExecutor
+        "repro.serve.pool.ProcessPoolExecutor", ThreadPoolExecutor
     )
     return api.analyze(trace, mode="parallel", options=options.copy(workers=2))
 
