@@ -1,8 +1,7 @@
 """E9 — regenerate the §III-A codec comparison on real trace corpora."""
 
 import repro.harness.experiments as E
-from repro.common.config import SwordConfig
-from repro.sword.compression import FILTER_DELTA, FILTER_NONE, by_name, filters
+from repro.sword.traceformat import encode_payload
 
 
 def test_e9_codecs(benchmark, save_result):
@@ -25,12 +24,7 @@ def test_e9_codecs(benchmark, save_result):
 
 
 def test_e9_compress_throughput_kernels(benchmark):
-    """Micro: the default frame encoding of one flush buffer."""
+    """Micro: the frame encoding of one flush buffer."""
     corpus = E.codec_compare.trace_corpus("c_jacobi01", nthreads=8)
-    config = SwordConfig()
-    codec = by_name(config.codec)
-    filter_id = FILTER_DELTA if config.delta_filter else FILTER_NONE
-    result = benchmark(
-        lambda: codec.compress(filters.encode(filter_id, corpus))
-    )
+    result = benchmark(lambda: encode_payload(corpus))
     assert len(result) < len(corpus)

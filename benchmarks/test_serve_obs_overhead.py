@@ -8,8 +8,8 @@ the flight recorder, per-tenant histograms — at production cost:
 no-op).
 
 The gate measures where service time actually goes: :func:`run_shard`
-over every shard of the full mixed corpus (clean, legacy-encoded,
-salvage), executed serially so the comparison is deterministic.
+over every shard of the full mixed corpus (clean and salvage), executed
+serially so the comparison is deterministic.
 End-to-end burst wall times on a shared CI box bounce +-20% run to run
 from scheduler and GIL noise — far above the 5% signal — so the burst
 is reported for context (jobs/s, table row) but bounded only loosely

@@ -1,9 +1,9 @@
 """Service throughput benchmark: sustained mixed load through `repro serve`.
 
 Boots the fleet-tier analysis service (DESIGN.md §3.7) and drives a
-multi-tenant burst from the standard mixed corpus — clean traces,
-legacy-encoded (`lzrle`) traces, and one torn trace submitted in salvage mode —
-measuring what the service is judged on in production:
+multi-tenant burst from the standard mixed corpus — clean traces and one
+torn trace submitted in salvage mode — measuring what the service is
+judged on in production:
 
 * **jobs/sec** — terminal jobs over the wall time of the burst;
 * **p50/p99 time-to-first-race** — submission (queue wait included) to

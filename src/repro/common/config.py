@@ -12,6 +12,7 @@ All sizes are bytes.  Defaults mirror the paper's reported constants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import ConfigError
 
@@ -63,21 +64,15 @@ class SwordConfig:
         buffer_bytes: nominal buffer footprint charged to the memory
             accountant (user-adjustable bound in the paper).
         aux_bytes: OMPT + thread-local auxiliary storage charged per thread.
-        codec: trace compression codec name (see
-            :mod:`repro.sword.compression.registry`).  The paper compared
-            LZO, Snappy and LZ4 — all C libraries — found them equivalent
-            and settled on LZO; the default here is ``"zlib"`` at level 1,
-            the one C-speed codec the standard library ships (E9: ~600
-            MB/s against 6-8 MB/s for the pure-Python ``lzrle`` / ``lz4``
-            / ``snappy`` stand-ins, which stay registered for the paper
-            comparison and for reading traces written with them).
-        delta_filter: precondition flushed blocks with the per-column delta
-            filter (:mod:`repro.sword.compression.filters`) before the
-            codec.  On by default: it is one vectorised pass (no measurable
-            flush time on top of zlib) and makes dense traces ~4.5x smaller
-            (0.7 against 3.3 B/event), at ~10 % more bytes on irregular
-            ones.  Codec and filter ids travel in each v2 frame header, so
-            readers mix encodings freely; v1 traces are unaffected.
+        codec: the trace codec's name, read-only and recorded in the
+            manifest.  Every frame is delta-filtered, then zlib level 1
+            (:func:`repro.sword.traceformat.encode_payload`).  The paper
+            compared LZO, Snappy and LZ4 — all C libraries — found them
+            equivalent and shipped one; zlib is the one C-speed codec the
+            standard library ships (E9: ~600 MB/s against 6-8 MB/s for the
+            pure-Python ``lzrle`` / ``lz4`` / ``snappy`` stand-ins), and
+            the delta filter makes dense traces ~4.5x smaller (0.7 against
+            3.3 B/event) at no measurable flush time.
         log_dir: directory receiving ``thread_<tid>.log`` / ``.meta`` files.
         durable: production-hardening mode — meta rows are appended (with
             per-row CRCs) the moment they are emitted and the run-wide
@@ -105,8 +100,7 @@ class SwordConfig:
     buffer_events: int = SWORD_BUFFER_EVENTS
     buffer_bytes: int = SWORD_BUFFER_BYTES
     aux_bytes: int = SWORD_AUX_BYTES
-    codec: str = "zlib"
-    delta_filter: bool = True
+    codec: ClassVar[str] = "zlib"
     log_dir: str = ""
     durable: bool = False
     fsync_on_flush: bool = False

@@ -71,13 +71,6 @@ def add_faults_subcommands(parser: argparse.ArgumentParser) -> None:
         help="subsample the kill points evenly (smoke runs)",
     )
     p.add_argument(
-        "--delta-filter",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="collect the clean trace with (or, --no-delta-filter, "
-        "without) delta-filtered frames; default: SwordConfig's",
-    )
-    p.add_argument(
         "--out", metavar="PATH", help="write the sweep report JSON artifact"
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -152,7 +145,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         buffer_events=args.buffer_events,
         max_points=args.max_points,
-        delta_filter=args.delta_filter,
     )
     code = EXIT_CLEAN if result.ok else EXIT_ERROR
     payload = result.to_json()

@@ -58,8 +58,6 @@ def collect_trace(
     seed: int = 0,
     buffer_events: int = 64,
     durable: bool = True,
-    delta_filter: bool | None = None,
-    codec: str | None = None,
     **params,
 ) -> None:
     """Run one workload under SWORD, leaving the trace in ``trace_dir``.
@@ -67,23 +65,14 @@ def collect_trace(
     A small ``buffer_events`` forces many flushes so the logs contain
     enough frames to make the kill-point sweep meaningful.  Durable mode
     is the default: the sweep models kills, and only durable traces keep
-    their meta rows on disk at kill time.  ``delta_filter`` and ``codec``
-    left at ``None`` take :class:`SwordConfig`'s defaults, so the sweep
-    cuts the frames production writes; name them to sweep another
-    encoding (``codec="lzrle", delta_filter=False`` is what traces
-    collected before the default changed look like).
+    their meta rows on disk at kill time.
     """
     w = _resolve(workload)
-    config = SwordConfig(
-        log_dir=str(trace_dir),
-        buffer_events=buffer_events,
-        durable=durable,
+    tool = SwordTool(
+        SwordConfig(
+            log_dir=str(trace_dir), buffer_events=buffer_events, durable=durable
+        )
     )
-    if delta_filter is not None:
-        config.delta_filter = delta_filter
-    if codec is not None:
-        config.codec = codec
-    tool = SwordTool(config)
     rt = OpenMPRuntime(
         RunConfig(nthreads=nthreads, scheduler=SchedulerConfig(seed=seed)),
         tool=tool,
@@ -232,8 +221,6 @@ def kill_sweep(
     buffer_events: int = 64,
     max_points: int | None = None,
     keep_root: str | Path | None = None,
-    delta_filter: bool | None = None,
-    codec: str | None = None,
     **params,
 ) -> SweepResult:
     """Run the full kill-anywhere property check for one workload.
@@ -243,8 +230,6 @@ def kill_sweep(
     a pristine copy and salvage-analyses it.  ``max_points`` subsamples
     evenly for smoke runs; ``keep_root`` keeps the working directory
     (for debugging) instead of a self-cleaning temp dir.
-    ``delta_filter`` / ``codec`` choose the frame encoding as in
-    :func:`collect_trace` (``None`` = the production default).
     """
     from .. import api  # deferred: api imports the harness driver stack
 
@@ -257,8 +242,7 @@ def kill_sweep(
     try:
         collect_trace(
             w, clean, nthreads=nthreads, seed=seed,
-            buffer_events=buffer_events, delta_filter=delta_filter,
-            codec=codec, **params,
+            buffer_events=buffer_events, **params,
         )
         reference = api.analyze(TraceDir(clean))
         ref_pairs = reference.races.pc_pairs()

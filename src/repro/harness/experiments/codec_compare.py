@@ -9,7 +9,9 @@ a workload under SWORD once, takes the raw (uncompressed) event blocks, and
 measures each codec's ratio and throughput on them — once on the plain
 bytes and once with the delta preconditioning filter
 (:mod:`repro.sword.compression.filters`) applied first, so the table also
-answers "what does the filter buy each codec".
+answers "what does the filter buy each codec".  The comparison is the
+experiment, not a runtime option: the collector writes ``zlib+delta``
+frames only (:func:`repro.sword.traceformat.encode_payload`).
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ...common.config import RunConfig, SchedulerConfig, SwordConfig
+from ...common.config import RunConfig, SchedulerConfig
 from ...omp.recording import RecordingTool
 from ...omp.runtime import OpenMPRuntime
-from ...sword.compression import available, by_name, filters
+from ...sword.compression import available, by_name
+from ...sword.compression.filters import delta_decode, delta_encode
 from ...workloads.base import REGISTRY
 from ..tables import Table, fmt_bytes
 
@@ -55,7 +58,6 @@ def run(
     comparison reflects what the online logger actually pays.
     """
     corpus = trace_corpus(workload_name, nthreads, **params)
-    filtered = filters.encode(filters.FILTER_DELTA, corpus)
     table = Table(
         f"E9 / codec comparison on {workload_name} trace "
         f"({fmt_bytes(len(corpus))} of events)",
@@ -64,26 +66,20 @@ def run(
     mb = len(corpus) / 1e6
     for name in codecs or available():
         codec = by_name(name)
-        for label, data, filter_id in (
-            (name, corpus, filters.FILTER_NONE),
-            (f"{name}+delta", filtered, filters.FILTER_DELTA),
-        ):
+        for label, delta in ((name, False), (f"{name}+delta", True)):
             best_c = float("inf")
             best_d = float("inf")
             compressed = b""
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                if filter_id:
-                    compressed = codec.compress(
-                        filters.encode(filter_id, corpus)
-                    )
-                else:
-                    compressed = codec.compress(corpus)
+                compressed = codec.compress(
+                    delta_encode(corpus) if delta else corpus
+                )
                 best_c = min(best_c, time.perf_counter() - t0)
                 t1 = time.perf_counter()
-                out = codec.decompress(compressed, len(data))
-                if filter_id:
-                    out = filters.decode(filter_id, out)
+                out = codec.decompress(compressed, len(corpus))
+                if delta:
+                    out = delta_decode(out)
                 best_d = min(best_d, time.perf_counter() - t1)
                 if out != corpus:
                     raise AssertionError(f"{label}: corrupted roundtrip")
@@ -96,9 +92,7 @@ def run(
             )
     table.note("paper: candidates performed similarly; LZO chosen for integration ease")
     table.note("+delta rows precondition addr/pc with the v2 frame delta filter")
-    default = SwordConfig()
-    suffix = "+delta" if default.delta_filter else ""
-    table.note(f"collector default: {default.codec}{suffix}")
+    table.note("trace frames: zlib+delta, the only encoding the collector writes")
     return table
 
 

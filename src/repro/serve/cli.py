@@ -1,8 +1,8 @@
 """``python -m repro serve`` — boot the analysis service under load.
 
 The subcommand is a self-driving harness: it builds a mixed trace corpus
-(clean traces in the default and in the legacy ``lzrle`` frame
-encoding, and one damaged trace submitted in salvage mode), boots a :class:`~repro.serve.service.Service`, drives a sustained
+(clean traces and one damaged trace submitted in salvage mode), boots a
+:class:`~repro.serve.service.Service`, drives a sustained
 multi-tenant submission burst through it, and reports the fleet
 numbers — jobs/sec, p50/p99 time-to-first-race, cross-job cache hits,
 and a parity check against single-shot ``repro analyze``.

@@ -1,9 +1,8 @@
 """Load generator and throughput harness for the analysis service.
 
-Builds a mixed trace corpus — clean traces in the default frame encoding
-(delta filter + zlib), the same traces in the legacy one (``lzrle``,
-unfiltered), and deliberately damaged traces submitted in salvage mode — and
-drives a :class:`~repro.serve.service.Service` with a sustained burst of
+Builds a mixed trace corpus — clean traces and a deliberately damaged
+one submitted in salvage mode — and drives a
+:class:`~repro.serve.service.Service` with a sustained burst of
 submissions from several tenants, measuring what the fleet tier is
 judged on:
 
@@ -44,7 +43,7 @@ class CorpusEntry:
 
     path: Path
     integrity: str = "strict"
-    #: "clean" | "legacy" | "salvage" — for the report breakdown.
+    #: "clean" | "salvage" — for the report breakdown.
     flavor: str = "clean"
 
 
@@ -124,15 +123,12 @@ def build_corpus(
     *,
     nthreads: int = 4,
     seeds: tuple[int, ...] = (0, 1),
-    include_legacy: bool = True,
     include_salvage: bool = True,
 ) -> list[CorpusEntry]:
     """Collect the mixed trace corpus under ``root``.
 
-    Per workload and seed: one trace in the default frame encoding,
-    optionally one in the legacy encoding (``lzrle``, no delta filter —
-    so the service decodes two codecs and both filter ids), and
-    optionally one damaged copy to be submitted in salvage mode.
+    One clean trace per workload and seed, and optionally one damaged
+    trace to be submitted in salvage mode.
     """
     from ..faults.harness import collect_trace
 
@@ -144,13 +140,6 @@ def build_corpus(
             plain = root / f"{name}-s{seed}"
             collect_trace(name, plain, nthreads=nthreads, seed=seed)
             corpus.append(CorpusEntry(path=plain, flavor="clean"))
-            if include_legacy:
-                legacy = root / f"{name}-s{seed}-legacy"
-                collect_trace(
-                    name, legacy, nthreads=nthreads, seed=seed,
-                    codec="lzrle", delta_filter=False,
-                )
-                corpus.append(CorpusEntry(path=legacy, flavor="legacy"))
     if include_salvage and corpus:
         torn = root / "torn-salvage"
         collect_trace(

@@ -18,8 +18,6 @@ class Codec(ABC):
     """A block compressor.  Implementations must be pure functions of the
     payload (no inter-block state) so blocks stay independently seekable."""
 
-    #: Stable one-byte id written into block headers.
-    codec_id: int = 0
     #: Registry name.
     name: str = "base"
 

@@ -1,4 +1,4 @@
-"""Preconditioning filters applied to raw event bytes before the codec.
+"""The delta preconditioning filter applied to raw event bytes before zlib.
 
 Trace blocks are arrays of fixed-width :data:`~repro.common.events.EVENT_DTYPE`
 records whose ``addr`` and ``pc`` columns are *nearly sorted* within a chunk
@@ -8,14 +8,12 @@ into runs of identical small values — exactly what the byte-oriented codecs
 (RLE/LZ windows) exploit — without changing the record layout: a filtered
 block is still ``n * EVENT_BYTES`` bytes.
 
-The filter id travels in the v2 frame header (one previously-zero padding
-byte), so v1 blocks and unfiltered v2 frames read back unchanged:
-``FILTER_NONE == 0`` is what every pre-filter trace already contains.
-
-Filters are lossless and self-contained per block: ``decode(encode(x)) == x``
-and no state crosses block boundaries, which keeps the salvage reader's
-block-at-a-time recovery story intact (payload CRCs cover the *compressed*
-bytes and are unaffected).
+Every trace frame is delta-filtered (:func:`repro.sword.traceformat.
+encode_payload`); E9 also applies the filter in front of each candidate
+codec.  The filter is lossless and self-contained per block:
+``delta_decode(delta_encode(x)) == x`` and no state crosses block
+boundaries, which keeps the salvage reader's block-at-a-time recovery story
+intact (payload CRCs cover the *compressed* bytes and are unaffected).
 """
 
 from __future__ import annotations
@@ -25,31 +23,24 @@ import numpy as np
 from ...common.errors import CodecError
 from ...common.events import EVENT_BYTES, EVENT_DTYPE
 
-#: No preconditioning (the default; also what v1 / pre-filter frames carry).
-FILTER_NONE = 0
-#: Per-column delta of ``addr`` and ``pc`` (uint64 wrap-around arithmetic).
-FILTER_DELTA = 1
-
-FILTER_NAMES = {FILTER_NONE: "none", FILTER_DELTA: "delta"}
-
 #: Columns the delta filter preconditions (unsigned, wrap-around safe).
 _DELTA_COLUMNS = ("addr", "pc")
 
 
-def _check(filter_id: int, data: bytes) -> None:
-    if filter_id not in FILTER_NAMES:
-        raise CodecError(f"unknown filter id {filter_id}")
-    if filter_id != FILTER_NONE and len(data) % EVENT_BYTES != 0:
+def _check(data: bytes) -> None:
+    # The logger encodes record arrays; on decode this validates bytes
+    # read back from disk.
+    if len(data) % EVENT_BYTES != 0:
         raise CodecError(
             f"filtered block length {len(data)} is not a multiple of "
             f"{EVENT_BYTES}"
         )
 
 
-def encode(filter_id: int, raw: bytes) -> bytes:
-    """Apply a preconditioning filter to raw (uncompressed) event bytes."""
-    _check(filter_id, raw)
-    if filter_id == FILTER_NONE or not raw:
+def delta_encode(raw: bytes) -> bytes:
+    """Delta-filter raw (uncompressed) event bytes."""
+    _check(raw)
+    if not raw:
         return raw
     rec = np.frombuffer(raw, dtype=EVENT_DTYPE).copy()
     for name in _DELTA_COLUMNS:
@@ -62,10 +53,10 @@ def encode(filter_id: int, raw: bytes) -> bytes:
     return rec.tobytes()
 
 
-def decode(filter_id: int, data: bytes) -> bytes:
-    """Invert :func:`encode` on decompressed block bytes."""
-    _check(filter_id, data)
-    if filter_id == FILTER_NONE or not data:
+def delta_decode(data: bytes) -> bytes:
+    """Invert :func:`delta_encode` on decompressed block bytes."""
+    _check(data)
+    if not data:
         return data
     rec = np.frombuffer(data, dtype=EVENT_DTYPE).copy()
     for name in _DELTA_COLUMNS:

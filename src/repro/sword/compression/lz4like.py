@@ -43,7 +43,6 @@ def _write_lsic(out: bytearray, value: int) -> None:
 class Lz4LikeCodec(Codec):
     """Greedy single-probe LZ4 block compressor."""
 
-    codec_id = 2
     name = "lz4"
 
     def compress(self, data: bytes) -> bytes:

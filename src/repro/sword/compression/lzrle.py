@@ -6,10 +6,10 @@ redundancy LZO would.  Run *detection* is vectorised with NumPy, but the
 token stream is emitted by a Python loop over the runs: measured 7-8 MB/s
 at ~1.3x on trace records (E9), i.e. ~135 ms for a 1 MB flush buffer —
 against ~600 MB/s at 20-40x for zlib level 1.  It was the collector's
-default until that was measured end to end (a quarter of collection time
-on dense traces); ``SwordConfig.codec`` now defaults to ``"zlib"``.  This
-codec stays registered as the paper-comparison stand-in and so that
-traces written with it keep reading.
+codec until that was measured end to end (a quarter of collection time
+on dense traces); trace frames are now delta + zlib only
+(:func:`repro.sword.traceformat.encode_payload`), and this codec is the
+LZO stand-in of the E9 comparison.
 
 Format: a sequence of tokens.
 
@@ -59,7 +59,6 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 class LzRleCodec(Codec):
     """Run-length codec with vectorised run detection."""
 
-    codec_id = 1
     name = "lzrle"
 
     def compress(self, data: bytes) -> bytes:

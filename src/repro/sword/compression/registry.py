@@ -1,4 +1,4 @@
-"""Codec registry: name/id lookup for writers and readers."""
+"""Codec registry: E9's comparison set, looked up by name."""
 
 from __future__ import annotations
 
@@ -9,19 +9,10 @@ from .lzrle import LzRleCodec
 from .snappylike import SnappyLikeCodec
 from .zlibwrap import ZlibCodec
 
-_CODECS: dict[str, Codec] = {}
-_BY_ID: dict[int, Codec] = {}
-
-
-def register(codec: Codec) -> Codec:
-    """Register a codec instance under its name and id."""
-    if codec.name in _CODECS:
-        raise CodecError(f"duplicate codec name {codec.name!r}")
-    if codec.codec_id in _BY_ID:
-        raise CodecError(f"duplicate codec id {codec.codec_id}")
-    _CODECS[codec.name] = codec
-    _BY_ID[codec.codec_id] = codec
-    return codec
+_CODECS: dict[str, Codec] = {
+    codec.name: codec
+    for codec in (LzRleCodec(), Lz4LikeCodec(), SnappyLikeCodec(), ZlibCodec())
+}
 
 
 def by_name(name: str) -> Codec:
@@ -34,20 +25,6 @@ def by_name(name: str) -> Codec:
         ) from None
 
 
-def by_id(codec_id: int) -> Codec:
-    """Look a codec up by its block-header id."""
-    try:
-        return _BY_ID[codec_id]
-    except KeyError:
-        raise CodecError(f"unknown codec id {codec_id}") from None
-
-
 def available() -> list[str]:
     """Registered codec names."""
     return sorted(_CODECS)
-
-
-register(LzRleCodec())
-register(Lz4LikeCodec())
-register(SnappyLikeCodec())
-register(ZlibCodec())

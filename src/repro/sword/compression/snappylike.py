@@ -35,7 +35,6 @@ def _hash4(data: bytes, pos: int) -> int:
 class SnappyLikeCodec(Codec):
     """Greedy Snappy-format compressor."""
 
-    codec_id = 3
     name = "snappy"
 
     def compress(self, data: bytes) -> bytes:

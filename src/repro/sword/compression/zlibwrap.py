@@ -1,4 +1,4 @@
-"""Stdlib zlib as the C-speed reference codec."""
+"""Stdlib zlib: the trace frames' codec and E9's C-speed reference."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .base import Codec
 class ZlibCodec(Codec):
     """DEFLATE via the standard library (level tuned for trace blocks)."""
 
-    codec_id = 4
     name = "zlib"
 
     def __init__(self, level: int = 1) -> None:

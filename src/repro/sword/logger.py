@@ -67,7 +67,6 @@ from ..omp.ompt import OmptTool
 from ..static.analyzer import analyze_region
 from ..static.table import STATIC_VERDICTS_KEY, StaticVerdictTable
 from .buffer import EventBuffer
-from .compression import by_name, filters
 from .digest import FrameDigest
 from .traceformat import (
     MANIFEST_NAME,
@@ -78,6 +77,7 @@ from .traceformat import (
     TRACE_FORMAT_VERSION,
     META_COLUMNS,
     MetaRow,
+    encode_payload,
     format_meta_file,
     journal_line,
     log_name,
@@ -142,10 +142,6 @@ class SwordTool(OmptTool):
         self.config = config
         self.accountant = accountant
         self.obs = obs or get_obs()
-        self.codec = by_name(config.codec)
-        self._filter_id = (
-            filters.FILTER_DELTA if config.delta_filter else filters.FILTER_NONE
-        )
         self.dir = Path(config.log_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         from ..tasking.graph import TaskGraph
@@ -300,16 +296,10 @@ class SwordTool(OmptTool):
         """
         self._fold_digest(log, records, log.flushed)
         raw = np.ascontiguousarray(records).tobytes()
-        filter_id = self._filter_id
-        if len(raw) % EVENT_BYTES != 0:  # defensive: blocks are record arrays
-            filter_id = filters.FILTER_NONE
         t0 = time.perf_counter()
         with self.obs.tracer.span("flush", category="online", gid=log.gid):
-            data = filters.encode(filter_id, raw) if filter_id else raw
-            payload = self.codec.compress(data)
-            frame = pack_frame(
-                log.flushed, payload, len(raw), self.codec.codec_id, filter_id
-            )
+            payload = encode_payload(raw)
+            frame = pack_frame(log.flushed, payload, len(raw))
             written = self._write_frame(log, frame)
         elapsed = time.perf_counter() - t0
         self.stats["io_seconds"] += elapsed
@@ -547,7 +537,6 @@ class SwordTool(OmptTool):
             "in_progress": True,
             "format_version": TRACE_FORMAT_VERSION,
             "codec": self.config.codec,
-            "delta_filter": self.config.delta_filter,
             "buffer_events": self.config.buffer_events,
             "thread_gids": sorted(self._logs),
         }
@@ -688,7 +677,6 @@ class SwordTool(OmptTool):
         manifest = dict(self.stats)
         manifest["format_version"] = TRACE_FORMAT_VERSION
         manifest["codec"] = self.config.codec
-        manifest["delta_filter"] = self.config.delta_filter
         manifest["buffer_events"] = self.config.buffer_events
         manifest["thread_gids"] = sorted(self._logs)
         if self._verdict_table.regions:

@@ -24,9 +24,10 @@ Integrity modes (the production-hardening story):
   surviving prefix is served normally — analysis completes on whatever
   data a crashed run left behind.
 
-Every block must be a CRC frame: anything else where a frame should
-start — an unchecksummed 24-byte ``SWBL`` header of the retired format
-v1 among them — is a frame defect like a torn one.
+Every block must be a CRC frame in the one payload encoding (delta +
+zlib): anything else where a frame should start — an unchecksummed
+24-byte ``SWBL`` header of the retired format v1, or a header naming
+another codec or filter id — is a frame defect like a torn one.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ..common.errors import CodecError, TraceFormatError
+from ..common.errors import TraceFormatError
 from ..common.events import EVENT_BYTES, EVENT_DTYPE
 from ..obs import get_obs
 from ..omp.mutexset import MutexSetTable
 from ..osl.concurrency import IntervalLabel, IntervalPair
-from .compression import by_id, filters
 from .digest import FrameDigest
 from ..static.table import STATIC_VERDICTS_KEY
 from ..tasking.graph import TaskGraph
@@ -63,6 +63,7 @@ from .traceformat import (
     MetaRow,
     check_commit_trailer,
     crc32,
+    decode_payload,
     log_name,
     meta_name,
     parse_journal,
@@ -90,9 +91,7 @@ class _BlockRef:
     file_offset: int  # of the payload (past the header)
     compressed_size: int
     uncompressed_size: int
-    codec_id: int
     payload_crc: int
-    filter_id: int  # preconditioning filter (0 = none)
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,9 +342,7 @@ class ThreadTraceReader:
             file_offset=payload_offset,
             compressed_size=header.compressed_size,
             uncompressed_size=header.uncompressed_size,
-            codec_id=header.codec_id,
             payload_crc=header.payload_crc,
-            filter_id=header.filter_id,
         )
         self._blocks.append(ref)
         self._offsets.append(ref.uncompressed_offset)
@@ -430,9 +427,7 @@ class ThreadTraceReader:
                 f"{self.log_path}: thread {self.gid}, block {i} at byte "
                 f"{ref.file_offset}: payload CRC mismatch"
             )
-        data = by_id(ref.codec_id).decompress(payload, ref.uncompressed_size)
-        if ref.filter_id:
-            data = filters.decode(ref.filter_id, data)
+        data = decode_payload(payload, ref.uncompressed_size)
         self.bytes_inflated += ref.uncompressed_size
         self._cached_block = i
         self._cached_data = data

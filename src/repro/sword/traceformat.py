@@ -28,7 +28,7 @@ Run-wide files:
   region, appended at fork time so a crash before finalisation still
   leaves the concurrency structure recoverable;
 * ``mutexsets.json`` — the interned mutex-set table;
-* ``manifest.json``  — codec, thread list, counters, format version.
+* ``manifest.json``  — codec name, thread list, counters, format version.
 
 Frame layout (little-endian)::
 
@@ -37,9 +37,8 @@ Frame layout (little-endian)::
     4       8     uncompressed stream offset
     12      4     compressed payload size
     16      4     uncompressed size
-    20      1     codec id
-    21      1     preconditioning filter id (0 = none; see
-                  :mod:`repro.sword.compression.filters`)
+    20      1     codec id (always 4: zlib)
+    21      1     filter id (always 1: delta)
     22      2     padding (zero)
     24      4     CRC32 of the compressed payload
     28      4     CRC32 of header bytes [0, 28)
@@ -50,6 +49,11 @@ Frame layout (little-endian)::
 A frame *commits* only once its trailer is on disk; a kill at any byte
 boundary therefore leaves either complete committed frames or one
 detectable torn frame at the tail.
+
+Every payload has one encoding, owned here (:func:`encode_payload` /
+:func:`decode_payload`): the per-column delta filter, then zlib level 1.
+A committed frame whose header names any other codec or filter id is a
+frame defect, like a bad magic.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ import zlib
 from dataclasses import dataclass
 
 from ..common.errors import TraceFormatError
+from .compression.filters import delta_decode, delta_encode
+from .compression.zlibwrap import ZlibCodec
 from .digest import FrameDigest, decode_digest
 
 #: On-disk format version recorded in the manifest (v2: CRC-framed
@@ -70,8 +76,7 @@ TRACE_FORMAT_VERSION = 2
 
 FRAME_MAGIC = b"SWB2"
 #: ``magic, uncompressed stream offset, compressed size, uncompressed
-#: size, codec id, filter id`` (carved from a padding byte, so pre-filter
-#: frames parse as filter 0 = none), payload CRC32, and a CRC32 over the
+#: size, codec id, filter id``, payload CRC32, and a CRC32 over the
 #: header itself.
 FRAME_HEADER = struct.Struct("<4sQIIBB2xII")
 FRAME_HEADER_BYTES = FRAME_HEADER.size
@@ -83,6 +88,12 @@ COMMIT_MAGIC = b"SWCM"
 COMMIT_TRAILER = struct.Struct("<4sI")
 COMMIT_TRAILER_BYTES = COMMIT_TRAILER.size
 assert COMMIT_TRAILER_BYTES == 8
+
+#: The header ids of the one payload encoding: zlib level 1 over
+#: delta-filtered records.
+FRAME_CODEC_ID = 4
+FRAME_FILTER_ID = 1
+_ZLIB = ZlibCodec(level=1)
 
 META_COLUMNS = ("pid", "ppid", "bid", "offset", "span", "level", "data_begin", "size")
 MANIFEST_NAME = "manifest.json"
@@ -104,30 +115,33 @@ class BlockHeader:
     uncompressed_offset: int
     compressed_size: int
     uncompressed_size: int
-    codec_id: int
     #: CRC32 of the compressed payload.
     payload_crc: int
-    #: Preconditioning filter applied before compression (0 = none;
-    #: pre-filter frames always carry 0).
-    filter_id: int = 0
+
+
+def encode_payload(raw: bytes) -> bytes:
+    """Encode one block of raw event records: delta filter, then zlib."""
+    return _ZLIB.compress(delta_encode(raw))
+
+
+def decode_payload(payload: bytes, size: int) -> bytes:
+    """Invert :func:`encode_payload`; ``size`` is the header's
+    uncompressed size."""
+    return delta_decode(_ZLIB.decompress(payload, size))
 
 
 def pack_frame(
-    uncompressed_offset: int,
-    payload: bytes,
-    uncompressed_size: int,
-    codec_id: int,
-    filter_id: int = 0,
+    uncompressed_offset: int, payload: bytes, uncompressed_size: int
 ) -> bytes:
-    """Frame one compressed block: header + payload + commit."""
+    """Frame one encoded block: header + payload + commit."""
     payload_crc = crc32(payload)
     head = FRAME_HEADER.pack(
         FRAME_MAGIC,
         uncompressed_offset,
         len(payload),
         uncompressed_size,
-        codec_id,
-        filter_id,
+        FRAME_CODEC_ID,
+        FRAME_FILTER_ID,
         payload_crc,
         0,  # placeholder; the header CRC covers everything before itself
     )
@@ -136,7 +150,7 @@ def pack_frame(
 
 
 def unpack_frame_header(data: bytes) -> BlockHeader:
-    """Parse and validate one frame header (magic + header CRC)."""
+    """Parse and validate one frame header (magic, header CRC, encoding)."""
     if len(data) < FRAME_HEADER_BYTES:
         raise TraceFormatError("truncated frame header")
     raw = data[:FRAME_HEADER_BYTES]
@@ -147,13 +161,15 @@ def unpack_frame_header(data: bytes) -> BlockHeader:
         raise TraceFormatError(f"bad frame magic {magic!r}")
     if crc32(raw[:-4]) != header_crc:
         raise TraceFormatError("frame header CRC mismatch")
+    if (codec_id, filter_id) != (FRAME_CODEC_ID, FRAME_FILTER_ID):
+        raise TraceFormatError(
+            f"unknown frame encoding: codec id {codec_id}, filter id {filter_id}"
+        )
     return BlockHeader(
         uncompressed_offset=off,
         compressed_size=csize,
         uncompressed_size=usize,
-        codec_id=codec_id,
         payload_crc=payload_crc,
-        filter_id=filter_id,
     )
 
 

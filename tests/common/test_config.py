@@ -1,5 +1,7 @@
 """Configuration validation and paper constants."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.config import (
@@ -32,6 +34,20 @@ def test_sword_per_thread_is_about_3_3_mb():
 def test_sword_requires_log_dir():
     with pytest.raises(ConfigError):
         SwordConfig().validate()
+
+
+def test_sword_trace_encoding_is_not_a_knob():
+    """One frame encoding: the codec name is a read-only constant."""
+    assert SwordConfig().codec == SwordConfig.codec == "zlib"
+    with pytest.raises(TypeError):
+        SwordConfig(**{"codec": "lzrle"})
+    with pytest.raises(AttributeError):
+        SwordConfig().codec = "lzrle"
+    assert {f.name for f in fields(SwordConfig)} == {
+        "buffer_events", "buffer_bytes", "aux_bytes", "log_dir", "durable",
+        "fsync_on_flush", "flush_retries", "flush_backoff_seconds",
+        "flush_degraded", "static_prescreen",
+    }
 
 
 def test_scheduler_policy_validation():

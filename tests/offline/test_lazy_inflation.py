@@ -3,9 +3,9 @@
 The compressed-trace property: with the frame-digest prune on, the
 race set must equal the eager reference path (``FastPathOptions(
 enabled=False)``: build and compare every pair) byte-for-byte across the
-corpus — the default and the legacy frame encoding, and salvage recovery
-of torn traces — while race-free regular workloads decompress zero payload
-bytes.  Rows without a usable digest are compared, never pruned.
+corpus — clean traces and salvage recovery of torn ones — while race-free
+regular workloads decompress zero payload bytes.  Rows without a usable
+digest are compared, never pruned.
 """
 
 import json
@@ -50,9 +50,9 @@ def racy_program(m):
     m.parallel(body)
 
 
-def collect(program, trace_dir, **config):
+def collect(program, trace_dir, *, durable=False):
     tool = SwordTool(
-        SwordConfig(log_dir=str(trace_dir), buffer_events=32, **config)
+        SwordConfig(log_dir=str(trace_dir), buffer_events=32, durable=durable)
     )
     run_program(program, nthreads=4, tool=tool)
 
@@ -77,24 +77,17 @@ def tear(trace_dir) -> None:
     log.write_bytes(data[: 2 * len(data) // 3])
 
 
-#: The default encoding (delta filter + zlib) and the legacy one, which
-#: keeps the pure-Python decode path and unfiltered frames covered.
-ENCODINGS = [{}, {"codec": "lzrle", "delta_filter": False}]
-
-
 @pytest.mark.parametrize("program", [disjoint_program, racy_program])
-@pytest.mark.parametrize("config", ENCODINGS)
-def test_lazy_eager_parity(tmp_path, program, config):
-    collect(program, tmp_path, **config)
+def test_lazy_eager_parity(tmp_path, program):
+    collect(program, tmp_path)
     lazy = analyze(tmp_path, lazy=True)
     eager = analyze(tmp_path, lazy=False)
     assert race_bytes(lazy) == race_bytes(eager)
     assert eager.stats.bytes_inflated >= lazy.stats.bytes_inflated
 
 
-@pytest.mark.parametrize("config", ENCODINGS)
-def test_lazy_eager_parity_on_salvaged_torn_trace(tmp_path, config):
-    collect(racy_program, tmp_path, durable=True, **config)
+def test_lazy_eager_parity_on_salvaged_torn_trace(tmp_path):
+    collect(racy_program, tmp_path, durable=True)
     tear(tmp_path)
     lazy = analyze(tmp_path, lazy=True, integrity="salvage")
     eager = analyze(tmp_path, lazy=False, integrity="salvage")

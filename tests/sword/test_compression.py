@@ -1,4 +1,4 @@
-"""Compression codecs: registry, roundtrips, malformed input handling."""
+"""E9's compression codecs: registry, roundtrips, malformed input handling."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CodecError
 from repro.common.events import Access, accesses_to_records
-from repro.sword.compression import available, by_id, by_name
+from repro.sword import compression
+from repro.sword.compression import available, by_name
 from repro.sword.compression.lzrle import LzRleCodec
 from repro.sword.compression.lz4like import Lz4LikeCodec
 from repro.sword.compression.snappylike import SnappyLikeCodec
@@ -22,14 +23,17 @@ def test_registry_has_paper_candidates():
     assert {"lzrle", "lz4", "snappy", "zlib"} <= set(names)
 
 
-def test_registry_lookup_by_name_and_id():
+def test_registry_lookup_by_name():
     for name in available():
-        codec = by_name(name)
-        assert by_id(codec.codec_id) is codec
+        assert by_name(name).name == name
     with pytest.raises(CodecError):
         by_name("nope")
-    with pytest.raises(CodecError):
-        by_id(250)
+    # Codecs are looked up by name only: frames carry no codec choice.
+    public = {name for name in vars(compression) if not name.startswith("_")}
+    submodules = {"base", "filters", "lz4like", "lzrle", "registry",
+                  "snappylike", "zlibwrap"}
+    assert public - submodules == set(compression.__all__)
+    assert not {"by_id", "register"} & public
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)

@@ -168,7 +168,7 @@ class TestCollectedDigests:
 
     @pytest.mark.parametrize(
         "config",
-        [{}, {"codec": "lzrle", "delta_filter": False}, {"durable": True}],
+        [{}, {"durable": True}],
     )
     def test_logged_digest_matches_reinflated_frame(self, trace_dir, config):
         trace = self._collect(trace_dir, self._program, **config)

@@ -14,9 +14,9 @@ from repro.sword.traceformat import MANIFEST_NAME, MUTEXSETS_NAME, REGIONS_NAME
 
 
 def collect(program, trace_dir, *, nthreads=4, buffer_events=64, seed=0,
-            accountant=None, codec="lzrle"):
+            accountant=None):
     tool = SwordTool(
-        SwordConfig(log_dir=trace_dir, buffer_events=buffer_events, codec=codec),
+        SwordConfig(log_dir=trace_dir, buffer_events=buffer_events),
         accountant=accountant,
     )
     rt = OpenMPRuntime(
@@ -102,19 +102,6 @@ def test_buffer_flushes_span_interval_chunks(trace_dir):
     assert total == 2 * 512
 
 
-@pytest.mark.parametrize("codec", ["lzrle", "lz4", "snappy", "zlib"])
-def test_every_codec_roundtrips_a_trace(trace_dir, codec):
-    collect(simple_program, trace_dir, nthreads=2, codec=codec)
-    trace = TraceDir(trace_dir)
-    assert trace.manifest["codec"] == codec
-    counts = 0
-    for gid in trace.thread_gids:
-        with trace.reader(gid) as reader:
-            for view in reader.frames():
-                counts += view.events().shape[0]
-    assert counts > 0
-
-
 def test_streaming_iter_range_matches_read_range(trace_dir):
     collect(simple_program, trace_dir, buffer_events=16)
     trace = TraceDir(trace_dir)
@@ -187,3 +174,4 @@ def test_manifest_statistics(trace_dir):
     assert manifest["threads"] == 4
     assert manifest["bytes_uncompressed"] >= manifest["bytes_compressed"] * 0
     assert manifest["buffer_events"] == 64
+    assert manifest["codec"] == "zlib"

@@ -18,6 +18,7 @@ from repro.faults.harness import collect_trace, frame_kill_points, kill_sweep
 from repro.sword import IntegrityReport, TraceDir
 from repro.sword.traceformat import (
     COMMIT_TRAILER_BYTES,
+    FRAME_CODEC_ID,
     FRAME_HEADER_BYTES,
     MANIFEST_NAME,
     MUTEXSETS_NAME,
@@ -255,7 +256,7 @@ def test_v1_blocks_are_frame_defects(clean_trace):
         log_path.write_bytes(b"".join(
             v1_header.pack(
                 b"SWBL", ref.uncompressed_offset, ref.compressed_size,
-                ref.uncompressed_size, ref.codec_id,
+                ref.uncompressed_size, FRAME_CODEC_ID,
             )
             + data[ref.file_offset : ref.file_offset + ref.compressed_size]
             for ref in blocks

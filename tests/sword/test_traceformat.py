@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import TraceFormatError
 from repro.sword.traceformat import (
     COMMIT_TRAILER_BYTES,
+    FRAME_CODEC_ID,
+    FRAME_FILTER_ID,
     FRAME_HEADER_BYTES,
     FRAME_MAGIC,
     TRACE_FORMAT_VERSION,
@@ -72,7 +74,7 @@ class TestFrameV2:
         assert TRACE_FORMAT_VERSION == 2
 
     def test_roundtrip(self):
-        frame = pack_frame(777, self.PAYLOAD, 4096, 2)
+        frame = pack_frame(777, self.PAYLOAD, 4096)
         assert len(frame) == (
             FRAME_HEADER_BYTES + len(self.PAYLOAD) + COMMIT_TRAILER_BYTES
         )
@@ -80,18 +82,19 @@ class TestFrameV2:
         assert header.uncompressed_offset == 777
         assert header.compressed_size == len(self.PAYLOAD)
         assert header.uncompressed_size == 4096
-        assert header.codec_id == 2
         assert header.payload_crc == crc32(self.PAYLOAD)
+        # The one encoding's ids: zlib (4) over delta-filtered records (1).
+        assert (frame[20], frame[21]) == (FRAME_CODEC_ID, FRAME_FILTER_ID) == (4, 1)
 
     def test_commit_trailer_seals_the_frame(self):
-        frame = pack_frame(0, self.PAYLOAD, 100, 1)
+        frame = pack_frame(0, self.PAYLOAD, 100)
         trailer = frame[FRAME_HEADER_BYTES + len(self.PAYLOAD):]
         assert check_commit_trailer(trailer, crc32(self.PAYLOAD))
         assert not check_commit_trailer(trailer, crc32(b"other payload"))
         assert not check_commit_trailer(trailer[:-1], crc32(self.PAYLOAD))
 
     def test_header_crc_detects_any_header_flip(self):
-        frame = bytearray(pack_frame(777, self.PAYLOAD, 4096, 2))
+        frame = bytearray(pack_frame(777, self.PAYLOAD, 4096))
         for byte in range(4, 28):  # every non-magic, CRC-covered byte
             poked = bytearray(frame)
             poked[byte] ^= 0x01
@@ -99,7 +102,7 @@ class TestFrameV2:
                 unpack_frame_header(bytes(poked))
 
     def test_bad_magic_and_truncation(self):
-        frame = bytearray(pack_frame(1, self.PAYLOAD, 10, 1))
+        frame = bytearray(pack_frame(1, self.PAYLOAD, 10))
         frame[0] = ord("X")
         with pytest.raises(TraceFormatError, match="magic"):
             unpack_frame_header(bytes(frame))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.api import JSON_SCHEMA_VERSION
 from repro.common.config import RunConfig, SwordConfig
@@ -287,6 +289,10 @@ def test_faults_sweep_cli(tmp_path, capsys):
     assert artifact["points"]
     lossy = [p for p in artifact["points"] if p["kind"] != "clean-end"]
     assert all(p["integrity"] for p in lossy)
+    # The frame encoding is not a sweep option.
+    with pytest.raises(SystemExit) as exc:
+        main(["faults", "sweep", "--no-delta-filter"])
+    assert exc.value.code == 2
 
 
 def test_check_json_reports_verdict_counts(capsys):
