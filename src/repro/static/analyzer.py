@@ -1,6 +1,9 @@
 """Region classification: the pre-screening pass proper.
 
-Runs once per parallel-region registration, before the body executes.
+Runs once per region *shape* — a spec and the team's gids — before the
+first such region's body executes; the classification does not depend
+on the region instance, so a tool memoises it and stamps each instance's
+pid into the synthesised reports (:meth:`RegionVerdicts.for_region`).
 For every declared site the analyzer materialises the per-thread access
 footprint as a :class:`~repro.itree.interval.StridedInterval` — the same
 representation the dynamic pipeline coalesces events into — and decides
@@ -44,6 +47,9 @@ from .model import (
     chunk_bounds,
 )
 
+#: Positions of ``pid_a``/``pid_b`` in a report tuple (RaceReport order).
+_PID_A, _PID_B = 7, 8
+
 
 @dataclass(slots=True)
 class RegionVerdicts:
@@ -53,20 +59,51 @@ class RegionVerdicts:
     suppress; ``reports`` are the synthesised DEFINITE_RACE witnesses
     (field tuples of :class:`~repro.offline.report.RaceReport`, kept as
     plain tuples so this module stays import-light for the hot path).
+    ``proven_free`` / ``definite_race`` are the pcs per verdict, derived
+    from ``verdicts`` (and shared by every instance of one shape).
     """
 
     pid: int
     verdicts: dict[int, str] = field(default_factory=dict)
     elide: frozenset[int] = frozenset()
     reports: list[tuple] = field(default_factory=list)
+    proven_free: frozenset[int] | None = None
+    definite_race: frozenset[int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.proven_free is None:
+            self.proven_free = self._pcs(PROVEN_FREE)
+        if self.definite_race is None:
+            self.definite_race = self._pcs(DEFINITE_RACE)
+
+    def _pcs(self, verdict: str) -> frozenset[int]:
+        return frozenset(pc for pc, v in self.verdicts.items() if v == verdict)
 
     @property
     def sites_proven_free(self) -> int:
-        return sum(1 for v in self.verdicts.values() if v == PROVEN_FREE)
+        return len(self.proven_free)
 
     @property
     def sites_definite_race(self) -> int:
-        return sum(1 for v in self.verdicts.values() if v == DEFINITE_RACE)
+        return len(self.definite_race)
+
+    def for_region(self, pid: int) -> "RegionVerdicts":
+        """This classification for region instance ``pid``.
+
+        Everything but the reports' ``pid_a``/``pid_b`` fields is shared:
+        a synthesised witness pairs two threads of one region instance.
+        """
+        return RegionVerdicts(
+            pid=pid,
+            verdicts=self.verdicts,
+            elide=self.elide,
+            reports=[
+                report[:_PID_A] + (pid, pid) + report[_PID_B + 1 :]
+                for report in self.reports
+            ],
+            proven_free=self.proven_free,
+            definite_race=self.definite_race,
+        )
 
 
 def site_interval(
@@ -106,28 +143,32 @@ def _paired(a: AffineSite, b: AffineSite) -> bool:
 
 
 def analyze_region(
-    spec: RegionSpec, *, pid: int, gids: list[int]
+    spec: RegionSpec, *, gids, pid: int = 0
 ) -> RegionVerdicts:
-    """Classify every declared site for one region instance.
+    """Classify every declared site for one region shape.
 
     ``gids`` are the team members' thread gids in slot order — the span
     comes from its length, and synthesised reports carry real gids so
     they are byte-identical to what the dynamic path would report.
+    ``pid`` only labels the result and its reports; screen a shape once
+    and :meth:`~RegionVerdicts.for_region` each instance.
     """
     span = len(gids)
-    result = RegionVerdicts(pid=pid)
-    verdicts = result.verdicts
+    verdicts: dict[int, str] = {}
     for pc in spec.reduction_pcs:
         verdicts[pc] = PROVEN_FREE
     if not spec.sites and not spec.reduction_pcs:
-        return result
+        return RegionVerdicts(pid=pid, verdicts=verdicts)
     if spec.schedule != STATIC_SCHEDULE:
         for site in spec.sites:
             verdicts[site.pc] = UNKNOWN
-        result.elide = frozenset(
-            pc for pc, v in verdicts.items() if v == PROVEN_FREE
+        return RegionVerdicts(
+            pid=pid,
+            verdicts=verdicts,
+            elide=frozenset(
+                pc for pc, v in verdicts.items() if v == PROVEN_FREE
+            ),
         )
-        return result
 
     # Per-(site, slot) footprints under the static partition.
     footprints: dict[int, list[Optional[StridedInterval]]] = {}
@@ -154,19 +195,22 @@ def analyze_region(
     for idx, site in enumerate(spec.sites):
         verdicts[site.pc] = DEFINITE_RACE if idx in racy else PROVEN_FREE
 
+    reports: list[tuple] = []
     if racy:
         if spec.complete:
-            result.reports = _synthesize(spec, footprints, conflicts, pid, gids)
+            reports = _synthesize(spec, footprints, conflicts, pid, gids)
         else:
             # Without the completeness contract an undeclared site could
             # race against an elided one; keep racy pcs instrumented and
             # let the dynamic path report them.
             for idx in racy:
                 verdicts[spec.sites[idx].pc] = UNKNOWN
-    result.elide = frozenset(
-        pc for pc, v in verdicts.items() if v != UNKNOWN
+    return RegionVerdicts(
+        pid=pid,
+        verdicts=verdicts,
+        elide=frozenset(pc for pc, v in verdicts.items() if v != UNKNOWN),
+        reports=reports,
     )
-    return result
 
 
 def _slots_overlap(

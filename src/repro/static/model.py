@@ -56,7 +56,8 @@ class AffineSite:
 
     ``array`` is the :class:`~repro.memory.address_space.SharedArray`
     the site accesses (anything with ``name``/``itemsize``/``addr``
-    works).  ``coef`` must be positive — descending or degenerate
+    works; it compares and hashes by identity, as the analyzer pairs
+    sites).  ``coef`` must be positive — descending or degenerate
     subscripts are outside the model and should simply not be declared.
     """
 
@@ -84,9 +85,13 @@ class AffineSite:
             )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RegionSpec:
     """Static description of one parallel region.
+
+    Frozen and hashable: equal specs (same sites on the same arrays) are
+    one region *shape*, which a tool screens once however often the
+    region runs.
 
     Attributes:
         iterations: loop trip count each phase distributes over the team.
@@ -109,8 +114,8 @@ class RegionSpec:
     complete: bool = False
 
     def __post_init__(self) -> None:
-        self.sites = tuple(self.sites)
-        self.reduction_pcs = tuple(self.reduction_pcs)
+        object.__setattr__(self, "sites", tuple(self.sites))
+        object.__setattr__(self, "reduction_pcs", tuple(self.reduction_pcs))
         if self.iterations < 0:
             raise RuntimeModelError("RegionSpec.iterations must be >= 0")
         for site in self.sites:

@@ -15,6 +15,13 @@ A table that fails any of the three checks is *corrupt*: strict readers
 raise :class:`~repro.common.errors.TraceFormatError`, salvage readers
 drop to UNKNOWN-everything (full-instrumentation semantics — no pair is
 skipped, no report injected) and count the loss in the integrity report.
+
+A durable run also journals each screened region's entry as one
+checksummed line (``verdicts.jsonl``, :meth:`StaticVerdictTable.
+journal_record`) instead of re-serialising the whole table at every
+fork; the finalised manifest carries the table as above, and a reader
+of a run killed before finalisation folds the journal back into one
+(:meth:`StaticVerdictTable.from_journal`).
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass, field
 
 from ..common.errors import TraceFormatError
 from .analyzer import RegionVerdicts
-from .model import DEFINITE_RACE, PROVEN_FREE
 
 #: Manifest key the table is stored under.
 STATIC_VERDICTS_KEY = "static_verdicts"
@@ -34,6 +40,37 @@ STATIC_VERDICTS_VERSION = 1
 
 #: A synthesised report row: the 11 RaceReport fields in order.
 _REPORT_FIELDS = 11
+
+#: One region's entry: its pcs per verdict and its synthesised reports.
+_REGION_ENTRY_SCHEMA: dict = {
+    "type": "object",
+    "required": ["proven_free", "definite_race", "reports"],
+    "additionalProperties": False,
+    "properties": {
+        "proven_free": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 0},
+        },
+        "definite_race": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 0},
+        },
+        "reports": {
+            "type": "array",
+            "items": {
+                "type": "array",
+                "minItems": _REPORT_FIELDS,
+                "maxItems": _REPORT_FIELDS,
+                "items": {
+                    "anyOf": [
+                        {"type": "integer"},
+                        {"type": "boolean"},
+                    ]
+                },
+            },
+        },
+    },
+}
 
 #: JSON Schema (repro.obs.schema subset) for the manifest payload.
 STATIC_VERDICTS_SCHEMA: dict = {
@@ -48,36 +85,21 @@ STATIC_VERDICTS_SCHEMA: dict = {
         "events_elided": {"type": "integer", "minimum": 0},
         "regions": {
             "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["proven_free", "definite_race", "reports"],
-                "additionalProperties": False,
-                "properties": {
-                    "proven_free": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "definite_race": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "reports": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "minItems": _REPORT_FIELDS,
-                            "maxItems": _REPORT_FIELDS,
-                            "items": {
-                                "anyOf": [
-                                    {"type": "integer"},
-                                    {"type": "boolean"},
-                                ]
-                            },
-                        },
-                    },
-                },
-            },
+            "additionalProperties": _REGION_ENTRY_SCHEMA,
         },
+    },
+}
+
+#: One line of the durable verdict journal: a region's entry, its pid,
+#: and the elided-event count when it was screened.
+_JOURNAL_RECORD_SCHEMA: dict = {
+    "type": "object",
+    "required": ["pid", "events_elided", *_REGION_ENTRY_SCHEMA["required"]],
+    "additionalProperties": False,
+    "properties": {
+        "pid": {"type": "integer", "minimum": 0},
+        "events_elided": {"type": "integer", "minimum": 0},
+        **_REGION_ENTRY_SCHEMA["properties"],
     },
 }
 
@@ -95,16 +117,11 @@ class StaticVerdictTable:
     # -- accumulation (online side) -----------------------------------------------
 
     def add_region(self, verdicts: RegionVerdicts) -> None:
+        # The pc sets are the (memoised, shared) classification's own.
         self.regions[verdicts.pid] = {
-            "proven_free": frozenset(
-                pc for pc, v in verdicts.verdicts.items() if v == PROVEN_FREE
-            ),
-            "definite_race": frozenset(
-                pc
-                for pc, v in verdicts.verdicts.items()
-                if v == DEFINITE_RACE
-            ),
-            "reports": list(verdicts.reports),
+            "proven_free": verdicts.proven_free,
+            "definite_race": verdicts.definite_race,
+            "reports": verdicts.reports,
         }
 
     # -- aggregate views (stats / offline side) -------------------------------------
@@ -137,19 +154,63 @@ class StaticVerdictTable:
 
     # -- serialisation ---------------------------------------------------------------
 
+    @staticmethod
+    def _entry_json(entry: dict) -> dict:
+        return {
+            "proven_free": sorted(entry["proven_free"]),
+            "definite_race": sorted(entry["definite_race"]),
+            "reports": [list(row) for row in entry["reports"]],
+        }
+
+    @staticmethod
+    def _entry_from_json(entry: dict) -> dict:
+        return {
+            "proven_free": frozenset(entry["proven_free"]),
+            "definite_race": frozenset(entry["definite_race"]),
+            "reports": [tuple(row) for row in entry["reports"]],
+        }
+
     def _body(self) -> dict:
         return {
             "version": STATIC_VERDICTS_VERSION,
             "events_elided": int(self.events_elided),
             "regions": {
-                str(pid): {
-                    "proven_free": sorted(entry["proven_free"]),
-                    "definite_race": sorted(entry["definite_race"]),
-                    "reports": [list(row) for row in entry["reports"]],
-                }
+                str(pid): self._entry_json(entry)
                 for pid, entry in sorted(self.regions.items())
             },
         }
+
+    def journal_record(self, pid: int) -> dict:
+        """The durable journal line for region ``pid`` (see
+        :meth:`from_journal`)."""
+        return {
+            "pid": pid,
+            "events_elided": int(self.events_elided),
+            **self._entry_json(self.regions[pid]),
+        }
+
+    @classmethod
+    def from_journal(cls, records) -> "StaticVerdictTable":
+        """Fold the durable verdict journal into a table.
+
+        This is what a run killed before finalisation had decided: every
+        screened region, with the elided-event count as of the last one.
+        Each line is CRC-checked by the journal parser; a record that
+        fails the schema raises :class:`TraceFormatError`.
+        """
+        from ..obs.schema import validate  # deferred: keep import light
+
+        table = cls()
+        for record in records:
+            errors = validate(record, _JOURNAL_RECORD_SCHEMA)
+            if errors:
+                raise TraceFormatError(
+                    f"verdict journal record failed schema validation: "
+                    f"{'; '.join(errors[:3])}"
+                )
+            table.regions[record["pid"]] = cls._entry_from_json(record)
+            table.events_elided = record["events_elided"]
+        return table
 
     def to_payload(self) -> dict:
         """The manifest value: the body plus its covering CRC."""
@@ -194,9 +255,5 @@ class StaticVerdictTable:
             )
         table = cls(events_elided=int(payload["events_elided"]))
         for pid_str, entry in payload["regions"].items():
-            table.regions[int(pid_str)] = {
-                "proven_free": frozenset(entry["proven_free"]),
-                "definite_race": frozenset(entry["definite_race"]),
-                "reports": [tuple(row) for row in entry["reports"]],
-            }
+            table.regions[int(pid_str)] = cls._entry_from_json(entry)
         return table

@@ -195,6 +195,17 @@ class EventBuffer:
         self.flushes += 1
         self._used = 0
 
+    def release(self) -> None:
+        """Free the preallocated records; the buffer is unusable after.
+
+        Called once the owner has flushed for the last time: a finished
+        tool can stay reachable until the cyclic garbage collector runs
+        (it and its runtime reference each other), and its buffers are
+        the bulk of what it holds.
+        """
+        self._bytes.release()
+        self._bytes = self._records = None
+
     def drop(self) -> int:
         """Discard the buffered events without flushing (degraded mode).
 

@@ -3,8 +3,9 @@
 A :class:`FrameDigest` summarises the access footprint of one trace chunk
 — the byte bounding box, read/write/atomic composition, pc range, and a
 residue-class description of every touched address — computed *while the
-frame is still an uncompressed record array* in the logger's buffer.  The
-digest rides the chunk's Table-I meta row as a versioned ``d1=...`` token
+frame is still an uncompressed record array* in the logger's buffer, for
+all of a flushed buffer's chunks in one pass (:func:`segment_digests`).
+The digest rides the chunk's Table-I meta row as a versioned ``d1=...`` token
 (covered by the row's durable CRC), so the offline engine can decide most
 concurrent interval pairs without ever inflating the compressed payload
 bytes (cf. Kini, Mathur & Viswanathan, "Data Race Detection on
@@ -45,8 +46,17 @@ from ..common.events import FLAG_ATOMIC, FLAG_WRITE, KIND_ACCESS
 #: tokens that fail to parse are malformed rows.
 FRAME_DIGEST_VERSION = 1
 
-#: Field order of the comma-separated token payload.
-_TOKEN_FIELDS = 11
+#: Field order of a digest's ints: the comma-separated token payload,
+#: :meth:`FrameDigest.ints`, and the rows of :func:`segment_digests`.
+DIGEST_FIELDS = (
+    "events", "nodes", "writes", "reads", "all_atomic", "lo", "hi", "gcd",
+    "width", "pc_lo", "pc_hi",
+)
+_TOKEN_FIELDS = len(DIGEST_FIELDS)
+#: ``%``-format of the meta-row token over a digest's 11 ints.
+DIGEST_TOKEN_FORMAT = f"d{FRAME_DIGEST_VERSION}=" + ",".join(
+    ["%d"] * _TOKEN_FIELDS
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,44 +92,29 @@ class FrameDigest:
         )
 
     @classmethod
-    def from_records(cls, records: np.ndarray) -> "FrameDigest":
-        """Digest one EVENT_DTYPE record array in a few vector passes."""
-        events = int(records.shape[0])
-        acc = records[records["kind"] == KIND_ACCESS]
-        n = int(acc.shape[0])
-        if n == 0:
-            return cls.empty(events)
-        addr = acc["addr"].astype(np.int64)
-        count = acc["count"].astype(np.int64)
-        stride = acc["stride"].astype(np.int64)
-        size = acc["size"].astype(np.int64)
-        last = addr + (count - 1) * stride
-        low = np.minimum(addr, last)
-        high = np.maximum(addr, last) + size - 1
-        lo = int(low.min())
-        flags = acc["flags"]
-        writes = int(np.count_nonzero(flags & FLAG_WRITE))
-        # gcd over bulk strides, then over every low-endpoint offset from
-        # the minimum (the residue-window soundness construction).
-        bulk = np.abs(stride[count > 1])
-        g = int(np.gcd.reduce(bulk)) if bulk.size else 0
-        offsets = low - lo
-        if offsets.size:
-            g = math.gcd(g, int(np.gcd.reduce(offsets)))
-        pc = acc["pc"]
+    def from_ints(cls, values) -> "FrameDigest":
+        """Rebuild a digest from its 11 ints (:data:`DIGEST_FIELDS` order)."""
+        (events, nodes, writes, reads, all_atomic, lo, hi, gcd, width,
+         pc_lo, pc_hi) = values
         return cls(
-            events=events,
-            nodes=n,
-            writes=writes,
-            reads=n - writes,
-            all_atomic=bool(np.all(flags & FLAG_ATOMIC)),
-            lo=lo,
-            hi=int(high.max()),
-            gcd=g,
-            width=int(size.max()),
-            pc_lo=int(pc.min()),
-            pc_hi=int(pc.max()),
+            events=events, nodes=nodes, writes=writes, reads=reads,
+            all_atomic=bool(all_atomic), lo=lo, hi=hi, gcd=gcd, width=width,
+            pc_lo=pc_lo, pc_hi=pc_hi,
         )
+
+    def ints(self) -> tuple[int, ...]:
+        """The digest as 11 ints in :data:`DIGEST_FIELDS` order."""
+        return (
+            self.events, self.nodes, self.writes, self.reads,
+            1 if self.all_atomic else 0, self.lo, self.hi, self.gcd,
+            self.width, self.pc_lo, self.pc_hi,
+        )
+
+    @classmethod
+    def from_records(cls, records: np.ndarray) -> "FrameDigest":
+        """Digest one EVENT_DTYPE record array (a one-segment kernel call)."""
+        (row,) = segment_digests(records, [0], [records.shape[0]])
+        return cls.from_ints(row)
 
     def fold(self, other: "FrameDigest") -> "FrameDigest":
         """Combine two digests into one covering both chunks.
@@ -160,12 +155,83 @@ class FrameDigest:
 
     def encode(self) -> str:
         """The whitespace-free meta-row token (``d1=...``)."""
-        return (
-            f"d{FRAME_DIGEST_VERSION}="
-            f"{self.events},{self.nodes},{self.writes},{self.reads},"
-            f"{1 if self.all_atomic else 0},{self.lo},{self.hi},"
-            f"{self.gcd},{self.width},{self.pc_lo},{self.pc_hi}"
-        )
+        return DIGEST_TOKEN_FORMAT % self.ints()
+
+
+def segment_digests(records: np.ndarray, starts, ends) -> list[tuple[int, ...]]:
+    """Digest ``records[starts[i]:ends[i]]`` for every ``i`` in one pass.
+
+    Returns one 11-int tuple per segment (:data:`DIGEST_FIELDS` order).
+    Segments may be empty, hold no access, leave gaps, or overlap: every
+    per-segment quantity is a ``reduceat`` over the buffer's access
+    records with interleaved ``(start, end)`` indices, of which only the
+    even results (the segments themselves) are kept.  The residue gcd
+    reduces the bulk strides and the steps between consecutive access
+    low endpoints, which generate the same lattice as the offsets from
+    the segment minimum.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
+    nseg = starts.shape[0]
+    is_acc = records["kind"] == KIND_ACCESS
+    # Access records before each record index: a segment's accesses are
+    # acc[below[start]:below[end]].
+    below = np.zeros(records.shape[0] + 1, dtype=np.intp)
+    np.cumsum(is_acc, out=below[1:])
+    a_start = below[starts]
+    a_end = below[ends]
+    nodes = a_end - a_start
+    cols = np.zeros((_TOKEN_FIELDS, nseg), dtype=np.int64)
+    cols[0] = ends - starts
+    cols[1] = nodes
+    cols[4] = 1  # all_atomic holds vacuously for access-free segments
+    # pcs are unsigned 64-bit: reduced apart from the int64 columns.
+    pc_lo = np.zeros(nseg, dtype=np.uint64)
+    pc_hi = np.zeros(nseg, dtype=np.uint64)
+    hit = np.flatnonzero(nodes)
+    if hit.size:
+        acc = records[is_acc]
+        addr = acc["addr"].astype(np.int64)
+        count = acc["count"].astype(np.int64)
+        stride = acc["stride"].astype(np.int64)
+        size = acc["size"].astype(np.int64)
+        flags = acc["flags"]
+        last = addr + (count - 1) * stride
+        low = np.minimum(addr, last)
+        high = np.maximum(addr, last) + size - 1
+        bulk = np.where(count > 1, np.abs(stride), 0)
+        steps = np.abs(np.diff(low))
+        idx = np.empty(2 * hit.size, dtype=np.intp)
+        idx[0::2] = a_start[hit]
+        idx[1::2] = a_end[hit]
+
+        def reduce(ufunc, column, at=idx):
+            # One padding element keeps an end index == len in range.
+            padded = np.concatenate((column, column[:1]))
+            return ufunc.reduceat(padded, at)[0::2]
+
+        writes = reduce(np.add, ((flags & FLAG_WRITE) != 0).astype(np.int64))
+        cols[2, hit] = writes
+        cols[3, hit] = nodes[hit] - writes
+        atomic = ((flags & FLAG_ATOMIC) != 0).astype(np.int64)
+        cols[4, hit] = reduce(np.minimum, atomic)
+        cols[5, hit] = reduce(np.minimum, low)
+        cols[6, hit] = reduce(np.maximum, high)
+        # Steps inside a segment are steps[start:end - 1]; a one-access
+        # segment has none (its reduceat slot would read a neighbour).
+        step_idx = idx.copy()
+        step_idx[1::2] -= 1
+        gaps = reduce(np.gcd, np.concatenate((steps, [0])), step_idx)
+        gaps[nodes[hit] == 1] = 0
+        cols[7, hit] = np.gcd(reduce(np.gcd, bulk), gaps)
+        cols[8, hit] = reduce(np.maximum, size)
+        pc = acc["pc"]
+        pc_lo[hit] = reduce(np.minimum, pc)
+        pc_hi[hit] = reduce(np.maximum, pc)
+    out = cols.tolist()
+    out[9] = pc_lo.tolist()
+    out[10] = pc_hi.tolist()
+    return list(zip(*out))
 
 
 def fold_digests(digests) -> "FrameDigest | None":

@@ -9,6 +9,10 @@ seam:
 * a per-thread meta-data file records one Table-I row per barrier-interval
   data chunk (``data_begin``/``size`` index into the *uncompressed* log
   stream);
+* per-region cost is paid per buffer: closing a chunk records only the
+  row's ints, and each flush digests all of the buffer's rows in one
+  :func:`~repro.sword.digest.segment_digests` pass; static pre-screening
+  runs once per region shape (spec + team gids), not per instance;
 * the bounded overhead — buffer + auxiliary TLS, ~3.3 MB/thread — is charged
   to the node-memory accountant per participating thread, which is the whole
   story of Figures 7/8: the charge never grows with the application.
@@ -22,8 +26,9 @@ Durability (production hardening): every chunk is written as a CRC-framed
 v2 block with a trailing commit marker, writes go through a bounded
 retry/backoff policy with an optional drop-oldest degradation path, and
 ``SwordConfig.durable`` keeps meta rows and the run-wide tables on disk
-throughout the run — so a kill at any byte boundary leaves a prefix-valid
-trace the salvage reader (:mod:`repro.sword.reader`) can still analyze.
+throughout the run (append-only journals, O(1) bytes per region fork) —
+so a kill at any byte boundary leaves a prefix-valid trace the salvage
+reader (:mod:`repro.sword.reader`) can still analyze.
 
 Flush-event bus: observers registered with :meth:`SwordTool.subscribe`
 receive live notifications as the trace is produced — region registration,
@@ -64,10 +69,10 @@ from ..obs import (
     get_obs,
 )
 from ..omp.ompt import OmptTool
-from ..static.analyzer import analyze_region
+from ..static.analyzer import RegionVerdicts, analyze_region
 from ..static.table import STATIC_VERDICTS_KEY, StaticVerdictTable
 from .buffer import EventBuffer
-from .digest import FrameDigest
+from .digest import FrameDigest, segment_digests
 from .traceformat import (
     MANIFEST_NAME,
     MUTEXSETS_NAME,
@@ -76,9 +81,11 @@ from .traceformat import (
     TASKS_NAME,
     TRACE_FORMAT_VERSION,
     META_COLUMNS,
+    VERDICTS_JOURNAL_NAME,
     MetaRow,
     encode_payload,
     format_meta_file,
+    format_row,
     journal_line,
     log_name,
     meta_name,
@@ -101,23 +108,37 @@ class _IntervalTracker:
 
 @dataclass(slots=True)
 class _ThreadLog:
-    """Per-thread collection state."""
+    """Per-thread collection state.
+
+    A chunk's Table-I row is *pending* from its close until the buffer
+    holding its bytes is flushed: the close records only the row's 8
+    column ints and its record range in the buffer, and the flush digests
+    every pending row in one :func:`~repro.sword.digest.segment_digests`
+    pass once the write outcome is known (a row whose bytes were dropped
+    goes to ``lost_rows`` instead).  Durable mode and observers need the
+    row the moment it exists and seal it at close through the same path.
+    """
 
     gid: int
     buffer: EventBuffer
     file: object
     flushed: int = 0  # uncompressed bytes already written out
-    rows: list[MetaRow] = field(default_factory=list)
+    #: Sealed rows as ints: 8 Table-I columns + the 11 digest ints.
+    rows: list[tuple[int, ...]] = field(default_factory=list)
+    #: Closed, unsealed rows: ``(columns, first record, end record,
+    #: carried digest)`` with record indices into the live buffer.
+    pending: list[tuple] = field(default_factory=list)
+    #: Digest of the open chunk's records already flushed (the buffer
+    #: tail at each flush, folded); None until the chunk outlives one.
+    carry: FrameDigest | None = None
     stack: list[_IntervalTracker] = field(default_factory=list)
     #: Durable mode only: open append handle on the meta file.
     meta_file: object | None = None
+    #: Durable mode only: a dropped buffer retracted rows already on
+    #: disk, so finalisation rewrites the meta file without them.
+    meta_stale: bool = False
     #: Logical byte ranges lost to the drop-oldest degradation path.
     dropped_ranges: list[tuple[int, int]] = field(default_factory=list)
-    #: Running access digest of the open chunk; reset at every chunk
-    #: boundary.  ``fold_pos`` is the stream position covered so far —
-    #: records are folded vectorised at flush/close, never per event.
-    digest_acc: FrameDigest | None = None
-    fold_pos: int = 0
 
     def logical_pos(self) -> int:
         """Current position in uncompressed stream coordinates."""
@@ -178,8 +199,14 @@ class SwordTool(OmptTool):
             "sites_definite_race": 0,
         }
         #: Verdicts of the static pre-screening pass, persisted into the
-        #: manifest at finalisation (and in durable snapshots).
+        #: manifest at finalisation (and journalled in durable mode).
         self._verdict_table = StaticVerdictTable()
+        #: Screening results per region shape, ``(spec, gids)``.
+        self._shapes: dict[tuple, RegionVerdicts] = {}
+        #: Durable mode: mutex-set and thread counts at the last snapshot
+        #: (a snapshot rewrites only what changed).
+        self._snapshot_mutexsets = -1
+        self._snapshot_threads = -1
         # Registry instruments (cached: one attribute lookup + call per
         # update, a shared no-op under the null backend).  The hot
         # per-event counter is mirrored at flush grain, not per event.
@@ -292,23 +319,36 @@ class SwordTool(OmptTool):
         ``flush_degraded`` policy either raises :class:`FlushError` or
         drops the chunk — advancing the logical stream position so later
         chunks keep their coordinates, and recording exactly which bytes
-        and events were lost.
+        and events were lost.  The buffer's pending rows are sealed after
+        the write outcome is known.
         """
-        self._fold_digest(log, records, log.flushed)
         raw = np.ascontiguousarray(records).tobytes()
+        begin = log.flushed
         t0 = time.perf_counter()
         with self.obs.tracer.span("flush", category="online", gid=log.gid):
             payload = encode_payload(raw)
-            frame = pack_frame(log.flushed, payload, len(raw))
+            frame = pack_frame(begin, payload, len(raw))
             written = self._write_frame(log, frame)
         elapsed = time.perf_counter() - t0
         self.stats["io_seconds"] += elapsed
-        if not written:
+        log.flushed = end = begin + len(raw)
+        if written:
+            self.stats["flushes"] += 1
+            self.stats["bytes_uncompressed"] += len(raw)
+            self.stats["bytes_compressed"] += len(payload)
+            self._m_events.inc(int(records.shape[0]))
+            self._m_flushes.inc()
+            self._m_bytes_raw.inc(len(raw))
+            self._m_bytes_comp.inc(len(payload))
+            self._m_flush_seconds.observe(elapsed)
+            if raw:
+                self._m_ratio.observe(len(payload) / len(raw))
+        else:
             # Drop-oldest degradation: the logical range is recorded as a
-            # hole; meta rows touching it are suppressed at emission.
-            begin, end = log.flushed, log.flushed + len(raw)
+            # hole (later chunks keep their coordinates); rows touching it
+            # are sealed into ``lost_rows`` below, or retracted if durable
+            # mode already wrote them.
             log.dropped_ranges.append((begin, end))
-            log.flushed = end
             events = int(records.shape[0])
             self.dropped_chunks.append(
                 {
@@ -322,18 +362,9 @@ class SwordTool(OmptTool):
             self.stats["events_dropped"] += events
             self._m_dropped.inc()
             self._m_events_dropped.inc(events)
-            return
-        self.stats["flushes"] += 1
-        self.stats["bytes_uncompressed"] += len(raw)
-        self.stats["bytes_compressed"] += len(payload)
-        log.flushed += len(raw)
-        self._m_events.inc(int(records.shape[0]))
-        self._m_flushes.inc()
-        self._m_bytes_raw.inc(len(raw))
-        self._m_bytes_comp.inc(len(payload))
-        self._m_flush_seconds.observe(elapsed)
-        if raw:
-            self._m_ratio.observe(len(payload) / len(raw))
+            if log.meta_file is not None:
+                self._retract(log, begin)
+        self._seal(log, records, begin)
 
     def _write_frame(self, log: _ThreadLog, frame: bytes) -> bool:
         """Write one frame with bounded retry + exponential backoff.
@@ -371,87 +402,128 @@ class SwordTool(OmptTool):
             return False
         raise FlushError(log.gid, attempts, last)
 
-    def _fold_digest(
-        self, log: _ThreadLog, records: np.ndarray, base: int
-    ) -> None:
-        """Fold the unfolded suffix of ``records`` into the chunk digest.
-
-        ``base`` is the stream position of ``records[0]``.  Everything
-        before ``log.fold_pos`` was already folded (at an earlier chunk
-        close or flush), so each record is digested exactly once, in one
-        vectorised pass — never on the per-event hot path.
-        """
-        start = max(0, (log.fold_pos - base) // EVENT_BYTES)
-        tail = records[start:]
-        log.fold_pos = base + records.shape[0] * EVENT_BYTES
-        if tail.shape[0] == 0:
-            return
-        part = FrameDigest.from_records(tail)
-        log.digest_acc = (
-            part if log.digest_acc is None else log.digest_acc.fold(part)
-        )
-
-    def _reset_digest(self, log: _ThreadLog, pos: int) -> None:
-        """Start a fresh digest accumulator at a chunk boundary."""
-        log.digest_acc = None
-        log.fold_pos = pos
-
     def _close_chunk(self, log: _ThreadLog) -> None:
-        """Emit a Table-I row for the current tracker's open chunk."""
+        """Close the current tracker's open chunk as a pending row.
+
+        Only the row's 8 Table-I ints and its record range are recorded
+        here; the digest is computed when the row is sealed.
+        """
         tr = log.stack[-1]
         pos = log.logical_pos()
-        if pos > tr.chunk_start:
-            # Digest the buffered tail of the chunk (flushed frames were
-            # folded as they left the buffer) so the row carries a summary
-            # of exactly its [data_begin, data_begin + size) bytes.
-            self._fold_digest(log, log.buffer.view(), log.flushed)
-            row = MetaRow(
-                pid=tr.pid,
-                ppid=tr.ppid,
-                bid=tr.bid,
-                offset=tr.slot,
-                span=tr.span,
-                level=tr.level,
-                data_begin=tr.chunk_start,
-                size=pos - tr.chunk_start,
-                digest=log.digest_acc or FrameDigest.empty(),
-            )
-            if log.overlaps_dropped(tr.chunk_start, pos):
-                # Part of this chunk's bytes were lost to the drop-oldest
-                # policy; a row pointing at a hole would make the reader
-                # serve wrong data, so the whole row is suppressed and
-                # the loss recorded for the integrity report.
-                self.lost_rows.append(
-                    {
-                        "gid": log.gid,
-                        "pid": tr.pid,
-                        "bid": tr.bid,
-                        "data_begin": tr.chunk_start,
-                        "size": pos - tr.chunk_start,
-                    }
-                )
-                tr.chunk_start = pos
-                self._reset_digest(log, pos)
-                return
-            log.rows.append(row)
-            if log.meta_file is not None:
-                # Durable mode: the row is on disk (with its own CRC) the
-                # moment it exists, so a kill right after this point
-                # still leaves a salvageable prefix.
-                log.meta_file.write(row.format_durable() + "\n")
-                log.meta_file.flush()
-                if self.config.fsync_on_flush:
-                    os.fsync(log.meta_file.fileno())
-            if self._observers:
-                # Make the chunk durable before announcing it: flush the
-                # buffered events into a framed block and sync the file so
-                # a live reader sees complete blocks covering the row.
-                log.buffer.flush()
-                log.file.flush()
-                for obs in self._observers:
-                    obs.on_chunk(log.gid, row)
+        start = tr.chunk_start
         tr.chunk_start = pos
-        self._reset_digest(log, pos)
+        if pos <= start:
+            log.carry = None
+            return
+        log.pending.append(
+            (
+                (tr.pid, tr.ppid, tr.bid, tr.slot, tr.span, tr.level,
+                 start, pos - start),
+                max(0, (start - log.flushed) // EVENT_BYTES),
+                len(log.buffer),
+                log.carry if start < log.flushed else None,
+            )
+        )
+        log.carry = None
+        if self._observers:
+            # Make the chunk durable before announcing it: the flush
+            # writes the buffered events as a framed block, then seals
+            # (and announces) the row.
+            log.buffer.flush()
+        if log.pending and (log.meta_file is not None or self._observers):
+            self._seal(log, log.buffer.view(), log.flushed)
+
+    def _seal(self, log: _ThreadLog, records: np.ndarray, base: int) -> None:
+        """Digest every pending row in one kernel pass and emit the rows.
+
+        ``records`` is the buffer being flushed (or the live buffer when a
+        durable or observed row seals at close), ``base`` the stream
+        position of ``records[0]``.  The open chunk's records in it are
+        the last segment: their digest is carried and folded in when that
+        chunk closes, so a row's digest covers exactly its bytes.
+        """
+        pending = log.pending
+        starts = [entry[1] for entry in pending]
+        ends = [entry[2] for entry in pending]
+        n = records.shape[0]
+        tail = False
+        if log.stack:
+            first = max(0, (log.stack[-1].chunk_start - base) // EVENT_BYTES)
+            if first < n:
+                starts.append(first)
+                ends.append(n)
+                tail = True
+        if not starts:
+            return
+        digests = segment_digests(records, starts, ends)
+        rows = [entry[0] + digest for entry, digest in zip(pending, digests)]
+        # Only the first pending row can have started before this buffer.
+        carry = pending[0][3] if pending else None
+        if carry is not None:
+            folded = carry.fold(FrameDigest.from_ints(digests[0]))
+            rows[0] = pending[0][0] + folded.ints()
+        pending.clear()
+        if tail:
+            part = FrameDigest.from_ints(digests[-1])
+            log.carry = part if log.carry is None else log.carry.fold(part)
+        if rows:
+            self._emit(log, rows)
+
+    def _emit(self, log: _ThreadLog, rows: list[tuple[int, ...]]) -> None:
+        """Write sealed rows, recording lost any whose bytes were."""
+        if log.dropped_ranges:
+            # Part of a chunk's bytes were lost to the drop-oldest
+            # policy; a row pointing at a hole would make the reader
+            # serve wrong data, so the whole row is suppressed and the
+            # loss recorded for the integrity report.
+            kept = []
+            for row in rows:
+                if log.overlaps_dropped(row[6], row[6] + row[7]):
+                    self._lose(log, row)
+                else:
+                    kept.append(row)
+            rows = kept
+        log.rows.extend(rows)
+        if log.meta_file is not None and rows:
+            # Durable mode: a row is on disk (with its own CRC) the
+            # moment it exists, so a kill right after this point still
+            # leaves a salvageable prefix.
+            log.meta_file.write(
+                "".join(format_row(row, durable=True) + "\n" for row in rows)
+            )
+            log.meta_file.flush()
+            if self.config.fsync_on_flush:
+                os.fsync(log.meta_file.fileno())
+        if self._observers:
+            for row in rows:
+                meta = MetaRow.from_ints(row)
+                for obs in self._observers:
+                    obs.on_chunk(log.gid, meta)
+
+    def _lose(self, log: _ThreadLog, row: tuple[int, ...]) -> None:
+        self.lost_rows.append(
+            {
+                "gid": log.gid,
+                "pid": row[0],
+                "bid": row[2],
+                "data_begin": row[6],
+                "size": row[7],
+            }
+        )
+
+    def _retract(self, log: _ThreadLog, begin: int) -> None:
+        """Durable mode: rows already on disk whose bytes were just
+        dropped (everything ending past ``begin``) become lost rows, and
+        the meta file is rewritten without them at finalisation."""
+        rows = log.rows
+        keep = len(rows)
+        while keep and rows[keep - 1][6] + rows[keep - 1][7] > begin:
+            keep -= 1
+        if keep < len(rows):
+            for row in rows[keep:]:
+                self._lose(log, row)
+            del rows[keep:]
+            log.meta_stale = True
 
     def _notify_interval_end(
         self, gid: int, pid: int, bid: int, slot: int, span: int
@@ -476,7 +548,7 @@ class SwordTool(OmptTool):
         }
         self._regions[region.pid] = info
         if self.config.durable:
-            self._journal_region(region.pid, info)
+            self._journal(REGIONS_JOURNAL_NAME, {"pid": region.pid, **info})
             self._snapshot_tables()
         for obs in self._observers:
             obs.on_region(region.pid, info)
@@ -486,14 +558,22 @@ class SwordTool(OmptTool):
     def on_static_region(self, region, team, spec):  # noqa: D102
         if not self.config.static_prescreen:
             return None
-        verdicts = analyze_region(
-            spec, pid=region.pid, gids=[m.gid for m in team.members]
-        )
+        # Screened once per region shape: the classification depends on
+        # the spec and the team's gids only, and each instance gets the
+        # shared result stamped with its pid.
+        key = (spec, tuple(m.gid for m in team.members))
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = analyze_region(spec, gids=key[1])
+        verdicts = shape.for_region(region.pid)
         self._verdict_table.add_region(verdicts)
         self.stats["sites_proven_free"] += verdicts.sites_proven_free
         self.stats["sites_definite_race"] += verdicts.sites_definite_race
         if self.config.durable:
-            self._snapshot_tables()
+            self._journal(
+                VERDICTS_JOURNAL_NAME,
+                self._verdict_table.journal_record(region.pid),
+            )
         return verdicts
 
     def on_access_elided(self, thread, count) -> None:  # noqa: D102
@@ -514,10 +594,10 @@ class SwordTool(OmptTool):
 
     # -- durable-mode journalling ---------------------------------------------
 
-    def _journal_region(self, pid: int, info: dict) -> None:
-        """Append one checksummed region record to ``regions.jsonl``."""
-        with open(self.dir / REGIONS_JOURNAL_NAME, "a") as fh:
-            fh.write(journal_line({"pid": pid, **info}))
+    def _journal(self, name: str, record: dict) -> None:
+        """Append one checksummed record to a durable journal file."""
+        with open(self.dir / name, "a") as fh:
+            fh.write(journal_line(record))
             fh.flush()
             if self.config.fsync_on_flush:
                 os.fsync(fh.fileno())
@@ -525,27 +605,32 @@ class SwordTool(OmptTool):
     def _snapshot_tables(self) -> None:
         """Keep the small run-wide tables recoverable mid-run.
 
-        Rewritten at every region fork (rare relative to event traffic):
-        the mutex-set table and an in-progress manifest, each through
+        Checked at every region fork, in O(1): the mutex-set table is
+        rewritten only when it grew, and the in-progress manifest only
+        when its header (the thread list) changed — each through
         :func:`~repro.common.store.atomic_write_text`, so a kill or a
-        failed write between forks still leaves the previous snapshot — a
-        trace the salvage reader can open without the finalised files.
+        failed write leaves the previous snapshot.  Static verdicts are
+        journalled per region instead (``verdicts.jsonl``); the salvage
+        reader folds that journal into an in-progress manifest.
         """
         if self._runtime is not None:
-            self._runtime.mutexsets.save(self.dir / MUTEXSETS_NAME)
-        snapshot = {
-            "in_progress": True,
-            "format_version": TRACE_FORMAT_VERSION,
-            "codec": self.config.codec,
-            "buffer_events": self.config.buffer_events,
-            "thread_gids": sorted(self._logs),
-        }
-        if self._verdict_table.regions:
-            snapshot[STATIC_VERDICTS_KEY] = self._verdict_table.to_payload()
-        atomic_write_text(
-            self.dir / MANIFEST_NAME,
-            json.dumps(snapshot, indent=2, sort_keys=True),
-        )
+            mutexsets = self._runtime.mutexsets
+            if len(mutexsets) != self._snapshot_mutexsets:
+                mutexsets.save(self.dir / MUTEXSETS_NAME)
+                self._snapshot_mutexsets = len(mutexsets)
+        if len(self._logs) != self._snapshot_threads:
+            header = {
+                "in_progress": True,
+                "format_version": TRACE_FORMAT_VERSION,
+                "codec": self.config.codec,
+                "buffer_events": self.config.buffer_events,
+                "thread_gids": sorted(self._logs),
+            }
+            atomic_write_text(
+                self.dir / MANIFEST_NAME,
+                json.dumps(header, indent=2, sort_keys=True),
+            )
+            self._snapshot_threads = len(self._logs)
 
     def on_implicit_task_begin(self, thread, region, slot) -> None:  # noqa: D102
         log = self._log_for(thread.gid)
@@ -579,7 +664,7 @@ class SwordTool(OmptTool):
         if log.stack:
             # Resume the outer interval as a fresh chunk.
             log.stack[-1].chunk_start = log.logical_pos()
-            self._reset_digest(log, log.stack[-1].chunk_start)
+            log.carry = None
 
     def on_barrier_arrive(self, thread, region, bid) -> None:  # noqa: D102
         log = self._logs[thread.gid]
@@ -594,7 +679,7 @@ class SwordTool(OmptTool):
         tr = log.stack[-1]
         tr.bid = new_bid
         tr.chunk_start = log.logical_pos()
-        self._reset_digest(log, tr.chunk_start)
+        log.carry = None
 
     def on_mutex_acquired(self, thread, mutex_id) -> None:  # noqa: D102
         log = self._log_for(thread.gid)
@@ -653,16 +738,22 @@ class SwordTool(OmptTool):
 
     def _finalize(self) -> None:
         for log in self._logs.values():
-            log.buffer.flush()
+            log.buffer.flush()  # seals the last pending rows
+            log.buffer.release()
             log.file.close()
             if log.meta_file is not None:
                 # Durable mode appended every row as it was emitted; the
-                # meta file is already complete on disk.
+                # meta file is complete on disk unless a dropped buffer
+                # retracted some of its rows.
                 log.meta_file.close()
+                if log.meta_stale:
+                    atomic_write_text(
+                        self.dir / meta_name(log.gid),
+                        format_meta_file(log.rows, durable=True),
+                    )
             else:
                 atomic_write_text(
-                    self.dir / meta_name(log.gid),
-                    format_meta_file(log.rows, durable=self.config.durable),
+                    self.dir / meta_name(log.gid), format_meta_file(log.rows)
                 )
         atomic_write_text(
             self.dir / REGIONS_NAME,

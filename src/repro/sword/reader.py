@@ -60,6 +60,7 @@ from .traceformat import (
     REGIONS_JOURNAL_NAME,
     REGIONS_NAME,
     TASKS_NAME,
+    VERDICTS_JOURNAL_NAME,
     MetaRow,
     check_commit_trailer,
     crc32,
@@ -638,30 +639,44 @@ class TraceDir:
     def _load_static_verdicts(self, salvage: bool):
         """Parse the manifest's static verdict table, if present.
 
-        A table that fails its schema, version, or CRC check is corrupt:
-        strict mode raises, salvage mode falls back to UNKNOWN-everything
-        (full-instrumentation semantics — the analysis skips no pair and
-        injects no synthesised report) and counts the loss.
+        A manifest still in progress (the run was killed before
+        finalisation) carries no table; the durable verdict journal is
+        folded into one instead.  A table that fails its schema, version,
+        or CRC check is corrupt: strict mode raises, salvage mode falls
+        back to UNKNOWN-everything (full-instrumentation semantics — the
+        analysis skips no pair and injects no synthesised report) and
+        counts the loss.
         """
         payload = self.manifest.get(STATIC_VERDICTS_KEY)
-        if payload is None:
+        journal = self.path / VERDICTS_JOURNAL_NAME
+        if payload is None and not (
+            self.manifest.get("in_progress") and journal.exists()
+        ):
             return None
         from ..static.table import StaticVerdictTable  # deferred: cycle
 
+        source = MANIFEST_NAME if payload is not None else VERDICTS_JOURNAL_NAME
         try:
-            return StaticVerdictTable.from_payload(payload)
+            if payload is not None:
+                return StaticVerdictTable.from_payload(payload)
+            table = StaticVerdictTable.from_journal(
+                parse_journal(journal.read_text(), salvage=salvage)
+            )
         except TraceFormatError as exc:
             if not salvage:
-                raise TraceFormatError(
-                    f"{self.path / MANIFEST_NAME}: {exc}"
-                ) from exc
+                raise TraceFormatError(f"{self.path / source}: {exc}") from exc
             self.integrity.verdicts_dropped += 1
             self.integrity.note(
-                f"{MANIFEST_NAME}: static verdict table corrupt "
+                f"{source}: static verdict table corrupt "
                 f"({exc}); treating every site as UNKNOWN — elided "
                 f"DEFINITE_RACE witnesses may be lost"
             )
             return None
+        self.integrity.note(
+            f"{VERDICTS_JOURNAL_NAME}: folded {len(table.regions)} region "
+            f"verdict(s) into the in-progress manifest"
+        )
+        return table if table.regions else None
 
     def _load_regions(self, salvage: bool) -> dict[int, dict]:
         regions_path = self.path / REGIONS_NAME

@@ -27,6 +27,9 @@ Run-wide files:
 * ``regions.jsonl``  — durable-mode journal: one checksummed JSON line per
   region, appended at fork time so a crash before finalisation still
   leaves the concurrency structure recoverable;
+* ``verdicts.jsonl`` — durable-mode journal of the static verdicts, one
+  checksummed line per screened region; the salvage reader folds it when
+  the run died before the manifest was finalised;
 * ``mutexsets.json`` — the interned mutex-set table;
 * ``manifest.json``  — codec name, thread list, counters, format version.
 
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from ..common.errors import TraceFormatError
 from .compression.filters import delta_decode, delta_encode
 from .compression.zlibwrap import ZlibCodec
-from .digest import FrameDigest, decode_digest
+from .digest import DIGEST_TOKEN_FORMAT, FrameDigest, decode_digest
 
 #: On-disk format version recorded in the manifest (v2: CRC-framed
 #: chunks + commit markers).
@@ -99,6 +102,7 @@ META_COLUMNS = ("pid", "ppid", "bid", "offset", "span", "level", "data_begin", "
 MANIFEST_NAME = "manifest.json"
 REGIONS_NAME = "regions.json"
 REGIONS_JOURNAL_NAME = "regions.jsonl"
+VERDICTS_JOURNAL_NAME = "verdicts.jsonl"
 MUTEXSETS_NAME = "mutexsets.json"
 TASKS_NAME = "tasks.json"
 
@@ -198,20 +202,26 @@ class MetaRow:
     #: None for pre-digest rows and newer-version tokens.
     digest: FrameDigest | None = None
 
-    def format(self) -> str:
-        ppid = "-" if self.ppid < 0 else str(self.ppid)
-        body = (
-            f"{self.pid} {ppid} {self.bid} {self.offset} {self.span} "
-            f"{self.level} {self.data_begin} {self.size}"
+    @classmethod
+    def from_ints(cls, row) -> "MetaRow":
+        """Rebuild a row from its ints (see :func:`format_row`)."""
+        digest = FrameDigest.from_ints(row[8:]) if len(row) > 8 else None
+        return cls(*row[:8], digest=digest)
+
+    def ints(self) -> tuple[int, ...]:
+        """The row as ints: 8 Table-I columns, then 11 digest ints."""
+        head = (
+            self.pid, self.ppid, self.bid, self.offset, self.span,
+            self.level, self.data_begin, self.size,
         )
-        if self.digest is not None:
-            body = f"{body} {self.digest.encode()}"
-        return body
+        return head if self.digest is None else head + self.digest.ints()
+
+    def format(self) -> str:
+        return format_row(self.ints())
 
     def format_durable(self) -> str:
         """Row text plus a ``*crc32`` suffix so a torn line is detectable."""
-        body = self.format()
-        return f"{body} *{crc32(body.encode()):08x}"
+        return format_row(self.ints(), durable=True)
 
     @classmethod
     def parse(cls, line: str) -> "MetaRow":
@@ -254,13 +264,31 @@ class MetaRow:
             raise TraceFormatError(f"malformed meta row: {line!r}") from exc
 
 
-def format_meta_file(rows: list[MetaRow], *, durable: bool = False) -> str:
-    """Render a meta file (header comment + rows)."""
-    lines = ["# " + " ".join(META_COLUMNS)]
+#: The 8 Table-I columns (``ppid`` as ``%s``: -1 prints as ``-``), and
+#: the same followed by the chunk digest's ``d1=`` token.
+_ROW_FORMAT = "%d %s %d %d %d %d %d %d"
+_DIGEST_ROW_FORMAT = f"{_ROW_FORMAT} {DIGEST_TOKEN_FORMAT}"
+
+
+def format_row(row, *, durable: bool = False) -> str:
+    """The one meta-row formatter, over the row's ints.
+
+    ``row`` holds the 8 :data:`META_COLUMNS` ints, optionally followed by
+    the chunk digest's 11 ints.  Durable rows end in a ``*crc32`` of the
+    text before it.
+    """
+    if row[1] < 0:
+        row = (row[0], "-", *row[2:])
+    body = (_ROW_FORMAT if len(row) == 8 else _DIGEST_ROW_FORMAT) % tuple(row)
     if durable:
-        lines.extend(r.format_durable() for r in rows)
-    else:
-        lines.extend(r.format() for r in rows)
+        return f"{body} *{crc32(body.encode()):08x}"
+    return body
+
+
+def format_meta_file(rows, *, durable: bool = False) -> str:
+    """Render a meta file (header comment + rows given as ints)."""
+    lines = ["# " + " ".join(META_COLUMNS)]
+    lines.extend(format_row(row, durable=durable) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -295,7 +323,7 @@ def parse_meta_file_salvage(text: str) -> tuple[list[MetaRow], int]:
     return rows, dropped
 
 
-# -- checksummed JSON journal lines (regions.jsonl) ---------------------------
+# -- checksummed JSON journal lines (regions.jsonl, verdicts.jsonl) ------------
 
 
 def journal_line(payload: dict) -> str:

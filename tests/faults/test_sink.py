@@ -106,9 +106,10 @@ def test_dropped_chunks_recorded_in_manifest_and_salvageable(trace_dir):
 
     manifest = json.loads((Path(trace_dir) / "manifest.json").read_text())
     assert manifest["dropped_chunks"] == tool.dropped_chunks
-    # The surviving trace still analyses cleanly: rows overlapping the
-    # holes were suppressed at emission, so strict mode has a consistent
-    # (if incomplete) view.
+    # The surviving trace still analyses cleanly: rows are sealed only
+    # once their buffer's write outcome is known, and rows overlapping a
+    # hole go to lost_rows instead, so strict mode has a consistent (if
+    # incomplete) view.
     result = api.analyze(TraceDir(trace_dir))
     assert result.races is not None
 
@@ -143,3 +144,69 @@ def test_rollback_leaves_no_torn_frame(trace_dir):
     trace = TraceDir(trace_dir)
     for gid in trace.thread_gids:
         trace.reader(gid).close()
+
+
+def _barrier_program(m):
+    a = m.alloc_array("a", 64)
+
+    def body(ctx):
+        lo, hi = ctx.static_chunk(64)
+        for step in range(8):
+            for i in range(lo, hi):
+                ctx.write(a, i, float(step))
+            ctx.barrier()
+
+    m.parallel(body)
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_drop_oldest_never_leaves_a_row_in_a_hole(trace_dir, durable):
+    """A row closed *before* its buffer's flush was dropped is lost too.
+
+    Each barrier closes a chunk whose bytes are still buffered; when that
+    buffer's write then fails, every such row must be listed in
+    ``lost_rows`` and none may reach the meta file, where the reader
+    would serve no events for a row whose digest counts accesses.
+    """
+    factory = FaultySinkFactory(SinkFaultSpec(fail_at=2, fail_count=2))
+    tool = _tool(
+        trace_dir, factory, flush_retries=0, flush_degraded="drop-oldest",
+        durable=durable,
+    )
+    rt = OpenMPRuntime(
+        RunConfig(nthreads=2, scheduler=SchedulerConfig(seed=0)), tool=tool
+    )
+    rt.run(_barrier_program)
+    assert tool.stats["chunks_dropped"] == 2
+    holes = [
+        (d["gid"], d["data_begin"], d["data_begin"] + d["size"])
+        for d in tool.dropped_chunks
+    ]
+
+    def in_hole(gid, begin, size):
+        return any(
+            g == gid and begin < hi and lo < begin + size
+            for g, lo, hi in holes
+        )
+
+    # Every lost row really touched a hole, and some row was lost.
+    assert tool.lost_rows
+    assert all(
+        in_hole(r["gid"], r["data_begin"], r["size"]) for r in tool.lost_rows
+    )
+    trace = TraceDir(trace_dir)
+    emitted = 0
+    for gid in trace.thread_gids:
+        with trace.reader(gid) as reader:
+            for view in reader.frames():
+                row = view.row
+                assert not in_hole(gid, row.data_begin, row.size)
+                # The reader serves exactly the records the digest counts.
+                assert view.events().shape[0] == view.digest.events
+                emitted += 1
+    # Rows either reached the meta file or were listed as lost: per
+    # thread, 8 barriers + the region's implicit one close a chunk each,
+    # and the region end closes the last.
+    assert emitted + len(tool.lost_rows) == 2 * 10
+    result = api.analyze(TraceDir(trace_dir))
+    assert result.races is not None

@@ -138,3 +138,31 @@ def test_slot_reuse_after_flush_does_not_leak_old_fields():
     assert int(rec["aux"]) == 0
     assert int(rec["msid"]) == 0
     assert int(rec["count"]) == 1
+
+
+def test_release_frees_the_records():
+    b = EventBuffer(capacity=8)
+    b.append_access(acc(0))
+    b.flush()
+    b.release()
+    assert len(b) == 0
+    b.flush()  # nothing buffered: still a no-op
+    with pytest.raises(TypeError):
+        b.append_access(acc(1))
+
+
+def test_finished_tool_holds_no_buffer(trace_dir):
+    from conftest import run_program
+    from repro.common.config import SwordConfig
+    from repro.sword import SwordTool
+
+    def program(m):
+        a = m.alloc_array("a", 8)
+        m.parallel(lambda ctx: ctx.write(a, ctx.tid, 1.0))
+
+    tool = SwordTool(SwordConfig(log_dir=trace_dir))
+    run_program(program, nthreads=2, tool=tool)
+    # The tool and its runtime reference each other, so the tool may
+    # outlive the run until the cyclic collector runs; its N x B buffer
+    # memory must not.
+    assert all(log.buffer._records is None for log in tool._logs.values())

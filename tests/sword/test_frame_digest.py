@@ -1,17 +1,28 @@
 """Frame-resident digests: construction, folding, meta-row round trips.
 
-The collection-time digest must (a) exactly equal what re-digesting the
-inflated frame yields — the fold over flush-granularity parts loses
-nothing — and (b) survive the meta-row token round trip under the
-durable CRC, with forward compatibility for newer digest versions.
+The collection-time digest must (a) exactly equal a per-record reference
+digest of the inflated frame — the segmented kernel and the fold over
+flush-granularity parts lose nothing — and (b) survive the meta-row
+token round trip under the durable CRC, with forward compatibility for
+newer digest versions.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_program
 from repro.common.errors import TraceFormatError
-from repro.common.events import EVENT_DTYPE, FLAG_WRITE, KIND_ACCESS
+from repro.common.events import (
+    EVENT_DTYPE,
+    FLAG_ATOMIC,
+    FLAG_WRITE,
+    KIND_ACCESS,
+    KIND_BARRIER,
+)
 from repro.common.config import SwordConfig
 from repro.sword import SwordTool, TraceDir
 from repro.sword.digest import (
@@ -19,7 +30,46 @@ from repro.sword.digest import (
     decode_digest,
     digests_may_race,
     fold_digests,
+    segment_digests,
 )
+
+
+def reference_digest(records) -> tuple[int, ...]:
+    """The digest of ``records``, one record at a time in plain Python.
+
+    The oracle for :func:`segment_digests`: the definition of every
+    field, with no vectorisation, no segmentation and no fold.
+    """
+    accesses = [r for r in records if int(r["kind"]) == KIND_ACCESS]
+    if not accesses:
+        return (len(records), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+    lows, highs, gcd = [], [], 0
+    for r in accesses:
+        addr, count = int(r["addr"]), int(r["count"])
+        stride, size = int(r["stride"]), int(r["size"])
+        last = addr + (count - 1) * stride
+        lows.append(min(addr, last))
+        highs.append(max(addr, last) + size - 1)
+        if count > 1:
+            gcd = math.gcd(gcd, abs(stride))
+    lo = min(lows)
+    for low in lows:
+        gcd = math.gcd(gcd, low - lo)
+    writes = sum(1 for r in accesses if int(r["flags"]) & FLAG_WRITE)
+    pcs = [int(r["pc"]) for r in accesses]
+    return (
+        len(records),
+        len(accesses),
+        writes,
+        len(accesses) - writes,
+        int(all(int(r["flags"]) & FLAG_ATOMIC for r in accesses)),
+        lo,
+        max(highs),
+        gcd,
+        max(int(r["size"]) for r in accesses),
+        min(pcs),
+        max(pcs),
+    )
 from repro.sword.traceformat import MetaRow, parse_meta_file, format_meta_file
 
 
@@ -99,6 +149,73 @@ class TestFromRecords:
         assert digests_may_race(a, a)
 
 
+_record = st.one_of(
+    st.tuples(
+        st.just(KIND_ACCESS),
+        st.sampled_from([0, FLAG_WRITE, FLAG_ATOMIC, FLAG_WRITE | FLAG_ATOMIC]),
+        st.sampled_from([1, 2, 4, 8, 16]),
+        st.integers(0, 1 << 32),  # addr
+        st.integers(1, 9),  # count
+        st.sampled_from([-64, -24, -8, 0, 4, 8, 12, 16, 40]),  # stride
+        st.integers(0, (1 << 64) - 1),  # pc
+    ),
+    st.tuples(
+        st.just(KIND_BARRIER), st.just(0), st.just(0), st.integers(0, 9),
+        st.just(0), st.just(0), st.just(0),
+    ),
+)
+
+
+def _record_array(rows):
+    out = np.zeros(len(rows), dtype=EVENT_DTYPE)
+    for i, (kind, flags, size, addr, count, stride, pc) in enumerate(rows):
+        out[i] = (kind, flags, size, 0, addr, count, stride, pc, 0)
+    return out
+
+
+@st.composite
+def _segmented(draw):
+    records = _record_array(draw(st.lists(_record, max_size=24)))
+    n = records.shape[0]
+    bounds = st.integers(0, n)
+    segments = draw(st.lists(st.tuples(bounds, bounds), max_size=8))
+    return records, [(min(a, b), max(a, b)) for a, b in segments]
+
+
+class TestSegmentKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_segmented())
+    def test_kernel_matches_reference(self, case):
+        """Empty, access-free, gapped and overlapping segments alike."""
+        records, segments = case
+        got = segment_digests(
+            records, [a for a, _ in segments], [b for _, b in segments]
+        )
+        assert got == [reference_digest(records[a:b]) for a, b in segments]
+
+    def test_edge_segments(self):
+        records = _records(
+            _access(64, count=3, stride=-24),
+            _access(8, write=False, size=4),
+        )
+        barrier = np.zeros(1, dtype=EVENT_DTYPE)
+        barrier["kind"] = KIND_BARRIER
+        records = np.concatenate((barrier, records, barrier))
+        segments = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (0, 4), (4, 4)]
+        got = segment_digests(
+            records, [a for a, _ in segments], [b for _, b in segments]
+        )
+        assert got == [reference_digest(records[a:b]) for a, b in segments]
+        assert got[0] == FrameDigest.empty().ints()
+        assert got[1] == FrameDigest.empty(1).ints()  # access-free
+
+    def test_from_records_is_the_one_segment_call(self):
+        records = _records(_access(0, count=4, stride=32), _access(16))
+        assert FrameDigest.from_records(records).ints() == reference_digest(
+            records
+        )
+
+
 class TestTokenRoundTrip:
     def test_encode_decode(self):
         d = FrameDigest.from_records(
@@ -124,7 +241,7 @@ class TestTokenRoundTrip:
             pid=1, ppid=0, bid=2, offset=0, span=4,
             level=0, data_begin=0, size=40, digest=digest,
         )
-        text = format_meta_file([row], durable=True)
+        text = format_meta_file([row.ints()], durable=True)
         (parsed,) = parse_meta_file(text)
         assert parsed.digest == digest
 
@@ -133,7 +250,7 @@ class TestTokenRoundTrip:
             pid=1, ppid=0, bid=2, offset=0, span=4,
             level=0, data_begin=0, size=40,
         )
-        (parsed,) = parse_meta_file(format_meta_file([row]))
+        (parsed,) = parse_meta_file(format_meta_file([row.ints()]))
         assert parsed.digest is None
 
     def test_newer_digest_token_is_forward_compatible(self):
@@ -144,6 +261,36 @@ class TestTokenRoundTrip:
     def test_malformed_digest_token_is_a_format_error(self):
         with pytest.raises(TraceFormatError):
             parse_meta_file("1 0 2 0 4 0 0 40 d1=1,2\n")
+
+
+def _tiny_regions_program(m):
+    """Many tiny regions and a nested one: at a 32-event buffer, chunk
+    rows straddle flushes and several rows seal in one buffer."""
+    a = m.alloc_array("a", 64)
+    x = m.alloc_array("x", 8)
+
+    def tiny(ctx):
+        lo, hi = ctx.static_chunk(64)
+        if ctx.tid % 2:
+            ctx.read_slice(a, lo, hi, step=2)
+        for i in range(lo, min(hi, lo + 3)):
+            ctx.write(a, i, 1.0)
+        ctx.barrier()
+        ctx.atomic_add(x, 0, 1.0)
+
+    def inner(ctx):
+        ctx.write(x, 4 + ctx.tid, 1.0)
+
+    def outer(ctx):
+        ctx.write(x, ctx.tid, 1.0)
+        if ctx.tid == 0:
+            ctx.parallel(inner, nthreads=2)
+        ctx.write(x, 2 + ctx.tid, 2.0)
+
+    for step in range(12):
+        m.parallel(tiny)
+        if step == 5:
+            m.parallel(outer, nthreads=2)
 
 
 class TestCollectedDigests:
@@ -166,22 +313,28 @@ class TestCollectedDigests:
 
         m.parallel(body)
 
-    @pytest.mark.parametrize(
-        "config",
-        [{}, {"durable": True}],
-    )
-    def test_logged_digest_matches_reinflated_frame(self, trace_dir, config):
-        trace = self._collect(trace_dir, self._program, **config)
-        rows_seen = 0
+    @pytest.mark.parametrize("program", ["one_region", "tiny_regions"])
+    @pytest.mark.parametrize("config", [{}, {"durable": True}])
+    def test_logged_digest_matches_reinflated_frame(
+        self, trace_dir, config, program
+    ):
+        body = self._program if program == "one_region" else _tiny_regions_program
+        trace = self._collect(trace_dir, body, **config)
+        rows_seen = straddling = 0
         for gid in trace.thread_gids:
             with trace.reader(gid) as reader:
+                block = 32 * EVENT_DTYPE.itemsize
                 for view in reader.frames():
                     assert view.digest is not None
                     assert not view.inflated  # digest never touches payload
-                    again = FrameDigest.from_records(view.events())
-                    assert view.digest == again
+                    assert view.digest.ints() == reference_digest(view.events())
                     rows_seen += 1
+                    first = view.begin // block
+                    last = (view.begin + view.size - 1) // block
+                    straddling += first != last
         assert rows_seen > 0
+        if program == "tiny_regions":
+            assert straddling > 0  # rows whose bytes span two flushes
 
     def test_frame_at_without_row_has_no_digest(self, trace_dir):
         trace = self._collect(trace_dir, self._program)

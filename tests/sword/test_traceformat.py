@@ -63,7 +63,7 @@ class TestMetaRows:
                     data_begin=i * 40, size=40)
             for i in range(3)
         ]
-        text = format_meta_file(rows) + "\n# trailing comment\n\n"
+        text = format_meta_file([r.ints() for r in rows]) + "\n# trailing comment\n\n"
         assert parse_meta_file(text) == rows
 
 
@@ -135,7 +135,7 @@ class TestDurableMetaRows:
         assert [r.pid for r in rows] == [1, 2]
 
     def test_durable_file_format(self):
-        text = format_meta_file([self.ROW], durable=True)
+        text = format_meta_file([self.ROW.ints()], durable=True)
         assert "*" in text.splitlines()[1]
         assert parse_meta_file(text) == [self.ROW]
 
