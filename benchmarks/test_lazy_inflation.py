@@ -11,8 +11,8 @@ are never inflated.  Two workloads probe the two ends of the claim:
   of the trace's total uncompressed bytes (it is 0 here);
 * the **seeded-race** variant (same stencil plus one hot scalar raced in
   the first interval): the lazy path must produce a byte-identical race
-  set to the eager reference path (``FastPathOptions(enabled=False)``:
-  build and compare every pair) while still inflating less.
+  set to the eager reference analysis (``reference_analyze``: build and
+  compare every pair) while still inflating less.
 
 Both legs are timed; the rendered comparison lands in
 ``benchmarks/results/lazy_inflation.txt``.
@@ -24,11 +24,8 @@ import tempfile
 import time
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import (
-    AnalysisOptions,
-    FastPathOptions,
-    SerialOfflineAnalyzer,
-)
+from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
+from repro.offline.analyzer import reference_analyze
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
 
@@ -41,7 +38,7 @@ CELLS_PER_THREAD = 48
 INFLATION_BOUND = 0.25
 
 LAZY = AnalysisOptions()  # the frame-digest prune is the default
-EAGER = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
+EAGER = None  # the reference analysis
 
 
 def _program(seeded_race: bool):
@@ -93,11 +90,15 @@ def _trace_bytes(trace_path: str) -> int:
     return total
 
 
-def _analyze(trace_path: str, options: AnalysisOptions):
+def _analyze(trace_path: str, options: AnalysisOptions | None):
+    """One timed analysis; ``options=None`` is the reference analysis."""
     t0 = time.perf_counter()
-    result = SerialOfflineAnalyzer(
-        TraceDir(trace_path), options=options
-    ).analyze()
+    if options is None:
+        result = reference_analyze(TraceDir(trace_path))
+    else:
+        result = SerialOfflineAnalyzer(
+            TraceDir(trace_path), options=options
+        ).analyze()
     return time.perf_counter() - t0, result
 
 

@@ -195,7 +195,7 @@ def _compare_kernels(n):
             args = (tree_a, tree_b, ia, ib, RaceSet(), None, sink, None)
             t0 = time.perf_counter()
             if kernel == "scalar":
-                engine._compare_scalar(*args, False)
+                engine._compare_scalar(*args, False, engine._memo)
             else:
                 engine._compare_columnar(*args)
             best = min(best, time.perf_counter() - t0)

@@ -5,8 +5,9 @@ threads, 32 barrier intervals, each thread repeatedly sweeping its own
 residue class of one shared array (disjoint mod ``8 * NTHREADS`` — the
 pattern every static-scheduled strided loop produces).  That yields
 thousands of concurrent interval pairs whose trees can never overlap,
-which the naive analysis proves one ``iter_overlaps`` walk at a time and
-the digest prune dismisses in O(1) per pair.  A genuine race on a hot
+which the unpruned reference analysis (``reference_analyze``) proves one
+``iter_overlaps`` walk at a time and the digest prune dismisses in O(1)
+per pair.  A genuine race on a hot
 scalar (threads 0 and 1, before the first barrier) keeps the workload
 honest: the fast path must still find exactly the same races,
 byte-for-byte.
@@ -27,6 +28,7 @@ from repro.offline import (
     FastPathOptions,
     SerialOfflineAnalyzer,
 )
+from repro.offline.analyzer import reference_analyze
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
 
@@ -37,11 +39,8 @@ CELLS_PER_THREAD = 48
 SPEEDUP_TARGET = 2.0
 REPEATS = 3
 
-NAIVE = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
-FAST = AnalysisOptions(fastpath=FastPathOptions(enabled=True))
-CACHED = AnalysisOptions(
-    fastpath=FastPathOptions(enabled=True, result_cache=True)
-)
+FAST = AnalysisOptions()
+CACHED = AnalysisOptions(fastpath=FastPathOptions(result_cache=True))
 
 
 def _program(m):
@@ -89,11 +88,15 @@ def _collect(trace_path: str) -> None:
     rt.run(_program)
 
 
-def _analyze(trace_path: str, options: AnalysisOptions):
+def _analyze(trace_path: str, options: AnalysisOptions | None):
+    """One timed analysis; ``options=None`` is the reference analysis."""
     t0 = time.perf_counter()
-    result = SerialOfflineAnalyzer(
-        TraceDir(trace_path), options=options
-    ).analyze()
+    if options is None:
+        result = reference_analyze(TraceDir(trace_path))
+    else:
+        result = SerialOfflineAnalyzer(
+            TraceDir(trace_path), options=options
+        ).analyze()
     return time.perf_counter() - t0, result
 
 
@@ -108,12 +111,12 @@ def test_pair_fastpath_speedup(benchmark, save_result):
 
         def run_suite():
             # Warm-up both legs once, then interleaved min-of-N.
-            _analyze(trace_path, NAIVE)
+            _analyze(trace_path, None)
             _analyze(trace_path, FAST)
             naive_s = fast_s = float("inf")
             naive_res = fast_res = None
             for _ in range(REPEATS):
-                t, r = _analyze(trace_path, NAIVE)
+                t, r = _analyze(trace_path, None)
                 if t < naive_s:
                     naive_s, naive_res = t, r
                 t, r = _analyze(trace_path, FAST)
@@ -135,7 +138,7 @@ def test_pair_fastpath_speedup(benchmark, save_result):
             "Fast-path pair analysis "
             f"({NTHREADS} threads x {BARRIERS} barrier intervals, "
             f"{stats.concurrent_pairs} concurrent pairs):",
-            f"  naive (fastpath off): {naive_s:.4f}s",
+            f"  naive (reference):    {naive_s:.4f}s",
             f"  fast  (prune + memo): {fast_s:.4f}s   "
             f"speedup {speedup:.2f}x",
             f"  cache cold:           {cold_s:.4f}s",

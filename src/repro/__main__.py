@@ -288,7 +288,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         workers=args.workers,
         integrity="salvage" if args.salvage else "strict",
         fastpath=FastPathOptions(
-            enabled=not args.no_fastpath,
             result_cache=bool(args.cache or args.cache_dir),
             cache_dir=args.cache_dir,
             static_skip=not args.no_static,
@@ -385,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis strategy (auto: parallel when --workers > 1)",
     )
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable frame-digest pruning, solver memoization and the "
-        "columnar comparison (build every pair, compare node by node)",
-    )
     p.add_argument(
         "--no-static",
         action="store_true",

@@ -46,6 +46,7 @@ __all__ = [
     "SerialOfflineAnalyzer",
     "analyze_trace",
     "check_node_pair",
+    "reference_analyze",
 ]
 
 
@@ -138,3 +139,41 @@ def analyze_trace(
 ) -> AnalysisResult:
     """Convenience: open a trace directory and analyze it."""
     return SerialOfflineAnalyzer(path, options=options, obs=obs).analyze()
+
+
+class _ReferenceEngine(AnalysisEngine):
+    """The engine without its cascade (see :func:`reference_analyze`)."""
+
+    def analyze_pair(self, ia, ib, races, on_race=None) -> None:
+        tree_a, tree_b = self.build_tree(ia), self.build_tree(ib)
+        tree_a, tree_b, ia, ib, static_free, use_tasks = self._orient(
+            tree_a, tree_b, ia, ib
+        )
+        t0 = time.perf_counter()
+        try:
+            self._compare_scalar(
+                tree_a, tree_b, ia, ib, races, on_race, sink=None,
+                static_free=static_free, use_tasks=use_tasks, memo=None,
+            )
+        finally:
+            self.stats.compare_seconds += time.perf_counter() - t0
+
+
+def reference_analyze(
+    trace: TraceDir | str | os.PathLike, *, integrity: str = "strict"
+) -> AnalysisResult:
+    """The analysis without its cascade: the parity suites' reference.
+
+    The serial driver, salvage handling, static verdict injection and
+    witness rule (:meth:`AnalysisEngine._orient`) of :func:`analyze_trace`,
+    but every concurrent pair's trees are built and compared node by node
+    with the un-memoized solver: no digest prune, no result cache, no
+    columnar join.  No production caller.
+    """
+    analyzer = SerialOfflineAnalyzer(
+        trace, options=AnalysisOptions(integrity=integrity)
+    )
+    analyzer.engine = _ReferenceEngine(
+        analyzer.trace, options=analyzer.options, obs=analyzer.obs
+    )
+    return analyzer.analyze()

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..ilp.bruteforce import bruteforce_overlap
 from ..ilp.memo import SolverMemo
-from ..ilp.overlap import constraint_of, intervals_share_address
+from ..ilp.overlap import intervals_share_address
 from ..itree.builder import TreeBuilder
 from ..itree.tree import IntervalTree
 from ..obs import (
@@ -71,6 +70,10 @@ _JOIN_BLOCK_ROWS = 1 << 13
 #: sped up the walk and the column build alike); re-measure with
 #: benchmarks/test_micro_kernels.py::test_bench_compare_kernels.
 _COLUMNAR_MIN_NODE_PRODUCT = 4096
+
+#: Built trees the engine keeps in memory (LRU): the bound that keeps a
+#: pass over a large trace memory-bounded.
+TREE_CACHE_CAPACITY = 64
 
 
 def _stat(fold: str, counter: str | None = None, default=0):
@@ -227,8 +230,7 @@ class AnalysisResult:
 class TreeCache:
     """Bounded LRU of built interval trees keyed by interval identity."""
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(1, capacity)
+    def __init__(self) -> None:
         self._cache: OrderedDict = OrderedDict()
 
     def get(self, key):
@@ -240,14 +242,8 @@ class TreeCache:
     def put(self, key, tree) -> None:
         self._cache[key] = tree
         self._cache.move_to_end(key)
-        while len(self._cache) > self.capacity:
+        while len(self._cache) > TREE_CACHE_CAPACITY:
             self._cache.popitem(last=False)
-
-    def invalidate(self, key) -> None:
-        self._cache.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
 
 def check_node_pair(
@@ -255,7 +251,6 @@ def check_node_pair(
     b,
     mutexsets: MutexSetTable,
     *,
-    crosscheck: bool = False,
     memo: SolverMemo | None = None,
 ):
     """Apply the full race condition to two tree nodes' intervals.
@@ -272,16 +267,8 @@ def check_node_pair(
         return None
     if not mutexsets.disjoint(a.msid, b.msid):
         return None
-    if memo is not None:
-        result = memo.share_address(a, b)
-    else:
-        result = intervals_share_address(a, b)
-    if crosscheck:
-        brute = bruteforce_overlap(constraint_of(a), constraint_of(b))
-        if (result is None) != (brute is None):
-            raise AssertionError(
-                f"ILP/bruteforce disagreement on {a} vs {b}"
-            )
+    share = intervals_share_address if memo is None else memo.share_address
+    result = share(a, b)
     return None if result is None else result.address
 
 
@@ -317,18 +304,16 @@ class DigestPruner:
         self._folded[key] = folded
         return folded
 
-    def prunes(self, ia: IntervalData, ib: IntervalData) -> bool:
-        """True when the digests prove no access pair of (ia, ib) races."""
-        da = self.digest(ia)
-        if da is None:
+    def prunes(self, ia: IntervalData, ib: IntervalData, stats) -> bool:
+        """True when the digests prove no access pair of (ia, ib) races;
+        the pruned pair and the chunks it leaves un-inflated are counted
+        on ``stats``."""
+        da, db = self.digest(ia), self.digest(ib)
+        if da is None or db is None or digests_may_race(da, db):
             return False
-        db = self.digest(ib)
-        return db is not None and not digests_may_race(da, db)
-
-
-def pair_frames(ia: IntervalData, ib: IntervalData) -> int:
-    """Chunks a pruned pair leaves un-inflated (the frames_pruned unit)."""
-    return len(ia.chunks) + len(ib.chunks)
+        stats.pairs_pruned += 1
+        stats.frames_pruned += len(ia.chunks) + len(ib.chunks)
+        return True
 
 
 class AnalysisEngine:
@@ -352,13 +337,13 @@ class AnalysisEngine:
         self.options = options
         self.obs = obs or options.obs or get_obs()
         self.stats = AnalysisStats()
-        self._tree_cache = TreeCache(capacity=options.tree_cache_capacity)
+        self._tree_cache = TreeCache()
         self._readers: dict[int, object] = {}
         fast = options.fastpath
-        self._memo = SolverMemo() if fast.enabled else None
+        self._memo = SolverMemo()
         #: Frame-digest pre-filter: decide pairs from the meta-row
-        #: digests *before* scheduling any inflation (None: naive path).
-        self._pruner = DigestPruner() if fast.enabled else None
+        #: digests *before* scheduling any inflation.
+        self._pruner = DigestPruner()
         #: pid -> proven-free pcs from the trace's static verdict table;
         #: site pairs touching one are skipped inside the comparison.
         #: Empty when the trace carries no table or static_skip is off.
@@ -398,7 +383,7 @@ class AnalysisEngine:
         hashes would be meaningless — so the cache stays off there; the
         replay path (closed trace) re-enables it.
         """
-        if not fast.cache_active:
+        if not fast.result_cache:
             return None
         if bool(getattr(self.source, "live", False)):
             return None
@@ -471,10 +456,7 @@ class AnalysisEngine:
             for begin, size in interval.chunks:
                 view = reader.frame_at(begin, size)
                 for records in view.iter_events():
-                    # Re-chunk to the configured streaming granularity.
-                    step = self.options.chunk_events
-                    for lo in range(0, records.shape[0], step):
-                        builder.add_records(records[lo : lo + step])
+                    builder.add_records(records)
             tree = builder.finish()
         elapsed = time.perf_counter() - t0
         self.stats.frames_inflated += len(interval.chunks)
@@ -521,10 +503,30 @@ class AnalysisEngine:
         cache stores that list so a later run can replay the comparison
         without the trees.
 
-        :meth:`_compare_scalar` defines the result; on the fast path,
-        pairs big enough to repay NumPy's fixed cost get the same rows,
-        reports and counts from :meth:`_compare_columnar`.
+        :meth:`_compare_scalar` defines the result; pairs big enough to
+        repay NumPy's fixed cost get the same rows, reports and counts
+        from :meth:`_compare_columnar`.
         """
+        tree_a, tree_b, ia, ib, static_free, use_tasks = self._orient(
+            tree_a, tree_b, ia, ib
+        )
+        if (
+            not use_tasks
+            and len(tree_a) * len(tree_b) >= _COLUMNAR_MIN_NODE_PRODUCT
+        ):
+            self._compare_columnar(
+                tree_a, tree_b, ia, ib, races, on_race, sink, static_free
+            )
+        else:
+            self._compare_scalar(
+                tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
+                use_tasks, self._memo,
+            )
+
+    def _orient(self, tree_a, tree_b, ia, ib):
+        """A pair's canonical orientation and its gates, for every
+        comparison body: ``(tree_a, tree_b, ia, ib, static_free,
+        use_tasks)`` with ``ia`` the smaller interval identity."""
         key_a = (ia.key.gid, ia.key.pid, ia.key.bid)
         key_b = (ib.key.gid, ib.key.pid, ib.key.bid)
         if key_b < key_a:
@@ -541,28 +543,16 @@ class AnalysisEngine:
             if self._static_free and ia.key.pid == ib.key.pid
             else None
         )
-        if (
-            self.options.fastpath.enabled
-            and not self.options.use_ilp_crosscheck
-            and not use_tasks
-            and len(tree_a) * len(tree_b) >= _COLUMNAR_MIN_NODE_PRODUCT
-        ):
-            self._compare_columnar(
-                tree_a, tree_b, ia, ib, races, on_race, sink, static_free
-            )
-        else:
-            self._compare_scalar(
-                tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
-                use_tasks,
-            )
+        return tree_a, tree_b, ia, ib, static_free, use_tasks
 
     def _compare_scalar(
         self, tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
-        use_tasks,
+        use_tasks, memo,
     ) -> None:
         """The race condition, one candidate node pair at a time (the
-        paper's ``RACE_CHECK`` loop): the naive reference path, and the
-        path for task-gated, cross-checked and small pairs."""
+        paper's ``RACE_CHECK`` loop): the path for task-gated and small
+        pairs, and with ``memo=None`` the reference analysis's only one
+        (:func:`~repro.offline.analyzer.reference_analyze`)."""
         from ..tasking.graph import decode_point
 
         mutexsets = self.source.mutexsets
@@ -596,13 +586,7 @@ class AnalysisEngine:
                     self.stats.site_pairs_skipped += 1
                     continue
                 self.stats.ilp_solves += 1
-                address = check_node_pair(
-                    si,
-                    other,
-                    mutexsets,
-                    crosscheck=self.options.use_ilp_crosscheck,
-                    memo=self._memo,
-                )
+                address = check_node_pair(si, other, mutexsets, memo=memo)
                 if address is None:
                     continue
                 seen_here.add(pair_key)
@@ -798,13 +782,11 @@ class AnalysisEngine:
         reports without touching any tree; (3) the trees are built and
         compared with the memoized solver — also the path for pairs
         with a digest-less row.  Every path produces the identical
-        contribution to ``races`` (the naive path's reports, exactly),
-        and every pair takes exactly one: ``pairs_pruned +
+        contribution to ``races`` (the reference analysis's reports,
+        exactly), and every pair takes exactly one: ``pairs_pruned +
         pair_cache_hits + compared == concurrent_pairs``.
         """
-        if self._pruner is not None and self._pruner.prunes(ia, ib):
-            self.stats.pairs_pruned += 1
-            self.stats.frames_pruned += pair_frames(ia, ib)
+        if self._pruner.prunes(ia, ib, self.stats):
             return
         if self._result_cache is not None:
             self._pair_cache_lookups += 1
@@ -818,8 +800,7 @@ class AnalysisEngine:
                 return
         tree_a = self.build_tree(ia)
         tree_b = self.build_tree(ib)
-        memo_h0 = self._memo.hits if self._memo is not None else 0
-        memo_m0 = self._memo.misses if self._memo is not None else 0
+        memo_h0, memo_m0 = self._memo.hits, self._memo.misses
         sink: list | None = [] if self._result_cache is not None else None
         t0 = time.perf_counter()
         try:
@@ -832,9 +813,8 @@ class AnalysisEngine:
             # abandons still spent the time and the memo lookups.
             elapsed = time.perf_counter() - t0
             self.stats.compare_seconds += elapsed
-            if self._memo is not None:
-                self.stats.solver_memo_hits += self._memo.hits - memo_h0
-                self.stats.solver_memo_misses += self._memo.misses - memo_m0
+            self.stats.solver_memo_hits += self._memo.hits - memo_h0
+            self.stats.solver_memo_misses += self._memo.misses - memo_m0
             self._m_compare_seconds.observe(elapsed)
         self._m_races.set(len(races))
         self._sync_inflated()

@@ -4,10 +4,13 @@
 shared :class:`~repro.offline.engine.AnalysisEngine`, the service's shard
 specs, and :mod:`repro.api` consume this one dataclass unchanged.
 
-:class:`FastPathOptions` gates the pair-decision cascade (static skip →
-pair cache → frame-digest prune → build + compare).  Everything is on by
-default except the persistent cache, which writes to disk and is
-therefore opt-in.
+The engine always runs one pair-decision cascade (frame-digest prune →
+pair cache → build + compare, with the static skip inside the compare).
+:class:`FastPathOptions` holds its two user-facing settings: the
+persistent cache, which writes to disk and is therefore opt-in, and the
+static skip.  The unpruned reference analysis the parity suites compare
+against is :func:`repro.offline.analyzer.reference_analyze`, not a
+setting.
 """
 
 from __future__ import annotations
@@ -21,31 +24,22 @@ from ..obs import Instrumentation
 
 @dataclass(slots=True)
 class FastPathOptions:
-    """Toggles for the pair-analysis fast path.
+    """Settings of the pair-decision cascade.
 
-    Every acceleration preserves canonical-witness determinism: the
-    analysis result is byte-identical with the fast path on or off.
+    Neither changes the result: the race set is byte-identical with
+    either one on or off.
     """
 
-    #: Master switch for frame-digest pruning, the solver memo, the
-    #: columnar tree comparison, and the persistent cache; False is the
-    #: naive reference path (build every pair, compare node by node) the
-    #: parity suites pin everything else against.
-    enabled: bool = True
     #: Persist per-interval trees and pair verdicts keyed by trace
     #: content hashes (opt-in: writes under the trace directory, or
     #: ``cache_dir`` when set).  Only engaged for closed traces.
     result_cache: bool = False
     cache_dir: Optional[str] = None
     #: Skip site pairs the trace's static verdict table proved race-free.
-    #: Independent of ``enabled``.  Off, the engine solves those pairs
-    #: dynamically (synthesised DEFINITE_RACE reports are still injected
-    #: — they are data, not an optimisation).
+    #: Off, the engine solves those pairs dynamically (synthesised
+    #: DEFINITE_RACE reports are still injected — they are data, not an
+    #: optimisation).
     static_skip: bool = True
-
-    @property
-    def cache_active(self) -> bool:
-        return self.enabled and self.result_cache
 
 
 @dataclass(slots=True)
@@ -59,14 +53,6 @@ class AnalysisOptions:
     """
 
     # Engine / all modes.
-    #: Streaming granularity: how many decoded events the reader hands
-    #: to the tree builder at a time (paper: "reads access information
-    #: from log files in small chunks").
-    chunk_events: int = 65536
-    #: Additionally verify each Diophantine overlap verdict by brute
-    #: force (slow; for tests).
-    use_ilp_crosscheck: bool = False
-    tree_cache_capacity: int = 64
     #: ``"strict"`` fails fast on any trace defect; ``"salvage"``
     #: analyses whatever a crashed run left behind and attaches an
     #: :class:`~repro.sword.integrity.IntegrityReport` to the result.
@@ -80,18 +66,11 @@ class AnalysisOptions:
 
     # Streaming mode.
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 32
     max_pairs: Optional[int] = None
 
     def validate(self) -> None:
-        if self.chunk_events <= 0:
-            raise ConfigError("chunk_events must be positive")
         if self.workers <= 0:
             raise ConfigError("workers must be positive")
-        if self.tree_cache_capacity < 1:
-            raise ValueError("tree_cache_capacity must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if self.integrity not in ("strict", "salvage"):
             raise ValueError(
                 f"integrity must be 'strict' or 'salvage', "

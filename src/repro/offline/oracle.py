@@ -1,15 +1,18 @@
-"""Brute-force race oracle over a recorded execution tape.
+"""Exhaustive race oracle over a recorded execution tape.
 
 Ground truth for tests: given the full, globally ordered event tape of a
-simulated run (:class:`~repro.omp.recording.RecordingTool`), enumerate every
+simulated run (:class:`~repro.omp.recording.RecordingTool`), judge every
 pair of accesses from different threads, decide concurrency with the
 barrier-interval judgment on their (runtime-computed) labels, and check the
-race condition by expanding byte-address sets.  Quadratic and allocation
-heavy — strictly for small test programs, where it must agree exactly with
-the streaming interval-tree analyzer.
+race condition by expanding byte-address sets.  Only accesses that share a
+byte, one of them writing, can race: each access meets only the later ones
+whose byte extents overlap its own, in the tape's (i, j) order — the
+all-pairs loop's order, so each pc pair keeps that loop's first witness.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..omp.mutexset import MutexSetTable
 from ..omp.recording import RecordingTool
@@ -32,15 +35,27 @@ def oracle_races(
     graph = tool.task_graph
     tasky = {(t.pid, t.bid) for t in graph.tasks()}
     races = RaceSet()
-    addr_sets = [frozenset(int(x) for x in e.access.addresses()) for e in accesses]
+    low = np.array([e.access.low for e in accesses], dtype=np.int64)
+    high = np.array([e.access.high for e in accesses], dtype=np.int64)
+    write = np.array([e.access.is_write for e in accesses], dtype=bool)
+    addr_sets: dict[int, frozenset[int]] = {}
+
+    def bytes_of(k: int) -> frozenset[int]:
+        if k not in addr_sets:
+            addr_sets[k] = frozenset(accesses[k].access.addresses().tolist())
+        return addr_sets[k]
+
     for i in range(len(accesses)):
         ei = accesses[i]
         ai = ei.access
-        for j in range(i + 1, len(accesses)):
+        # Later accesses whose extent meets i's, one side writing.
+        later = slice(i + 1, None)
+        meets = (low[later] <= high[i]) & (high[later] >= low[i])
+        if not ai.is_write:
+            meets &= write[later]
+        for j in (np.flatnonzero(meets) + i + 1).tolist():
             ej = accesses[j]
             aj = ej.access
-            if not (ai.is_write or aj.is_write):
-                continue
             if ai.is_atomic and aj.is_atomic:
                 continue
             if (ai.pc, aj.pc) in races or (aj.pc, ai.pc) in races:
@@ -60,7 +75,7 @@ def oracle_races(
                     continue
                 if not concurrent_intervals(ei.chain, ej.chain):
                     continue
-            common = addr_sets[i] & addr_sets[j]
+            common = bytes_of(i) & bytes_of(j)
             if not common:
                 continue
             races.add(

@@ -66,19 +66,9 @@ def trace_token(trace_path: str | os.PathLike) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def shard_token(
-    trace_digest: str,
-    *,
-    kind: str,
-    pair_keys: tuple,
-    chunk_events: int,
-    use_ilp_crosscheck: bool,
-) -> str:
+def shard_token(trace_digest: str, *, kind: str, pair_keys: tuple) -> str:
     """One shard's checkpoint address (job- and tenant-independent)."""
-    payload = (
-        f"{trace_digest}|{kind}|{pair_keys!r}"
-        f"|{chunk_events}|{use_ilp_crosscheck}"
-    )
+    payload = f"{trace_digest}|{kind}|{pair_keys!r}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -15,8 +15,9 @@ plan's own ``stats`` (merged by the coordinator like a shard's), and
 slices only the survivors into shards — each carrying the
 :class:`~repro.offline.intervals.IntervalData` of its pairs, so a worker
 never scans the meta files again.  The plan is a pure function of the
-trace bytes and the options: a resumed job re-plans the same shards and
-the same checkpoint tokens.
+trace bytes and the planning arguments, and a shard's checkpoint token
+hashes only the trace digest, the shard kind and its pair keys: a
+resumed job re-plans the same shards and the same checkpoint tokens.
 
 Salvage jobs are planned as a single ``salvage`` shard: recovering a
 damaged trace threads an integrity ledger through planning and pair
@@ -30,7 +31,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..offline.engine import AnalysisStats, DigestPruner, pair_frames
+from ..offline.engine import AnalysisStats, DigestPruner
 from ..offline.intervals import IntervalData, IntervalInventory, IntervalKey
 from ..offline.options import AnalysisOptions, FastPathOptions
 from ..static.table import StaticVerdictTable
@@ -105,7 +106,7 @@ class ShardPlan:
 def shard_fastpath(
     base: FastPathOptions, cache_dir: Optional[str]
 ) -> FastPathOptions:
-    """The fast-path options shards run with.
+    """The cascade settings shards run with.
 
     With a shared ``cache_dir`` the persistent result cache is forced on:
     tokens are content hashes of the trace bytes, so identical shards —
@@ -114,7 +115,7 @@ def shard_fastpath(
     """
     if cache_dir is None:
         return base
-    return replace(base, result_cache=base.enabled, cache_dir=cache_dir)
+    return replace(base, result_cache=True, cache_dir=cache_dir)
 
 
 def plan_shards(
@@ -133,8 +134,8 @@ def plan_shards(
 ) -> ShardPlan:
     """Plan one job: enumerate concurrent pairs, prune, slice into shards.
 
-    With ``options.fastpath.enabled`` every pair the frame digests
-    decide is counted on the plan and dropped; ``shard_pairs`` caps the
+    Every pair the frame digests decide is counted on the plan and
+    dropped; ``shard_pairs`` caps the
     shard grain over the *surviving* pairs and ``min_shards`` shrinks
     the grain further when they would otherwise make fewer shards than
     the caller has workers to feed (small jobs still fan out).  A plan
@@ -174,13 +175,7 @@ def plan_shards(
         )
         if checkpoint_dir is None:
             return spec
-        token = shard_token(
-            trace_digest,
-            kind=kind,
-            pair_keys=spec.pair_keys,
-            chunk_events=options.chunk_events,
-            use_ilp_crosscheck=options.use_ilp_crosscheck,
-        )
+        token = shard_token(trace_digest, kind=kind, pair_keys=spec.pair_keys)
         return replace(spec, checkpoint_token=token)
 
     plan = ShardPlan(static_verdicts=trace.static_verdicts)
@@ -191,16 +186,8 @@ def plan_shards(
     pairs = list(inventory.concurrent_pairs())
     plan.stats.intervals = len(inventory)
     plan.stats.concurrent_pairs = len(pairs)
-    if options.fastpath.enabled:
-        pruner = DigestPruner()
-        surviving = []
-        for ia, ib in pairs:
-            if pruner.prunes(ia, ib):
-                plan.stats.pairs_pruned += 1
-                plan.stats.frames_pruned += pair_frames(ia, ib)
-            else:
-                surviving.append((ia, ib))
-        pairs = surviving
+    pruner = DigestPruner()
+    pairs = [pair for pair in pairs if not pruner.prunes(*pair, plan.stats)]
     if pairs and min_shards > 1:
         shard_pairs = min(shard_pairs, -(-len(pairs) // min_shards))
     shard_pairs = max(1, shard_pairs)

@@ -33,6 +33,10 @@ from .bus import TraceObserver, replay_trace
 from .checkpoint import Checkpoint
 
 
+#: Analyzed pairs between two checkpoint saves.
+CHECKPOINT_EVERY = 32
+
+
 class StreamingInterrupted(RuntimeError):
     """Raised when the analyzer hits its ``max_pairs`` budget (tests use
     this to simulate a mid-run crash; the checkpoint is saved first)."""
@@ -62,10 +66,10 @@ class StreamAnalyzer(TraceObserver):
 
     Args:
         directory: the trace directory being produced (or replayed).
-        options: unified :class:`AnalysisOptions` (``checkpoint_every``,
-            ``tree_cache_capacity``, ...); the explicit keyword arguments
-            below override the matching fields when given.
-        checkpoint_path: enable resumable progress at this file.
+        options: unified :class:`AnalysisOptions`; the explicit keyword
+            arguments below override the matching fields when given.
+        checkpoint_path: enable resumable progress at this file, saved
+            every :data:`CHECKPOINT_EVERY` analyzed pairs.
         on_race: live feed — called with each :class:`RaceReport` the
             first time its pc pair is confirmed.
         max_pairs: analyze at most this many new pairs, then save the
@@ -112,7 +116,6 @@ class StreamAnalyzer(TraceObserver):
             if options.checkpoint_path
             else None
         )
-        self.checkpoint_every = max(1, options.checkpoint_every)
         self.max_pairs = options.max_pairs
         # Resuming: the checkpoint's race set *is* the working set, so
         # every save persists the merged state.
@@ -208,7 +211,7 @@ class StreamAnalyzer(TraceObserver):
             if self.checkpoint is not None:
                 self.checkpoint.record(ia.key, ib.key)
                 self._since_save += 1
-                if self._since_save >= self.checkpoint_every:
+                if self._since_save >= CHECKPOINT_EVERY:
                     self.checkpoint.save()
                     self._since_save = 0
             if (

@@ -172,6 +172,7 @@ class SwordTool(OmptTool):
         self._task_graph = TaskGraph()
         self._runtime = None
         self._observers: list = []
+        self._finalized = False
         #: Open one log sink; the fault-injection harness swaps this to
         #: wrap files with transient/permanent IO errors.
         self._sink_factory = sink_factory or (lambda path: open(path, "wb"))
@@ -732,7 +733,11 @@ class SwordTool(OmptTool):
     # -- finalisation --------------------------------------------------------------------
 
     def finalize(self) -> None:
-        """Flush buffers, write meta files and run-wide tables."""
+        """Flush buffers, write meta files and run-wide tables (once:
+        the buffers are released on the way, so a second call is a no-op)."""
+        if self._finalized:
+            return
+        self._finalized = True
         with self.obs.tracer.span("finalize", category="online"):
             self._finalize()
 

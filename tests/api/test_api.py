@@ -59,7 +59,7 @@ def test_detect_other_tools():
 
 def test_detect_forwards_analysis_options(tmp_path):
     opts = api.AnalysisOptions(
-        fastpath=api.FastPathOptions(enabled=True, result_cache=True)
+        fastpath=api.FastPathOptions(result_cache=True)
     )
     result = api.detect(
         WORKLOAD,

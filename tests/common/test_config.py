@@ -72,7 +72,5 @@ def test_node_and_offline_validation():
     with pytest.raises(ConfigError):
         AnalysisOptions(workers=0).validate()
     with pytest.raises(ConfigError):
-        AnalysisOptions(chunk_events=0).validate()
-    with pytest.raises(ConfigError):
         RunConfig(nthreads=0).validate()
     RunConfig().validate()

@@ -109,3 +109,32 @@ def test_property_summarisation_preserves_address_multiset(ops):
         key = (e.pc, e.is_write)
         expected.setdefault(key, set()).update(e.addresses().tolist())
     assert got == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 40),        # element index
+            st.booleans(),             # write?
+            st.sampled_from([1, 2]),   # pc choice
+            st.sampled_from([1, 3]),   # count
+        ),
+        min_size=1,
+        max_size=120,
+    ),
+    cuts=st.lists(st.integers(1, 119), max_size=8),
+)
+def test_property_record_slicing_does_not_change_the_tree(ops, cuts):
+    """However a record stream is sliced into ``add_records`` calls,
+    the builder seals the same tree."""
+    records = accesses_to_records(
+        acc(idx * 8, write=w, pc=pc, count=n, stride=8 * (n > 1))
+        for idx, w, pc, n in ops
+    )
+    bounds = sorted({0, len(records), *(c for c in cuts if c < len(records))})
+    whole, sliced = TreeBuilder(), TreeBuilder()
+    whole.add_records(records)
+    for lo, hi in zip(bounds, bounds[1:]):
+        sliced.add_records(records[lo:hi])
+    assert list(sliced.finish()) == list(whole.finish())

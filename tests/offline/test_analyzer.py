@@ -7,7 +7,14 @@ import repro.offline.engine as engine_mod
 from repro import api
 from repro.common.sourceloc import pc_of
 from repro.obs import live
-from repro.offline import AnalysisOptions, FastPathOptions, SerialOfflineAnalyzer
+from repro.ilp.bruteforce import bruteforce_overlap
+from repro.ilp.memo import SolverMemo
+from repro.ilp.overlap import constraint_of
+from repro.itree.builder import TreeBuilder
+from repro.offline import SerialOfflineAnalyzer
+from repro.offline.analyzer import reference_analyze
+from repro.offline.engine import AnalysisEngine
+from repro.offline.intervals import IntervalInventory
 from repro.sword import TraceDir
 
 from conftest import sword_and_oracle
@@ -204,6 +211,8 @@ def test_seed_sweep_agreement(trace_dir):
 
 
 def test_streaming_chunk_size_does_not_change_result(trace_dir):
+    """The engine hands each frame's records to the tree builder whole;
+    sliced into chunks of 1, 7 or 1000 records they seal the same tree."""
     def program(m):
         a = m.alloc_array("a", 256)
 
@@ -214,15 +223,32 @@ def test_streaming_chunk_size_does_not_change_result(trace_dir):
         m.parallel(body)
 
     races, oracle, _rec, _rt = sword_and_oracle(program, trace_dir)
-    for chunk_events in (1, 7, 1000):
-        result = SerialOfflineAnalyzer(
-            TraceDir(trace_dir),
-            options=AnalysisOptions(chunk_events=chunk_events),
-        ).analyze()
-        assert result.races.pc_pairs() == races.pc_pairs() == oracle.pc_pairs()
+    assert races.pc_pairs() == oracle.pc_pairs()
+    trace = TraceDir(trace_dir)
+    intervals = {
+        interval.key: interval
+        for pair in IntervalInventory(trace).concurrent_pairs()
+        for interval in pair
+    }
+    assert intervals
+    with AnalysisEngine(trace) as engine:
+        for interval in intervals.values():
+            whole = list(engine.build_tree(interval))
+            with trace.reader(interval.key.gid) as reader:
+                records = np.concatenate([
+                    records
+                    for begin, size in interval.chunks
+                    for records in reader.frame_at(begin, size).iter_events()
+                ])
+            for step in (1, 7, 1000):
+                builder = TreeBuilder()
+                for lo in range(0, len(records), step):
+                    builder.add_records(records[lo : lo + step])
+                assert list(builder.finish()) == whole
 
 
-def test_ilp_crosscheck_mode(trace_dir):
+def test_ilp_crosscheck_mode(trace_dir, monkeypatch):
+    """Every Diophantine solve of a real trace agrees with brute force."""
     def program(m):
         a = m.alloc_array("a", 32, dtype=np.int32)
 
@@ -233,10 +259,20 @@ def test_ilp_crosscheck_mode(trace_dir):
         m.parallel(body, nthreads=2)
 
     races, _oracle, _rec, _rt = sword_and_oracle(program, trace_dir, nthreads=2)
-    checked = SerialOfflineAnalyzer(
-        TraceDir(trace_dir), options=AnalysisOptions(use_ilp_crosscheck=True)
-    ).analyze()
+    solved = []
+    share_address = SolverMemo.share_address
+
+    def crosschecked(memo, a, b):
+        result = share_address(memo, a, b)
+        brute = bruteforce_overlap(constraint_of(a), constraint_of(b))
+        assert (result is None) == (brute is None), (a, b)
+        solved.append(result is not None)
+        return result
+
+    monkeypatch.setattr(SolverMemo, "share_address", crosschecked)
+    checked = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
     assert checked.races.pc_pairs() == races.pc_pairs()
+    assert True in solved  # the race itself went through the solver
 
 
 def test_stats_populated(trace_dir):
@@ -258,12 +294,9 @@ def test_stats_populated(trace_dir):
     assert result.stats.bytes_inflated == 0
     assert result.stats.total_seconds >= 0
 
-    # On the reference path (no frame-digest prune) the same trace
-    # builds trees and reads events the eager way.
-    eager = SerialOfflineAnalyzer(
-        TraceDir(trace_dir),
-        options=AnalysisOptions(fastpath=FastPathOptions(enabled=False)),
-    ).analyze()
+    # The reference analysis (no frame-digest prune) builds trees and
+    # reads events the eager way on the same trace.
+    eager = reference_analyze(trace_dir)
     assert eager.stats.trees_built > 0
     assert eager.stats.events_read > 0
     assert eager.stats.bytes_inflated > 0

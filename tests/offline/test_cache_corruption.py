@@ -29,7 +29,7 @@ def _collect(trace_path):
 
 def _cached_options():
     return AnalysisOptions(
-        fastpath=FastPathOptions(enabled=True, result_cache=True)
+        fastpath=FastPathOptions(result_cache=True)
     )
 
 

@@ -20,7 +20,8 @@ from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.harness.tools import SwordDriver
 from repro.itree.interval import StridedInterval
 from repro.itree.tree import IntervalTree
-from repro.offline import AnalysisOptions, FastPathOptions
+from repro.offline import AnalysisOptions
+from repro.offline.analyzer import reference_analyze
 from repro.offline.engine import AnalysisEngine
 from repro.offline.intervals import IntervalKey
 from repro.offline.report import RaceSet
@@ -32,8 +33,7 @@ from repro.workloads import REGISTRY
 
 NTHREADS = 4
 
-NAIVE = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
-FAST = AnalysisOptions(fastpath=FastPathOptions(enabled=True))
+FAST = AnalysisOptions()
 
 #: Interned as msids 1..3; two of them intersect.
 MUTEX_SETS = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
@@ -80,7 +80,7 @@ def _run(kernel, intervals_a, intervals_b, nsets, static_free):
         sink, static_free,
     )
     if kernel == "scalar":
-        engine._compare_scalar(*args, False)
+        engine._compare_scalar(*args, False, engine._memo)
     else:
         engine._compare_columnar(*args)
     s = engine.stats
@@ -162,20 +162,19 @@ def _collect(name, trace_dir, **params):
 
 
 def _assert_modes_identical(trace_dir):
+    reference = _blob(reference_analyze(str(trace_dir)))
     results = {}
     for mode in ("serial", "streaming"):
-        naive = api.analyze(str(trace_dir), mode=mode, options=NAIVE)
         fast = api.analyze(str(trace_dir), mode=mode, options=FAST)
-        assert _blob(fast) == _blob(naive)
+        assert _blob(fast) == reference
         results[mode] = fast
-    assert _blob(results["serial"]) == _blob(results["streaming"])
     return results["serial"]
 
 
 def test_qsomp_takes_the_columnar_path_by_default(tmp_path, columnar_calls):
     _collect("cpp_qsomp1", tmp_path / "t", n=1024)
-    api.analyze(str(tmp_path / "t"), options=NAIVE)
-    assert columnar_calls == []  # the reference path never joins
+    reference_analyze(str(tmp_path / "t"))
+    assert columnar_calls == []  # the reference analysis never joins
     fast = _assert_modes_identical(tmp_path / "t")
     assert columnar_calls
     assert min(columnar_calls) >= engine_mod._COLUMNAR_MIN_NODE_PRODUCT

@@ -1,5 +1,6 @@
-"""Fast-path parity: pruning, memoization, and the persistent cache must
-be invisible in the output — byte-identical races, fast path on or off.
+"""Cascade parity: pruning, memoization, and the persistent cache must
+be invisible in the output — byte-identical races to the unpruned
+reference analysis (``reference_analyze``).
 """
 
 import json
@@ -14,6 +15,7 @@ from repro.offline import (
     FastPathOptions,
     SerialOfflineAnalyzer,
 )
+from repro.offline.analyzer import reference_analyze
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
 from repro.workloads import REGISTRY
@@ -21,8 +23,7 @@ from repro.workloads import REGISTRY
 NTHREADS = 4
 SEED = 0
 
-NAIVE = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
-FAST = AnalysisOptions(fastpath=FastPathOptions(enabled=True))
+FAST = AnalysisOptions()
 
 #: Racy workloads from the DataRaceBench and paper-example suites — the
 #: suites with hand-seeded ground truth (tests/workloads) — plus the
@@ -53,14 +54,15 @@ def test_fastpath_byte_identical(workload):
     try:
         collect(workload, trace_path)
         trace = TraceDir(trace_path)
-        naive = SerialOfflineAnalyzer(trace, options=NAIVE).analyze()
+        ref = reference_analyze(trace)
         fast = SerialOfflineAnalyzer(trace, options=FAST).analyze()
-        assert blob(fast.races) == blob(naive.races)
-        assert len(naive.races) == workload.seeded_races
-        # The naive leg must not silently use any fast-path machinery.
-        assert naive.stats.pairs_pruned == 0
-        assert naive.stats.solver_memo_hits == 0
-        assert naive.stats.solver_memo_misses == 0
+        assert blob(fast.races) == blob(ref.races)
+        assert len(ref.races) == workload.seeded_races
+        # The reference must not silently use any cascade machinery.
+        assert ref.stats.pairs_pruned == 0
+        assert ref.stats.pair_cache_hits == 0
+        assert ref.stats.solver_memo_hits == 0
+        assert ref.stats.solver_memo_misses == 0
     finally:
         shutil.rmtree(trace_path, ignore_errors=True)
 
@@ -87,13 +89,13 @@ def test_pruning_fires_and_keeps_the_race(tmp_path):
         tool=tool,
     ).run(_residue_program)
     trace = TraceDir(trace_path)
-    naive = SerialOfflineAnalyzer(trace, options=NAIVE).analyze()
+    ref = reference_analyze(trace)
     fast = SerialOfflineAnalyzer(trace, options=FAST).analyze()
-    assert blob(fast.races) == blob(naive.races)
+    assert blob(fast.races) == blob(ref.races)
     assert len(fast.races) >= 1
     assert fast.stats.pairs_pruned > 0
     # Pruned pairs skip tree building and solving entirely.
-    assert fast.stats.ilp_solves <= naive.stats.ilp_solves
+    assert fast.stats.ilp_solves <= ref.stats.ilp_solves
 
 
 def test_persistent_cache_warm_run_identical(tmp_path):
@@ -101,7 +103,7 @@ def test_persistent_cache_warm_run_identical(tmp_path):
     trace_path = str(tmp_path / "trace")
     collect(workload, trace_path)
     cached = AnalysisOptions(
-        fastpath=FastPathOptions(enabled=True, result_cache=True)
+        fastpath=FastPathOptions(result_cache=True)
     )
     trace = TraceDir(trace_path)
     cold = SerialOfflineAnalyzer(trace, options=cached).analyze()
@@ -119,7 +121,7 @@ def test_persistent_cache_warm_run_identical(tmp_path):
     assert warm.stats.pair_cache_hits == pairs - pruned
     stored = list((tmp_path / "trace" / ".sword-cache" / "pairs").iterdir())
     assert len(stored) == pairs - pruned
-    gold = SerialOfflineAnalyzer(TraceDir(trace_path), options=NAIVE).analyze()
+    gold = reference_analyze(trace_path)
     assert blob(warm.races) == blob(gold.races)
     assert (tmp_path / "trace" / ".sword-cache").is_dir()
 
@@ -130,7 +132,7 @@ def test_cache_invalidation_on_trace_regeneration(tmp_path):
     racy = REGISTRY.get("plusplus-orig-yes")
     quiet = REGISTRY.get("antidep1-var-no")
     cached = AnalysisOptions(
-        fastpath=FastPathOptions(enabled=True, result_cache=True)
+        fastpath=FastPathOptions(result_cache=True)
     )
 
     collect(racy, trace_path)
@@ -149,7 +151,7 @@ def test_cache_invalidation_on_trace_regeneration(tmp_path):
     second = SerialOfflineAnalyzer(TraceDir(trace_path), options=cached).analyze()
     assert second.stats.pair_cache_hits == 0
     assert len(second.races) == 0
-    gold = SerialOfflineAnalyzer(TraceDir(trace_path), options=NAIVE).analyze()
+    gold = reference_analyze(trace_path)
     assert blob(second.races) == blob(gold.races)
 
 
@@ -159,9 +161,7 @@ def test_explicit_cache_dir(tmp_path):
     collect(workload, trace_path)
     cache_dir = tmp_path / "elsewhere"
     opts = AnalysisOptions(
-        fastpath=FastPathOptions(
-            enabled=True, result_cache=True, cache_dir=str(cache_dir)
-        )
+        fastpath=FastPathOptions(result_cache=True, cache_dir=str(cache_dir))
     )
     cold = SerialOfflineAnalyzer(TraceDir(trace_path), options=opts).analyze()
     warm = SerialOfflineAnalyzer(TraceDir(trace_path), options=opts).analyze()

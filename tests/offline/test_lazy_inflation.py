@@ -1,8 +1,8 @@
 """Digest-pruned lazy analysis is byte-identical to full inflation.
 
 The compressed-trace property: with the frame-digest prune on, the
-race set must equal the eager reference path (``FastPathOptions(
-enabled=False)``: build and compare every pair) byte-for-byte across the
+race set must equal the eager reference analysis (``reference_analyze``:
+build and compare every pair) byte-for-byte across the
 corpus — clean traces and salvage recovery of torn ones — while race-free
 regular workloads decompress zero payload bytes.  Rows without a usable
 digest are compared, never pruned.
@@ -16,7 +16,7 @@ import pytest
 from conftest import run_program
 from repro import api
 from repro.common.config import SwordConfig
-from repro.offline.analyzer import SerialOfflineAnalyzer
+from repro.offline.analyzer import SerialOfflineAnalyzer, reference_analyze
 from repro.offline.cache import ResultCache
 from repro.offline.intervals import IntervalInventory
 from repro.offline.options import AnalysisOptions, FastPathOptions
@@ -58,10 +58,9 @@ def collect(program, trace_dir, *, durable=False):
 
 
 def analyze(trace_dir, *, lazy=True, integrity="strict"):
-    options = AnalysisOptions(
-        integrity=integrity,
-        fastpath=FastPathOptions(enabled=lazy),
-    )
+    if not lazy:
+        return reference_analyze(str(trace_dir), integrity=integrity)
+    options = AnalysisOptions(integrity=integrity)
     return api.analyze(str(trace_dir), options=options)
 
 

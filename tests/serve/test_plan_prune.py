@@ -18,6 +18,7 @@ import pytest
 
 import repro.api as api
 from repro.faults.harness import collect_trace
+from repro.offline.analyzer import reference_analyze
 from repro.offline.engine import AnalysisEngine
 from repro.offline.intervals import IntervalInventory
 from repro.offline.options import AnalysisOptions, FastPathOptions
@@ -188,14 +189,6 @@ def test_digestless_pairs_are_shipped_not_pruned(traces):
     assert digestless and digestless <= set(shipped)
 
 
-def test_disabled_fastpath_prunes_nothing_at_plan_time(traces):
-    naive = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
-    plan = plan_shards(traces["hpccg"], options=naive, shard_pairs=32)
-    assert plan.stats.pairs_pruned == plan.stats.frames_pruned == 0
-    assert plan.pairs_shipped == plan.stats.concurrent_pairs == PLANNED["hpccg"][0]
-    assert len(plan.shards) == -(-plan.stats.concurrent_pairs // 32)
-
-
 def test_salvage_plan_is_still_one_salvage_shard(traces):
     plan = plan_shards(
         traces["torn"], options=AnalysisOptions(integrity="salvage")
@@ -293,18 +286,16 @@ def test_parallel_mode_across_processes(traces):
         assert counters(parallel.stats) == counters(serial.stats)
 
 
-def test_disabled_fastpath_job_ships_every_pair(tmp_path, traces, compares):
-    naive = AnalysisOptions(fastpath=FastPathOptions(enabled=False))
-    serial = api.analyze(traces["qsomp"], mode="serial", options=naive)
-    del compares[:]
-    with service(tmp_path, options=naive) as svc:
-        job_id = svc.submit(traces["qsomp"])
-        result = svc.result(job_id, timeout=60)
-        status = svc.status(job_id)
-    assert result.races.to_json() == serial.races.to_json()
-    assert counters(result.stats) == counters(serial.stats)
-    assert status["pairs_pruned"] == 0
-    assert status["pairs_shipped"] == len(compares) == PLANNED["qsomp"][0]
+@pytest.mark.parametrize("label", [*SHAPES, "stripped"])
+def test_pruned_plan_keeps_the_reference_race_set(tmp_path, traces, label):
+    """What the planner prunes could never race: a job over the
+    surviving pairs reports the unpruned reference analysis's races."""
+    reference = reference_analyze(traces[label])
+    with service(tmp_path) as svc:
+        result = svc.result(svc.submit(traces[label]), timeout=60)
+    assert result.races.to_json() == reference.races.to_json()
+    assert result.stats.concurrent_pairs == reference.stats.concurrent_pairs
+    assert reference.stats.pairs_pruned == reference.stats.pair_cache_hits == 0
 
 
 def test_salvage_job_is_one_shard_and_matches_salvage_analyze(tmp_path, traces):

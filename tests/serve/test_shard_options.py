@@ -3,7 +3,7 @@
 ``ShardSpec`` carries one ``AnalysisOptions`` instead of re-flattening a
 hand-picked subset of its fields, so nothing set at ``ServeConfig``/
 ``Service.submit`` or ``mode="parallel"`` can be dropped on the way to
-the worker (``tree_cache_capacity`` used to be).
+the worker (a field left out of the subset used to be).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -57,9 +57,6 @@ def via_parallel(trace, options, monkeypatch):
 
 #: One non-default value per field a submitter can set.
 SUBMITTED = {
-    "tree_cache_capacity": AnalysisOptions(tree_cache_capacity=3),
-    "chunk_events": AnalysisOptions(chunk_events=17),
-    "use_ilp_crosscheck": AnalysisOptions(use_ilp_crosscheck=True),
     "fastpath.static_skip": AnalysisOptions(
         fastpath=FastPathOptions(static_skip=False)
     ),

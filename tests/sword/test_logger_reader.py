@@ -175,3 +175,13 @@ def test_manifest_statistics(trace_dir):
     assert manifest["bytes_uncompressed"] >= manifest["bytes_compressed"] * 0
     assert manifest["buffer_events"] == 64
     assert manifest["codec"] == "zlib"
+
+
+def test_finalize_after_run_end_is_a_no_op(tmp_path):
+    """``on_run_end`` already finalised (and released the buffers); a
+    second ``finalize`` must neither raise nor rewrite the trace."""
+    tool = collect(simple_program, str(tmp_path))
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    tool.finalize()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+    assert TraceDir(str(tmp_path)).thread_gids

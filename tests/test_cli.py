@@ -199,9 +199,12 @@ def test_analyze_modes_and_fastpath_flags(tmp_path, capsys):
         == payloads["streaming"]["races"]
     )
 
-    assert main(["analyze", str(trace), "--no-fastpath", "--json"]) == 1
-    naive = json.loads(capsys.readouterr().out)
-    assert naive["races"] == payloads["serial"]["races"]
+    # There is one analysis path: the old switch to an unpruned one is
+    # an unknown flag (argparse's usage error, exit 2).
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(trace), "--no-fastpath", "--json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
     # --cache: second run serves pair verdicts from disk, same races.
     assert main(["analyze", str(trace), "--cache", "--json"]) == 1
