@@ -192,7 +192,7 @@ def _compare_kernels(n):
                 tree_a.columns(), tree_b.columns()
             engine = AnalysisEngine(source)
             sink = []
-            args = (tree_a, tree_b, ia, ib, RaceSet(), None, sink, None)
+            args = (tree_a, tree_b, ia, ib, RaceSet(), None, sink)
             t0 = time.perf_counter()
             if kernel == "scalar":
                 engine._compare_scalar(*args, False, engine._memo)

@@ -290,7 +290,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         fastpath=FastPathOptions(
             result_cache=bool(args.cache or args.cache_dir),
             cache_dir=args.cache_dir,
-            static_skip=not args.no_static,
         ),
     )
     with obs.tracer.span("analyze", category="run"):
@@ -384,12 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis strategy (auto: parallel when --workers > 1)",
     )
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--no-static",
-        action="store_true",
-        help="disable the PROVEN_FREE site-pair skip (synthesized "
-        "DEFINITE_RACE reports are still injected)",
-    )
     p.add_argument(
         "--cache",
         action="store_true",

@@ -27,11 +27,11 @@ Quick tour::
         ...  # run the program under `tool`
         print(session.result().races.describe_all())
 
-All three analysis modes produce byte-identical race sets, with the
-pair-decision cascade (static skip → pair cache → frame-digest prune →
-build + compare) on, the default, or off — one
-:class:`~repro.offline.options.AnalysisOptions` carrying one
-:class:`~repro.offline.options.FastPathOptions` configures all of it.
+All three analysis modes produce byte-identical race sets, each running
+the one pair-decision cascade (frame-digest prune → pair cache → build
++ compare) — one :class:`~repro.offline.options.AnalysisOptions`
+carrying one :class:`~repro.offline.options.FastPathOptions` configures
+all of it.
 """
 
 from __future__ import annotations

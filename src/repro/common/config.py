@@ -94,7 +94,7 @@ class SwordConfig:
             (:mod:`repro.static`): elide event emission at proven-free
             sites and persist the verdict table into the manifest.  Off,
             regions run fully instrumented even when the workload
-            declares specs (the ``--no-static`` escape hatch).
+            declares specs (the ``repro check --no-static`` escape hatch).
     """
 
     buffer_events: int = SWORD_BUFFER_EVENTS

@@ -146,14 +146,12 @@ class _ReferenceEngine(AnalysisEngine):
 
     def analyze_pair(self, ia, ib, races, on_race=None) -> None:
         tree_a, tree_b = self.build_tree(ia), self.build_tree(ib)
-        tree_a, tree_b, ia, ib, static_free, use_tasks = self._orient(
-            tree_a, tree_b, ia, ib
-        )
+        tree_a, tree_b, ia, ib, use_tasks = self._orient(tree_a, tree_b, ia, ib)
         t0 = time.perf_counter()
         try:
             self._compare_scalar(
                 tree_a, tree_b, ia, ib, races, on_race, sink=None,
-                static_free=static_free, use_tasks=use_tasks, memo=None,
+                use_tasks=use_tasks, memo=None,
             )
         finally:
             self.stats.compare_seconds += time.perf_counter() - t0

@@ -116,13 +116,10 @@ class AnalysisStats:
     #: Chunks whose payload was inflated for a tree build.
     frames_inflated: int = _stat("sum", "chunks inflated for tree builds")
     #: Static pre-screening (trace-level constants from the verdict
-    #: table, plus this analysis' own pair skips).
+    #: table).
     sites_proven_free: int = _stat("max")
     sites_definite_race: int = _stat("max")
     events_elided: int = _stat("max")
-    site_pairs_skipped: int = _stat(
-        "sum", "site pairs skipped on static proven-free verdicts"
-    )
     plan_seconds: float = _stat("max", default=0.0)
     build_seconds: float = _stat("max", default=0.0)
     compare_seconds: float = _stat("max", default=0.0)
@@ -285,31 +282,21 @@ class DigestPruner:
     __slots__ = ("_folded",)
 
     def __init__(self) -> None:
-        self._folded: dict[object, FrameDigest | None] = {}
+        self._folded: dict[object, FrameDigest] = {}
 
-    def digest(self, interval: IntervalData) -> FrameDigest | None:
-        """Fold the interval's frame-resident digests (no inflation).
-
-        None when any chunk lacks a meta-row digest (v1 traces, rows from
-        a newer digest version, sources that do not carry digests) — the
-        caller builds and compares the pair.
-        """
+    def digest(self, interval: IntervalData) -> FrameDigest:
+        """Fold the interval's frame-resident digests (no inflation)."""
         key = interval.key
-        if key in self._folded:
-            return self._folded[key]
-        digests = getattr(interval, "digests", None)
-        folded = None
-        if digests is not None and len(digests) == len(interval.chunks):
-            folded = fold_digests(digests)
-        self._folded[key] = folded
+        folded = self._folded.get(key)
+        if folded is None:
+            folded = self._folded[key] = fold_digests(interval.digests)
         return folded
 
     def prunes(self, ia: IntervalData, ib: IntervalData, stats) -> bool:
         """True when the digests prove no access pair of (ia, ib) races;
         the pruned pair and the chunks it leaves un-inflated are counted
         on ``stats``."""
-        da, db = self.digest(ia), self.digest(ib)
-        if da is None or db is None or digests_may_race(da, db):
+        if digests_may_race(self.digest(ia), self.digest(ib)):
             return False
         stats.pairs_pruned += 1
         stats.frames_pruned += len(ia.chunks) + len(ib.chunks)
@@ -339,21 +326,12 @@ class AnalysisEngine:
         self.stats = AnalysisStats()
         self._tree_cache = TreeCache()
         self._readers: dict[int, object] = {}
-        fast = options.fastpath
         self._memo = SolverMemo()
         #: Frame-digest pre-filter: decide pairs from the meta-row
         #: digests *before* scheduling any inflation.
         self._pruner = DigestPruner()
-        #: pid -> proven-free pcs from the trace's static verdict table;
-        #: site pairs touching one are skipped inside the comparison.
-        #: Empty when the trace carries no table or static_skip is off.
-        self._static_free: dict[int, frozenset[int]] = {}
-        if fast.static_skip:
-            table = getattr(source, "static_verdicts", None)
-            if table is not None:
-                self._static_free = table.proven_free_by_pid()
         self._inflated_seen: dict[int, int] = {}
-        self._result_cache = self._attach_result_cache(fast)
+        self._result_cache = self._attach_result_cache(options.fastpath)
         #: What :meth:`close` has already published of ``stats``.
         self._published = AnalysisStats()
         registry = self.obs.registry
@@ -507,26 +485,22 @@ class AnalysisEngine:
         repay NumPy's fixed cost get the same rows, reports and counts
         from :meth:`_compare_columnar`.
         """
-        tree_a, tree_b, ia, ib, static_free, use_tasks = self._orient(
-            tree_a, tree_b, ia, ib
-        )
+        tree_a, tree_b, ia, ib, use_tasks = self._orient(tree_a, tree_b, ia, ib)
         if (
             not use_tasks
             and len(tree_a) * len(tree_b) >= _COLUMNAR_MIN_NODE_PRODUCT
         ):
-            self._compare_columnar(
-                tree_a, tree_b, ia, ib, races, on_race, sink, static_free
-            )
+            self._compare_columnar(tree_a, tree_b, ia, ib, races, on_race, sink)
         else:
             self._compare_scalar(
-                tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
-                use_tasks, self._memo,
+                tree_a, tree_b, ia, ib, races, on_race, sink, use_tasks,
+                self._memo,
             )
 
     def _orient(self, tree_a, tree_b, ia, ib):
-        """A pair's canonical orientation and its gates, for every
-        comparison body: ``(tree_a, tree_b, ia, ib, static_free,
-        use_tasks)`` with ``ia`` the smaller interval identity."""
+        """A pair's canonical orientation and its task gate, for every
+        comparison body: ``(tree_a, tree_b, ia, ib, use_tasks)`` with
+        ``ia`` the smaller interval identity."""
         key_a = (ia.key.gid, ia.key.pid, ia.key.bid)
         key_b = (ib.key.gid, ib.key.pid, ib.key.bid)
         if key_b < key_a:
@@ -536,18 +510,10 @@ class AnalysisEngine:
         use_tasks = same_group and self.source.task_graph.holds_tasks(
             ia.key.pid, ia.key.bid
         )
-        # Statically proven-free pcs apply only within one region
-        # instance: a pc's verdict says nothing about other regions.
-        static_free = (
-            self._static_free.get(ia.key.pid)
-            if self._static_free and ia.key.pid == ib.key.pid
-            else None
-        )
-        return tree_a, tree_b, ia, ib, static_free, use_tasks
+        return tree_a, tree_b, ia, ib, use_tasks
 
     def _compare_scalar(
-        self, tree_a, tree_b, ia, ib, races, on_race, sink, static_free,
-        use_tasks, memo,
+        self, tree_a, tree_b, ia, ib, races, on_race, sink, use_tasks, memo
     ) -> None:
         """The race condition, one candidate node pair at a time (the
         paper's ``RACE_CHECK`` loop): the path for task-gated and small
@@ -577,14 +543,6 @@ class AnalysisEngine:
                 )
                 if pair_key in seen_here:
                     continue  # this comparison already solved the site pair
-                if static_free is not None and (
-                    si.pc in static_free or other.pc in static_free
-                ):
-                    # The verdict table proved this site disjoint from
-                    # every site of its region; no solve needed.
-                    seen_here.add(pair_key)
-                    self.stats.site_pairs_skipped += 1
-                    continue
                 self.stats.ilp_solves += 1
                 address = check_node_pair(si, other, mutexsets, memo=memo)
                 if address is None:
@@ -593,7 +551,7 @@ class AnalysisEngine:
                 self._report_race(si, other, address, ia, ib, races, on_race, sink)
 
     def _compare_columnar(
-        self, tree_a, tree_b, ia, ib, races, on_race, sink, static_free
+        self, tree_a, tree_b, ia, ib, races, on_race, sink
     ) -> None:
         """:meth:`_compare_scalar` as a blocked join over column views.
 
@@ -620,15 +578,10 @@ class AnalysisEngine:
         pcs = np.union1d(ca.pcs, cb.pcs)
         rank_a = np.searchsorted(pcs, ca.pcs)[ca.pc_rank]
         rank_of_b = np.searchsorted(pcs, cb.pcs)
-        free = (
-            np.isin(pcs, np.fromiter(static_free, np.int64, len(static_free)))
-            if static_free
-            else None
-        )
         mutexsets = self.source.mutexsets
         stats = self.stats
-        #: Keys needing no more solves: raced or statically skipped
-        #: (the scalar loop's ``seen_here``).
+        #: Keys needing no more solves: already raced (the scalar loop's
+        #: ``seen_here``).
         decided = np.empty(0, np.int64)
         #: Both trees' in-order intervals, walked out for the first row
         #: that needs the objects (a solver row or a report).
@@ -649,13 +602,6 @@ class AnalysisEngine:
             ra, rb = rank_a[ai], rank_of_b[cb.pc_rank[bi]]
             key = np.minimum(ra, rb) * len(pcs) + np.maximum(ra, rb)
             live = ~np.isin(key, decided)
-            if free is not None:
-                skip = live & (free[ra] | free[rb])
-                if skip.any():
-                    skipped = np.unique(key[skip])
-                    stats.site_pairs_skipped += len(skipped)
-                    decided = np.concatenate((decided, skipped))
-                    live &= ~skip
             ai, bi, key = ai[live], bi[live], key[live]
             # ``rows`` index the live rows; each test narrows them.
             rows = np.flatnonzero(
@@ -753,10 +699,10 @@ class AnalysisEngine:
         synthesised DEFINITE_RACE reports through the same add/notify
         path live comparisons use — RaceSet's canonical merge makes the
         injection order-independent.  Injection is unconditional when a
-        table exists (elided sites produced no events, so dropping the
-        reports would lose races); only the pair *skip* is an opt-out.
-        ``table`` overrides the source's (the streaming driver captures
-        the live producer's table at trace begin).
+        table exists: elided sites produced no events, so dropping the
+        reports would lose races.  ``table`` overrides the source's (the
+        streaming driver captures the live producer's table at trace
+        begin).
         """
         if table is None:
             table = getattr(self.source, "static_verdicts", None)
@@ -780,8 +726,7 @@ class AnalysisEngine:
         written: a digest test is cheaper than the lookup it would
         save; (2) a persistent pair-verdict hit replays the cached
         reports without touching any tree; (3) the trees are built and
-        compared with the memoized solver — also the path for pairs
-        with a digest-less row.  Every path produces the identical
+        compared with the memoized solver.  Every path produces the identical
         contribution to ``races`` (the reference analysis's reports,
         exactly), and every pair takes exactly one: ``pairs_pruned +
         pair_cache_hits + compared == concurrent_pairs``.

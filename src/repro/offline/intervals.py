@@ -57,8 +57,8 @@ class IntervalData:
     slot: int
     span: int
     chunks: list[tuple[int, int]] = field(default_factory=list)  # (begin, size)
-    #: Per-chunk frame-resident digests, parallel to ``chunks``; entries
-    #: are None where the meta row carried no digest.
+    #: Per-chunk frame-resident digests (meta-row ``d1=`` tokens),
+    #: parallel to ``chunks``.
     digests: list = field(default_factory=list)
 
 

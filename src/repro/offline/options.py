@@ -5,10 +5,9 @@ shared :class:`~repro.offline.engine.AnalysisEngine`, the service's shard
 specs, and :mod:`repro.api` consume this one dataclass unchanged.
 
 The engine always runs one pair-decision cascade (frame-digest prune →
-pair cache → build + compare, with the static skip inside the compare).
-:class:`FastPathOptions` holds its two user-facing settings: the
-persistent cache, which writes to disk and is therefore opt-in, and the
-static skip.  The unpruned reference analysis the parity suites compare
+pair cache → build + compare).  :class:`FastPathOptions` holds its one
+user-facing setting: the persistent cache, which writes to disk and is
+therefore opt-in.  The unpruned reference analysis the parity suites compare
 against is :func:`repro.offline.analyzer.reference_analyze`, not a
 setting.
 """
@@ -24,10 +23,10 @@ from ..obs import Instrumentation
 
 @dataclass(slots=True)
 class FastPathOptions:
-    """Settings of the pair-decision cascade.
+    """Settings of the pair-decision cascade's persistent cache.
 
-    Neither changes the result: the race set is byte-identical with
-    either one on or off.
+    They do not change the result: the race set is byte-identical with
+    the cache on or off.
     """
 
     #: Persist per-interval trees and pair verdicts keyed by trace
@@ -35,11 +34,6 @@ class FastPathOptions:
     #: ``cache_dir`` when set).  Only engaged for closed traces.
     result_cache: bool = False
     cache_dir: Optional[str] = None
-    #: Skip site pairs the trace's static verdict table proved race-free.
-    #: Off, the engine solves those pairs dynamically (synthesised
-    #: DEFINITE_RACE reports are still injected — they are data, not an
-    #: optimisation).
-    static_skip: bool = True
 
 
 @dataclass(slots=True)

@@ -134,14 +134,6 @@ class StaticVerdictTable:
     def sites_definite_race(self) -> int:
         return sum(len(r["definite_race"]) for r in self.regions.values())
 
-    def proven_free_by_pid(self) -> dict[int, frozenset[int]]:
-        """pid -> pcs the engine may skip pairs for (non-empty only)."""
-        return {
-            pid: entry["proven_free"]
-            for pid, entry in self.regions.items()
-            if entry["proven_free"]
-        }
-
     def race_reports(self) -> list:
         """Synthesised reports as RaceReport objects (injection side)."""
         from ..offline.report import RaceReport  # deferred: import cycle

@@ -27,9 +27,8 @@ combined minimum without widening the residue claim.  For two digests,
 reduce both windows modulo ``G = gcd(g_a, g_b)``; if the windows do not
 intersect mod ``G``, no byte is shared and the pair cannot race.
 
-Digest-less rows (v1 traces, pre-digest v2 traces, tokens from a *newer*
-digest version) simply decode to ``digest=None`` and the engine builds
-and compares the pair's trees.
+Every meta row carries its chunk's digest: a row without a ``d1=``
+token, or with a token of any other version, is a malformed row.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ import numpy as np
 
 from ..common.events import FLAG_ATOMIC, FLAG_WRITE, KIND_ACCESS
 
-#: Version prefix of the meta-row token (``d<version>=...``).  Unknown
-#: *newer* versions decode to None (fallback to inflation); same-version
-#: tokens that fail to parse are malformed rows.
+#: Version prefix of the meta-row token (``d<version>=...``).  A token of
+#: any other version, or one that fails to parse, is a malformed row.
 FRAME_DIGEST_VERSION = 1
 
 #: Field order of a digest's ints: the comma-separated token payload,
@@ -53,10 +51,9 @@ DIGEST_FIELDS = (
     "width", "pc_lo", "pc_hi",
 )
 _TOKEN_FIELDS = len(DIGEST_FIELDS)
+_TOKEN_HEAD = f"d{FRAME_DIGEST_VERSION}"
 #: ``%``-format of the meta-row token over a digest's 11 ints.
-DIGEST_TOKEN_FORMAT = f"d{FRAME_DIGEST_VERSION}=" + ",".join(
-    ["%d"] * _TOKEN_FIELDS
-)
+DIGEST_TOKEN_FORMAT = f"{_TOKEN_HEAD}=" + ",".join(["%d"] * _TOKEN_FIELDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,14 +231,12 @@ def segment_digests(records: np.ndarray, starts, ends) -> list[tuple[int, ...]]:
     return list(zip(*out))
 
 
-def fold_digests(digests) -> "FrameDigest | None":
-    """Fold an iterable of per-chunk digests; None if any is missing."""
+def fold_digests(digests) -> FrameDigest:
+    """Fold an iterable of per-chunk digests (no chunk: the empty digest)."""
     total: FrameDigest | None = None
     for digest in digests:
-        if digest is None:
-            return None
         total = digest if total is None else total.fold(digest)
-    return total
+    return FrameDigest.empty() if total is None else total
 
 
 def digests_may_race(a: FrameDigest, b: FrameDigest) -> bool:
@@ -271,33 +266,16 @@ def digests_may_race(a: FrameDigest, b: FrameDigest) -> bool:
     return True
 
 
-def decode_digest(token: str) -> "FrameDigest | None":
-    """Parse one ``d<version>=`` meta-row token.
+def decode_digest(token: str) -> FrameDigest:
+    """Parse one ``d1=`` meta-row token.
 
-    Returns None for tokens written by a *newer* digest version (the
-    engine compares such pairs in full — forward compatibility); raises
-    :class:`ValueError` for anything malformed at a known version.
+    Raises :class:`ValueError` for anything else: a token of another
+    digest version, a wrong field count, or a non-integer field.
     """
     head, sep, body = token.partition("=")
-    if not sep or len(head) < 2 or head[0] != "d":
-        raise ValueError(f"not a digest token: {token!r}")
-    version = int(head[1:])
-    if version > FRAME_DIGEST_VERSION:
-        return None
+    if not sep or head != _TOKEN_HEAD:
+        raise ValueError(f"not a {_TOKEN_HEAD}= digest token: {token!r}")
     parts = body.split(",")
     if len(parts) != _TOKEN_FIELDS:
         raise ValueError(f"digest token has {len(parts)} fields: {token!r}")
-    values = [int(p) for p in parts]
-    return FrameDigest(
-        events=values[0],
-        nodes=values[1],
-        writes=values[2],
-        reads=values[3],
-        all_atomic=bool(values[4]),
-        lo=values[5],
-        hi=values[6],
-        gcd=values[7],
-        width=values[8],
-        pc_lo=values[9],
-        pc_hi=values[10],
-    )
+    return FrameDigest.from_ints([int(p) for p in parts])

@@ -101,8 +101,8 @@ class IntegrityReport:
     #: Run-wide files that were missing or unusable (manifest, regions…).
     missing_files: list[str] = field(default_factory=list)
     #: Static verdict tables rejected (truncated/corrupt payload).  The
-    #: analysis falls back to UNKNOWN-everything — no pair skipped, no
-    #: report injected — so elided DEFINITE_RACE witnesses may be lost.
+    #: analysis falls back to UNKNOWN-everything — no report injected —
+    #: so elided DEFINITE_RACE witnesses may be lost.
     verdicts_dropped: int = 0
     #: Free-form reconstruction notes (e.g. "regions recovered from journal").
     notes: list[str] = field(default_factory=list)

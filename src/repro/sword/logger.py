@@ -587,9 +587,9 @@ class SwordTool(OmptTool):
         """The live verdict table (None until a region is screened).
 
         Offline analyzers consume this through the same attribute name
-        trace readers expose, so the streaming path skips proven-free
-        pairs and injects DEFINITE_RACE reports identically to a
-        post-mortem analysis of the persisted manifest.
+        trace readers expose, so the streaming path injects
+        DEFINITE_RACE reports identically to a post-mortem analysis of
+        the persisted manifest.
         """
         return self._verdict_table if self._verdict_table.regions else None
 

@@ -155,7 +155,8 @@ class FrameView:
 
     @property
     def digest(self) -> FrameDigest | None:
-        """The frame-resident access summary; None forces inflation."""
+        """The frame-resident access summary; None for an ad-hoc
+        sub-range, which has no meta row."""
         return self.row.digest if self.row is not None else None
 
     @property

@@ -13,12 +13,13 @@ Per-thread files in a trace directory:
   ``SWBL`` headers of format v1, which is no longer read) is a frame
   defect.
 * ``thread_<gid>.meta`` — text rows, one per barrier-interval data chunk,
-  with exactly the paper's Table-I columns: ``pid ppid bid offset span
-  level data_begin size`` (``data_begin``/``size`` in uncompressed bytes).
-  An interval interrupted by a nested region contributes multiple chunks.
-  Durable mode appends a per-row CRC32 suffix (``*xxxxxxxx``) so a torn
-  trailing row is detectable; rows without the suffix (non-durable
-  traces) parse too.
+  with the paper's Table-I columns: ``pid ppid bid offset span level
+  data_begin size`` (``data_begin``/``size`` in uncompressed bytes),
+  then the chunk's access digest as a ``d1=`` token (a row without one
+  is malformed).  An interval interrupted by a nested region contributes
+  multiple chunks.  Durable mode appends a per-row CRC32 suffix
+  (``*xxxxxxxx``) so a torn trailing row is detectable; rows without the
+  suffix (non-durable traces) parse too.
 
 Run-wide files:
 
@@ -198,23 +199,20 @@ class MetaRow:
     data_begin: int      # uncompressed byte offset into the thread's log
     size: int            # chunk length in uncompressed bytes
     #: Collection-time access summary of the chunk, serialised as a
-    #: versioned ``d1=...`` suffix token (durable rows CRC-cover it).
-    #: None for pre-digest rows and newer-version tokens.
-    digest: FrameDigest | None = None
+    #: versioned ``d1=...`` token (durable rows CRC-cover it).
+    digest: FrameDigest
 
     @classmethod
     def from_ints(cls, row) -> "MetaRow":
-        """Rebuild a row from its ints (see :func:`format_row`)."""
-        digest = FrameDigest.from_ints(row[8:]) if len(row) > 8 else None
-        return cls(*row[:8], digest=digest)
+        """Rebuild a row from its 19 ints (see :func:`format_row`)."""
+        return cls(*row[:8], digest=FrameDigest.from_ints(row[8:]))
 
     def ints(self) -> tuple[int, ...]:
         """The row as ints: 8 Table-I columns, then 11 digest ints."""
-        head = (
+        return (
             self.pid, self.ppid, self.bid, self.offset, self.span,
             self.level, self.data_begin, self.size,
-        )
-        return head if self.digest is None else head + self.digest.ints()
+        ) + self.digest.ints()
 
     def format(self) -> str:
         return format_row(self.ints())
@@ -235,19 +233,10 @@ class MetaRow:
             if crc32(body.encode()) != expected:
                 raise TraceFormatError(f"meta row CRC mismatch: {line!r}")
             parts = parts[:-1]
-        digest: FrameDigest | None = None
-        if len(parts) == len(META_COLUMNS) + 1:
-            # Optional digest suffix token (``d<version>=...``); a token
-            # from a *newer* digest version decodes to None and the chunk
-            # falls back to inflation.
-            try:
-                digest = decode_digest(parts[-1])
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed meta row: {line!r}") from exc
-            parts = parts[:-1]
-        if len(parts) != len(META_COLUMNS):
+        if len(parts) != len(META_COLUMNS) + 1:
             raise TraceFormatError(f"malformed meta row: {line!r}")
         try:
+            digest = decode_digest(parts[-1])
             ppid = -1 if parts[1] == "-" else int(parts[1])
             return cls(
                 pid=int(parts[0]),
@@ -264,22 +253,21 @@ class MetaRow:
             raise TraceFormatError(f"malformed meta row: {line!r}") from exc
 
 
-#: The 8 Table-I columns (``ppid`` as ``%s``: -1 prints as ``-``), and
-#: the same followed by the chunk digest's ``d1=`` token.
-_ROW_FORMAT = "%d %s %d %d %d %d %d %d"
-_DIGEST_ROW_FORMAT = f"{_ROW_FORMAT} {DIGEST_TOKEN_FORMAT}"
+#: The 8 Table-I columns (``ppid`` as ``%s``: -1 prints as ``-``)
+#: followed by the chunk digest's ``d1=`` token.
+_ROW_FORMAT = f"%d %s %d %d %d %d %d %d {DIGEST_TOKEN_FORMAT}"
 
 
 def format_row(row, *, durable: bool = False) -> str:
     """The one meta-row formatter, over the row's ints.
 
-    ``row`` holds the 8 :data:`META_COLUMNS` ints, optionally followed by
-    the chunk digest's 11 ints.  Durable rows end in a ``*crc32`` of the
-    text before it.
+    ``row`` holds the 8 :data:`META_COLUMNS` ints followed by the chunk
+    digest's 11 ints.  Durable rows end in a ``*crc32`` of the text
+    before it.
     """
     if row[1] < 0:
         row = (row[0], "-", *row[2:])
-    body = (_ROW_FORMAT if len(row) == 8 else _DIGEST_ROW_FORMAT) % tuple(row)
+    body = _ROW_FORMAT % tuple(row)
     if durable:
         return f"{body} *{crc32(body.encode()):08x}"
     return body

@@ -3,7 +3,7 @@
 ``AnalysisEngine._compare_scalar`` defines the race condition;
 ``_compare_columnar`` must produce the same reports in the same order
 (witness address, ``sink`` contents, ``on_race`` calls) and the same
-counts — candidates, solves, static skips, memo hits and misses.
+counts — candidates, solves, memo hits and misses.
 """
 
 import json
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import repro.api as api
 import repro.offline.engine as engine_mod
-from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.harness.tools import SwordDriver
 from repro.itree.interval import StridedInterval
 from repro.itree.tree import IntervalTree
@@ -25,9 +24,7 @@ from repro.offline.analyzer import reference_analyze
 from repro.offline.engine import AnalysisEngine
 from repro.offline.intervals import IntervalKey
 from repro.offline.report import RaceSet
-from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.omp.mutexset import MutexSetTable
-from repro.sword import SwordTool
 from repro.tasking.graph import TaskGraph
 from repro.workloads import REGISTRY
 
@@ -66,7 +63,7 @@ def _tree(intervals):
     return IntervalTree(sorted(intervals, key=lambda s: s.low))
 
 
-def _run(kernel, intervals_a, intervals_b, nsets, static_free):
+def _run(kernel, intervals_a, intervals_b, nsets):
     mutexsets = MutexSetTable()
     for members in MUTEX_SETS[:nsets]:
         mutexsets.intern(members)
@@ -77,7 +74,7 @@ def _run(kernel, intervals_a, intervals_b, nsets, static_free):
     races, sink, live = RaceSet(), [], []
     args = (
         _tree(intervals_a), _tree(intervals_b), ia, ib, races, live.append,
-        sink, static_free,
+        sink,
     )
     if kernel == "scalar":
         engine._compare_scalar(*args, False, engine._memo)
@@ -91,7 +88,6 @@ def _run(kernel, intervals_a, intervals_b, nsets, static_free):
         "races_found": s.races_found,
         "overlap_candidates": s.overlap_candidates,
         "ilp_solves": s.ilp_solves,
-        "site_pairs_skipped": s.site_pairs_skipped,
         "memo_hits": engine._memo.hits,
         "memo_misses": engine._memo.misses,
     }
@@ -103,12 +99,10 @@ def test_columnar_kernel_equals_scalar_loop(data):
     nsets = data.draw(st.integers(0, 3))
     a = data.draw(interval_lists(nsets))
     b = data.draw(interval_lists(nsets))
-    free = data.draw(st.frozensets(st.integers(0x1000, 0x1005), max_size=3))
-    static_free = free or None
     # 7-row blocks: windows straddle block boundaries.
     with mock.patch.object(engine_mod, "_JOIN_BLOCK_ROWS", 7):
-        got = _run("columnar", a, b, nsets, static_free)
-    assert got == _run("scalar", a, b, nsets, static_free)
+        got = _run("columnar", a, b, nsets)
+    assert got == _run("scalar", a, b, nsets)
 
 
 def test_hard_rows_reach_the_memo_in_row_order():
@@ -127,8 +121,8 @@ def test_hard_rows_reach_the_memo_in_row_order():
         StridedInterval(low=130, stride=8, size=4, count=4, is_write=False,
                         is_atomic=False, pc=0x2001, msid=0)
     ]
-    got = _run("columnar", a, b, 0, None)
-    assert got == _run("scalar", a, b, 0, None)
+    got = _run("columnar", a, b, 0)
+    assert got == _run("scalar", a, b, 0)
     assert got["memo_misses"] >= 1 and got["memo_hits"] >= 1
     assert [r.key for r in got["sink"]] == [(0x1002, 0x2001)]
 
@@ -193,32 +187,8 @@ def test_small_trees_forced_through_the_kernel(
     assert columnar_calls
     assert len(forced.races) == REGISTRY.get(name).seeded_races
     for field in (
-        "overlap_candidates", "ilp_solves", "site_pairs_skipped",
-        "solver_memo_hits", "solver_memo_misses",
+        "overlap_candidates", "ilp_solves", "solver_memo_hits",
+        "solver_memo_misses",
     ):
         assert getattr(forced.stats, field) == getattr(gated.stats, field)
 
-
-def test_static_skip_counts_survive_the_kernel(
-    tmp_path, monkeypatch, columnar_calls
-):
-    """A full-event trace that also carries a verdict table (recorder
-    vetoes elision): proven-free site pairs are skipped, once per key."""
-    workload = REGISTRY.get("hpccg")
-    OpenMPRuntime(
-        RunConfig(nthreads=NTHREADS, scheduler=SchedulerConfig(seed=0)),
-        tool=ToolMux([
-            RecordingTool(),
-            SwordTool(SwordConfig(log_dir=str(tmp_path / "t"), buffer_events=128)),
-        ]),
-    ).run(lambda master: workload.run_program(master))
-    gated = api.analyze(str(tmp_path / "t"), options=FAST)
-    assert gated.stats.site_pairs_skipped > 0
-    monkeypatch.setattr(engine_mod, "_COLUMNAR_MIN_NODE_PRODUCT", 0)
-    del columnar_calls[:]
-    forced = api.analyze(str(tmp_path / "t"), options=FAST)
-    assert columnar_calls
-    assert _blob(forced) == _blob(gated)
-    assert forced.stats.site_pairs_skipped == gated.stats.site_pairs_skipped
-    assert forced.stats.ilp_solves == gated.stats.ilp_solves
-    assert forced.stats.overlap_candidates == gated.stats.overlap_candidates

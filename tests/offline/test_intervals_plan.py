@@ -18,6 +18,7 @@ from repro.osl.concurrency import concurrent_intervals
 from repro.stream import StreamAnalyzer, replay_trace
 from repro.stream.checkpoint import pair_key
 from repro.sword import TraceDir
+from repro.sword.digest import FrameDigest
 from repro.sword.traceformat import MetaRow
 from repro.tasking.graph import TaskGraph, TaskInfo
 from repro.workloads import REGISTRY
@@ -43,7 +44,7 @@ def region(ppid, parent_slot, span=2):
 def complete(inv, gid, pid, bid, slot, span=3):
     inv.add_row(gid, MetaRow(
         pid=pid, ppid=0, bid=bid, offset=slot, span=span, level=0,
-        data_begin=0, size=24,
+        data_begin=0, size=24, digest=FrameDigest.empty(),
     ))
     return inv.complete(gid, pid, bid, slot, span)
 

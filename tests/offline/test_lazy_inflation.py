@@ -4,8 +4,8 @@ The compressed-trace property: with the frame-digest prune on, the
 race set must equal the eager reference analysis (``reference_analyze``:
 build and compare every pair) byte-for-byte across the
 corpus — clean traces and salvage recovery of torn ones — while race-free
-regular workloads decompress zero payload bytes.  Rows without a usable
-digest are compared, never pruned.
+regular workloads decompress zero payload bytes.  A row without a
+``d1=`` digest is malformed: strict analysis raises, salvage drops it.
 """
 
 import json
@@ -16,6 +16,7 @@ import pytest
 from conftest import run_program
 from repro import api
 from repro.common.config import SwordConfig
+from repro.common.errors import TraceFormatError
 from repro.offline.analyzer import SerialOfflineAnalyzer, reference_analyze
 from repro.offline.cache import ResultCache
 from repro.offline.intervals import IntervalInventory
@@ -130,44 +131,33 @@ def test_interval_digests_ride_the_inventory(tmp_path):
         assert all(d is not None for d in data.digests)
 
 
-def strip_digests(trace_dir, replacement) -> None:
-    """Rewrite every meta row's ``d1=`` token (plain, non-durable rows)."""
-    for meta in trace_dir.glob("thread_*.meta"):
-        lines = []
-        for line in meta.read_text().splitlines():
-            if line.startswith("#"):
-                lines.append(line)
-                continue
-            body, _, token = line.rpartition(" ")
-            assert token.startswith("d1=")
-            lines.append(
-                body if replacement is None else f"{body} {replacement}"
-            )
-        meta.write_text("\n".join(lines) + "\n")
+def rewrite_first_digest(trace_dir, head) -> None:
+    """Give thread 0's first meta row (a plain, non-durable row) the
+    digest head ``head`` in place of ``d1``, or no token when None."""
+    meta = trace_dir / "thread_0.meta"
+    header, first, *rest = meta.read_text().splitlines()
+    body, _, token = first.rpartition(" ")
+    assert token.startswith("d1=")
+    if head is not None:
+        body = f"{body} {head}{token[2:]}"
+    meta.write_text("\n".join([header, body, *rest]) + "\n")
 
 
-@pytest.mark.parametrize("replacement", [None, "d9=from-the-future"])
+@pytest.mark.parametrize("head", [None, "d0", "d-3", "d2", "d9"])
 @pytest.mark.parametrize("program", [disjoint_program, racy_program])
-def test_digestless_rows_are_compared_not_pruned(
-    tmp_path, program, replacement
-):
-    """Hand-written v1-style rows and newer-version tokens carry no
-    usable digest: the pair goes straight to build + compare."""
+def test_row_without_a_d1_digest_is_malformed(tmp_path, program, head):
+    """A missing token or any digest version but ``d1`` is a malformed
+    row, like a torn one: strict raises, salvage drops and counts it."""
     collect(program, tmp_path)
-    with_digests = analyze(tmp_path, lazy=True)
-    strip_digests(tmp_path, replacement)
-    inventory = IntervalInventory(TraceDir(tmp_path))
-    assert all(
-        d is None for data in inventory.intervals.values()
-        for d in data.digests
-    )
-    lazy = analyze(tmp_path, lazy=True)
-    eager = analyze(tmp_path, lazy=False)
-    assert race_bytes(lazy) == race_bytes(eager) == race_bytes(with_digests)
-    assert lazy.stats.concurrent_pairs > 0
-    assert lazy.stats.pairs_pruned == 0
-    assert lazy.stats.frames_pruned == 0
-    assert lazy.stats.bytes_inflated == eager.stats.bytes_inflated > 0
+    rewrite_first_digest(tmp_path, head)
+    with pytest.raises(TraceFormatError, match="malformed meta row"):
+        analyze(tmp_path)
+    with pytest.raises(TraceFormatError, match="malformed meta row"):
+        analyze(tmp_path, lazy=False)
+    lazy = analyze(tmp_path, integrity="salvage")
+    eager = analyze(tmp_path, lazy=False, integrity="salvage")
+    assert lazy.integrity.rows_dropped == eager.integrity.rows_dropped == 1
+    assert race_bytes(lazy) == race_bytes(eager)
 
 
 def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):

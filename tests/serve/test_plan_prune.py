@@ -17,6 +17,7 @@ from contextlib import ExitStack
 import pytest
 
 import repro.api as api
+from repro.common.errors import TraceFormatError
 from repro.faults.harness import collect_trace
 from repro.offline.analyzer import reference_analyze
 from repro.offline.engine import AnalysisEngine
@@ -68,8 +69,8 @@ def traces(tmp_path_factory):
         collect_trace(
             workload, paths[label], nthreads=NTHREADS, seed=0, **params
         )
-    # (a) digest-less rows: thread 0's meta rows lose their d1= token
-    # (plain rows, so no CRC to keep in step).
+    # Malformed rows: thread 0's meta rows lose their d1= token (plain
+    # rows, so no CRC to keep in step).
     stripped = paths["stripped"] = root / "stripped"
     collect_trace(
         "c_lu", stripped, nthreads=NTHREADS, seed=0, durable=False, n=16
@@ -172,21 +173,28 @@ def test_plan_prunes_counts_and_ships_the_rest(traces, label, grain, min_shards)
     ]
 
 
-def test_digestless_pairs_are_shipped_not_pruned(traces):
-    whole = plan_shards(traces["lu"], shard_pairs=32)
-    plan = plan_shards(traces["stripped"], shard_pairs=32)
-    assert plan.stats.concurrent_pairs == whole.stats.concurrent_pairs
-    assert 0 < plan.stats.pairs_pruned < whole.stats.pairs_pruned
-    shipped = [key for spec in plan.shards for key in spec.pair_keys]
-    planned = [
-        (a.key, b.key)
-        for a, b in IntervalInventory(
-            TraceDir(traces["stripped"])
-        ).concurrent_pairs()
-    ]
-    # Every pair touching the digest-less thread goes to a worker.
-    digestless = {k for k in planned if 0 in (k[0].gid, k[1].gid)}
-    assert digestless and digestless <= set(shipped)
+def test_digestless_rows_fail_a_strict_job_and_drop_in_salvage(
+    tmp_path, traces
+):
+    """A row without a digest is malformed: the strict planner raises
+    and the job fails; a salvage job drops every such row and counts
+    it, as the serial salvage analysis does."""
+    stripped = traces["stripped"]
+    with pytest.raises(TraceFormatError, match="malformed meta row"):
+        plan_shards(stripped)
+    meta = (stripped / "thread_0.meta").read_text().splitlines()
+    rows = sum(not line.startswith("#") for line in meta)
+    serial = api.analyze(
+        stripped, options=AnalysisOptions(integrity="salvage")
+    )
+    assert serial.integrity.rows_dropped == rows > 0
+    with service(tmp_path) as svc:
+        with pytest.raises(JobFailedError, match="malformed meta row"):
+            svc.result(svc.submit(stripped), timeout=60)
+        job = svc.submit(stripped, integrity="salvage")
+        result = svc.result(job, timeout=60)
+    assert result.integrity.rows_dropped == rows
+    assert result.races.to_json() == serial.races.to_json()
 
 
 def test_salvage_plan_is_still_one_salvage_shard(traces):
@@ -204,7 +212,7 @@ def test_salvage_plan_is_still_one_salvage_shard(traces):
 # -- service and parallel mode against serial --------------------------------------
 
 
-@pytest.mark.parametrize("label", [*SHAPES, "stripped"])
+@pytest.mark.parametrize("label", SHAPES)
 def test_service_equals_serial_on_a_cold_cache(
     tmp_path, traces, inventories, label
 ):
@@ -250,7 +258,7 @@ def test_process_pool_service_equals_serial(tmp_path, traces, label):
     assert status["cache_hits"] == pairs - pruned
 
 
-@pytest.mark.parametrize("label", [*SHAPES, "stripped"])
+@pytest.mark.parametrize("label", SHAPES)
 def test_parallel_mode_equals_serial_on_a_cold_cache(
     tmp_path, traces, inventories, monkeypatch, label
 ):
@@ -286,7 +294,7 @@ def test_parallel_mode_across_processes(traces):
         assert counters(parallel.stats) == counters(serial.stats)
 
 
-@pytest.mark.parametrize("label", [*SHAPES, "stripped"])
+@pytest.mark.parametrize("label", SHAPES)
 def test_pruned_plan_keeps_the_reference_race_set(tmp_path, traces, label):
     """What the planner prunes could never race: a job over the
     surviving pairs reports the unpruned reference analysis's races."""

@@ -57,8 +57,9 @@ def via_parallel(trace, options, monkeypatch):
 
 #: One non-default value per field a submitter can set.
 SUBMITTED = {
-    "fastpath.static_skip": AnalysisOptions(
-        fastpath=FastPathOptions(static_skip=False)
+    "max_pairs": AnalysisOptions(max_pairs=5),
+    "fastpath.result_cache": AnalysisOptions(
+        fastpath=FastPathOptions(result_cache=True)
     ),
 }
 

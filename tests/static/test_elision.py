@@ -83,4 +83,3 @@ def test_stats_json_serialisable():
     payload = json.loads(json.dumps(on.stats))
     for key in ("events_elided", "sites_proven_free", "sites_definite_race"):
         assert key in payload
-    assert "site_pairs_skipped" in payload["offline"]

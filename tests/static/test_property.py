@@ -15,7 +15,6 @@ import pytest
 import repro.api as api
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.offline import oracle_races
-from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.sword import SwordTool, TraceDir
 from repro.workloads import REGISTRY
@@ -29,8 +28,6 @@ WORKLOADS = [
     "c_loopA.solution1",
     "hpccg",
 ]
-
-NO_SKIP = AnalysisOptions(fastpath=FastPathOptions(static_skip=False))
 
 
 def _blob(races) -> bytes:
@@ -60,9 +57,9 @@ def test_proven_free_never_dynamically_racy(name, tmp_path):
     table = td.static_verdicts
     assert table is not None, "veto run must still persist the table"
 
-    # Full dynamic analysis, no pair skipped.
-    analysis = api.analyze(td, options=NO_SKIP)
-    free = table.proven_free_by_pid()
+    # Full dynamic analysis: every pair is decided from the events.
+    analysis = api.analyze(td)
+    free = {pid: entry["proven_free"] for pid, entry in table.regions.items()}
     for report in analysis.races:
         assert report.pc_a not in free.get(report.pid_a, ()), report.describe()
         assert report.pc_b not in free.get(report.pid_b, ()), report.describe()
@@ -78,29 +75,17 @@ def test_oracle_agrees_under_the_mux(name, tmp_path):
     assert analysis.races.pc_pairs() == oracle.pc_pairs()
 
 
-def test_pair_skip_changes_work_not_results(tmp_path):
-    """On a full-event trace the engine skips proven-free pairs — and the
-    race set does not change."""
-    trace = tmp_path / "veto"
-    _veto_run("hpccg", trace)
-    skipping = api.analyze(trace)
-    exhaustive = api.analyze(trace, options=NO_SKIP)
-    assert _blob(skipping.races) == _blob(exhaustive.races)
-    assert skipping.stats.site_pairs_skipped > 0
-    assert exhaustive.stats.site_pairs_skipped == 0
-    # Skipped pairs never reach the overlap solver.
-    assert (
-        skipping.stats.overlap_candidates
-        <= exhaustive.stats.overlap_candidates
-    )
-
-
-def test_definite_race_injection_survives_pair_skip(tmp_path):
+def test_definite_race_injection_matches_the_dynamic_witness(tmp_path):
     trace = tmp_path / "veto"
     _veto_run("staticlab_wshift", trace)
-    skipping = api.analyze(trace)
-    exhaustive = api.analyze(trace, options=NO_SKIP)
-    # The dynamic witness (exhaustive) and the synthesised one (injected
-    # on both paths) must coincide byte for byte.
-    assert _blob(skipping.races) == _blob(exhaustive.races)
-    assert len(skipping.races) == 1
+    injected = api.analyze(trace)
+    # The same events without the verdict table: no report injected.
+    td = TraceDir(trace)
+    td.static_verdicts = None
+    dynamic = api.analyze(td)
+    assert dynamic.stats.sites_definite_race == 0
+    assert injected.stats.sites_definite_race > 0
+    # The dynamic witness and the synthesised one must coincide byte
+    # for byte.
+    assert _blob(injected.races) == _blob(dynamic.races)
+    assert len(injected.races) == 1

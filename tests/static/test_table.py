@@ -58,7 +58,7 @@ def test_payload_roundtrip():
     }
     assert clone.sites_proven_free == 2  # pc 1 + reduction pc 4
     assert clone.sites_definite_race == 2  # pcs 2 and 3
-    assert clone.proven_free_by_pid() == {7: frozenset({1, 4})}
+    assert clone.regions[7]["proven_free"] == frozenset({1, 4})
     assert clone.race_reports()
 
 
@@ -126,5 +126,4 @@ def test_empty_table_roundtrip():
     assert validate(payload, STATIC_VERDICTS_SCHEMA) == []
     clone = StaticVerdictTable.from_payload(payload)
     assert clone.regions == {} and clone.events_elided == 0
-    assert clone.proven_free_by_pid() == {}
     assert clone.race_reports() == []

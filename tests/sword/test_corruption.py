@@ -9,6 +9,7 @@ from repro.common.config import RunConfig, SwordConfig
 from repro.common.errors import CodecError, TraceFormatError
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
+from repro.sword.digest import FrameDigest
 from repro.sword.traceformat import MANIFEST_NAME, crc32, log_name, meta_name
 
 
@@ -101,7 +102,8 @@ def test_chunk_pointing_past_log_detected(collected):
     meta_path = trace.path / meta_name(gid)
     # Append a plausible-looking row whose data_begin is beyond the log.
     meta_path.write_text(
-        meta_path.read_text() + "1 - 0 0 2 1 99999960 40\n"
+        meta_path.read_text()
+        + f"1 - 0 0 2 1 99999960 40 {FrameDigest.empty(5).encode()}\n"
     )
     reader = trace.reader(gid)
     bad_row = reader.rows[-1]

@@ -3,8 +3,8 @@
 The collection-time digest must (a) exactly equal a per-record reference
 digest of the inflated frame — the segmented kernel and the fold over
 flush-granularity parts lose nothing — and (b) survive the meta-row
-token round trip under the durable CRC, with forward compatibility for
-newer digest versions.
+token round trip under the durable CRC.  A row without a ``d1=`` token
+is malformed.
 """
 
 import math
@@ -70,7 +70,13 @@ def reference_digest(records) -> tuple[int, ...]:
         min(pcs),
         max(pcs),
     )
-from repro.sword.traceformat import MetaRow, parse_meta_file, format_meta_file
+from repro.sword.traceformat import (
+    MetaRow,
+    crc32,
+    format_meta_file,
+    parse_meta_file,
+    parse_meta_file_salvage,
+)
 
 
 def _access(addr, *, write=True, size=8, count=1, stride=0, pc=100):
@@ -223,9 +229,10 @@ class TestTokenRoundTrip:
         )
         assert decode_digest(d.encode()) == d
 
-    def test_newer_version_decodes_to_none(self):
-        assert decode_digest("d2=whatever,future,fields") is None
-        assert decode_digest("d99=1,2,3") is None
+    @pytest.mark.parametrize("head", ["d0", "d-3", "d01", "d2", "d9", "d99"])
+    def test_only_d1_tokens_decode(self, head):
+        with pytest.raises(ValueError):
+            decode_digest(f"{head}=1,1,1,0,0,0,8,8,0,5,5")
 
     def test_malformed_tokens_raise(self):
         with pytest.raises(ValueError):
@@ -245,18 +252,18 @@ class TestTokenRoundTrip:
         (parsed,) = parse_meta_file(text)
         assert parsed.digest == digest
 
-    def test_digestless_row_still_parses(self):
-        row = MetaRow(
-            pid=1, ppid=0, bid=2, offset=0, span=4,
-            level=0, data_begin=0, size=40,
-        )
-        (parsed,) = parse_meta_file(format_meta_file([row.ints()]))
-        assert parsed.digest is None
-
-    def test_newer_digest_token_is_forward_compatible(self):
-        line = "1 0 2 0 4 0 0 40 d9=anything"
-        (parsed,) = parse_meta_file(line + "\n")
-        assert parsed.digest is None  # falls back to inflation
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    @pytest.mark.parametrize(
+        "token", ["", "d0=1,1,1,0,0,0,8,8,0,5,5", "d9=anything"],
+        ids=["missing", "d0", "d9"],
+    )
+    def test_non_d1_row_is_malformed(self, token, durable):
+        line = f"1 0 2 0 4 0 0 40 {token}".rstrip()
+        if durable:  # a valid CRC does not make the row well-formed
+            line = f"{line} *{crc32(line.encode()):08x}"
+        with pytest.raises(TraceFormatError, match="malformed meta row"):
+            parse_meta_file(line + "\n")
+        assert parse_meta_file_salvage(line + "\n") == ([], 1)
 
     def test_malformed_digest_token_is_a_format_error(self):
         with pytest.raises(TraceFormatError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import TraceFormatError
+from repro.sword.digest import FrameDigest
 from repro.sword.traceformat import (
     COMMIT_TRAILER_BYTES,
     FRAME_CODEC_ID,
@@ -22,24 +23,34 @@ from repro.sword.traceformat import (
     unpack_frame_header,
 )
 
+#: A chunk digest: every row carries one (its ``d1=`` token).
+DIGEST = FrameDigest.from_ints((5, 4, 1, 3, 0, 64, 127, 8, 8, 4096, 4160))
+
 
 class TestMetaRows:
     def test_table1_column_roundtrip(self):
         row = MetaRow(pid=1, ppid=-1, bid=0, offset=0, span=24, level=1,
-                      data_begin=0, size=50_000)
+                      data_begin=0, size=50_000, digest=DIGEST)
         parsed = MetaRow.parse(row.format())
         assert parsed == row
 
     def test_table1_example_rows(self):
-        """The paper's Table-I example rows parse as printed."""
-        text = "\n".join([
-            "# pid ppid bid offset span level data_begin size",
+        """The paper's Table-I example rows, each followed by its chunk
+        digest, parse; without the digest they are malformed."""
+        table1 = [
             "0 - 0 0 24 1 0 50000",
             "0 - 1 0 24 1 50000 75000",
             "1 - 0 0 24 1 75000 10000",
-        ])
+        ]
+        text = "\n".join(
+            ["# pid ppid bid offset span level data_begin size"]
+            + [f"{row} {DIGEST.encode()}" for row in table1]
+        )
         rows = parse_meta_file(text)
         assert len(rows) == 3
+        assert all(r.digest == DIGEST for r in rows)
+        with pytest.raises(TraceFormatError, match="malformed meta row"):
+            MetaRow.parse(table1[0])
         assert rows[0].span == 24
         assert rows[1].bid == 1
         assert rows[1].data_begin == 50_000
@@ -48,7 +59,7 @@ class TestMetaRows:
 
     def test_nested_ppid_kept(self):
         row = MetaRow(pid=7, ppid=3, bid=2, offset=1, span=2, level=2,
-                      data_begin=400, size=80)
+                      data_begin=400, size=80, digest=DIGEST)
         assert MetaRow.parse(row.format()).ppid == 3
 
     def test_malformed_rows_rejected(self):
@@ -60,7 +71,7 @@ class TestMetaRows:
     def test_file_format_skips_comments_and_blanks(self):
         rows = [
             MetaRow(pid=i, ppid=-1, bid=0, offset=i, span=4, level=1,
-                    data_begin=i * 40, size=40)
+                    data_begin=i * 40, size=40, digest=DIGEST)
             for i in range(3)
         ]
         text = format_meta_file([r.ints() for r in rows]) + "\n# trailing comment\n\n"
@@ -112,7 +123,7 @@ class TestFrameV2:
 
 class TestDurableMetaRows:
     ROW = MetaRow(pid=1, ppid=-1, bid=3, offset=0, span=8, level=1,
-                  data_begin=1024, size=2048)
+                  data_begin=1024, size=2048, digest=DIGEST)
 
     def test_durable_row_roundtrip(self):
         line = self.ROW.format_durable()
@@ -121,14 +132,14 @@ class TestDurableMetaRows:
 
     def test_durable_row_crc_mismatch_rejected(self):
         line = self.ROW.format_durable()
-        torn = line.replace("2048", "2049", 1)  # flip a digit, keep the CRC
+        torn = line.replace(" 2048 ", " 2049 ", 1)  # flip a digit, keep the CRC
         with pytest.raises(TraceFormatError, match="CRC mismatch"):
             MetaRow.parse(torn)
 
     def test_salvage_parse_drops_only_bad_rows(self):
         good = [self.ROW.format_durable(),
                 MetaRow(pid=2, ppid=-1, bid=0, offset=1, span=8, level=1,
-                        data_begin=0, size=64).format_durable()]
+                        data_begin=0, size=64, digest=DIGEST).format_durable()]
         text = "\n".join([good[0], "1 - 0 0 8 1 torn", good[1]])
         rows, dropped = parse_meta_file_salvage(text)
         assert dropped == 1

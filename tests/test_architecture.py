@@ -105,6 +105,19 @@ FORBIDDEN = {
         ("src", "tests", "benchmarks", "examples"),
         None,
     ),
+    # No offline static pair skip: every site pair is decided by the
+    # digest prune, the pair cache or the compare.  Tests keep one
+    # payload written with the deleted counter, to show it still loads.
+    "no-static-pair-skip": (
+        r"static_skip|proven_free_by_pid|_static_free",
+        ("src", "tests", "benchmarks", "examples"),
+        None,
+    ),
+    "no-site-pairs-skipped": (
+        r"site_pairs_skipped",
+        ("src", "benchmarks", "examples"),
+        None,
+    ),
 }
 
 
