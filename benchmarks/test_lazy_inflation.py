@@ -24,7 +24,7 @@ import tempfile
 import time
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
+from repro.offline import AnalysisOptions, analyze_trace
 from repro.offline.analyzer import reference_analyze
 from repro.omp import OpenMPRuntime
 from repro.sword import SwordTool, TraceDir
@@ -96,9 +96,9 @@ def _analyze(trace_path: str, options: AnalysisOptions | None):
     if options is None:
         result = reference_analyze(TraceDir(trace_path))
     else:
-        result = SerialOfflineAnalyzer(
+        result = analyze_trace(
             TraceDir(trace_path), options=options
-        ).analyze()
+        )
     return time.perf_counter() - t0, result
 
 

@@ -26,7 +26,7 @@ from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.offline import (
     AnalysisOptions,
     FastPathOptions,
-    SerialOfflineAnalyzer,
+    analyze_trace,
 )
 from repro.offline.analyzer import reference_analyze
 from repro.omp import OpenMPRuntime
@@ -94,9 +94,9 @@ def _analyze(trace_path: str, options: AnalysisOptions | None):
     if options is None:
         result = reference_analyze(TraceDir(trace_path))
     else:
-        result = SerialOfflineAnalyzer(
+        result = analyze_trace(
             TraceDir(trace_path), options=options
-        ).analyze()
+        )
     return time.perf_counter() - t0, result
 
 

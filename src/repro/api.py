@@ -1,9 +1,9 @@
 """The supported public API: detect, analyze, watch, and Session.
 
 One facade over the whole pipeline.  Every flow the CLI exposes routes
-through here; what runs each mode (``SerialOfflineAnalyzer``, the
-one-job :class:`Service` behind ``mode="parallel"``, ``StreamAnalyzer``)
-is implementation detail.
+through here; what runs each mode (``analyze_trace``, the one-job
+:class:`Service` behind ``mode="parallel"``, ``StreamAnalyzer``) is
+implementation detail.
 
 Quick tour::
 
@@ -43,7 +43,7 @@ from typing import Optional, Union
 from .common.config import NodeConfig, SwordConfig
 from .harness.tools import RunResult, driver
 from .obs import Instrumentation
-from .offline.analyzer import SerialOfflineAnalyzer
+from .offline.analyzer import analyze_trace
 from .offline.engine import AnalysisResult
 from .offline.options import AnalysisOptions, FastPathOptions
 from .offline.report import RaceSet
@@ -57,7 +57,7 @@ from .serve import (
     analyze_once,
     replay_wal,
 )
-from .stream.analyzer import StreamAnalyzer
+from .stream.analyzer import StreamAnalyzer, replay_analyze
 from .stream.bus import replay_trace
 from .stream.watch import WatchResult
 from .stream.watch import watch as _watch
@@ -166,7 +166,8 @@ def analyze(
     raising, the result carries an
     :class:`~repro.sword.integrity.IntegrityReport`, and the returned
     race set is a subset of what the undamaged trace would yield.
-    Salvage always runs the serial driver.
+    Salvage runs in every mode, with the same result: the engine
+    abandons a pair that raises, whichever driver handed it over.
     """
     if mode not in ANALYSIS_MODES:
         raise ValueError(
@@ -175,10 +176,6 @@ def analyze(
     options = options or AnalysisOptions()
     if integrity != "strict":
         options = options.copy(integrity=integrity)
-    if options.integrity == "salvage":
-        # Salvage needs the single code path that threads the integrity
-        # ledger through planning and pair analysis.
-        mode = "serial"
     if mode == "auto":
         mode = "parallel" if options.workers > 1 else "serial"
     if mode == "parallel":
@@ -187,13 +184,9 @@ def analyze(
         # The service's planner opens the trace itself.
         path = trace.path if isinstance(trace, TraceDir) else trace
         return analyze_once(path, options=options, obs=obs)
-    if not isinstance(trace, TraceDir):
-        trace = TraceDir(trace, integrity=options.integrity)
     if mode == "serial":
-        return SerialOfflineAnalyzer(trace, obs=obs, options=options).analyze()
-    analyzer = StreamAnalyzer(trace.path, options=options, obs=obs)
-    replay_trace(trace, analyzer)
-    return analyzer.result()
+        return analyze_trace(trace, options=options, obs=obs)
+    return replay_analyze(trace, options=options, obs=obs)
 
 
 def watch(
@@ -284,7 +277,10 @@ class Session:
 
     def analyze(self) -> AnalysisResult:
         """Replay the (closed) trace through this session's analyzer."""
-        replay_trace(TraceDir(self.trace_dir), self._analyzer)
+        replay_trace(
+            TraceDir(self.trace_dir, integrity=self.options.integrity),
+            self._analyzer,
+        )
         return self._analyzer.result()
 
     # -- lifecycle ----------------------------------------------------------------

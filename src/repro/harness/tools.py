@@ -33,7 +33,7 @@ from ..common.config import (
 from ..common.errors import SimulatedOOMError
 from ..memory.accounting import NodeMemory
 from ..obs import Instrumentation, get_obs, run_stats
-from ..offline.analyzer import SerialOfflineAnalyzer
+from ..offline.analyzer import analyze_trace
 from ..offline.options import AnalysisOptions
 from ..offline.report import RaceSet
 from ..omp.runtime import OpenMPRuntime
@@ -272,26 +272,17 @@ class SwordDriver:
             if result.oom or not run_offline:
                 return result
 
-            integrity_mode = (
-                analysis_options.integrity
-                if analysis_options is not None
-                else "strict"
-            )
-            trace = TraceDir(trace_path, integrity=integrity_mode)
+            options = analysis_options or AnalysisOptions()
+            trace = TraceDir(trace_path, integrity=options.integrity)
             t1 = time.perf_counter()
-            analysis = SerialOfflineAnalyzer(
-                trace, options=analysis_options, obs=obs
-            ).analyze()
+            analysis = analyze_trace(trace, options=options, obs=obs)
             result.offline_seconds = time.perf_counter() - t1
             result.races = analysis.races
             result.integrity = analysis.integrity
             analyses["offline"] = analysis.stats
-            # Salvage has a single (serial) code path; skip the MT pass.
-            if mt_workers > 1 and integrity_mode == "strict":
+            if mt_workers > 1:
                 t2 = time.perf_counter()
-                mt_opts = (analysis_options or AnalysisOptions()).copy(
-                    workers=mt_workers
-                )
+                mt_opts = options.copy(workers=mt_workers)
                 mt = analyze_once(trace_path, options=mt_opts, obs=obs)
                 result.offline_mt_seconds = time.perf_counter() - t2
                 analyses["offline_mt"] = mt.stats

@@ -3,7 +3,6 @@
 from .analyzer import (
     AnalysisResult,
     AnalysisStats,
-    SerialOfflineAnalyzer,
     analyze_trace,
     check_node_pair,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "RaceReport",
     "RaceSet",
     "ResultCache",
-    "SerialOfflineAnalyzer",
     "analyze_trace",
     "check_node_pair",
     "make_report",

@@ -2,8 +2,8 @@
 
 One implementation serves all three analysis modes:
 
-* **post-mortem** — :class:`~repro.offline.analyzer.SerialOfflineAnalyzer`
-  walks a complete pair plan over a closed trace directory;
+* **post-mortem** — :func:`~repro.offline.analyzer.analyze_trace` walks a
+  complete pair plan over a closed trace directory;
 * **distributed** — the analysis service's shard workers
   (:func:`~repro.serve.workers.run_shard`, behind both ``repro serve`` and
   ``mode="parallel"``) each drive an engine over their shard of the plan;
@@ -21,6 +21,9 @@ between the serial, distributed, and streaming drivers, so the engine
 deduplicates per *comparison* only and lets :class:`~repro.offline.report.
 RaceSet` keep the canonical (smallest) witness — making the final
 ``RaceSet`` byte-identical across all three modes regardless of pair order.
+
+Every mode also gets the salvage rule here: :meth:`AnalysisEngine.
+analyze_pair` abandons a salvage pair that raises.
 """
 
 from __future__ import annotations
@@ -332,6 +335,10 @@ class AnalysisEngine:
         self._pruner = DigestPruner()
         self._inflated_seen: dict[int, int] = {}
         self._result_cache = self._attach_result_cache(options.fastpath)
+        #: Salvage only: the pairs this engine abandoned, for its driver
+        #: to fold into the trace's report.
+        salvage = options.integrity == "salvage"
+        self.abandoned = IntegrityReport(mode="salvage") if salvage else None
         #: What :meth:`close` has already published of ``stats``.
         self._published = AnalysisStats()
         registry = self.obs.registry
@@ -717,8 +724,28 @@ class AnalysisEngine:
         ib: IntervalData,
         races: RaceSet,
         on_race=None,
-    ) -> None:
-        """Compare one interval pair (the unit of scheduling).
+    ) -> bool:
+        """Decide one interval pair (the unit of scheduling) through the
+        cascade.  In salvage an exception abandons the pair, not the
+        analysis: it is counted and noted on :attr:`abandoned` and on
+        ``offline.pairs_skipped``, and False is returned."""
+        try:
+            self._cascade(ia, ib, races, on_race)
+        except Exception as exc:
+            if self.abandoned is None:
+                raise
+            self.abandoned.pairs_skipped += 1
+            self.abandoned.note(
+                f"pair ({ia.key.gid},{ia.key.pid},{ia.key.bid}) x "
+                f"({ib.key.gid},{ib.key.pid},{ib.key.bid}) "
+                f"abandoned: {exc}"
+            )
+            self.obs.registry.counter("offline.pairs_skipped").inc()
+            return False
+        return True
+
+    def _cascade(self, ia, ib, races, on_race) -> None:
+        """The pair-decision cascade.
 
         In cost order: (1) the frame-resident meta-row digests prove the
         pair cannot race and it is pruned *before any payload byte is

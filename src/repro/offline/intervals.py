@@ -3,36 +3,37 @@
 The inventory assembles one :class:`IntervalData` per (thread, region,
 barrier interval) from Table-I meta rows and decides which interval pairs
 may run concurrently — the only pairs the race checker compares.  It is
-the one planner: a closed trace is loaded whole (``IntervalInventory
-(trace)`` then :meth:`~IntervalInventory.concurrent_pairs`), and the
-streaming analyzer grows the same structure row by row
-(:meth:`~IntervalInventory.add_region`, :meth:`~IntervalInventory.add_row`)
-and collects each pair from :meth:`~IntervalInventory.complete` the moment
-comparing it is sound.
+the one planner, with one pair emitter: :meth:`~IntervalInventory.complete`
+returns, as an interval completes, every pair that became sound to
+compare.  Streaming grows the inventory row by row and completes each
+interval as it ends; a closed trace's rows are loaded whole and
+:meth:`~IntervalInventory.concurrent_pairs` completes them in load order.
+Both end with :meth:`~IntervalInventory.finish`, which pairs the groups
+that never sealed (a salvaged trace that lost a teammate's rows).
 
 Pairs come from the structure of the judgment
 (:mod:`repro.osl.concurrency`) instead of an O(I^2) label comparison:
 
 * **same (pid, bid) group**: every cross-thread pair, plus each interval
-  with itself when the group holds explicit tasks.  Streaming emits a
-  group's pairs when it *seals* — all ``span`` distinct slots completed
-  the interval, so its task set is final (every interval logs at least
-  one row, so counting slots is exact);
+  with itself when the group holds explicit tasks.  A group's pairs are
+  emitted when it *seals* — all ``span`` teammates completed the
+  interval, so its task set is final (every interval logs at least one
+  row, and a repeated completion counts once, so counting is exact);
 * **different regions**: the verdict depends only on the two regions'
   fork chains (a :class:`RegionRelation`, decided once per region pair):
   never, uniformly concurrent, or — when one region is an ancestor of the
   other — concurrent only for the ancestor's intervals at the fork's bid
   on another slot than the forking thread's.  Only regions under one
   top-level region can relate, so a trace without nesting does no
-  cross-region work.  Streaming emits these pairs as soon as both sides
-  have completed.
+  cross-region work.  These pairs are emitted as soon as both sides have
+  completed, the ancestor's (else the older region's) interval first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from ..osl.concurrency import IntervalLabel
@@ -61,6 +62,8 @@ class IntervalData:
     #: parallel to ``chunks``.
     digests: list = field(default_factory=list)
 
+
+_gid = attrgetter("key.gid")
 
 #: A comparison the planner emits: two intervals (the same one twice for
 #: a tasky self-pair).
@@ -97,40 +100,35 @@ class IntervalInventory:
 
     ``trace`` provides ``regions`` and ``task_graph``; with ``load`` (the
     default) also ``thread_gids`` and ``reader(gid)``, whose rows are
-    read now and treated as complete.  A streaming caller passes
-    ``load=False`` and grows the inventory itself.
+    read now (:meth:`concurrent_pairs` then completes every interval).
+    A streaming caller passes ``load=False``, grows the inventory itself
+    and completes each interval as it ends.
     """
 
     def __init__(self, trace, *, load: bool = True) -> None:
         self.trace = trace
         self.intervals: dict[IntervalKey, IntervalData] = {}
         #: Completed intervals per region, then per bid, in completion
-        #: order (a closed trace: first-row order).
+        #: order (a closed trace: load order).
         self._by_region: dict[int, list[IntervalData]] = {}
         self._groups: dict[int, dict[int, list[IntervalData]]] = {}
-        #: Regions with completed intervals, per top-level region.
+        #: Regions with completed intervals, per top-level region, and
+        #: each such region's entry there.
         self._trees: dict[int, list[int]] = {}
+        self._tree_of: dict[int, list[int]] = {}
         self._chains: dict[int, IntervalLabel] = {}
         self._relations: dict[tuple[int, int], RegionRelation | None] = {}
-        self._salvage = getattr(trace, "integrity_mode", "strict") == "salvage"
         self._skipped: set[IntervalKey] = set()
-        # Streaming state: completions seen, completed slots of each
-        # group not yet sealed.
+        #: What :meth:`complete` was told (a repeat emits nothing).
         self._completed: set[tuple[int, int, int]] = set()
-        self._open: dict[tuple[int, int], set[int]] = {}
         if load:
-            self._load()
-
-    def _load(self) -> None:
-        for gid in self.trace.thread_gids:
-            reader = self.trace.reader(gid)
-            try:
-                for row in reader.rows:
-                    self.add_row(gid, row)
-            finally:
-                reader.close()
-        for data in self.intervals.values():
-            self._register(data)
+            for gid in trace.thread_gids:
+                reader = trace.reader(gid)
+                try:
+                    for row in reader.rows:
+                        self.add_row(gid, row)
+                finally:
+                    reader.close()
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -153,7 +151,7 @@ class IntervalInventory:
                 # the interval cannot be placed in the concurrency
                 # structure — skip it (an under-report, never a wrong
                 # report).
-                if not self._salvage:
+                if getattr(self.trace, "integrity_mode", "strict") != "salvage":
                     raise
                 if key not in self._skipped:
                     self._skipped.add(key)
@@ -164,18 +162,7 @@ class IntervalInventory:
         data.chunks.append((row.data_begin, row.size))
         data.digests.append(row.digest)
 
-    def _register(self, data: IntervalData) -> None:
-        """Make a completed interval visible to pair planning."""
-        pid = data.key.pid
-        region = self._by_region.get(pid)
-        if region is None:
-            region = self._by_region[pid] = []
-            self._groups[pid] = {}
-            self._trees.setdefault(self._root(pid), []).append(pid)
-        region.append(data)
-        self._groups[pid].setdefault(data.key.bid, []).append(data)
-
-    # -- streaming emission ----------------------------------------------------------
+    # -- pair emission ------------------------------------------------------------------
 
     def complete(
         self, gid: int, pid: int, bid: int, slot: int, span: int
@@ -187,84 +174,83 @@ class IntervalInventory:
         key = IntervalKey(gid=gid, pid=pid, bid=bid)
         data = self.intervals.get(key)
         if data is None:
+            if key in self._skipped:
+                return []  # salvage could not place it
             # Defensive: an interval that logged nothing (cannot race).
             data = self.intervals[key] = IntervalData(
                 key=key, slot=slot, span=span
             )
         pairs: list[Pair] = []
-        # Across groups: ready now, against every completed interval of
-        # a related region.
-        for other in self._trees.get(self._root(pid), ()):
-            if other == pid:
-                continue
-            relation = self._relation(pid, other)
-            if relation is None or not relation.admits(data):
-                continue
-            pairs.extend(
-                (data, b)
-                for b in self._by_region[other]
-                if b.key.gid != gid and relation.admits(b)
-            )
-        self._register(data)
-        slots = self._open.setdefault((pid, bid), set())
-        slots.add(slot)
-        if len(slots) == span:
-            del self._open[(pid, bid)]
-            # Completion order is the run's interleaving; gid order keeps
-            # the emission deterministic.
-            group = sorted(self._groups[pid][bid], key=lambda d: d.key.gid)
-            pairs.extend(self._group_pairs(pid, bid, group))
+        self._complete(data, pairs)
         return pairs
 
-    def unsealed_groups(self) -> list[tuple[int, int]]:
-        """Groups still waiting for teammates (empty after a full trace)."""
-        return list(self._open)
+    def concurrent_pairs(self) -> list[Pair]:
+        """A loaded trace's plan: complete every interval in load order,
+        then :meth:`finish` — every pair of intervals that may run
+        concurrently, each once.  Call it once, instead of
+        :meth:`complete`.
 
-    # -- the plan ---------------------------------------------------------------------
-
-    def concurrent_pairs(self) -> Iterator[Pair]:
-        """Yield every pair of completed intervals that may run concurrently.
-
-        Pairs between chunks of the *same* thread are never yielded (a
+        Pairs between chunks of the *same* thread are never emitted (a
         thread cannot race with itself) — except that an interval holding
         explicit tasks is compared with *itself*: a deferred task is
         concurrent with its executor's and creator's surrounding code, so
         same-thread chunks can race through tasks (tasking extension).
-
-        Order: each region's groups (regions and bids by first
-        appearance), then region pairs by ascending pid.
         """
-        for pid, groups in self._groups.items():
-            for bid, group in groups.items():
-                yield from self._group_pairs(pid, bid, group)
-        trees = {
-            root: sorted(pids)
-            for root, pids in self._trees.items()
-            if len(pids) > 1
-        }
-        for pid_a in sorted(pid for tree in trees.values() for pid in tree):
-            tree = trees[self._root(pid_a)]
-            for pid_b in tree[bisect_right(tree, pid_a) :]:
-                relation = self._relation(pid_a, pid_b)
-                if relation is None:
-                    continue
-                first, second = pid_a, pid_b
-                if relation.ancestor == pid_b:
-                    first, second = pid_b, pid_a
-                others = [
-                    b for b in self._by_region[second] if relation.admits(b)
-                ]
-                for a in self._by_region[first]:
-                    if relation.admits(a):
-                        for b in others:
-                            if a.key.gid != b.key.gid:
-                                yield a, b
+        pairs: list[Pair] = []
+        for data in self.intervals.values():
+            self._complete(data, pairs)
+        pairs.extend(self.finish())
+        return pairs
 
-    def _group_pairs(
-        self, pid: int, bid: int, group: list[IntervalData]
-    ) -> Iterator[Pair]:
+    def finish(self) -> list[Pair]:
+        """The pairs of every group that never sealed (after a full trace
+        there are none; a salvaged one may have lost a teammate's rows)."""
+        pairs: list[Pair] = []
+        for pid, bid in self.unsealed_groups():
+            pairs.extend(self._group_pairs(pid, bid))
+        return pairs
+
+    def unsealed_groups(self) -> list[tuple[int, int]]:
+        """Groups still waiting for teammates (none after a full trace)."""
+        return [
+            (pid, bid)
+            for pid, groups in self._groups.items()
+            for bid, group in groups.items()
+            if len(group) < group[0].span
+        ]
+
+    def _complete(self, data: IntervalData, pairs: list[Pair]) -> None:
+        """Register one completed interval, appending its ready pairs."""
+        key = data.key
+        pid = key.pid
+        region = self._by_region.get(pid)
+        if region is None:
+            region = self._by_region[pid] = []
+            self._groups[pid] = {}
+            tree = self._trees.setdefault(self._root(pid), [])
+            tree.append(pid)
+            self._tree_of[pid] = tree
+        # Across groups: ready now, against every completed interval of
+        # a related region, the ancestor's (else the older region's) first.
+        for other in self._tree_of[pid]:
+            relation = None if other == pid else self._relation(pid, other)
+            if relation is None or not relation.admits(data):
+                continue
+            first = (relation.ancestor or min(pid, other)) == pid
+            for b in self._by_region[other]:
+                if b.key.gid != key.gid and relation.admits(b):
+                    pairs.append((data, b) if first else (b, data))
+        region.append(data)
+        group = self._groups[pid].setdefault(key.bid, [])
+        group.append(data)
+        if len(group) == data.span:
+            pairs.extend(self._group_pairs(pid, key.bid))
+
+    def _group_pairs(self, pid: int, bid: int) -> Iterator[Pair]:
         """One (pid, bid) group's pairs: self-pairs when it holds tasks,
-        then every teammate pair (one interval per thread)."""
+        then every teammate pair (one interval per thread) in gid order —
+        completion order is the run's interleaving."""
+        group = sorted(self._groups[pid][bid], key=_gid)
         if self.trace.task_graph.holds_tasks(pid, bid):
             for a in group:
                 yield a, a

@@ -66,9 +66,9 @@ def trace_token(trace_path: str | os.PathLike) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def shard_token(trace_digest: str, *, kind: str, pair_keys: tuple) -> str:
+def shard_token(trace_digest: str, *, integrity: str, pair_keys: tuple) -> str:
     """One shard's checkpoint address (job- and tenant-independent)."""
-    payload = f"{trace_digest}|{kind}|{pair_keys!r}"
+    payload = f"{trace_digest}|{integrity}|{pair_keys!r}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -81,7 +81,7 @@ def _outcome_to_json(outcome: ShardOutcome) -> dict:
     return {
         "rows": [list(row) for row in outcome.rows],
         "stats": outcome.stats.to_json(),
-        "integrity": outcome.integrity,
+        "integrity": outcome.integrity and outcome.integrity.to_json(),
         "cache_hits": outcome.cache_hits,
     }
 
@@ -101,7 +101,7 @@ def _outcome_from_json(payload: dict, job_id: str, index: int) -> ShardOutcome:
     a checkpoint is outside input, and a hit must be safe to merge."""
     integrity = payload.get("integrity")
     if integrity is not None:
-        IntegrityReport.from_json(integrity)
+        integrity = IntegrityReport.from_json(integrity)
     cache_hits = payload.get("cache_hits", 0)
     if type(cache_hits) is not int:
         raise TypeError(f"cache_hits {cache_hits!r} is not an int")

@@ -26,6 +26,7 @@ from typing import Optional
 
 from ..offline.engine import AnalysisResult, AnalysisStats
 from ..offline.report import RaceSet
+from ..sword.integrity import IntegrityReport
 from .tracing import TraceContext
 
 QUEUED = "queued"
@@ -178,7 +179,10 @@ class JobRecord:
     cancelled: bool = False
     races: RaceSet = field(default_factory=RaceSet)
     stats: AnalysisStats = field(default_factory=AnalysisStats)
-    integrity_report: Optional[dict] = None
+    #: Salvage jobs: the plan's integrity report, into which settling
+    #: folds the shards' ``integrity_parts`` (by shard index).
+    integrity_report: Optional[IntegrityReport] = None
+    integrity_parts: dict[int, IntegrityReport] = field(default_factory=dict)
     shards_total: int = 0
     shards_done: int = 0
     #: Seconds from submission to the first race merged at the
@@ -198,7 +202,7 @@ class JobRecord:
     #: The planner's total concurrent-pair count (coverage denominator).
     pairs_total: int = 0
     #: Pairs that survived the plan-time digest prune and went out in
-    #: pair shards (a salvage job ships its whole trace instead: 0).
+    #: shards.
     pairs_shipped: int = 0
     #: Poison shards set aside after exhausting their retry/crash budget.
     quarantined: list = field(default_factory=list)
@@ -239,15 +243,8 @@ class JobRecord:
         """The merged analysis result (meaningful once the state is in
         :data:`RESULT_STATES` — for DEGRADED jobs it covers the pair
         fraction reported by :attr:`degradation`)."""
-        from ..sword.integrity import IntegrityReport
-
-        integrity = (
-            IntegrityReport.from_json(self.integrity_report)
-            if self.integrity_report is not None
-            else None
-        )
         return AnalysisResult(
-            races=self.races, stats=self.stats, integrity=integrity
+            races=self.races, stats=self.stats, integrity=self.integrity_report
         )
 
     def status(self) -> dict:

@@ -68,8 +68,8 @@ class LoadReport:
     cache_hits: int = 0
     shard_steals: int = 0
     #: Over finished jobs: concurrent pairs the planner enumerated,
-    #: pairs the frame digests decided (at plan time, or inside the
-    #: salvage shard), and pairs that went out in pair shards.
+    #: pairs the frame digests decided at plan time, and pairs that
+    #: went out in shards.
     pairs_planned: int = 0
     pairs_pruned: int = 0
     pairs_shipped: int = 0

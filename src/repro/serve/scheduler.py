@@ -217,8 +217,9 @@ class JobScheduler:
         with job.lock:
             # The plan enters the ledger the way a shard does; its prunes
             # are counted here, once — shards add only what they prune
-            # themselves (the salvage shard: all of it).
+            # themselves.
             job.stats.merge(plan.stats)
+            job.integrity_report = plan.integrity
             job.stats.plan_seconds = plan_seconds
             job.shards_total = len(plan.shards)
             job.pairs_total = plan.stats.concurrent_pairs
@@ -279,8 +280,7 @@ class JobScheduler:
         here at the coordinator.  ``table`` is the one the planner's
         trace open parsed: a corrupt table fails a strict job there, and
         a salvage open drops it to None (UNKNOWN-everything: no reports,
-        no counts; the salvage shard accounts the loss in its integrity
-        report).
+        no counts; the plan's integrity report accounts the loss).
         """
         if table is None:
             return
@@ -301,8 +301,8 @@ class JobScheduler:
             job.races.add(report)
         if first and len(job.races) and job.ttfr_seconds is None:
             job.ttfr_seconds = time.perf_counter() - job.submitted_at
-        if outcome.integrity is not None:  # the (sole) salvage shard
-            job.integrity_report = outcome.integrity
+        if outcome.integrity is not None:  # a salvage job's shard
+            job.integrity_parts[outcome.index] = outcome.integrity
         job.stats.merge(outcome.stats)
         if outcome.cache_hits:
             job.cache_hits += outcome.cache_hits
@@ -430,7 +430,12 @@ class JobScheduler:
         job-fatal; quarantined shards degrade the job *if* any shard
         survived to contribute coverage, else the poison consumed the
         whole job and it plainly failed.
+
+        A salvage job's shard reports fold into the plan's, in
+        shard-index order: the serial driver's pair order.
         """
+        for index in sorted(job.integrity_parts):
+            job.integrity_report.merge(job.integrity_parts.pop(index))
         if job.error:
             job.state = FAILED
         elif job.cancelled:

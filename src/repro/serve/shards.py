@@ -16,13 +16,15 @@ slices only the survivors into shards — each carrying the
 :class:`~repro.offline.intervals.IntervalData` of its pairs, so a worker
 never scans the meta files again.  The plan is a pure function of the
 trace bytes and the planning arguments, and a shard's checkpoint token
-hashes only the trace digest, the shard kind and its pair keys: a
+hashes only the trace digest, the integrity mode and its pair keys: a
 resumed job re-plans the same shards and the same checkpoint tokens.
 
-Salvage jobs are planned as a single ``salvage`` shard: recovering a
-damaged trace threads an integrity ledger through planning and pair
-analysis, which is exactly the serial driver's job — the scheduler just
-runs it on a worker like any other shard.
+Salvage jobs shard like strict ones.  The planner's salvage open fills
+the trace's :class:`~repro.sword.integrity.IntegrityReport` (everything
+the readers and the inventory dropped), which the plan carries; each
+shard's engine abandons a pair that raises and ships that part home, and
+the coordinator folds the parts into the plan's report in shard-index
+order — the serial driver's pair order.
 """
 
 from __future__ import annotations
@@ -35,12 +37,9 @@ from ..offline.engine import AnalysisStats, DigestPruner
 from ..offline.intervals import IntervalData, IntervalInventory, IntervalKey
 from ..offline.options import AnalysisOptions, FastPathOptions
 from ..static.table import StaticVerdictTable
+from ..sword.integrity import IntegrityReport
 from ..sword.reader import TraceDir
 from .tracing import ObsConfig
-
-#: Shard kinds.
-PAIRS = "pairs"
-SALVAGE = "salvage"
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +49,6 @@ class ShardSpec:
     job_id: str
     index: int
     trace_path: str
-    kind: str = PAIRS
     #: The shard's work, self-contained: both intervals of every pair
     #: (key, slot, span, label, chunks, digests) as the planner read
     #: them from the meta files.  An interval shared by several pairs
@@ -97,6 +95,9 @@ class ShardPlan:
     #: The trace's static verdict table for the coordinator to inject
     #: (None: no table, or a salvage open dropped a corrupt one).
     static_verdicts: Optional[StaticVerdictTable] = None
+    #: Salvage only: what the planner's open and inventory dropped (the
+    #: shards' abandoned pairs are folded in at the coordinator).
+    integrity: Optional[IntegrityReport] = None
 
     @property
     def pairs_shipped(self) -> int:
@@ -141,8 +142,8 @@ def plan_shards(
     the caller has workers to feed (small jobs still fan out).  A plan
     with no surviving pair has no shards: the job is decided.
 
-    ``integrity="salvage"`` (on ``options``) short-circuits to a single
-    salvage shard — the worker runs the full serial salvage analysis.
+    ``integrity="salvage"`` (on ``options``) opens the trace with the
+    salvage readers; the plan then carries the trace's integrity report.
 
     With ``checkpoint_dir`` set, every shard is stamped with its
     content-hash checkpoint token (the trace digest is computed once
@@ -159,12 +160,11 @@ def plan_shards(
 
         trace_digest = trace_token(trace.path)
 
-    def _spec(index: int, kind: str, pairs: tuple) -> ShardSpec:
+    def _spec(index: int, pairs: tuple) -> ShardSpec:
         spec = ShardSpec(
             job_id=job_id,
             index=index,
             trace_path=str(trace.path),
-            kind=kind,
             pairs=pairs,
             options=shard_opts,
             tenant=tenant,
@@ -175,15 +175,16 @@ def plan_shards(
         )
         if checkpoint_dir is None:
             return spec
-        token = shard_token(trace_digest, kind=kind, pair_keys=spec.pair_keys)
+        token = shard_token(
+            trace_digest, integrity=options.integrity, pair_keys=spec.pair_keys
+        )
         return replace(spec, checkpoint_token=token)
 
     plan = ShardPlan(static_verdicts=trace.static_verdicts)
-    if options.integrity == "salvage":
-        plan.shards.append(_spec(0, SALVAGE, ()))
-        return plan
     inventory = IntervalInventory(trace)
-    pairs = list(inventory.concurrent_pairs())
+    pairs = inventory.concurrent_pairs()
+    if options.integrity == "salvage":
+        plan.integrity = trace.integrity
     plan.stats.intervals = len(inventory)
     plan.stats.concurrent_pairs = len(pairs)
     pruner = DigestPruner()
@@ -193,6 +194,6 @@ def plan_shards(
     shard_pairs = max(1, shard_pairs)
     for index, lo in enumerate(range(0, len(pairs), shard_pairs)):
         plan.shards.append(
-            _spec(index, PAIRS, tuple(pairs[lo : lo + shard_pairs]))
+            _spec(index, tuple(pairs[lo : lo + shard_pairs]))
         )
     return plan

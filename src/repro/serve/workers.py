@@ -23,8 +23,9 @@ from typing import Iterable, Optional
 from ..obs import NULL_OBS, Instrumentation, set_obs
 from ..offline.engine import AnalysisEngine, AnalysisStats
 from ..offline.report import RaceReport, RaceSet
+from ..sword.integrity import IntegrityReport
 from ..sword.reader import TraceDir
-from .shards import SALVAGE, ShardSpec
+from .shards import ShardSpec
 
 
 @dataclass(slots=True)
@@ -36,8 +37,8 @@ class ShardOutcome:
     #: RaceReport field tuples (frozen dataclass of ints/bools).
     rows: list[tuple] = field(default_factory=list)
     stats: AnalysisStats = field(default_factory=AnalysisStats)
-    #: Salvage shards attach the IntegrityReport JSON; pair shards None.
-    integrity: Optional[dict] = None
+    #: A salvage job's shard: the pairs its engine abandoned.
+    integrity: Optional[IntegrityReport] = None
     #: Persistent-cache hits this shard served (tree + pair verdicts) —
     #: the coordinator's cross-job reuse signal.
     cache_hits: int = 0
@@ -129,49 +130,28 @@ def _checkpoint_store(spec: ShardSpec):
 def _execute_shard(spec: ShardSpec, obs: Instrumentation) -> ShardOutcome:
     """The shard body proper, under an explicit bundle.
 
-    Pair shards compare their assigned interval pairs through an engine
+    The shard compares its assigned interval pairs through an engine
     whose readers are closed via the context manager even on error
-    (long-lived pools must not leak per-thread log descriptors).
-    Salvage shards run the full serial salvage analysis and carry the
-    integrity ledger home.
+    (long-lived pools must not leak per-thread log descriptors).  A
+    salvage job's shard opens the trace with the salvage readers and
+    carries home the pairs its engine abandoned.
     """
     options = spec.options.copy(obs=obs)
     outcome = ShardOutcome(
         job_id=spec.job_id, index=spec.index, worker_pid=os.getpid()
     )
     with obs.tracer.span(
-        "shard", "serve",
-        job=spec.job_id, shard=spec.index, kind=spec.kind, pairs=spec.npairs,
+        "shard", "serve", job=spec.job_id, shard=spec.index, pairs=spec.npairs,
     ):
-        if spec.kind == SALVAGE:
-            from ..offline.analyzer import SerialOfflineAnalyzer
-
-            analysis = SerialOfflineAnalyzer(
-                TraceDir(spec.trace_path, integrity="salvage"),
-                obs=obs,
-                options=options,
-            ).analyze()
-            outcome.rows = race_rows(analysis.races)
-            outcome.stats = analysis.stats
-            outcome.integrity = (
-                analysis.integrity.to_json()
-                if analysis.integrity is not None
-                else None
-            )
-            outcome.cache_hits = (
-                analysis.stats.pair_cache_hits
-                + analysis.stats.tree_cache_disk_hits
-            )
-            return outcome
-        trace = TraceDir(spec.trace_path)
+        trace = TraceDir(spec.trace_path, integrity=options.integrity)
         races = RaceSet()
         with AnalysisEngine(trace, obs=obs, options=options) as engine:
             for ia, ib in spec.pairs:
                 engine.analyze_pair(ia, ib, races)
             outcome.stats = engine.stats
+        outcome.integrity = engine.abandoned
     outcome.rows = race_rows(races)
     outcome.cache_hits = (
         outcome.stats.pair_cache_hits + outcome.stats.tree_cache_disk_hits
     )
     return outcome
-

@@ -13,6 +13,10 @@ engine deduplicates per comparison only and the
 :class:`~repro.offline.report.RaceSet` keeps the canonical witness, so
 pair order (the only thing streaming changes) cannot show through.
 
+A replayed salvage trace is read with salvage readers into its own
+:class:`~repro.sword.integrity.IntegrityReport`, into which trace end
+folds the pairs the engine abandoned.
+
 Progress is optionally checkpointed (:mod:`repro.stream.checkpoint`); an
 interrupted analysis resumes by replaying the finished trace through the
 same observer — checkpointed pairs are skipped, the rest are analyzed.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
+from time import perf_counter
 
 from ..obs import Instrumentation, get_obs
 from ..offline.engine import AnalysisEngine, AnalysisResult, AnalysisStats
@@ -47,7 +52,8 @@ class LiveTraceSource:
 
     ``mutexsets`` and ``task_graph`` are bound at trace begin — to the
     runtime's live tables when observing a run, or to the closed trace's
-    loaded tables when replaying.  ``regions`` grows as regions fork.
+    loaded tables (and its integrity mode and report) when replaying.
+    ``regions`` grows as regions fork.
     """
 
     def __init__(self, directory: str | Path, *, live: bool = True) -> None:
@@ -56,9 +62,16 @@ class LiveTraceSource:
         self.regions: dict[int, dict] = {}
         self.mutexsets = None
         self.task_graph = None
+        self.integrity_mode = "strict"
+        self.integrity = None
 
     def reader(self, gid: int) -> ThreadTraceReader:
-        return ThreadTraceReader(self.directory, gid, live=self.live)
+        salvage = self.integrity_mode == "salvage"
+        return ThreadTraceReader(
+            self.directory, gid, live=self.live,
+            integrity=self.integrity_mode,
+            report=self.integrity.thread(gid) if salvage else None,
+        )
 
 
 class StreamAnalyzer(TraceObserver):
@@ -125,6 +138,9 @@ class StreamAnalyzer(TraceObserver):
         self.source = LiveTraceSource(self.directory)
         self.inventory = IntervalInventory(self.source, load=False)
         self.pairs_planned = 0
+        #: The serial driver's ``plan_seconds``: the inventory's time,
+        #: paid call by call.
+        self.plan_seconds = 0.0
         self.engine: AnalysisEngine | None = None
         self.pairs_analyzed = 0
         self.pairs_skipped = 0
@@ -161,11 +177,17 @@ class StreamAnalyzer(TraceObserver):
             self.source.mutexsets = runtime.mutexsets
             self.source.task_graph = producer.task_graph
             self.source.live = True
+            # A log still being written is read strict.
+            self.options = self.options.copy(integrity="strict")
         else:
-            # Replay of a closed TraceDir.
+            # Replay of a closed TraceDir: its integrity mode wins, and
+            # its report is the one salvage fills.
             self.source.mutexsets = producer.mutexsets
             self.source.task_graph = producer.task_graph
             self.source.live = False
+            self.source.integrity_mode = producer.integrity_mode
+            self.source.integrity = producer.integrity
+            self.options = self.options.copy(integrity=producer.integrity_mode)
         self.engine = AnalysisEngine(
             self.source,
             options=self.options,
@@ -176,26 +198,36 @@ class StreamAnalyzer(TraceObserver):
         self.inventory.add_region(pid, info)
 
     def on_chunk(self, gid: int, row) -> None:
+        t0 = perf_counter()
         self.inventory.add_row(gid, row)
+        self.plan_seconds += perf_counter() - t0
 
     def on_interval_end(
         self, gid: int, pid: int, bid: int, slot: int, span: int
     ) -> None:
+        t0 = perf_counter()
         pairs = self.inventory.complete(gid, pid, bid, slot, span)
-        self.pairs_planned += len(pairs)
+        self.plan_seconds += perf_counter() - t0
         self._process(pairs)
 
     def on_trace_end(self, producer) -> None:
+        t0 = perf_counter()
+        pairs = self.inventory.finish()
+        self.plan_seconds += perf_counter() - t0
+        self._process(pairs)
         self.finished = True
         if self.checkpoint is not None:
             self.checkpoint.save()
         if self.engine is not None:
             self.engine.close()
+            if self.engine.abandoned is not None:
+                self.source.integrity.merge(self.engine.abandoned)
 
     # -- pair processing -----------------------------------------------------------
 
     def _process(self, pairs: list[Pair]) -> None:
         assert self.engine is not None, "on_trace_begin not delivered"
+        self.pairs_planned += len(pairs)
         for ia, ib in pairs:
             if self.checkpoint is not None and self.checkpoint.contains(
                 ia.key, ib.key
@@ -203,12 +235,13 @@ class StreamAnalyzer(TraceObserver):
                 self.pairs_skipped += 1
                 self._m_skipped.inc()
                 continue
-            self.engine.analyze_pair(
+            decided = self.engine.analyze_pair(
                 ia, ib, self.races, on_race=self._race_seen
             )
             self.pairs_analyzed += 1
             self._m_pairs.inc()
-            if self.checkpoint is not None:
+            # An abandoned pair stays unrecorded: a resume retries it.
+            if self.checkpoint is not None and decided:
                 self.checkpoint.record(ia.key, ib.key)
                 self._since_save += 1
                 if self._since_save >= CHECKPOINT_EVERY:
@@ -241,8 +274,11 @@ class StreamAnalyzer(TraceObserver):
             )
         stats.intervals = len(self.inventory)
         stats.concurrent_pairs = self.pairs_planned
+        stats.plan_seconds = self.plan_seconds
         stats.races_found = len(self.races)
-        return AnalysisResult(races=self.races, stats=stats)
+        salvage = self.options.integrity == "salvage"
+        integrity = self.source.integrity if salvage else None
+        return AnalysisResult(races=self.races, stats=stats, integrity=integrity)
 
 
 def replay_analyze(
@@ -261,7 +297,9 @@ def replay_analyze(
     returned race set matches an uninterrupted run's exactly.
     """
     if not isinstance(trace, TraceDir):
-        trace = TraceDir(trace)
+        trace = TraceDir(
+            trace, integrity=options.integrity if options else "strict"
+        )
     analyzer = StreamAnalyzer(
         trace.path,
         options=options,

@@ -95,7 +95,7 @@ class IntegrityReport:
     mode: str = "strict"
     threads: dict[int, ThreadIntegrity] = field(default_factory=dict)
     #: Intervals the planner had to skip (unknown region, no surviving
-    #: chunks) plus pairs the salvage driver abandoned mid-analysis.
+    #: chunks) plus pairs the engine abandoned mid-analysis.
     intervals_skipped: int = 0
     pairs_skipped: int = 0
     #: Run-wide files that were missing or unusable (manifest, regions…).
@@ -141,6 +141,16 @@ class IntegrityReport:
 
     def note(self, message: str) -> None:
         self.notes.append(message)
+
+    def merge(self, part: "IntegrityReport") -> None:
+        """Fold in what analysing this trace skipped elsewhere (the pairs
+        an engine abandoned, a shard's or the driver's own): skip counts
+        add and notes extend in order.  The open-time ledger — threads,
+        missing files, dropped verdict tables — is this report's own and
+        is not folded."""
+        self.intervals_skipped += part.intervals_skipped
+        self.pairs_skipped += part.pairs_skipped
+        self.notes.extend(part.notes)
 
     def to_json(self) -> dict:
         return {

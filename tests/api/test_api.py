@@ -170,10 +170,10 @@ def test_tracedir_reader_accepts_pathlike(trace_dir):
 
 
 def test_new_names_do_not_warn(trace_dir, recwarn):
-    from repro.offline import SerialOfflineAnalyzer
+    from repro.offline import analyze_trace
     from repro.stream import StreamAnalyzer
 
-    SerialOfflineAnalyzer(TraceDir(trace_dir))
+    analyze_trace(TraceDir(trace_dir))
     api.analyze(trace_dir, mode="parallel", options=api.AnalysisOptions(workers=2))
     StreamAnalyzer(trace_dir)
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]

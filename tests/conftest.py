@@ -20,7 +20,7 @@ import pytest
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.faults.fixtures import *  # noqa: F401,F403 (fault-injection fixtures)
-from repro.offline import SerialOfflineAnalyzer, oracle_races
+from repro.offline import analyze_trace, oracle_races
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.sword import SwordTool, TraceDir
 
@@ -63,7 +63,7 @@ def sword_and_oracle(program, trace_path, *, nthreads=4, seed=0, yield_every=0):
         tool=ToolMux([rec, sword]),
     )
     rt.run(program)
-    analysis = SerialOfflineAnalyzer(TraceDir(trace_path)).analyze()
+    analysis = analyze_trace(TraceDir(trace_path))
     oracle = oracle_races(rec, rt.mutexsets)
     return analysis.races, oracle, rec, rt
 

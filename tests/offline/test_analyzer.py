@@ -11,7 +11,7 @@ from repro.ilp.bruteforce import bruteforce_overlap
 from repro.ilp.memo import SolverMemo
 from repro.ilp.overlap import constraint_of
 from repro.itree.builder import TreeBuilder
-from repro.offline import SerialOfflineAnalyzer
+from repro.offline import analyze_trace
 from repro.offline.analyzer import reference_analyze
 from repro.offline.engine import AnalysisEngine
 from repro.offline.intervals import IntervalInventory
@@ -270,7 +270,7 @@ def test_ilp_crosscheck_mode(trace_dir, monkeypatch):
         return result
 
     monkeypatch.setattr(SolverMemo, "share_address", crosschecked)
-    checked = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    checked = analyze_trace(TraceDir(trace_dir))
     assert checked.races.pc_pairs() == races.pc_pairs()
     assert True in solved  # the race itself went through the solver
 
@@ -284,7 +284,7 @@ def test_stats_populated(trace_dir):
         m.parallel(body)
 
     sword_and_oracle(program, trace_dir)
-    result = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    result = analyze_trace(TraceDir(trace_dir))
     assert result.stats.intervals > 0
     # The disjoint per-thread writes are fully decided from the frame
     # digests: every pair is pruned with zero payload bytes inflated.

@@ -10,7 +10,7 @@ from repro.faults.harness import collect_trace
 from repro.common.store import ContentStore
 from repro.harness.tools import SwordDriver
 from repro.obs import live, set_obs
-from repro.offline.analyzer import SerialOfflineAnalyzer
+from repro.offline.analyzer import analyze_trace
 from repro.offline.cache import ResultCache
 from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.sword import TraceDir
@@ -80,9 +80,9 @@ def test_store_load_contract(tmp_path, case):
 def test_corrupt_cache_entries_recomputed_not_propagated(tmp_path):
     trace_path = tmp_path / "trace"
     _collect(trace_path)
-    cold = SerialOfflineAnalyzer(
+    cold = analyze_trace(
         TraceDir(trace_path), options=_cached_options()
-    ).analyze()
+    )
     cache_root = trace_path / ".sword-cache"
     entries = sorted(cache_root.rglob("*.json"))
     assert entries, "cold run must have populated the cache"
@@ -90,9 +90,9 @@ def test_corrupt_cache_entries_recomputed_not_propagated(tmp_path):
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
     previous = set_obs(live())
     try:
-        warm = SerialOfflineAnalyzer(
+        warm = analyze_trace(
             TraceDir(trace_path), options=_cached_options()
-        ).analyze()
+        )
         from repro.obs import get_obs
 
         snapshot = get_obs().registry.snapshot()
@@ -111,7 +111,7 @@ def test_field_level_garbage_evicted_then_restored(tmp_path):
     trace_path = tmp_path / "trace"
     _collect(trace_path)
     options = _cached_options()
-    SerialOfflineAnalyzer(TraceDir(trace_path), options=options).analyze()
+    analyze_trace(TraceDir(trace_path), options=options)
     cache_root = trace_path / ".sword-cache"
     # Force tree loads on the warm run: no pair verdicts to short-circuit.
     shutil.rmtree(cache_root / "pairs", ignore_errors=True)
@@ -124,9 +124,9 @@ def test_field_level_garbage_evicted_then_restored(tmp_path):
         victim.write_text(json.dumps(payload))
     previous = set_obs(live())
     try:
-        result = SerialOfflineAnalyzer(
+        result = analyze_trace(
             TraceDir(trace_path), options=options
-        ).analyze()
+        )
         from repro.obs import get_obs
 
         snapshot = get_obs().registry.snapshot()
@@ -253,14 +253,14 @@ def test_tree_format_does_not_key_pair_verdicts(tmp_path, monkeypatch):
 
     trace_path = tmp_path / "trace"
     _collect(trace_path)
-    cold = SerialOfflineAnalyzer(
+    cold = analyze_trace(
         TraceDir(trace_path), options=_cached_options()
-    ).analyze()
+    )
     assert cold.stats.trees_built > 0
     monkeypatch.setattr(cache_mod, "TREE_FORMAT", cache_mod.TREE_FORMAT + 1)
-    warm = SerialOfflineAnalyzer(
+    warm = analyze_trace(
         TraceDir(trace_path), options=_cached_options()
-    ).analyze()
+    )
     assert warm.races.to_json() == cold.races.to_json()
     assert warm.stats.pair_cache_hits > 0
     assert warm.stats.trees_built == 0

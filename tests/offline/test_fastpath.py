@@ -13,7 +13,7 @@ from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.offline import (
     AnalysisOptions,
     FastPathOptions,
-    SerialOfflineAnalyzer,
+    analyze_trace,
 )
 from repro.offline.analyzer import reference_analyze
 from repro.omp import OpenMPRuntime
@@ -55,7 +55,7 @@ def test_fastpath_byte_identical(workload):
         collect(workload, trace_path)
         trace = TraceDir(trace_path)
         ref = reference_analyze(trace)
-        fast = SerialOfflineAnalyzer(trace, options=FAST).analyze()
+        fast = analyze_trace(trace, options=FAST)
         assert blob(fast.races) == blob(ref.races)
         assert len(ref.races) == workload.seeded_races
         # The reference must not silently use any cascade machinery.
@@ -90,7 +90,7 @@ def test_pruning_fires_and_keeps_the_race(tmp_path):
     ).run(_residue_program)
     trace = TraceDir(trace_path)
     ref = reference_analyze(trace)
-    fast = SerialOfflineAnalyzer(trace, options=FAST).analyze()
+    fast = analyze_trace(trace, options=FAST)
     assert blob(fast.races) == blob(ref.races)
     assert len(fast.races) >= 1
     assert fast.stats.pairs_pruned > 0
@@ -106,9 +106,9 @@ def test_persistent_cache_warm_run_identical(tmp_path):
         fastpath=FastPathOptions(result_cache=True)
     )
     trace = TraceDir(trace_path)
-    cold = SerialOfflineAnalyzer(trace, options=cached).analyze()
+    cold = analyze_trace(trace, options=cached)
     assert cold.stats.pair_cache_hits == 0
-    warm = SerialOfflineAnalyzer(TraceDir(trace_path), options=cached).analyze()
+    warm = analyze_trace(TraceDir(trace_path), options=cached)
     assert warm.stats.pair_cache_hits > 0
     assert blob(warm.races) == blob(cold.races)
     # The digest test runs before the cache: a pruned pair is pruned
@@ -136,7 +136,7 @@ def test_cache_invalidation_on_trace_regeneration(tmp_path):
     )
 
     collect(racy, trace_path)
-    first = SerialOfflineAnalyzer(TraceDir(trace_path), options=cached).analyze()
+    first = analyze_trace(TraceDir(trace_path), options=cached)
     assert len(first.races) == racy.seeded_races > 0
 
     # Regenerate the trace in the same directory with the race-free
@@ -148,7 +148,7 @@ def test_cache_invalidation_on_trace_regeneration(tmp_path):
     collect(quiet, trace_path)
     shutil.copytree(saved, cache_dir)
 
-    second = SerialOfflineAnalyzer(TraceDir(trace_path), options=cached).analyze()
+    second = analyze_trace(TraceDir(trace_path), options=cached)
     assert second.stats.pair_cache_hits == 0
     assert len(second.races) == 0
     gold = reference_analyze(trace_path)
@@ -163,8 +163,8 @@ def test_explicit_cache_dir(tmp_path):
     opts = AnalysisOptions(
         fastpath=FastPathOptions(result_cache=True, cache_dir=str(cache_dir))
     )
-    cold = SerialOfflineAnalyzer(TraceDir(trace_path), options=opts).analyze()
-    warm = SerialOfflineAnalyzer(TraceDir(trace_path), options=opts).analyze()
+    cold = analyze_trace(TraceDir(trace_path), options=opts)
+    warm = analyze_trace(TraceDir(trace_path), options=opts)
     assert warm.stats.pair_cache_hits > 0
     assert blob(warm.races) == blob(cold.races)
     assert cache_dir.is_dir()
@@ -178,7 +178,7 @@ def test_memo_counts_surface_in_stats(tmp_path):
         RunConfig(nthreads=NTHREADS, scheduler=SchedulerConfig(seed=SEED)),
         tool=tool,
     ).run(_residue_program)
-    fast = SerialOfflineAnalyzer(TraceDir(trace_path), options=FAST).analyze()
+    fast = analyze_trace(TraceDir(trace_path), options=FAST)
     payload = fast.stats.to_json()
     for key in (
         "pairs_pruned",

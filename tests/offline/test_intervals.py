@@ -22,9 +22,11 @@ def build_inventory(program, trace_dir, *, nthreads=4, seed=0):
 
 
 def assert_plan_matches_judgment(inventory):
-    """The optimised pair plan == brute-force label comparison."""
+    """The optimised pair plan == brute-force label comparison; returns
+    the plan (``concurrent_pairs`` completes the inventory: call once)."""
+    pairs = list(inventory.concurrent_pairs())
     planned = set()
-    for a, b in inventory.concurrent_pairs():
+    for a, b in pairs:
         key = tuple(sorted([a.key, b.key], key=lambda k: (k.gid, k.pid, k.bid)))
         assert key not in planned, f"pair yielded twice: {key}"
         planned.add(key)
@@ -43,6 +45,7 @@ def assert_plan_matches_judgment(inventory):
             )
             expected.add(key)
     assert planned == expected
+    return pairs
 
 
 def test_flat_region_plan(trace_dir):
@@ -71,9 +74,9 @@ def test_multi_region_plan(trace_dir):
         m.parallel(body, nthreads=3)
 
     inventory = build_inventory(program, trace_dir)
-    assert_plan_matches_judgment(inventory)
+    pairs = assert_plan_matches_judgment(inventory)
     # Cross-region pairs must be absent (serialised top-level regions).
-    for a, b in inventory.concurrent_pairs():
+    for a, b in pairs:
         assert a.key.pid == b.key.pid
 
 
@@ -91,10 +94,9 @@ def test_nested_region_plan(trace_dir):
         m.parallel(outer, nthreads=2)
 
     inventory = build_inventory(program, trace_dir)
-    assert_plan_matches_judgment(inventory)
     cross_region = [
         (a, b)
-        for a, b in inventory.concurrent_pairs()
+        for a, b in assert_plan_matches_judgment(inventory)
         if a.key.pid != b.key.pid
     ]
     assert cross_region, "nested sibling regions must be planned"
@@ -131,10 +133,10 @@ def test_barriers_split_intervals(trace_dir):
         m.parallel(body, nthreads=2)
 
     inventory = build_inventory(program, trace_dir, nthreads=2)
-    assert_plan_matches_judgment(inventory)
+    pairs = assert_plan_matches_judgment(inventory)
     bids = {k.bid for k in inventory.intervals}
     assert {0, 1} <= bids
     # Cross-bid pairs never planned within one region.
-    for a, b in inventory.concurrent_pairs():
+    for a, b in pairs:
         if a.key.pid == b.key.pid:
             assert a.key.bid == b.key.bid

@@ -41,11 +41,15 @@ def region(ppid, parent_slot, span=2):
             "span": span, "level": int(ppid > 0)}
 
 
-def complete(inv, gid, pid, bid, slot, span=3):
-    inv.add_row(gid, MetaRow(
+def row(pid, bid, slot, span=3):
+    return MetaRow(
         pid=pid, ppid=0, bid=bid, offset=slot, span=span, level=0,
         data_begin=0, size=24, digest=FrameDigest.empty(),
-    ))
+    )
+
+
+def complete(inv, gid, pid, bid, slot, span=3):
+    inv.add_row(gid, row(pid, bid, slot, span))
     return inv.complete(gid, pid, bid, slot, span)
 
 
@@ -95,7 +99,12 @@ def test_tasky_group_gets_self_pairs():
     selfs = [(a, b) for a, b in pairs if a.key == b.key]
     cross = [(a, b) for a, b in pairs if a.key != b.key]
     assert len(selfs) == 3 and len(cross) == 3
-    assert keys(pairs) == keys(inv.concurrent_pairs())
+    # The same rows loaded whole plan the same pairs.
+    batch = inventory((1, 0))
+    batch.add_region(1, TOP_REGION)
+    for slot in range(3):
+        batch.add_row(slot, row(1, 0, slot))
+    assert keys(pairs) == keys(batch.concurrent_pairs())
 
 
 def test_nested_cross_region_pair_ready_before_seal():

@@ -17,7 +17,8 @@ from conftest import run_program
 from repro import api
 from repro.common.config import SwordConfig
 from repro.common.errors import TraceFormatError
-from repro.offline.analyzer import SerialOfflineAnalyzer, reference_analyze
+from repro.offline.analyzer import reference_analyze
+from repro.offline.engine import AnalysisEngine
 from repro.offline.cache import ResultCache
 from repro.offline.intervals import IntervalInventory
 from repro.offline.options import AnalysisOptions, FastPathOptions
@@ -168,8 +169,8 @@ def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):
     trace = TraceDir(trace_path)
     interval = next(iter(IntervalInventory(trace).intervals.values()))
     options = AnalysisOptions(fastpath=FastPathOptions(result_cache=True))
-    with SerialOfflineAnalyzer(trace, options=options) as analyzer:
-        built = analyzer.engine.build_tree(interval)
+    with AnalysisEngine(trace, options=options) as engine:
+        built = engine.build_tree(interval)
     cache = ResultCache(trace_path)
     path = cache.trees.path(cache.interval_token(interval))
     payload = json.loads(path.read_text())

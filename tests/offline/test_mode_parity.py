@@ -15,7 +15,7 @@ import pytest
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 import repro.api as api
-from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
+from repro.offline import AnalysisOptions, analyze_trace
 from repro.omp import OpenMPRuntime
 from repro.stream import replay_analyze
 from repro.sword import SwordTool, TraceDir
@@ -56,7 +56,7 @@ def test_all_modes_byte_identical(workload):
 
         # Some racy workloads are undetectable by any dynamic tool
         # (seeded_races == 0); parity must still hold on the empty set.
-        serial = SerialOfflineAnalyzer(TraceDir(trace_path)).analyze().races
+        serial = analyze_trace(TraceDir(trace_path)).races
         assert len(serial) == workload.seeded_races
 
         distributed = api.analyze(

@@ -15,7 +15,7 @@ import repro.api as api
 from repro.__main__ import main
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.obs import live
-from repro.offline import AnalysisOptions, SerialOfflineAnalyzer
+from repro.offline import AnalysisOptions, analyze_trace
 from repro.omp import OpenMPRuntime
 from repro.serve import JobFailedError
 from repro.sword import SwordTool, TraceDir
@@ -57,7 +57,7 @@ def parallel(trace, workers, **kwargs):
 
 
 def test_parallel_matches_serial(collected):
-    serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
+    serial = analyze_trace(TraceDir(collected))
     result = parallel(collected, 3)
     assert result.races.pc_pairs() == serial.races.pc_pairs()
     assert result.stats.concurrent_pairs == serial.stats.concurrent_pairs
@@ -65,13 +65,13 @@ def test_parallel_matches_serial(collected):
 
 def test_one_requested_worker_widens_to_the_default_pool(collected):
     result = parallel(collected, 1)
-    serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
+    serial = analyze_trace(TraceDir(collected))
     assert result.races.pc_pairs() == serial.races.pc_pairs()
 
 
 def test_more_workers_than_pairs(collected):
     result = parallel(collected, 16)
-    serial = SerialOfflineAnalyzer(TraceDir(collected)).analyze()
+    serial = analyze_trace(TraceDir(collected))
     # More workers than pairs left to compare after the plan-time prune.
     assert result.stats.concurrent_pairs - result.stats.pairs_pruned < 16
     assert result.races.pc_pairs() == serial.races.pc_pairs()

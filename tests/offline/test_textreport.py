@@ -1,7 +1,7 @@
 """Text report rendering."""
 
 from repro.common.sourceloc import pc_of
-from repro.offline import SerialOfflineAnalyzer
+from repro.offline import analyze_trace
 from repro.offline.textreport import REPORT_NAME, render_report, write_report
 from repro.sword import TraceDir
 
@@ -20,7 +20,7 @@ def _analysis(trace_dir):
         m.parallel(body)
 
     sword_and_oracle(program, trace_dir)
-    return SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    return analyze_trace(TraceDir(trace_dir))
 
 
 def test_render_contains_stats_and_sites(trace_dir):
@@ -50,6 +50,6 @@ def test_empty_report(trace_dir):
         m.parallel(body)
 
     sword_and_oracle(program, trace_dir)
-    result = SerialOfflineAnalyzer(TraceDir(trace_dir)).analyze()
+    result = analyze_trace(TraceDir(trace_dir))
     text = render_report(result)
     assert "data races: 0" in text

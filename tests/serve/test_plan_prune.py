@@ -24,7 +24,7 @@ from repro.offline.engine import AnalysisEngine
 from repro.offline.intervals import IntervalInventory
 from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.serve import DONE, JobFailedError, ServeConfig, Service, replay_wal
-from repro.serve.shards import PAIRS, SALVAGE, plan_shards
+from repro.serve.shards import plan_shards
 from repro.serve.wal import WAL_NAME
 from repro.sword import TraceDir
 from repro.sword.traceformat import parse_journal
@@ -197,16 +197,33 @@ def test_digestless_rows_fail_a_strict_job_and_drop_in_salvage(
     assert result.races.to_json() == serial.races.to_json()
 
 
-def test_salvage_plan_is_still_one_salvage_shard(traces):
-    plan = plan_shards(
-        traces["torn"], options=AnalysisOptions(integrity="salvage")
+def test_salvage_plan_shards_like_a_strict_plan(tmp_path, traces):
+    """A salvage plan prunes and slices like a strict one and carries
+    the open-time integrity report; its checkpoint tokens name the mode."""
+    salvage = AnalysisOptions(integrity="salvage")
+    serial = api.analyze(traces["torn"], integrity="salvage")
+    plan = plan_shards(traces["torn"], options=salvage, shard_pairs=1)
+    assert len(plan.shards) == plan.pairs_shipped > 1
+    assert counters(plan.stats, ("concurrent_pairs", "pairs_pruned")) == (
+        counters(serial.stats, ("concurrent_pairs", "pairs_pruned"))
     )
-    assert [spec.kind for spec in plan.shards] == [SALVAGE]
-    assert plan.shards[0].pairs == ()
-    assert plan.stats.pairs_pruned == 0
-    assert all(
-        spec.kind == PAIRS for spec in plan_shards(traces["hpccg"]).shards
+    assert plan.stats.pairs_pruned > 0
+    # No pair of this trace is abandoned: the plan's report is the result's.
+    assert plan.integrity.to_json() == serial.integrity.to_json()
+    assert not plan.integrity.clean
+    assert plan_shards(traces["hpccg"]).integrity is None
+    ckpt = str(tmp_path / "checkpoints")
+    strict, salvaged = (
+        plan_shards(
+            traces["hpccg"], options=options, shard_pairs=1,
+            checkpoint_dir=ckpt,
+        ).shards
+        for options in (AnalysisOptions(), salvage)
     )
+    assert [s.pair_keys for s in strict] == [s.pair_keys for s in salvaged]
+    assert not {s.checkpoint_token for s in strict} & {
+        s.checkpoint_token for s in salvaged
+    }
 
 
 # -- service and parallel mode against serial --------------------------------------
@@ -306,16 +323,16 @@ def test_pruned_plan_keeps_the_reference_race_set(tmp_path, traces, label):
     assert reference.stats.pairs_pruned == reference.stats.pair_cache_hits == 0
 
 
-def test_salvage_job_is_one_shard_and_matches_salvage_analyze(tmp_path, traces):
+def test_salvage_job_shards_and_matches_salvage_analyze(tmp_path, traces):
     baseline = api.analyze(traces["torn"], integrity="salvage")
-    with service(tmp_path) as svc:
+    with service(tmp_path, shard_pairs=1) as svc:
         job_id = svc.submit(traces["torn"], integrity="salvage")
         result = svc.result(job_id, timeout=60)
         status = svc.status(job_id)
-    assert status["shards_total"] == 1
+    surviving = baseline.stats.concurrent_pairs - baseline.stats.pairs_pruned
+    assert status["shards_total"] == surviving > 1
     assert result.races.to_json() == baseline.races.to_json()
-    assert result.integrity is not None
-    # The salvage shard prunes for itself; the coordinator adds nothing.
+    assert result.integrity.to_json() == baseline.integrity.to_json()
     assert counters(result.stats) == counters(baseline.stats)
     assert status["pairs_pruned"] == baseline.stats.pairs_pruned > 0
 

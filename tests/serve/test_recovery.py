@@ -1,6 +1,7 @@
 """Durable recovery: WAL resume, checkpoints, degradation, deadlines."""
 
 import json
+import shutil
 import threading
 import time
 
@@ -86,6 +87,36 @@ def test_restart_resumes_job_from_checkpoints(tmp_path, racy_trace):
     assert status["checkpoint_hits"] >= durable
     assert stats["jobs_resumed"] == 1
     assert fresh != job_id
+
+
+def test_salvage_job_resumes_to_the_uninterrupted_result(
+    tmp_path, racy_trace
+):
+    """A salvage job shards like a strict one, so it resumes like one:
+    killed with half its shards checkpointed, the restarted service
+    returns the uninterrupted races and integrity report."""
+    torn = tmp_path / "torn"
+    shutil.copytree(racy_trace, torn)
+    log = sorted(torn.glob("thread_*.log"))[-1]
+    log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+    state = tmp_path / "state"
+    with durable_service(state, shard_pairs=1) as svc:
+        job_id = svc.submit(torn, integrity="salvage")
+        reference = svc.result(job_id, timeout=60)
+        assert svc.status(job_id)["shards_total"] > 1
+    truncate_wal(state, {"shard-done", "merged", "finalized"})
+    checkpoints = sorted((state / "checkpoints").glob("*.json"))
+    for ckpt in checkpoints[::2]:
+        ckpt.unlink()
+    with durable_service(state, shard_pairs=1) as svc:
+        result = svc.result(job_id, timeout=60)
+        status = svc.status(job_id)
+    assert status["resumed"] is True and status["checkpoint_hits"] > 0
+    assert result.races.to_json() == reference.races.to_json()
+    assert result.integrity.to_json() == reference.integrity.to_json()
+    assert result.races.to_json() == api.analyze(
+        torn, integrity="salvage"
+    ).races.to_json()
 
 
 def test_restart_with_no_planned_record_replans_from_scratch(

@@ -8,13 +8,17 @@ files, and retired v1 frames read as defects.
 """
 
 import json
+import shutil
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import api
 from repro.common.errors import TraceFormatError
 from repro.faults.harness import collect_trace, frame_kill_points, kill_sweep
+from repro.offline import AnalysisEngine, AnalysisOptions, IntervalInventory
+from repro.stream import StreamingInterrupted, replay_analyze
 from repro.sword import IntegrityReport, TraceDir
 from repro.sword.traceformat import (
     COMMIT_TRAILER_BYTES,
@@ -43,6 +47,36 @@ def _salvage(trace_dir):
     return api.analyze(trace_dir, integrity="salvage")
 
 
+@pytest.fixture
+def in_every_mode(monkeypatch):
+    """``in_every_mode(trace_dir)`` -> {mode: salvage result}; the
+    parallel mode's service runs its shards on in-process threads."""
+    monkeypatch.setattr(
+        "repro.serve.pool.ProcessPoolExecutor",
+        lambda max_workers: ThreadPoolExecutor(max_workers=max_workers),
+    )
+
+    def analyze(trace_dir):
+        return {
+            mode: api.analyze(
+                trace_dir, mode=mode, integrity="salvage",
+                options=AnalysisOptions(workers=2),
+            )
+            for mode in ("serial", "streaming", "parallel")
+        }
+
+    return analyze
+
+
+def _assert_modes_agree(results, context=None):
+    serial = results["serial"]
+    for mode, result in results.items():
+        assert result.races.to_json() == serial.races.to_json(), (mode, context)
+        assert result.integrity.to_json() == serial.integrity.to_json(), (
+            mode, context,
+        )
+
+
 # -- the property test ---------------------------------------------------------
 
 
@@ -58,6 +92,35 @@ def test_kill_point_sweep_subset_property():
     kinds = {p.point.kind for p in result.points}
     assert {"mid-header", "mid-payload", "pre-commit", "boundary",
             "clean-end"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "workload, nthreads, params",
+    [
+        (WORKLOAD, 2, {}),
+        # Torn threads whose surviving intervals are still compared.
+        ("hpccg", 4, {"n": 256, "iters": 4}),
+    ],
+    ids=["antidep1", "hpccg"],
+)
+def test_kill_point_subset_property_in_every_mode(
+    tmp_path, in_every_mode, workload, nthreads, params
+):
+    """At every kill point, streaming and parallel salvage give serial
+    salvage's races and integrity report byte for byte: the same subset
+    of the clean race set."""
+    clean = tmp_path / "clean"
+    collect_trace(workload, clean, nthreads=nthreads, seed=0, **params)
+    clean_pairs = api.analyze(clean).races.pc_pairs()
+    work = tmp_path / "work"
+    for point in frame_kill_points(clean):
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(clean, work)
+        target = work / point.target
+        target.write_bytes(target.read_bytes()[: point.offset])
+        results = in_every_mode(work)
+        assert results["serial"].races.pc_pairs() <= clean_pairs, point
+        _assert_modes_agree(results, point)
 
 
 def test_sweep_reports_loss_where_expected():
@@ -212,6 +275,58 @@ def test_missing_regions_and_journal_skips_intervals(clean_trace):
     result = _salvage(clean_trace)
     assert result.integrity.intervals_skipped > 0
     assert result.races.pc_pairs() == set()  # under-report, never invent
+
+
+def test_a_lost_thread_leaves_its_teammates_paired(tmp_path, in_every_mode):
+    """One thread's meta file is gone: its teammates' groups never seal,
+    yet every mode still pairs the survivors."""
+    trace = tmp_path / "trace"
+    collect_trace("plusplus-orig-yes", trace, nthreads=4, seed=0)
+    lost = TraceDir(trace).thread_gids[-1]
+    survivors = sum(
+        lost not in (a.key.gid, b.key.gid)
+        for a, b in IntervalInventory(TraceDir(trace)).concurrent_pairs()
+    )
+    clean_pairs = api.analyze(trace).races.pc_pairs()
+    (trace / meta_name(lost)).unlink()
+    results = in_every_mode(trace)
+    _assert_modes_agree(results)
+    for result in results.values():
+        assert result.stats.concurrent_pairs == survivors > 0
+        assert result.races.pc_pairs() <= clean_pairs
+
+
+def test_abandoned_pairs_read_alike_in_every_mode(
+    tmp_path, in_every_mode, monkeypatch
+):
+    """The engine abandons a pair whose comparison raises, whichever
+    driver handed it over; every mode notes the abandoned pairs in the
+    serial driver's pair order."""
+    trace = tmp_path / "trace"
+    collect_trace("plusplus-orig-yes", trace, nthreads=4, seed=0)
+    faulty = TraceDir(trace).thread_gids[-1]
+    compare = AnalysisEngine.compare_trees
+
+    def failing(self, tree_a, tree_b, ia, ib, *args, **kwargs):
+        if faulty in (ia.key.gid, ib.key.gid):
+            raise RuntimeError("compare fell over")
+        return compare(self, tree_a, tree_b, ia, ib, *args, **kwargs)
+
+    monkeypatch.setattr(AnalysisEngine, "compare_trees", failing)
+    results = in_every_mode(trace)
+    _assert_modes_agree(results)
+    integrity = results["serial"].integrity
+    assert integrity.pairs_skipped == len(integrity.notes) >= 2
+    assert all("compare fell over" in note for note in integrity.notes)
+    # An interrupted streaming analysis resumes to the same report.
+    checkpoint = tmp_path / "checkpoint.json"
+    salvage = AnalysisOptions(integrity="salvage")
+    with pytest.raises(StreamingInterrupted):
+        replay_analyze(
+            trace, options=salvage, checkpoint_path=checkpoint, max_pairs=4
+        )
+    resumed = replay_analyze(trace, options=salvage, checkpoint_path=checkpoint)
+    assert resumed.integrity.to_json() == integrity.to_json()
 
 
 def test_missing_mutexsets_under_reports(clean_trace):

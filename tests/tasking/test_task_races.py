@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.archer import ArcherTool
 from repro.common.config import ArcherConfig, RunConfig, SchedulerConfig
 from repro.common.sourceloc import pc_of
-from repro.offline import SerialOfflineAnalyzer
+from repro.offline import analyze_trace
 from repro.omp import OpenMPRuntime
 from repro.sword import TraceDir
 from repro.tasking.graph import TaskGraph
@@ -173,7 +173,7 @@ def test_task_graph_scanned_once_per_region_instance(trace_dir, monkeypatch):
         TaskGraph, "tasks", lambda self: scans.append(1) or tasks(self)
     )
     trace = TraceDir(trace_dir)
-    result = SerialOfflineAnalyzer(trace).analyze()
+    result = analyze_trace(trace)
     assert len(result.races) == 1
     assert all(trace.task_graph.holds_tasks(*group) for group in groups)
     assert result.stats.concurrent_pairs > len(groups)

@@ -23,7 +23,7 @@ from repro.common.config import (
     SchedulerConfig,
     SwordConfig,
 )
-from repro.offline import SerialOfflineAnalyzer, oracle_races
+from repro.offline import analyze_trace, oracle_races
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.sword import SwordTool, TraceDir
 from repro.workloads import REGISTRY
@@ -57,7 +57,7 @@ def _run_both(workload):
             tool=ToolMux([rec, sword_tool]),
         )
         rt.run(lambda m: workload.run_program(m, **params))
-        sword = SerialOfflineAnalyzer(TraceDir(trace)).analyze().races
+        sword = analyze_trace(TraceDir(trace)).races
         oracle = oracle_races(rec, rt.mutexsets)
     finally:
         shutil.rmtree(trace, ignore_errors=True)
