@@ -2,7 +2,8 @@
 
 The headline durability guarantee is *kill-anywhere*: truncate a trace at
 any byte — a frame boundary, mid-header, mid-payload, before the commit
-marker — and salvage analysis still completes, reporting a race set that
+marker — or kill the run after its last flush but before it finalises,
+and salvage analysis still completes, reporting a race set that
 is a **subset** of what the undamaged trace yields (never a crash, never
 an invented race), with the loss itemised in an
 :class:`~repro.sword.integrity.IntegrityReport`.
@@ -15,6 +16,7 @@ property.  It backs both the ``tests/faults`` property test and the CI
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 import tempfile
@@ -28,17 +30,21 @@ from ..obs import get_obs
 from ..omp.runtime import OpenMPRuntime
 from ..sword.logger import SwordTool
 from ..sword.reader import ThreadTraceReader, TraceDir
+from ..sword.traceformat import (
+    MANIFEST_NAME, MUTEXSETS_NAME, REGIONS_NAME, TASKS_NAME,
+)
 from ..workloads import REGISTRY
 from ..workloads.base import Workload
 
 
 @dataclass(frozen=True, slots=True)
 class KillPoint:
-    """One simulated kill: truncate ``target`` at ``offset`` bytes."""
+    """One simulated kill: truncate ``target`` at ``offset`` bytes, or
+    (``pre-finalise``) leave the trace as an unfinalised run does."""
 
-    target: str  # log file name relative to the trace directory
+    target: str  # file name relative to the trace directory
     offset: int
-    kind: str  # "clean-end" | "boundary" | "mid-header" | "mid-payload" | "pre-commit"
+    kind: str  # "clean-end" | "boundary" | "mid-header" | "mid-payload" | "pre-commit" | "pre-finalise"
 
     def describe(self) -> str:
         return f"{self.target}@{self.offset} ({self.kind})"
@@ -89,10 +95,12 @@ def frame_kill_points(trace_dir: str | Path) -> list[KillPoint]:
     Per frame: the boundary after it, a mid-header cut, a mid-payload
     cut, and a cut just before the commit marker; plus the file end
     itself (``clean-end`` — the no-fault control point, which salvage
-    must analyze byte-identically to strict).  The layout comes from the
-    reader's own :meth:`~repro.sword.reader.ThreadTraceReader.
-    frame_spans` index — the sweep cuts exactly where the reader says
-    frames live, with no second frame parser to drift out of sync.
+    must analyze byte-identically to strict).  Last, ``pre-finalise``:
+    the run killed after its last flush, before it finalised.  The
+    layout comes from the reader's own
+    :meth:`~repro.sword.reader.ThreadTraceReader.frame_spans` index —
+    the sweep cuts exactly where the reader says frames live, with no
+    second frame parser to drift out of sync.
     """
     trace_dir = Path(trace_dir)
     points: list[KillPoint] = []
@@ -132,7 +140,7 @@ def frame_kill_points(trace_dir: str | Path) -> list[KillPoint]:
                     "clean-end" if span.end == size else "boundary",
                 )
             )
-    return points
+    return points + [KillPoint(MANIFEST_NAME, 0, "pre-finalise")]
 
 
 @dataclass(slots=True)
@@ -205,12 +213,25 @@ class SweepResult:
         )
 
 
-def _truncate_copy(clean: Path, work: Path, point: KillPoint) -> None:
+def apply_kill_point(clean: Path, work: Path, point: KillPoint) -> None:
+    """Make ``work`` the clean trace as ``point`` leaves it.  Before
+    finalising, a run has not written its regions, mutex-set and task
+    tables, and its manifest is the in-progress header."""
     if work.exists():
         shutil.rmtree(work)
     shutil.copytree(clean, work)
     target = work / point.target
-    target.write_bytes(target.read_bytes()[: point.offset])
+    if point.kind != "pre-finalise":
+        target.write_bytes(target.read_bytes()[: point.offset])
+        return
+    for name in (REGIONS_NAME, MUTEXSETS_NAME, TASKS_NAME):
+        (work / name).unlink(missing_ok=True)
+    manifest = json.loads(target.read_text())
+    header = {"in_progress": True, **{
+        key: manifest[key]
+        for key in ("format_version", "codec", "buffer_events", "thread_gids")
+    }}
+    target.write_text(json.dumps(header, indent=2, sort_keys=True))
 
 
 def kill_sweep(
@@ -260,7 +281,7 @@ def kill_sweep(
         work = root / "work"
         journal = get_obs().journal
         for point in points:
-            _truncate_copy(clean, work, point)
+            apply_kill_point(clean, work, point)
             try:
                 analysis = api.analyze(work, integrity="salvage")
             except Exception as exc:  # the property forbids ANY crash

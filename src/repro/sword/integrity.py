@@ -44,7 +44,7 @@ class ThreadIntegrity:
 
     @property
     def clean(self) -> bool:
-        return not (self.chunks_dropped or self.bytes_dropped or self.rows_dropped)
+        return not self.errors  # every defect found is one entry
 
     def reset(self) -> None:
         """Zero the ledger before a (re-)scan.
@@ -98,7 +98,7 @@ class IntegrityReport:
     #: chunks) plus pairs the engine abandoned mid-analysis.
     intervals_skipped: int = 0
     pairs_skipped: int = 0
-    #: Run-wide files that were missing or unusable (manifest, regions…).
+    #: Trace files that were missing or unusable (tables, logs, meta).
     missing_files: list[str] = field(default_factory=list)
     #: Static verdict tables rejected (truncated/corrupt payload).  The
     #: analysis falls back to UNKNOWN-everything — no report injected —
@@ -186,7 +186,8 @@ class IntegrityReport:
         if self.clean:
             return "integrity: clean (no loss detected)"
         return (
-            f"integrity: salvaged with loss — {self.chunks_dropped} chunk(s) "
+            f"integrity: salvaged with loss — {len(self.missing_files)} "
+            f"file(s) missing, {self.chunks_dropped} chunk(s) "
             f"and {self.rows_dropped} meta row(s) dropped, "
             f"{self.intervals_skipped} interval(s) and "
             f"{self.pairs_skipped} pair(s) skipped; "

@@ -38,7 +38,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from ..omp.mutexset import MutexSetTable
 from ..osl.concurrency import IntervalLabel, IntervalPair
 from .digest import FrameDigest
 from ..static.table import STATIC_VERDICTS_KEY
-from ..tasking.graph import TaskGraph
+from ..tasking.graph import IMPLICIT, TaskGraph
 from .integrity import IntegrityReport, ThreadIntegrity
 from .traceformat import (
     COMMIT_TRAILER_BYTES,
@@ -550,26 +550,104 @@ class _TolerantMutexSetTable(MutexSetTable):
         except KeyError:
             return False
 
-    @classmethod
-    def wrap(cls, table: MutexSetTable) -> "_TolerantMutexSetTable":
-        tolerant = cls()
-        with table._lock:
-            tolerant._by_id = dict(table._by_id)
-            tolerant._by_set = dict(table._by_set)
-            tolerant._next = table._next
-        return tolerant
-
 
 _LOG_RE = re.compile(r"^thread_(\d+)\.log$")
+
+
+class _LostTaskGraph(TaskGraph):
+    """The task graph salvage substitutes for a lost ``tasks.json``.
+
+    Without the graph no explicit-task point can be ordered, and the
+    barrier rule alone would call such points concurrent (false races).
+    So every interval may hold tasks — its pairs, self-pairs included,
+    take the task-gated comparison — and judging an explicit-task point
+    raises: salvage abandons and counts that pair
+    (:meth:`~repro.offline.engine.AnalysisEngine.analyze_pair`).
+    Implicit-task points are ordered as under any graph.
+    """
+
+    def holds_tasks(self, pid: int, bid: int) -> bool:
+        return True
+
+    def concurrent(self, entity_a, seq_a, gid_a, entity_b, seq_b, gid_b) -> bool:
+        if entity_a != IMPLICIT or entity_b != IMPLICIT:
+            raise TraceFormatError(
+                f"{TASKS_NAME} lost: explicit-task points cannot be ordered"
+            )
+        return super().concurrent(entity_a, seq_a, gid_a, entity_b, seq_b, gid_b)
+
+
+@dataclass(frozen=True, slots=True)
+class _RunFile:
+    """One row of the loader table: a run-wide file of a trace."""
+
+    name: str
+    #: ``(path, salvage)`` -> the loaded table; raises on a corrupt file.
+    parse: Callable[[Path, bool], object]
+    #: The durable journal whose intact records ``substitute`` gets.
+    journal: str | None
+    #: What salvage uses in place of the lost file.
+    substitute: Callable[[list[dict]], object]
+    #: What the substitute costs the analysis (the loss note).
+    cost: str
+
+
+def _manifest(path: Path, salvage: bool) -> dict:
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not an object")
+    return manifest
+
+
+#: The manifest: first, since the static verdicts and the thread list
+#: are read from it.
+_MANIFEST = _RunFile(
+    MANIFEST_NAME, _manifest, None, lambda records: {"reconstructed": True},
+    f"threads taken from the logs on disk, verdicts from "
+    f"{VERDICTS_JOURNAL_NAME}",
+)
+#: The tables a run writes when it finalises, in load order.  In
+#: salvage a mutex-set snapshot may predate the kill: stale ids are
+#: tolerated.
+_TABLES = (
+    _RunFile(
+        REGIONS_NAME,
+        lambda path, salvage: {
+            int(k): v for k, v in json.loads(path.read_text()).items()
+        },
+        REGIONS_JOURNAL_NAME,
+        # A region is journalled at fork time, before any chunk
+        # referencing it could have been flushed.
+        lambda records: {int(r.pop("pid")): r for r in records},
+        f"rebuilt from {REGIONS_JOURNAL_NAME}; intervals of regions it "
+        f"lacks are skipped",
+    ),
+    _RunFile(
+        MUTEXSETS_NAME,
+        lambda path, salvage: (
+            _TolerantMutexSetTable if salvage else MutexSetTable
+        ).load(path),
+        None, lambda records: _TolerantMutexSetTable(),
+        "unknown mutex sets are treated as overlapping (may under-report "
+        "races)",
+    ),
+    _RunFile(
+        TASKS_NAME,
+        lambda path, salvage: TaskGraph.from_json(json.loads(path.read_text())),
+        None, lambda records: _LostTaskGraph(),
+        "pairs that reach an explicit-task point are abandoned",
+    ),
+)
 
 
 class TraceDir:
     """A complete SWORD trace directory (one program run).
 
-    ``integrity="salvage"`` opens traces a crashed run left behind:
-    missing or corrupt run-wide files are reconstructed where possible
-    (thread list from the log files on disk, regions from the durable
-    journal) and every repair is recorded in :attr:`integrity`.
+    Every run-wide file loads through one row of the loader table
+    (:data:`_MANIFEST`, :data:`_TABLES`) under one loss rule
+    (:meth:`_lose`): strict raises naming a missing or corrupt file;
+    ``integrity="salvage"`` lists it in ``missing_files``, notes what
+    its substitute costs, and goes on with the substitute.
     """
 
     def __init__(
@@ -579,83 +657,62 @@ class TraceDir:
         self.path = Path(path)
         self.integrity_mode = integrity
         self.integrity = IntegrityReport(mode=integrity)
-        salvage = integrity == "salvage"
-        self.manifest = self._load_manifest(salvage)
-        self.static_verdicts = self._load_static_verdicts(salvage)
-        self.regions: dict[int, dict] = self._load_regions(salvage)
-        self.mutexsets = self._load_mutexsets(salvage)
-        tasks_path = self.path / TASKS_NAME
-        if tasks_path.exists():
-            try:
-                self.task_graph = TaskGraph.from_json(
-                    json.loads(tasks_path.read_text())
-                )
-            except (ValueError, KeyError, TypeError):
-                if not salvage:
-                    raise
-                self.integrity.missing_files.append(TASKS_NAME)
-                self.integrity.note(f"{TASKS_NAME}: corrupt, task graph ignored")
-                self.task_graph = TaskGraph()
-        else:  # traces from before the tasking extension
-            self.task_graph = TaskGraph()
-        self.thread_gids: list[int] = self._load_thread_gids(salvage)
-
-    # -- salvage-aware loading -------------------------------------------------
-
-    def _glob_thread_gids(self) -> list[int]:
-        gids = []
-        for entry in self.path.iterdir():
-            match = _LOG_RE.match(entry.name)
-            if match:
-                gids.append(int(match.group(1)))
-        return sorted(gids)
-
-    def _load_manifest(self, salvage: bool) -> dict:
-        manifest_path = self.path / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            if not isinstance(manifest, dict):
-                raise ValueError("manifest is not an object")
-        except (OSError, ValueError) as exc:
-            if not salvage:
-                if not manifest_path.exists():
-                    raise TraceFormatError(
-                        f"{self.path}: missing {MANIFEST_NAME}"
-                    )
-                raise TraceFormatError(
-                    f"{manifest_path}: corrupt manifest: {exc}"
-                ) from exc
-            self.integrity.missing_files.append(MANIFEST_NAME)
-            self.integrity.note(
-                f"{MANIFEST_NAME}: missing/corrupt, reconstructed from disk"
-            )
-            return {"reconstructed": True}
-        if manifest.get("in_progress"):
+        self.manifest = self._load(_MANIFEST)
+        if self.manifest.get("in_progress"):
             self.integrity.note(
                 f"{MANIFEST_NAME}: in-progress (run was killed before "
                 f"finalisation)"
             )
-        return manifest
+        self.static_verdicts = self._static_verdicts()
+        self.regions, self.mutexsets, self.task_graph = map(self._load, _TABLES)
+        self.thread_gids: list[int] = self._load_thread_gids()
 
-    def _load_static_verdicts(self, salvage: bool):
-        """Parse the manifest's static verdict table, if present.
+    # -- the loader table ------------------------------------------------------
 
-        A manifest still in progress (the run was killed before
-        finalisation) carries no table; the durable verdict journal is
-        folded into one instead.  A table that fails its schema, version,
-        or CRC check is corrupt: strict mode raises, salvage mode falls
-        back to UNKNOWN-everything (full-instrumentation semantics — the
-        analysis skips no pair and injects no synthesised report) and
-        counts the loss.
+    def _load(self, row: _RunFile):
+        """One row under the loss rule: its file, else its substitute."""
+        try:
+            return row.parse(self.path / row.name, self.integrity_mode == "salvage")
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            self._lose(
+                row.name,
+                "missing" if isinstance(exc, FileNotFoundError)
+                else f"corrupt ({exc})",
+                row.cost,
+            )
+        journal = self.path / row.journal if row.journal else None
+        if journal is None or not journal.exists():
+            return row.substitute([])
+        return row.substitute(parse_journal(journal.read_text(), salvage=True))
+
+    def _lose(self, name: str, problem: str, cost: str) -> None:
+        """The loss rule: strict raises naming the file; salvage lists it
+        in ``missing_files`` and notes what its substitute costs."""
+        if self.integrity_mode == "strict":
+            raise TraceFormatError(f"{self.path / name}: {problem}")
+        self.integrity.missing_files.append(name)
+        self.integrity.note(f"{name}: {problem}; {cost}")
+
+    def _static_verdicts(self):
+        """The manifest's static verdict table; a manifest that is not
+        finalised (a killed run's header, or a lost one) has none, and
+        the durable verdict journal is folded into one instead.
+
+        A table that fails its schema, version, or CRC check is corrupt:
+        strict mode raises, salvage mode falls back to UNKNOWN-everything
+        (full-instrumentation semantics — the analysis skips no pair and
+        injects no synthesised report) and counts the loss.
         """
         payload = self.manifest.get(STATIC_VERDICTS_KEY)
         journal = self.path / VERDICTS_JOURNAL_NAME
         if payload is None and not (
-            self.manifest.get("in_progress") and journal.exists()
+            (self.manifest.get("in_progress") or self.manifest.get("reconstructed"))
+            and journal.exists()
         ):
             return None
         from ..static.table import StaticVerdictTable  # deferred: cycle
 
+        salvage = self.integrity_mode == "salvage"
         source = MANIFEST_NAME if payload is not None else VERDICTS_JOURNAL_NAME
         try:
             if payload is not None:
@@ -675,82 +732,25 @@ class TraceDir:
             return None
         self.integrity.note(
             f"{VERDICTS_JOURNAL_NAME}: folded {len(table.regions)} region "
-            f"verdict(s) into the in-progress manifest"
+            f"verdict(s) in place of the manifest's table"
         )
         return table if table.regions else None
 
-    def _load_regions(self, salvage: bool) -> dict[int, dict]:
-        regions_path = self.path / REGIONS_NAME
-        try:
-            payload = json.loads(regions_path.read_text())
-            return {int(k): v for k, v in payload.items()}
-        except (OSError, ValueError) as exc:
-            if not salvage:
-                raise TraceFormatError(
-                    f"{regions_path}: missing or corrupt regions table: {exc}"
-                ) from exc
-        # Fall back to the durable journal (regions.jsonl), dropping any
-        # torn line; a region journalled at fork time is always complete
-        # before any chunk referencing it could have been flushed.
-        self.integrity.missing_files.append(REGIONS_NAME)
-        journal_path = self.path / REGIONS_JOURNAL_NAME
-        regions: dict[int, dict] = {}
-        if journal_path.exists():
-            for record in parse_journal(journal_path.read_text(), salvage=True):
-                try:
-                    pid = int(record.pop("pid"))
-                except (KeyError, ValueError, TypeError):
-                    continue
-                regions[pid] = record
-            self.integrity.note(
-                f"{REGIONS_NAME}: recovered {len(regions)} region(s) from "
-                f"{REGIONS_JOURNAL_NAME}"
-            )
-        else:
-            self.integrity.note(
-                f"{REGIONS_NAME}: missing and no journal; intervals of "
-                f"unknown regions will be skipped"
-            )
-        return regions
-
-    def _load_mutexsets(self, salvage: bool) -> MutexSetTable:
-        mutex_path = self.path / MUTEXSETS_NAME
-        try:
-            table = MutexSetTable.load(mutex_path)
-        except (OSError, ValueError) as exc:
-            if not salvage:
-                raise TraceFormatError(
-                    f"{mutex_path}: missing or corrupt mutex-set table: {exc}"
-                ) from exc
-            self.integrity.missing_files.append(MUTEXSETS_NAME)
-            self.integrity.note(
-                f"{MUTEXSETS_NAME}: missing/corrupt; unknown mutex sets are "
-                f"treated as overlapping (may under-report races)"
-            )
-            return _TolerantMutexSetTable()
-        if salvage:
-            # The snapshot may predate the kill; tolerate stale ids.
-            return _TolerantMutexSetTable.wrap(table)
-        return table
-
-    def _load_thread_gids(self, salvage: bool) -> list[int]:
+    def _load_thread_gids(self) -> list[int]:
         listed = self.manifest.get("thread_gids")
-        if listed is not None and not salvage:
+        if listed is not None and self.integrity_mode == "strict":
             return list(listed)
-        on_disk = self._glob_thread_gids()
-        if listed is None:
-            return on_disk
-        # Salvage: trust only gids whose log actually exists, and pick up
-        # logs the (possibly stale in-progress) manifest missed.
-        merged = sorted(set(int(g) for g in listed) | set(on_disk))
-        present = [gid for gid in merged if (self.path / log_name(gid)).exists()]
-        missing = sorted(set(merged) - set(present))
-        for gid in missing:
-            self.integrity.thread(gid).errors.append(
-                f"{log_name(gid)}: listed in manifest but missing on disk"
-            )
-            self.integrity.missing_files.append(log_name(gid))
-        return present
+        # Salvage: the logs on disk, which pick up any the (possibly
+        # stale in-progress) manifest missed.
+        names = set(os.listdir(self.path))
+        on_disk = sorted(
+            int(match.group(1)) for match in map(_LOG_RE.match, names) if match
+        )
+        lost = [log_name(gid) for gid in sorted(set(listed or ()) - set(on_disk))]
+        lost += [meta_name(gid) for gid in on_disk if meta_name(gid) not in names]
+        for name in lost:
+            self._lose(name, "missing", "that thread's intervals are not analysed")
+        return on_disk
 
     # -- readers ---------------------------------------------------------------
 
@@ -764,29 +764,6 @@ class TraceDir:
         return ThreadTraceReader(
             self.path, gid, integrity=self.integrity_mode, report=report
         )
-
-    def frames_in(
-        self, interval, *, reader: ThreadTraceReader | None = None
-    ) -> Iterator[FrameView]:
-        """Lazy views of an interval's chunks.
-
-        ``interval`` is anything with ``key.gid`` and ``chunks``
-        (``[(data_begin, size), ...]``) — the offline engine's
-        ``IntervalData`` shape.  Pass an open ``reader`` to reuse its
-        block cache; otherwise one is opened (and closed) here.
-        """
-        own = reader is None
-        if reader is None:
-            reader = self.reader(interval.key.gid)
-        try:
-            for begin, size in interval.chunks:
-                yield reader.frame_at(begin, size)
-        finally:
-            if own:
-                reader.close()
-
-    def region_span(self, pid: int) -> int:
-        return int(self.regions[pid]["span"])
 
     def interval_label(self, pid: int, slot: int, bid: int) -> IntervalLabel:
         """Reconstruct the barrier-interval label from the regions table.

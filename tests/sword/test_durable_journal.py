@@ -111,6 +111,18 @@ def test_killed_run_keeps_synthesised_witness(tmp_path):
     assert salvaged.races.to_json() == reference.races.to_json()
 
 
+def test_lost_manifest_keeps_synthesised_witness(tmp_path):
+    """A lost manifest takes its verdict table with it; salvage folds
+    the verdict journal in its place."""
+    _run(_tool(tmp_path), "staticlab_wshift")
+    reference = api.analyze(TraceDir(tmp_path))
+    assert len(reference.races) == 1
+    (tmp_path / MANIFEST_NAME).unlink()
+    salvaged = api.analyze(tmp_path, integrity="salvage")
+    assert salvaged.races.to_json() == reference.races.to_json()
+    assert salvaged.integrity.missing_files == [MANIFEST_NAME]
+
+
 def _kill_before_finalize(trace_dir, name, **params):
     tool = _tool(trace_dir)
     tool.on_run_end = lambda runtime: None  # the run dies here

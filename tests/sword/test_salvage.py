@@ -16,7 +16,12 @@ import pytest
 
 from repro import api
 from repro.common.errors import TraceFormatError
-from repro.faults.harness import collect_trace, frame_kill_points, kill_sweep
+from repro.faults.harness import (
+    apply_kill_point,
+    collect_trace,
+    frame_kill_points,
+    kill_sweep,
+)
 from repro.offline import AnalysisEngine, AnalysisOptions, IntervalInventory
 from repro.stream import StreamingInterrupted, replay_analyze
 from repro.sword import IntegrityReport, TraceDir
@@ -28,6 +33,7 @@ from repro.sword.traceformat import (
     MUTEXSETS_NAME,
     REGIONS_JOURNAL_NAME,
     REGIONS_NAME,
+    TASKS_NAME,
     log_name,
     meta_name,
     unpack_frame_header,
@@ -91,7 +97,7 @@ def test_kill_point_sweep_subset_property():
     assert result.ok, f"kill-anywhere violated: {failures}"
     kinds = {p.point.kind for p in result.points}
     assert {"mid-header", "mid-payload", "pre-commit", "boundary",
-            "clean-end"} <= kinds
+            "clean-end", "pre-finalise"} <= kinds
 
 
 @pytest.mark.parametrize(
@@ -100,8 +106,10 @@ def test_kill_point_sweep_subset_property():
         (WORKLOAD, 2, {}),
         # Torn threads whose surviving intervals are still compared.
         ("hpccg", 4, {"n": 256, "iters": 4}),
+        # Explicit tasks: a run killed before finalising has no task graph.
+        ("task-fib", 4, {}),
     ],
-    ids=["antidep1", "hpccg"],
+    ids=["antidep1", "hpccg", "task-fib"],
 )
 def test_kill_point_subset_property_in_every_mode(
     tmp_path, in_every_mode, workload, nthreads, params
@@ -114,10 +122,7 @@ def test_kill_point_subset_property_in_every_mode(
     clean_pairs = api.analyze(clean).races.pc_pairs()
     work = tmp_path / "work"
     for point in frame_kill_points(clean):
-        shutil.rmtree(work, ignore_errors=True)
-        shutil.copytree(clean, work)
-        target = work / point.target
-        target.write_bytes(target.read_bytes()[: point.offset])
+        apply_kill_point(clean, work, point)
         results = in_every_mode(work)
         assert results["serial"].races.pc_pairs() <= clean_pairs, point
         _assert_modes_agree(results, point)
@@ -125,6 +130,7 @@ def test_kill_point_subset_property_in_every_mode(
 
 def test_sweep_reports_loss_where_expected():
     result = kill_sweep(WORKLOAD, nthreads=2, seed=0, buffer_events=64)
+    assert "pre-finalise" in {p.point.kind for p in result.points}
     for p in result.points:
         if p.point.kind == "clean-end":
             assert p.identical
@@ -294,6 +300,46 @@ def test_a_lost_thread_leaves_its_teammates_paired(tmp_path, in_every_mode):
     for result in results.values():
         assert result.stats.concurrent_pairs == survivors > 0
         assert result.races.pc_pairs() <= clean_pairs
+        assert not result.integrity.clean
+        assert meta_name(lost) in result.integrity.missing_files
+
+
+def test_figure2_nested_without_thread_0_meta_is_not_clean(
+    tmp_path, in_every_mode
+):
+    """A lost thread meta file loses races: the report must say so."""
+    trace = tmp_path / "trace"
+    collect_trace("figure2-nested", trace, nthreads=4, seed=0)
+    intact = api.analyze(trace).races.pc_pairs()
+    (trace / meta_name(0)).unlink()
+    results = in_every_mode(trace)
+    _assert_modes_agree(results)
+    for result in results.values():
+        assert result.races.pc_pairs() <= intact
+        integrity = result.integrity.to_json()
+        assert integrity["clean"] is False
+        assert integrity["races_possibly_missed"] is True
+        assert integrity["threads"]["0"]["errors"]
+
+
+@pytest.mark.parametrize("workload", ["task-fib", "task-farm"])
+def test_task_fib_without_tasks_json(tmp_path, in_every_mode, workload):
+    """Without its task graph a tasking trace cannot order its explicit
+    tasks: strict refuses it, and salvage abandons the pairs that need
+    the graph instead of judging them by the barrier rule."""
+    trace = tmp_path / "trace"
+    collect_trace(workload, trace, nthreads=4, seed=0)
+    intact = api.analyze(trace).races.pc_pairs()
+    (trace / TASKS_NAME).unlink()
+    with pytest.raises(TraceFormatError, match=TASKS_NAME):
+        TraceDir(trace)
+    results = in_every_mode(trace)
+    _assert_modes_agree(results)
+    for result in results.values():
+        assert result.races.pc_pairs() <= intact
+        assert result.integrity.missing_files == [TASKS_NAME]
+        assert not result.integrity.clean
+        assert result.integrity.pairs_skipped > 0
 
 
 def test_abandoned_pairs_read_alike_in_every_mode(
@@ -337,14 +383,23 @@ def test_missing_mutexsets_under_reports(clean_trace):
     assert result.races.pc_pairs() <= strict_races
 
 
-def test_integrity_report_json_round_trip(clean_trace):
-    log_path = clean_trace / log_name(TraceDir(clean_trace).thread_gids[0])
+def test_integrity_report_json_round_trip(clean_trace, tmp_path):
+    torn, deleted = tmp_path / "torn", tmp_path / "deleted"
+    shutil.copytree(clean_trace, torn)
+    shutil.copytree(clean_trace, deleted)
+    log_path = torn / log_name(TraceDir(torn).thread_gids[0])
     log_path.write_bytes(log_path.read_bytes()[:-5])
-    report = _salvage(clean_trace).integrity
-    clone = IntegrityReport.from_json(json.loads(json.dumps(report.to_json())))
-    assert clone.to_json() == report.to_json()
-    assert not clone.clean
-    assert "salvaged with loss" in clone.summary()
+    # The only loss is a deleted file: the summary must count it.
+    (deleted / TASKS_NAME).unlink()
+    for trace, missing in ((torn, 0), (deleted, 1)):
+        report = _salvage(trace).integrity
+        clone = IntegrityReport.from_json(
+            json.loads(json.dumps(report.to_json()))
+        )
+        assert clone.to_json() == report.to_json()
+        assert not clone.clean
+        assert "salvaged with loss" in clone.summary()
+        assert f"— {missing} file(s) missing" in clone.summary()
 
 
 def test_analysis_result_json_carries_integrity_key(clean_trace):

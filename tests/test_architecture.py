@@ -127,6 +127,14 @@ FORBIDDEN = {
         ("src", "tests", "examples", "benchmarks"),
         r"benchmarks/bench/",
     ),
+    # One loader table for a trace's run-wide files, and tasks.json is
+    # required: no per-file loader or pre-tasking fallback comes back.
+    "one-loader-table": (
+        r"_load_manifest|_load_regions|_load_mutexsets|_load_static_verdicts"
+        r"|before the tasking extension",
+        ("src",),
+        None,
+    ),
 }
 
 
