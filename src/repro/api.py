@@ -156,10 +156,11 @@ def analyze(
     Modes: ``serial`` (one process), ``parallel`` (one job on a
     short-lived :class:`Service` with ``options.workers`` process
     workers; a failed shard raises ``JobFailedError``), ``streaming``
-    (replay the trace through the incremental analyzer — the
-    checkpoint/resume path), or ``auto`` (parallel when
-    ``options.workers > 1``, serial otherwise).  All modes return
-    byte-identical race sets.
+    (replay the trace through the incremental analyzer), or ``auto``
+    (parallel when ``options.workers > 1``, serial otherwise).  All
+    modes return byte-identical race sets.  With
+    ``options.fastpath.result_cache`` on, any mode resumes an
+    interrupted analysis: decided pairs replay from the pair store.
 
     ``integrity="salvage"`` analyses a damaged trace (crashed run,
     corrupted files): every defect truncates or skips instead of
@@ -230,10 +231,10 @@ class Session:
       and read :meth:`result` when done; races stream through
       ``on_race`` as they are confirmed;
     * **replay** — point it at a closed trace directory and call
-      :meth:`analyze`; with ``options.checkpoint_path`` set, repeated
-      calls resume instead of starting over, and with
-      ``options.fastpath.result_cache`` on, unchanged intervals and
-      pairs are served from the persistent cache.
+      :meth:`analyze`; with ``options.fastpath.result_cache`` on, a
+      session rerun over an interrupted analysis's trace resumes
+      instead of starting over: unchanged intervals and pairs are
+      served from the persistent cache.
     """
 
     def __init__(

@@ -724,11 +724,11 @@ class AnalysisEngine:
         ib: IntervalData,
         races: RaceSet,
         on_race=None,
-    ) -> bool:
+    ) -> None:
         """Decide one interval pair (the unit of scheduling) through the
         cascade.  In salvage an exception abandons the pair, not the
         analysis: it is counted and noted on :attr:`abandoned` and on
-        ``offline.pairs_skipped``, and False is returned."""
+        ``offline.pairs_skipped``."""
         try:
             self._cascade(ia, ib, races, on_race)
         except Exception as exc:
@@ -741,8 +741,6 @@ class AnalysisEngine:
                 f"abandoned: {exc}"
             )
             self.obs.registry.counter("offline.pairs_skipped").inc()
-            return False
-        return True
 
     def _cascade(self, ia, ib, races, on_race) -> None:
         """The pair-decision cascade.

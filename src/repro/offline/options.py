@@ -40,10 +40,9 @@ class FastPathOptions:
 class AnalysisOptions:
     """Every knob of the offline analysis, for all three modes.
 
-    Mode-specific fields are simply ignored where they do not apply
-    (``workers`` by the serial driver, checkpointing by the post-mortem
-    drivers) so one object can travel through :mod:`repro.api`
-    unchanged.
+    ``workers`` is simply ignored where it does not apply (by the serial
+    and streaming drivers) so one object can travel through
+    :mod:`repro.api` unchanged.
     """
 
     # Engine / all modes.
@@ -57,10 +56,6 @@ class AnalysisOptions:
 
     # Distributed mode: worker processes (Table III's MT column).
     workers: int = 1
-
-    # Streaming mode.
-    checkpoint_path: Optional[str] = None
-    max_pairs: Optional[int] = None
 
     def validate(self) -> None:
         if self.workers <= 0:

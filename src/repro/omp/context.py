@@ -95,25 +95,6 @@ class MasterContext:
         """
         self.runtime.parallel(self.thread, nthreads, body, args, static=static)
 
-    def parallel_for(
-        self,
-        n: int,
-        body: Callable[..., Any],
-        *args: Any,
-        nthreads: Optional[int] = None,
-        schedule: str = "static",
-        chunk: Optional[int] = None,
-        static: Optional[Any] = None,
-    ) -> None:
-        """``#pragma omp parallel for``: fork a team and distribute ``n``
-        iterations, calling ``body(ctx, i, *args)`` per iteration."""
-
-        def _region(ctx: "ThreadContext") -> None:
-            for i in ctx.for_range(n, schedule=schedule, chunk=chunk):
-                body(ctx, i, *args)
-
-        self.runtime.parallel(self.thread, nthreads, _region, (), static=static)
-
     # -- direct (uninstrumented) data helpers ---------------------------------------
 
     @staticmethod

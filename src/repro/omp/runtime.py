@@ -196,10 +196,6 @@ class SimThread:
     # -- structural queries --------------------------------------------------
 
     @property
-    def in_parallel(self) -> bool:
-        return bool(self.frames)
-
-    @property
     def frame(self) -> TaskFrame:
         if not self.frames:
             raise RuntimeModelError(

@@ -17,9 +17,8 @@ A replayed salvage trace is read with salvage readers into its own
 :class:`~repro.sword.integrity.IntegrityReport`, into which trace end
 folds the pairs the engine abandoned.
 
-Progress is optionally checkpointed (:mod:`repro.stream.checkpoint`); an
-interrupted analysis resumes by replaying the finished trace through the
-same observer — checkpointed pairs are skipped, the rest are analyzed.
+An interrupted analysis resumes by rerunning it with
+``fastpath.result_cache`` on: decided pairs replay from the pair store.
 """
 
 from __future__ import annotations
@@ -35,16 +34,6 @@ from ..offline.options import AnalysisOptions
 from ..offline.report import RaceSet
 from ..sword.reader import ThreadTraceReader, TraceDir
 from .bus import TraceObserver, replay_trace
-from .checkpoint import Checkpoint
-
-
-#: Analyzed pairs between two checkpoint saves.
-CHECKPOINT_EVERY = 32
-
-
-class StreamingInterrupted(RuntimeError):
-    """Raised when the analyzer hits its ``max_pairs`` budget (tests use
-    this to simulate a mid-run crash; the checkpoint is saved first)."""
 
 
 class LiveTraceSource:
@@ -79,14 +68,9 @@ class StreamAnalyzer(TraceObserver):
 
     Args:
         directory: the trace directory being produced (or replayed).
-        options: unified :class:`AnalysisOptions`; the explicit keyword
-            arguments below override the matching fields when given.
-        checkpoint_path: enable resumable progress at this file, saved
-            every :data:`CHECKPOINT_EVERY` analyzed pairs.
+        options: unified :class:`AnalysisOptions`.
         on_race: live feed — called with each :class:`RaceReport` the
             first time its pc pair is confirmed.
-        max_pairs: analyze at most this many new pairs, then save the
-            checkpoint and raise :class:`StreamingInterrupted`.
     """
 
     def __init__(
@@ -94,19 +78,13 @@ class StreamAnalyzer(TraceObserver):
         directory: str | Path,
         *,
         options: AnalysisOptions | None = None,
-        checkpoint_path: str | Path | None = None,
         on_race=None,
-        max_pairs: int | None = None,
         obs: Instrumentation | None = None,
     ) -> None:
         self.directory = Path(directory)
         options = (
             options.copy() if options is not None else AnalysisOptions()
         )
-        if checkpoint_path is not None:
-            options.checkpoint_path = str(checkpoint_path)
-        if max_pairs is not None:
-            options.max_pairs = max_pairs
         options.validate()
         self.options = options
         self.obs = obs or options.obs or get_obs()
@@ -115,26 +93,13 @@ class StreamAnalyzer(TraceObserver):
         self._m_pairs = registry.counter(
             "stream.pairs_analyzed", "interval pairs analyzed live"
         )
-        self._m_skipped = registry.counter(
-            "stream.pairs_skipped", "pairs skipped via checkpoint"
-        )
         self._m_races = registry.gauge(
             "stream.races", "confirmed races so far"
         )
         self._m_first_race = registry.gauge(
             "stream.first_race_seconds", "time to first confirmed race"
         )
-        self.checkpoint = (
-            Checkpoint(options.checkpoint_path)
-            if options.checkpoint_path
-            else None
-        )
-        self.max_pairs = options.max_pairs
-        # Resuming: the checkpoint's race set *is* the working set, so
-        # every save persists the merged state.
-        self.races: RaceSet = (
-            self.checkpoint.races if self.checkpoint else RaceSet()
-        )
+        self.races = RaceSet()
         self.source = LiveTraceSource(self.directory)
         self.inventory = IntervalInventory(self.source, load=False)
         self.pairs_planned = 0
@@ -143,10 +108,8 @@ class StreamAnalyzer(TraceObserver):
         self.plan_seconds = 0.0
         self.engine: AnalysisEngine | None = None
         self.pairs_analyzed = 0
-        self.pairs_skipped = 0
         self.first_race_seconds: float | None = None
         self.finished = False
-        self._since_save = 0
         self._t0: float | None = None
         #: The trace producer (live SwordTool or replayed TraceDir) —
         #: its static verdict table is read lazily at result time, when
@@ -216,8 +179,6 @@ class StreamAnalyzer(TraceObserver):
         self.plan_seconds += perf_counter() - t0
         self._process(pairs)
         self.finished = True
-        if self.checkpoint is not None:
-            self.checkpoint.save()
         if self.engine is not None:
             self.engine.close()
             if self.engine.abandoned is not None:
@@ -229,34 +190,11 @@ class StreamAnalyzer(TraceObserver):
         assert self.engine is not None, "on_trace_begin not delivered"
         self.pairs_planned += len(pairs)
         for ia, ib in pairs:
-            if self.checkpoint is not None and self.checkpoint.contains(
-                ia.key, ib.key
-            ):
-                self.pairs_skipped += 1
-                self._m_skipped.inc()
-                continue
-            decided = self.engine.analyze_pair(
+            self.engine.analyze_pair(
                 ia, ib, self.races, on_race=self._race_seen
             )
             self.pairs_analyzed += 1
             self._m_pairs.inc()
-            # An abandoned pair stays unrecorded: a resume retries it.
-            if self.checkpoint is not None and decided:
-                self.checkpoint.record(ia.key, ib.key)
-                self._since_save += 1
-                if self._since_save >= CHECKPOINT_EVERY:
-                    self.checkpoint.save()
-                    self._since_save = 0
-            if (
-                self.max_pairs is not None
-                and self.pairs_analyzed >= self.max_pairs
-            ):
-                if self.checkpoint is not None:
-                    self.checkpoint.save()
-                self.engine.close()
-                raise StreamingInterrupted(
-                    f"pair budget exhausted after {self.pairs_analyzed}"
-                )
 
     # -- results ------------------------------------------------------------------
 
@@ -285,17 +223,10 @@ def replay_analyze(
     trace: TraceDir | str | Path,
     *,
     options: AnalysisOptions | None = None,
-    checkpoint_path: str | Path | None = None,
-    max_pairs: int | None = None,
     on_race=None,
     obs: Instrumentation | None = None,
 ) -> AnalysisResult:
-    """Run the streaming analyzer over a closed trace (resume path).
-
-    With a checkpoint this picks an interrupted analysis back up: pairs
-    already recorded are skipped, everything else is analyzed, and the
-    returned race set matches an uninterrupted run's exactly.
-    """
+    """Run the streaming analyzer over a closed trace."""
     if not isinstance(trace, TraceDir):
         trace = TraceDir(
             trace, integrity=options.integrity if options else "strict"
@@ -303,8 +234,6 @@ def replay_analyze(
     analyzer = StreamAnalyzer(
         trace.path,
         options=options,
-        checkpoint_path=checkpoint_path,
-        max_pairs=max_pairs,
         on_race=on_race,
         obs=obs,
     )

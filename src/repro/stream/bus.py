@@ -8,9 +8,7 @@ analyzer subclasses it to race the application to the finish line.
 
 :func:`replay_trace` re-emits the same notification sequence from a
 *closed* trace directory, so every consumer (and its tests) can run
-identically post-mortem — resuming an interrupted live analysis is just a
-replay over the finished trace with the checkpoint filtering out pairs
-already analyzed.
+identically post-mortem.
 """
 
 from __future__ import annotations

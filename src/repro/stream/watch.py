@@ -203,7 +203,6 @@ def watch(
     options: Optional[AnalysisOptions] = None,
     trace_dir: Optional[str] = None,
     keep_trace: bool = False,
-    checkpoint_path: Optional[str] = None,
     on_race=None,
     obs: Optional[Instrumentation] = None,
     stats_every: Optional[float] = None,
@@ -229,7 +228,6 @@ def watch(
         analyzer = StreamAnalyzer(
             trace_path,
             options=options,
-            checkpoint_path=checkpoint_path,
             on_race=on_race,
             obs=obs,
         )

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from ...common.errors import CodecError
-
 
 class Codec(ABC):
     """A block compressor.  Implementations must be pure functions of the
@@ -28,9 +26,3 @@ class Codec(ABC):
     @abstractmethod
     def decompress(self, data: bytes, expected_size: int) -> bytes:
         """Decompress one block; must yield exactly ``expected_size`` bytes."""
-
-    def roundtrip_check(self, data: bytes) -> None:
-        """Sanity helper for tests."""
-        out = self.decompress(self.compress(data), len(data))
-        if out != data:
-            raise CodecError(f"{self.name}: roundtrip mismatch")

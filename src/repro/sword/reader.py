@@ -272,7 +272,10 @@ class ThreadTraceReader:
     def _index(self) -> None:
         """Scan frames from the last indexed position to the file end."""
         pos = self._scan_pos
-        size = self.log_path.stat().st_size
+        try:
+            size = self.log_path.stat().st_size
+        except FileNotFoundError:
+            raise TraceFormatError(f"{self.log_path}: missing") from None
         with open(self.log_path, "rb") as fh:
             while pos < size and not self._truncated:
                 fh.seek(pos)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.faults.fixtures import *  # noqa: F401,F403 (fault-injection fixtures)
-from repro.offline import analyze_trace, oracle_races
+from repro.offline import AnalysisEngine, analyze_trace, oracle_races
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
 from repro.sword import SwordTool, TraceDir
 
@@ -66,6 +66,26 @@ def sword_and_oracle(program, trace_path, *, nthreads=4, seed=0, yield_every=0):
     analysis = analyze_trace(TraceDir(trace_path))
     oracle = oracle_races(rec, rt.mutexsets)
     return analysis.races, oracle, rec, rt
+
+
+class Killed(BaseException):
+    """A crash mid-analysis: not an ``Exception``, so neither the salvage
+    rule nor any driver swallows it."""
+
+
+def kill_after(monkeypatch, k):
+    """Make the pair comparison after the first ``k`` ones die with
+    :class:`Killed` (wrapping whatever ``compare_trees`` is patched in)."""
+    compare = AnalysisEngine.compare_trees
+    calls = [0]
+
+    def killing(self, *args, **kwargs):
+        if calls[0] == k:
+            raise Killed
+        calls[0] += 1
+        return compare(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnalysisEngine, "compare_trees", killing)
 
 
 @contextlib.contextmanager

@@ -16,7 +16,6 @@ from repro.harness.tools import driver
 from repro.offline.intervals import IntervalInventory
 from repro.osl.concurrency import concurrent_intervals
 from repro.stream import StreamAnalyzer, replay_trace
-from repro.stream.checkpoint import pair_key
 from repro.sword import TraceDir
 from repro.sword.digest import FrameDigest
 from repro.sword.traceformat import MetaRow
@@ -51,6 +50,13 @@ def row(pid, bid, slot, span=3):
 def complete(inv, gid, pid, bid, slot, span=3):
     inv.add_row(gid, row(pid, bid, slot, span))
     return inv.complete(gid, pid, bid, slot, span)
+
+
+def pair_key(key_a, key_b):
+    """Order-normalised identity of one interval pair."""
+    a = (key_a.gid, key_a.pid, key_a.bid)
+    b = (key_b.gid, key_b.pid, key_b.bid)
+    return (a, b) if a <= b else (b, a)
 
 
 def keys(pairs):

@@ -57,7 +57,6 @@ def via_parallel(trace, options, monkeypatch):
 
 #: One non-default value per field a submitter can set.
 SUBMITTED = {
-    "max_pairs": AnalysisOptions(max_pairs=5),
     "fastpath.result_cache": AnalysisOptions(
         fastpath=FastPathOptions(result_cache=True)
     ),

@@ -1,24 +1,15 @@
-"""Streaming analyzer: live feed, parity, checkpoint kill/resume."""
+"""Streaming analyzer: live feed, parity, kill/resume through the cache."""
 
 import json
-import shutil
-import tempfile
 
 import pytest
-from conftest import disk_full_midwrite
+from conftest import Killed, kill_after
 
+from repro import api
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
-from repro.common.errors import TraceFormatError
-from repro.offline import analyze_trace
+from repro.offline import AnalysisOptions, FastPathOptions, analyze_trace
 from repro.omp import OpenMPRuntime
-from repro.stream import (
-    Checkpoint,
-    StreamAnalyzer,
-    StreamingInterrupted,
-    replay_analyze,
-    replay_trace,
-    watch,
-)
+from repro.stream import replay_analyze, watch
 from repro.sword import SwordTool, TraceDir
 from repro.workloads import REGISTRY
 
@@ -71,79 +62,32 @@ def test_replay_analyze_matches_post_mortem(trace_dir):
     assert streamed.stats.plan_seconds > 0
 
 
-def test_checkpoint_kill_and_resume(trace_dir, tmp_path):
-    """The acceptance scenario: die mid-analysis, resume, same race set."""
-    trace = make_trace(trace_dir)
-    gold = analyze_trace(trace).races
-    ckpt = tmp_path / "checkpoint.json"
-
-    with pytest.raises(StreamingInterrupted):
-        replay_analyze(trace_dir, checkpoint_path=ckpt, max_pairs=3)
-    assert ckpt.exists()
-    partial = Checkpoint(ckpt)
-    assert len(partial.analyzed) == 3
-
-    resumed = replay_analyze(trace_dir, checkpoint_path=ckpt)
-    assert blob(resumed.races) == blob(gold)
-
-
-def test_resume_skips_checkpointed_pairs(trace_dir, tmp_path):
-    trace = make_trace(trace_dir, name="plusplus-orig-yes")
-    ckpt = tmp_path / "checkpoint.json"
-    first = StreamAnalyzer(trace_dir, checkpoint_path=ckpt)
-    replay_trace(trace, first)
-    assert first.pairs_analyzed > 0 and first.pairs_skipped == 0
-
-    second = StreamAnalyzer(trace_dir, checkpoint_path=ckpt)
-    replay_trace(trace, second)
-    assert second.pairs_analyzed == 0
-    assert second.pairs_skipped == first.pairs_analyzed
-    assert blob(second.races) == blob(first.races)
-
-
-def test_checkpoint_save_is_atomic_and_versioned(tmp_path):
-    path = tmp_path / "ck.json"
-    ck = Checkpoint(path)
-    ck.analyzed.add(((0, 1, 0), (1, 1, 0)))
-    ck.save()
-    assert not list(tmp_path.glob("*.tmp"))
-    assert Checkpoint(path).analyzed == ck.analyzed
-
-    # A save that fails partway leaves the previous checkpoint and no
-    # temp file.
-    saved = set(ck.analyzed)
-    ck.analyzed.update(((0, 1, b), (1, 1, b)) for b in range(1, 64))
-    with disk_full_midwrite(), pytest.raises(OSError):
-        ck.save()
-    assert Checkpoint(path).analyzed == saved
-    assert not list(tmp_path.glob("*.tmp"))
-
-    payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(TraceFormatError):
-        Checkpoint(path)
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        "{not json",
-        "[]",
-        '{"version": 1}',
-        '{"version": 1, "analyzed": [[1]], "races": []}',
-        '{"version": 1, "analyzed": [], "races": [{"x": 1}]}',
-    ],
-    ids=[
-        "not-json", "not-an-object", "no-watermark", "short-pair", "bad-race",
-    ],
-)
-def test_checkpoint_rejects_garbage(tmp_path, body):
-    """A resume file is outside input: any wrong shape is one error."""
-    path = tmp_path / "ck.json"
-    path.write_text(body)
-    with pytest.raises(TraceFormatError, match="ck.json"):
-        Checkpoint(path)
+@pytest.mark.parametrize("mode", ["serial", "streaming"])
+@pytest.mark.parametrize("name", ["plusplus-orig-yes", "task-reduce-racy"])
+def test_cache_resumes_a_kill_at_every_pair(trace_dir, tmp_path, name, mode):
+    """A resume is a rerun with the result cache on: killed after any k
+    compared pairs, the rerun replays exactly those k from the pair store
+    and ends on the uninterrupted race set."""
+    make_trace(trace_dir, name=name)
+    gold = api.analyze(trace_dir, mode=mode)
+    compared = gold.stats.concurrent_pairs - gold.stats.pairs_pruned
+    assert compared >= 3
+    for k in range(compared + 1):
+        options = AnalysisOptions(
+            fastpath=FastPathOptions(
+                result_cache=True, cache_dir=str(tmp_path / f"cache-{k}")
+            )
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            kill_after(patch, k)
+            try:
+                api.analyze(trace_dir, mode=mode, options=options)
+                assert k == compared
+            except Killed:
+                assert k < compared
+        resumed = api.analyze(trace_dir, mode=mode, options=options)
+        assert blob(resumed.races) == blob(gold.races)
+        assert resumed.stats.pair_cache_hits == k
 
 
 def test_streaming_handles_race_free_workload():

@@ -1,6 +1,7 @@
 """Failure injection: corrupted traces fail loudly, never silently."""
 
 import json
+import re
 import struct
 
 import pytest
@@ -131,5 +132,6 @@ def test_manifest_thread_list_must_match_files(collected):
     manifest["thread_gids"].append(12345)
     (trace.path / MANIFEST_NAME).write_text(json.dumps(manifest))
     trace2 = TraceDir(collected)
-    with pytest.raises(FileNotFoundError):
+    missing = f"{trace2.path / log_name(12345)}: missing"
+    with pytest.raises(TraceFormatError, match=re.escape(missing)):
         trace2.reader(12345)

@@ -13,6 +13,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import Killed, kill_after
 
 from repro import api
 from repro.common.errors import TraceFormatError
@@ -22,8 +23,12 @@ from repro.faults.harness import (
     frame_kill_points,
     kill_sweep,
 )
-from repro.offline import AnalysisEngine, AnalysisOptions, IntervalInventory
-from repro.stream import StreamingInterrupted, replay_analyze
+from repro.offline import (
+    AnalysisEngine,
+    AnalysisOptions,
+    FastPathOptions,
+    IntervalInventory,
+)
 from repro.sword import IntegrityReport, TraceDir
 from repro.sword.traceformat import (
     COMMIT_TRAILER_BYTES,
@@ -364,15 +369,26 @@ def test_abandoned_pairs_read_alike_in_every_mode(
     integrity = results["serial"].integrity
     assert integrity.pairs_skipped == len(integrity.notes) >= 2
     assert all("compare fell over" in note for note in integrity.notes)
-    # An interrupted streaming analysis resumes to the same report.
-    checkpoint = tmp_path / "checkpoint.json"
-    salvage = AnalysisOptions(integrity="salvage")
-    with pytest.raises(StreamingInterrupted):
-        replay_analyze(
-            trace, options=salvage, checkpoint_path=checkpoint, max_pairs=4
-        )
-    resumed = replay_analyze(trace, options=salvage, checkpoint_path=checkpoint)
-    assert resumed.integrity.to_json() == integrity.to_json()
+    # Killed after any k comparisons, a rerun through the result cache
+    # resumes to the same report: abandoned pairs are not cached, so the
+    # rerun abandons them again, in order.
+    stats = results["serial"].stats
+    for mode in ("serial", "streaming"):
+        for k in range(stats.concurrent_pairs - stats.pairs_pruned):
+            options = AnalysisOptions(
+                integrity="salvage",
+                fastpath=FastPathOptions(
+                    result_cache=True,
+                    cache_dir=str(tmp_path / f"cache-{mode}-{k}"),
+                ),
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                kill_after(patch, k)
+                with pytest.raises(Killed):
+                    api.analyze(trace, mode=mode, options=options)
+            resumed = api.analyze(trace, mode=mode, options=options)
+            assert resumed.integrity.to_json() == integrity.to_json()
+            assert resumed.races.to_json() == results[mode].races.to_json()
 
 
 def test_missing_mutexsets_under_reports(clean_trace):

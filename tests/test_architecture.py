@@ -135,6 +135,14 @@ FORBIDDEN = {
         ("src",),
         None,
     ),
+    # One resume store: a rerun with the result cache on resumes every
+    # mode, so the streaming checkpoint and its options stay deleted.
+    "no-stream-checkpoint": (
+        r"checkpoint_path|max_pairs|StreamingInterrupted|CHECKPOINT_EVERY"
+        r"|stream\.checkpoint|stream\.pairs_skipped",
+        ("src", "tests", "benchmarks", "examples"),
+        None,
+    ),
 }
 
 

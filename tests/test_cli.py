@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
@@ -228,6 +229,12 @@ def _durable_trace(trace):
 def test_analyze_salvage_flag(tmp_path, capsys):
     trace = tmp_path / "trace"
     _durable_trace(trace)
+    # A deleted thread log: strict names it, uniform error exit.
+    lost = tmp_path / "lost"
+    shutil.copytree(trace, lost)
+    (lost / "thread_1.log").unlink()
+    assert main(["analyze", str(lost)]) == 2
+    assert f"error: {lost / 'thread_1.log'}: missing" in capsys.readouterr().err
     # Tear the tail of one thread log: strict now refuses the trace.
     log = next(trace.glob("thread_*.log"))
     log.write_bytes(log.read_bytes()[:-5])
