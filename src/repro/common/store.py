@@ -4,9 +4,10 @@ and the one rule for when a read-back entry is trusted.
 :func:`atomic_write_text` replaces a whole file in one rename or leaves
 the previous one.  :class:`ContentStore` is a directory of
 ``<token>.json`` entries tagged with a ``format``, whose loads return
-the decoded entry or a miss, never an error; the result cache
-(:mod:`repro.offline.cache`) and the service's shard checkpoints
-(:mod:`repro.serve.checkpoint`) are content stores.
+the decoded entry or a miss, never an error.  The result cache
+(:mod:`repro.offline.cache`) keeps its trees and pair verdicts in two
+content stores; it is the one durable store every analysis mode and the
+service resume from.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ layer:
   a reference service to completion, then for every prefix of its WAL
   (including torn-tail variants that cut a record mid-line) reconstruct
   the state directory exactly as a kill at that boundary would leave it
-  — the WAL prefix plus only the shard checkpoints that prefix proves
-  durable — and boot a fresh service on it.  Every unfinished job must
-  complete with a race set byte-identical to the uninterrupted run, and
-  every checkpointed shard must be *loaded*, never re-executed.
+  — the WAL prefix plus only the result-cache pair entries that prefix
+  proves durable — and boot a fresh service on it.  Every unfinished job
+  must complete with a race set byte-identical to the uninterrupted run,
+  and no pair of a shard the WAL logged done may be compared again.
 
 * :func:`poison_degradation` — the graceful-degradation scenario.
   Poison chosen shards (non-retryable failure, or a stall past the
@@ -35,9 +35,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from ..offline.cache import ResultCache
+from ..offline.options import AnalysisOptions
 from ..serve import DEGRADED, ServeConfig, Service, TenantQuota
+from ..serve.config import CACHE_NAME
+from ..serve.shards import plan_shards
 from ..serve.wal import WAL_NAME, replay_wal
-from ..sword.traceformat import parse_journal
 from ..workloads.base import Workload
 from .harness import collect_trace
 
@@ -46,6 +49,9 @@ from .harness import collect_trace
 #: At the default 4 threads, 6 of its 12 concurrent pairs survive the
 #: plan-time prune — two shards at ``shard_pairs=4``, so shard 1 exists.
 DEFAULT_WORKLOAD = "plusplus-orig-yes"
+
+#: Thread workers of every chaos service (also the plans' ``min_shards``).
+WORKERS = 2
 
 
 def _service_config(
@@ -56,7 +62,7 @@ def _service_config(
     shard_timeout_s: Optional[float] = None,
 ) -> ServeConfig:
     return ServeConfig(
-        workers=2,
+        workers=WORKERS,
         use_processes=False,
         shard_pairs=shard_pairs,
         state_dir=str(state_dir),
@@ -88,7 +94,8 @@ class ResumePointResult:
     jobs_resumed: int = 0
     jobs_checked: int = 0
     identical: bool = True
-    #: Checkpointed shards the resumed run re-executed (must stay 0).
+    #: Pairs of WAL-done shards the resumed run compared again (must
+    #: stay 0).
     reexecuted: int = 0
     error: str = ""
 
@@ -157,8 +164,9 @@ def _reference_run(
 ) -> tuple[dict[str, dict], Path]:
     """Run every trace through one durable service to completion.
 
-    Returns the per-job reference facts (race-set JSON, trace path,
-    checkpoint tokens actually completed) and the reference state dir.
+    Returns the per-job reference facts (race-set JSON and, per shard of
+    the job's plan, the names of its pairs' result-cache entries) and
+    the reference state dir.
     """
     state = root / "ref-state"
     reference: dict[str, dict] = {}
@@ -167,24 +175,47 @@ def _reference_run(
         for job_id, trace in zip(ids, traces):
             result = svc.result(job_id, timeout=120)
             reference[job_id] = {
-                "trace": str(trace),
                 "races": result.races.to_json(),
+                "entries": shard_pair_entries(trace, shard_pairs),
             }
     return reference, state
 
 
+def shard_pair_entries(
+    trace: Path, shard_pairs: int, workers: int = WORKERS
+) -> list[list[str]]:
+    """Per shard of the trace's strict service plan, the file names of
+    its pairs' entries under the result cache's ``pairs/``."""
+    plan = plan_shards(
+        trace,
+        options=AnalysisOptions(),
+        shard_pairs=shard_pairs,
+        min_shards=workers,
+    )
+    cache = ResultCache(trace)
+    return [
+        [cache.pairs.path(cache.pair_token(*pair)).name for pair in spec.pairs]
+        for spec in plan.shards
+    ]
+
+
 def _build_killed_state(
-    ref_state: Path, dest: Path, lines: list[bytes], torn_next: bool
-) -> int:
+    ref_state: Path,
+    dest: Path,
+    lines: list[bytes],
+    torn_next: bool,
+    reference: dict[str, dict],
+) -> dict[Path, int]:
     """Reconstruct the state dir a kill at this WAL boundary leaves.
 
     The WAL is the byte-exact prefix (plus, for ``torn_next``, the
     first half of the next record — the torn line a mid-``append`` kill
-    leaves, which salvage replay must drop).  Checkpoints are copied
-    *only* for shards the prefix proves durable: ``shard-done`` is
-    appended after the checkpoint write, so at kill time every logged
-    token's file exists — and nothing else is guaranteed.  Returns the
-    number of checkpoint files carried over.
+    leaves, which salvage replay must drop).  Result-cache pair entries
+    are copied *only* for shards the prefix logs done: ``shard-done`` is
+    appended after the shard returned, so at kill time every pair entry
+    of a logged shard exists — and nothing else is guaranteed.  Returns
+    each copied entry with its inode: a pair compared again is stored
+    again, which replaces the file.
     """
     if dest.exists():
         shutil.rmtree(dest)
@@ -195,20 +226,17 @@ def _build_killed_state(
         tail = lines[kept]
         wal_bytes += tail[: max(1, len(tail) // 2)]
     (dest / WAL_NAME).write_bytes(wal_bytes)
-    carried = 0
-    ckpt_src = ref_state / "checkpoints"
-    ckpt_dst = dest / "checkpoints"
-    ckpt_dst.mkdir()
-    for record in parse_journal(wal_bytes.decode("utf-8", "replace"), salvage=True):
-        if record.get("kind") != "shard-done":
-            continue
-        token = record.get("token")
-        if not token:
-            continue
-        src = ckpt_src / f"{token}.json"
-        if src.exists():
-            shutil.copy2(src, ckpt_dst / src.name)
-            carried += 1
+    src = ref_state / CACHE_NAME / "pairs"
+    dst = dest / CACHE_NAME / "pairs"
+    dst.mkdir(parents=True)
+    carried: dict[Path, int] = {}
+    for job in replay_wal(dest / WAL_NAME).jobs.values():
+        entries = reference[job.job_id]["entries"]
+        for index in job.shards_done:
+            for name in entries[index]:
+                if dst / name not in carried:
+                    shutil.copy2(src / name, dst / name)
+                    carried[dst / name] = (dst / name).stat().st_ino
     return carried
 
 
@@ -265,10 +293,14 @@ def resume_sweep(
             state = root / f"restart-{index:03d}"
             try:
                 carried = _build_killed_state(
-                    ref_state, state, raw_lines[:kept], torn
+                    ref_state, state, raw_lines[:kept], torn, reference
                 )
                 point.jobs_checked, point.jobs_resumed = _check_restart(
-                    state, reference, carried, point, shard_pairs
+                    state, reference, point, shard_pairs
+                )
+                point.reexecuted = sum(
+                    not path.exists() or path.stat().st_ino != inode
+                    for path, inode in carried.items()
                 )
             except Exception as exc:  # the property forbids ANY crash
                 point.error = f"{type(exc).__name__}: {exc}"
@@ -283,17 +315,16 @@ def resume_sweep(
 def _check_restart(
     state: Path,
     reference: dict[str, dict],
-    carried: int,
     point: ResumePointResult,
     shard_pairs: int,
 ) -> tuple[int, int]:
-    """Boot a service on a killed state dir and check the invariants."""
+    """Boot a service on a killed state dir and check every resumed
+    job's races against the uninterrupted run."""
     replay = replay_wal(state / WAL_NAME)
     expected_resume = {j.job_id for j in replay.unfinished}
     with Service(_service_config(state, shard_pairs=shard_pairs)) as svc:
         _wait_all(svc)
         checked = 0
-        reexecuted = 0
         for job_id in expected_resume:
             ref = reference.get(job_id)
             if ref is None:
@@ -303,12 +334,6 @@ def _check_restart(
             checked += 1
             if result.races.to_json() != ref["races"]:
                 point.identical = False
-            job = svc._job(job_id)
-            durable = len(replay.jobs[job_id].shards_done)
-            if job.checkpoint_hits < durable:
-                # A shard the WAL proved durable was re-executed.
-                reexecuted += durable - job.checkpoint_hits
-        point.reexecuted = reexecuted
         return checked, len(expected_resume)
 
 

@@ -14,8 +14,9 @@ Two subcommands:
   (sweep failure is an *error*, not a race verdict — see
   :mod:`repro.common.exitcodes`).
 * ``chaos`` — the service-tier chaos check: the resume sweep (restart
-  a durable service at every WAL boundary, require byte-identical
-  completion with zero re-executed checkpointed shards) plus the
+  a durable service at every WAL boundary with only the result-cache
+  entries the WAL proves durable, require byte-identical completion
+  with no pair of a logged-done shard compared again) plus the
   poison-shard degradation scenario.  ``--out DIR`` writes the WAL,
   its parsed records (schema-validated against
   ``schemas/wal-record.schema.json``), and both reports as artifacts;

@@ -89,8 +89,8 @@ def _stat(fold: str, counter: str | None = None, default=0):
 class AnalysisStats:
     """Where the offline time went (Table III's OA column breakdown).
 
-    Declared once: the JSON shape, the shard merge, the checkpoint
-    decode and the ``offline.*`` counters all derive from the fields.
+    Declared once: the JSON shape, the shard merge and the ``offline.*``
+    counters all derive from the fields.
     Folds: ``sum`` — work done; ``max`` — phase seconds (shards run
     concurrently: the critical path) and the verdict-table constants
     (every shard that saw the table reports the same totals); ``plan``
@@ -144,20 +144,6 @@ class AnalysisStats:
         payload["total_seconds"] = self.total_seconds
         payload["events_per_second"] = self.events_per_second
         return payload
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "AnalysisStats":
-        """Inverse of :meth:`to_json`: unknown and derived keys are
-        ignored, missing ones keep their default (a checkpoint written
-        before a field existed still loads), and a payload that is not
-        an object of numbers raises ``TypeError``."""
-        if not isinstance(payload, dict):
-            raise TypeError(f"stats payload is not an object: {payload!r}")
-        known = {f.name: payload[f.name] for f in _STAT_FIELDS if f.name in payload}
-        for name, value in known.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"stats.{name} is not a number: {value!r}")
-        return cls(**known)
 
     def merge(self, part: "AnalysisStats") -> None:
         """Fold one contribution — a shard's stats, or the plan's — into

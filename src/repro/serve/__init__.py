@@ -12,7 +12,6 @@ Entry points: :class:`Service` (also exported as ``repro.api.Service``)
 and the ``repro serve`` CLI.
 """
 
-from .checkpoint import ShardCheckpointStore, shard_token, trace_token
 from .config import ServeConfig, TenantQuota
 from .errors import (
     BackpressureError,
@@ -81,7 +80,6 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServiceClosedError",
-    "ShardCheckpointStore",
     "ShardOutcome",
     "ShardPlan",
     "ShardSpec",
@@ -98,9 +96,7 @@ __all__ = [
     "plan_shards",
     "replay_wal",
     "run_shard",
-    "shard_token",
     "stitch_job_trace",
-    "trace_token",
     "triage_trace",
     "write_job_trace",
 ]

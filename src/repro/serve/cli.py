@@ -17,10 +17,12 @@ DEGRADED (poison shards quarantined, partial pair coverage) also exits
 result set is real but incomplete, which a CI gate must not read as
 clean.
 
-``--state-dir`` makes the service durable: the job WAL and shard
-checkpoints live there, and a later run pointed at the same directory
-resumes unfinished jobs before accepting the new burst (``--watch``
-shows ``resumed=``/``resuming=`` while replayed jobs drain).
+``--state-dir`` makes the service durable: the job WAL and the result
+cache live there, and a later run pointed at the same directory resumes
+unfinished jobs before accepting the new burst (``--watch`` shows
+``resumed=``/``resuming=`` while replayed jobs drain).  A resumed job
+replays every pair the killed run decided from that cache, so
+``--state-dir`` with ``--no-cache`` is refused (exit 2).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 from pathlib import Path
 
 from .. import obs as obslib
+from ..common.errors import ConfigError
 from ..common.exitcodes import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -74,8 +77,8 @@ def add_serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--state-dir",
         metavar="DIR",
-        help="durable state root (job WAL + shard checkpoints); a restart "
-        "pointed here resumes unfinished jobs",
+        help="durable state root (job WAL + result cache); a restart "
+        "pointed here resumes unfinished jobs (needs the cache)",
     )
     p.add_argument(
         "--submissions", type=int, default=24, help="jobs in the load burst"
@@ -188,6 +191,10 @@ def run_serve_command(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         trace_dir=args.trace_dir,
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = generate_and_run(
         config=config,
         submissions=args.submissions,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from ..offline.options import AnalysisOptions
+
+#: Where a durable service roots its result cache under the state dir.
+CACHE_NAME = "result-cache"
 
 
 @dataclass(slots=True)
@@ -66,8 +68,9 @@ class ServeConfig:
     #: Full-jitter seed for retry backoff (None: deterministic doubling;
     #: any int: seeded uniform draws — reproducible *and* de-herded).
     shard_backoff_jitter_seed: Optional[int] = None
-    #: Durable-recovery root: the job WAL, the shard checkpoint store,
-    #: and (by default) the result cache live here.  None runs the
+    #: Durable-recovery root: the job WAL and (by default) the result
+    #: cache live here.  A resumed job reruns its pairs through that
+    #: cache, so a state dir requires ``result_cache``.  None runs the
     #: service memory-only — a restart forgets every job.
     state_dir: Optional[str] = None
     #: fsync every WAL append (pay a disk flush per record for
@@ -104,12 +107,6 @@ class ServeConfig:
 
         return Path(self.state_dir) / WAL_NAME
 
-    def checkpoint_root(self) -> Optional[str]:
-        """Where shard checkpoints live, or None when stateless."""
-        if self.state_dir is None:
-            return None
-        return os.path.join(self.state_dir, "checkpoints")
-
     def validate(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -123,5 +120,10 @@ class ServeConfig:
             raise ValueError("shard_timeout_s must be > 0 or None")
         if self.max_shard_crashes < 1:
             raise ValueError("max_shard_crashes must be >= 1")
+        if self.state_dir is not None and not self.result_cache:
+            raise ValueError(
+                "state_dir needs result_cache: a resumed job replays its "
+                "decided pairs from the result cache"
+            )
         self.quota.validate()
         self.options.validate()

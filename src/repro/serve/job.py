@@ -196,9 +196,6 @@ class JobRecord:
     #: True when this record was rebuilt from the WAL by a restarted
     #: service rather than submitted in this process's lifetime.
     resumed: bool = False
-    #: Shards whose outcomes were loaded from durable checkpoints
-    #: instead of executed (resume/retry reuse).
-    checkpoint_hits: int = 0
     #: The planner's total concurrent-pair count (coverage denominator).
     pairs_total: int = 0
     #: Pairs that survived the plan-time digest prune and went out in
@@ -267,7 +264,6 @@ class JobRecord:
                 "ttfr_seconds": self.ttfr_seconds,
                 "elapsed_seconds": self.elapsed_seconds,
                 "cache_hits": self.cache_hits,
-                "checkpoint_hits": self.checkpoint_hits,
                 "deadline_s": self.deadline_s,
                 "resumed": self.resumed,
                 "shards_quarantined": len(self.quarantined),

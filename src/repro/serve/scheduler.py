@@ -103,10 +103,6 @@ class JobScheduler:
             "serve.jobs_degraded",
             "jobs finishing degraded (partial coverage + report)",
         )
-        self._m_ckpt = registry.counter(
-            "serve.checkpoint_hits",
-            "shard outcomes loaded from durable checkpoints",
-        )
         #: Worker-bundle recipe handed to every shard (None when the
         #: service runs dark — shards then skip instrumentation too).
         self.obs_config = ObsConfig.from_obs(self.obs)
@@ -191,7 +187,6 @@ class JobScheduler:
             tenant=job.tenant,
             trace_id=self._trace_id(job) or "",
             obs_config=self.obs_config,
-            checkpoint_dir=self.config.checkpoint_root(),
             shard_timeout_s=self.config.shard_timeout_s,
         )
 
@@ -252,7 +247,6 @@ class JobScheduler:
             shards=len(plan.shards),
             pairs=plan.stats.concurrent_pairs,
             pruned=plan.stats.pairs_pruned,
-            tokens=[spec.checkpoint_token for spec in plan.shards],
         )
         if not plan.shards:
             self._finalize(job)
@@ -307,15 +301,6 @@ class JobScheduler:
         if outcome.cache_hits:
             job.cache_hits += outcome.cache_hits
             self._m_cache.inc(outcome.cache_hits)
-        if outcome.from_checkpoint:
-            job.checkpoint_hits += 1
-            self._m_ckpt.inc()
-            if not outcome.cache_hits:
-                # A checkpoint hit *is* cross-run reuse even when the
-                # stored execution itself ran cold — credit it so reuse
-                # accounting covers resume the way it covers the cache.
-                job.cache_hits += 1
-                self._m_cache.inc()
         if outcome.spans:
             job.worker_spans.append((outcome.worker_pid, outcome.spans))
         if outcome.metrics:
@@ -414,7 +399,6 @@ class JobScheduler:
                 "shard-done",
                 job.job_id,
                 shard=task.spec.index,
-                token=task.spec.checkpoint_token or None,
                 races=len(outcome.rows),
                 pairs=task.spec.npairs,
             )
@@ -514,7 +498,6 @@ class JobScheduler:
             races=len(job.races),
             shards=job.shards_total,
             cache_hits=job.cache_hits,
-            checkpoint_hits=job.checkpoint_hits,
             quarantined=len(job.quarantined) or None,
             elapsed_seconds=round(job.elapsed_seconds, 6),
             error=job.error or None,

@@ -29,7 +29,7 @@ from typing import Optional, Union
 from ..obs import Instrumentation, get_obs
 from ..offline.engine import AnalysisResult, AnalysisStats
 from ..offline.options import AnalysisOptions
-from .config import ServeConfig
+from .config import CACHE_NAME, ServeConfig
 from .errors import JobFailedError, JobNotFoundError, ServiceClosedError
 from .job import (
     ACTIVE_STATES,
@@ -76,11 +76,12 @@ class Service:
         if self.config.state_dir is not None:
             # A durable service roots its result cache under the state
             # dir too (unless the caller chose one): resume must find
-            # the same cache the killed run was warming.
+            # the same cache the killed run was warming.  ``validate``
+            # refused a durable service without a cache.
             Path(self.config.state_dir).mkdir(parents=True, exist_ok=True)
-            if self.config.result_cache and self.config.cache_dir is None:
+            if self.config.cache_dir is None:
                 self.config.cache_dir = os.path.join(
-                    self.config.state_dir, "result-cache"
+                    self.config.state_dir, CACHE_NAME
                 )
         if self.config.result_cache and self.config.cache_dir is None:
             self._own_cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
@@ -145,10 +146,11 @@ class Service:
         Runs before the scheduler thread starts, so resumed jobs sit at
         the head of the queue in their original submission order.  Job
         ids and trace ids are preserved (a client polling a pre-crash id
-        keeps working), the id sequence continues past the replayed
-        maximum, and completed shards are skipped via their checkpoints
-        when the shards re-plan — resume restarts from the last
-        completed shard, not from byte zero.
+        keeps working), and the id sequence continues past the replayed
+        maximum.  A resumed job re-plans and reruns every shard through
+        the state-dir result cache: each pair the killed run decided
+        replays from its pair entry, so the job resumes from its last
+        compared pair, not from byte zero.
         """
         replay = replay_wal(self.config.wal_path())
         with self._lock:

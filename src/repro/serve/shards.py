@@ -15,9 +15,9 @@ plan's own ``stats`` (merged by the coordinator like a shard's), and
 slices only the survivors into shards — each carrying the
 :class:`~repro.offline.intervals.IntervalData` of its pairs, so a worker
 never scans the meta files again.  The plan is a pure function of the
-trace bytes and the planning arguments, and a shard's checkpoint token
-hashes only the trace digest, the integrity mode and its pair keys: a
-resumed job re-plans the same shards and the same checkpoint tokens.
+trace bytes and the planning arguments: a resumed job re-plans the
+same shards, and its workers replay every pair the killed run decided
+from the shared result cache.
 
 Salvage jobs shard like strict ones.  The planner's salvage open fills
 the trace's :class:`~repro.sword.integrity.IntegrityReport` (everything
@@ -65,10 +65,6 @@ class ShardSpec:
     #: Recipe for the worker-side instrumentation bundle; None runs the
     #: shard with the worker process's ambient (usually null) bundle.
     obs_config: Optional[ObsConfig] = None
-    #: Durable-recovery context: where completed outcomes checkpoint
-    #: (None disables) and this shard's content-hash address there.
-    checkpoint_dir: Optional[str] = None
-    checkpoint_token: str = ""
     #: Per-shard execution deadline (None: unbounded).  Enforced for
     #: process workers by the pool; thread workers check cooperatively.
     timeout_s: Optional[float] = None
@@ -79,7 +75,7 @@ class ShardSpec:
 
     @property
     def pair_keys(self) -> tuple[tuple[IntervalKey, IntervalKey], ...]:
-        """The pairs' identities (what the checkpoint token hashes)."""
+        """The pairs' identities, in plan order."""
         return tuple((a.key, b.key) for a, b in self.pairs)
 
 
@@ -130,7 +126,6 @@ def plan_shards(
     tenant: str = "",
     trace_id: str = "",
     obs_config: Optional[ObsConfig] = None,
-    checkpoint_dir: Optional[str] = None,
     shard_timeout_s: Optional[float] = None,
 ) -> ShardPlan:
     """Plan one job: enumerate concurrent pairs, prune, slice into shards.
@@ -144,10 +139,6 @@ def plan_shards(
 
     ``integrity="salvage"`` (on ``options``) opens the trace with the
     salvage readers; the plan then carries the trace's integrity report.
-
-    With ``checkpoint_dir`` set, every shard is stamped with its
-    content-hash checkpoint token (the trace digest is computed once
-    here, at plan time, and folded into each shard's address).
     """
     options = options or AnalysisOptions()
     if not isinstance(trace, TraceDir):
@@ -155,31 +146,6 @@ def plan_shards(
     shard_opts = options.copy(
         fastpath=shard_fastpath(options.fastpath, cache_dir), obs=None
     )
-    if checkpoint_dir is not None:
-        from .checkpoint import shard_token, trace_token  # import cycle
-
-        trace_digest = trace_token(trace.path)
-
-    def _spec(index: int, pairs: tuple) -> ShardSpec:
-        spec = ShardSpec(
-            job_id=job_id,
-            index=index,
-            trace_path=str(trace.path),
-            pairs=pairs,
-            options=shard_opts,
-            tenant=tenant,
-            trace_id=trace_id,
-            obs_config=obs_config,
-            checkpoint_dir=checkpoint_dir,
-            timeout_s=shard_timeout_s,
-        )
-        if checkpoint_dir is None:
-            return spec
-        token = shard_token(
-            trace_digest, integrity=options.integrity, pair_keys=spec.pair_keys
-        )
-        return replace(spec, checkpoint_token=token)
-
     plan = ShardPlan(static_verdicts=trace.static_verdicts)
     inventory = IntervalInventory(trace)
     pairs = inventory.concurrent_pairs()
@@ -194,6 +160,16 @@ def plan_shards(
     shard_pairs = max(1, shard_pairs)
     for index, lo in enumerate(range(0, len(pairs), shard_pairs)):
         plan.shards.append(
-            _spec(index, tuple(pairs[lo : lo + shard_pairs]))
+            ShardSpec(
+                job_id=job_id,
+                index=index,
+                trace_path=str(trace.path),
+                pairs=tuple(pairs[lo : lo + shard_pairs]),
+                options=shard_opts,
+                tenant=tenant,
+                trace_id=trace_id,
+                obs_config=obs_config,
+                timeout_s=shard_timeout_s,
+            )
         )
     return plan

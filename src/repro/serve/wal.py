@@ -6,27 +6,29 @@ contract to the service tier.  Every job lifecycle transition is
 appended — before the transition is acknowledged — as one CRC-guarded
 JSON line (the same append-atomic grammar as the durable trace format's
 ``regions.jsonl``), so a restarted :class:`~repro.serve.service.Service`
-can replay the log, re-enqueue every unfinished job, and skip every
-shard whose checkpoint already landed.
+can replay the log and re-enqueue every unfinished job under its id.
 
 Record grammar (all records carry ``v``, ``ts``, ``kind``, ``job``)::
 
     submitted  job tenant trace integrity trace_id deadline_s?
-    planned    job shards pairs pruned? tokens[]
-    shard-done job shard token races pairs
+    planned    job shards pairs pruned?
+    shard-done job shard races pairs
     merged     job races
     finalized  job state races quarantined?
 
 ``planned`` counts every concurrent pair in ``pairs`` and the ones the
-plan-time digest test decided in ``pruned``; ``tokens`` name only the
+plan-time digest test decided in ``pruned``; ``shards`` counts the
 shards that shipped (``shards=0``: the plan decided the whole job).
 
 The torn-tail property is inherited from the line grammar: a crash mid
 ``append`` leaves at most one partial line, which the salvage parse
 drops — the corresponding transition was never acknowledged, so replay
-simply redoes it.  Replay is idempotent by construction: ``shard-done``
-records name content-hashed checkpoint tokens, and re-running a
-checkpointed shard is a load, not a recompute.
+simply redoes it.  Replay is idempotent by construction: a resumed job
+re-plans the same shards, and its workers rerun them through the
+state-dir result cache.  ``shard-done`` is appended after the shard
+returned, so every pair of a logged shard has its verdict entry in that
+cache and reruns as a replay, not a recompute.  Replay reads only the
+fields it needs and ignores the rest, so older logs still replay.
 """
 
 from __future__ import annotations
@@ -136,30 +138,14 @@ class JobReplay:
     deadline_s: Optional[float] = None
     #: From the ``planned`` record (None: killed before planning).
     shards_total: Optional[int] = None
-    pairs_total: int = 0
-    #: Checkpoint tokens in shard order, from the ``planned`` record.
-    tokens: list[str] = field(default_factory=list)
-    #: shard index -> checkpoint token, from ``shard-done`` records.
-    shards_done: dict[int, str] = field(default_factory=dict)
-    merged: bool = False
+    #: Shard indices with a ``shard-done`` record.
+    shards_done: set[int] = field(default_factory=set)
     #: Terminal state from the ``finalized`` record (None: unfinished).
     final_state: Optional[str] = None
 
     @property
     def finished(self) -> bool:
         return self.final_state is not None
-
-    def to_json(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "trace": self.trace_path,
-            "integrity": self.integrity,
-            "trace_id": self.trace_id,
-            "shards_total": self.shards_total,
-            "shards_done": sorted(self.shards_done),
-            "final_state": self.final_state,
-        }
 
 
 @dataclass(slots=True)
@@ -224,16 +210,10 @@ def replay_wal(path: str | os.PathLike) -> WalReplay:
             continue
         if kind == "planned":
             job.shards_total = record.get("shards")
-            job.pairs_total = record.get("pairs", 0)
-            tokens = record.get("tokens")
-            if isinstance(tokens, list):
-                job.tokens = [str(t) for t in tokens]
         elif kind == "shard-done":
             shard = record.get("shard")
             if isinstance(shard, int):
-                job.shards_done[shard] = str(record.get("token", ""))
-        elif kind == "merged":
-            job.merged = True
+                job.shards_done.add(shard)
         elif kind == "finalized":
             job.final_state = record.get("state")
     return replay

@@ -49,9 +49,6 @@ class ShardOutcome:
     metrics: dict = field(default_factory=dict)
     #: Which OS process executed the shard (its trace-viewer row).
     worker_pid: int = 0
-    #: True when the outcome was loaded from a durable shard checkpoint
-    #: instead of executed (resume and retry count these, never re-run).
-    from_checkpoint: bool = False
 
     def reports(self) -> Iterable[RaceReport]:
         return (RaceReport(*row) for row in self.rows)
@@ -79,23 +76,13 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
     shard's metric delta, and its spans ship home on the outcome with
     wall-clock timestamps for stitching.
 
-    When the spec names a checkpoint, a stored outcome is returned
-    without executing anything — this is how a *retried* shard whose
-    previous attempt completed (but whose result was lost with a dead
-    worker or a killed coordinator) resumes instead of recomputing.
+    A retried shard, or the shard of a resumed job, simply runs again:
+    with the shared result cache on, every pair an earlier attempt
+    decided replays from its pair entry, so the rerun resumes from the
+    last pair compared.
     """
-    store = _checkpoint_store(spec)
-    if store is not None:
-        cached = store.load(
-            spec.checkpoint_token, job_id=spec.job_id, index=spec.index
-        )
-        if cached is not None:
-            return cached
     if spec.obs_config is None:
-        outcome = _execute_shard(spec, NULL_OBS)
-        if store is not None:
-            store.store(spec.checkpoint_token, outcome)
-        return outcome
+        return _execute_shard(spec, NULL_OBS)
     bundle = spec.obs_config.build()
     if multiprocessing.parent_process() is not None:
         # Own process: installing the bundle as ambient is safe (one
@@ -113,18 +100,7 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
     wall_epoch = getattr(bundle.tracer, "wall_epoch", 0.0)
     outcome.spans = [s.to_json(wall_epoch) for s in bundle.tracer.spans]
     outcome.metrics = bundle.registry.snapshot()
-    if store is not None:
-        store.store(spec.checkpoint_token, outcome)
     return outcome
-
-
-def _checkpoint_store(spec: ShardSpec):
-    """The spec's checkpoint store, or None when checkpointing is off."""
-    if spec.checkpoint_dir is None or not spec.checkpoint_token:
-        return None
-    from .checkpoint import ShardCheckpointStore  # deferred: import cycle
-
-    return ShardCheckpointStore(spec.checkpoint_dir)
 
 
 def _execute_shard(spec: ShardSpec, obs: Instrumentation) -> ShardOutcome:

@@ -73,19 +73,6 @@ class ThreadIntegrity:
             "errors": list(self.errors),
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ThreadIntegrity":
-        return cls(
-            gid=int(payload["gid"]),
-            chunks_recovered=int(payload.get("chunks_recovered", 0)),
-            chunks_dropped=int(payload.get("chunks_dropped", 0)),
-            bytes_recovered=int(payload.get("bytes_recovered", 0)),
-            bytes_dropped=int(payload.get("bytes_dropped", 0)),
-            rows_recovered=int(payload.get("rows_recovered", 0)),
-            rows_dropped=int(payload.get("rows_dropped", 0)),
-            errors=list(payload.get("errors", [])),
-        )
-
 
 @dataclass(slots=True)
 class IntegrityReport:
@@ -166,20 +153,6 @@ class IntegrityReport:
                 str(gid): t.to_json() for gid, t in sorted(self.threads.items())
             },
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "IntegrityReport":
-        report = cls(
-            mode=str(payload.get("mode", "strict")),
-            intervals_skipped=int(payload.get("intervals_skipped", 0)),
-            pairs_skipped=int(payload.get("pairs_skipped", 0)),
-            missing_files=list(payload.get("missing_files", [])),
-            verdicts_dropped=int(payload.get("verdicts_dropped", 0)),
-            notes=list(payload.get("notes", [])),
-        )
-        for key, entry in payload.get("threads", {}).items():
-            report.threads[int(key)] = ThreadIntegrity.from_json(entry)
-        return report
 
     def summary(self) -> str:
         """One-line human summary for CLI output."""

@@ -68,6 +68,20 @@ def sword_and_oracle(program, trace_path, *, nthreads=4, seed=0, yield_every=0):
     return analysis.races, oracle, rec, rt
 
 
+@pytest.fixture
+def compares(monkeypatch):
+    """One entry per pair that reached build + compare."""
+    seen = []
+    original = AnalysisEngine.compare_trees
+
+    def spy(self, *args, **kwargs):
+        seen.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnalysisEngine, "compare_trees", spy)
+    return seen
+
+
 class Killed(BaseException):
     """A crash mid-analysis: not an ``Exception``, so neither the salvage
     rule nor any driver swallows it."""

@@ -50,7 +50,7 @@ ENTRIES = {
 
 @pytest.mark.parametrize("case", ENTRIES)
 def test_store_load_contract(tmp_path, case):
-    """The one store behind the result cache and the shard checkpoints:
+    """The one store behind the result cache's trees and pair verdicts:
     a load is the decoded entry or a miss, and only an entry that fails
     to decode is unlinked and counted."""
     root = tmp_path / "store"

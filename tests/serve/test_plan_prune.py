@@ -20,7 +20,6 @@ import repro.api as api
 from repro.common.errors import TraceFormatError
 from repro.faults.harness import collect_trace
 from repro.offline.analyzer import reference_analyze
-from repro.offline.engine import AnalysisEngine
 from repro.offline.intervals import IntervalInventory
 from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.serve import DONE, JobFailedError, ServeConfig, Service, replay_wal
@@ -127,20 +126,6 @@ def inventories(monkeypatch):
     return seen
 
 
-@pytest.fixture
-def compares(monkeypatch):
-    """One entry per pair that reached build + compare."""
-    seen = []
-    original = AnalysisEngine.compare_trees
-
-    def spy(self, *args, **kwargs):
-        seen.append(1)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(AnalysisEngine, "compare_trees", spy)
-    return seen
-
-
 # -- the plan ----------------------------------------------------------------------
 
 
@@ -197,9 +182,9 @@ def test_digestless_rows_fail_a_strict_job_and_drop_in_salvage(
     assert result.races.to_json() == serial.races.to_json()
 
 
-def test_salvage_plan_shards_like_a_strict_plan(tmp_path, traces):
+def test_salvage_plan_shards_like_a_strict_plan(traces):
     """A salvage plan prunes and slices like a strict one and carries
-    the open-time integrity report; its checkpoint tokens name the mode."""
+    the open-time integrity report."""
     salvage = AnalysisOptions(integrity="salvage")
     serial = api.analyze(traces["torn"], integrity="salvage")
     plan = plan_shards(traces["torn"], options=salvage, shard_pairs=1)
@@ -212,18 +197,28 @@ def test_salvage_plan_shards_like_a_strict_plan(tmp_path, traces):
     assert plan.integrity.to_json() == serial.integrity.to_json()
     assert not plan.integrity.clean
     assert plan_shards(traces["hpccg"]).integrity is None
-    ckpt = str(tmp_path / "checkpoints")
     strict, salvaged = (
-        plan_shards(
-            traces["hpccg"], options=options, shard_pairs=1,
-            checkpoint_dir=ckpt,
-        ).shards
+        plan_shards(traces["hpccg"], options=options, shard_pairs=1).shards
         for options in (AnalysisOptions(), salvage)
     )
     assert [s.pair_keys for s in strict] == [s.pair_keys for s in salvaged]
-    assert not {s.checkpoint_token for s in strict} & {
-        s.checkpoint_token for s in salvaged
-    }
+
+
+def test_strict_job_on_a_torn_trace_fails_over_a_salvage_warmed_cache(
+    tmp_path, traces
+):
+    """The two modes share one result cache: the pair entries a salvage
+    job of a torn trace leaves there never let a strict job of the same
+    trace pass."""
+    with service(tmp_path, shard_pairs=1) as svc:
+        salvaged = svc.submit(traces["torn"], integrity="salvage")
+        svc.result(salvaged, timeout=60)
+        assert svc.status(salvaged)["state"] == DONE
+        assert any((tmp_path / "service-cache" / "pairs").glob("*.json"))
+        strict = svc.submit(traces["torn"])
+        with pytest.raises(JobFailedError):
+            svc.result(strict, timeout=60)
+        assert svc.status(strict)["state"] == "failed"
 
 
 # -- service and parallel mode against serial --------------------------------------
@@ -397,14 +392,14 @@ def test_zero_shard_jobs_finish_at_plan_time(tmp_path, traces, use_processes):
         follow_up = svc.submit(traces["qsomp"])
         assert len(svc.result(follow_up, timeout=60).races) == 8
         assert svc.stats()["jobs_finished"] == 4
-    # The WAL tells the same story in order: planned (no shards, no
-    # tokens) before merged before finalized.
+    # The WAL tells the same story in order: planned (no shards) before
+    # merged before finalized.
     records = parse_journal((state / WAL_NAME).read_text(), salvage=True)
     first = [r for r in records if r["job"] == "job-000001"]
     assert [r["kind"] for r in first] == [
         "submitted", "planned", "merged", "finalized",
     ]
-    assert first[1]["shards"] == 0 and first[1]["tokens"] == []
+    assert first[1]["shards"] == 0 and "tokens" not in first[1]
     lulesh = next(
         r for r in records if r["job"] == "job-000002" and r["kind"] == "planned"
     )
@@ -429,13 +424,17 @@ def test_cancel_during_an_all_pruned_plan_is_honoured(tmp_path, traces):
 # -- the plan is a pure function of trace bytes + options --------------------------
 
 
-def test_resume_at_the_planned_boundary_replans_the_same_tokens(tmp_path, traces):
+def test_resume_at_the_planned_boundary_replans_the_same_tokens(
+    tmp_path, traces, compares
+):
+    """The resumed job re-plans the same shards, whose pairs address the
+    same result-cache tokens: every pair the first run decided replays."""
     state = tmp_path / "state"
     config = dict(state_dir=str(state), shard_pairs=8)
     with service(tmp_path, **config) as svc:
         job_id = svc.submit(traces["hpccg"])
         reference = svc.result(job_id, timeout=60).races.to_json()
-    # Kill right after the plan was logged: nothing executed is durable.
+    # Kill right after the plan was logged; the cache keeps every entry.
     wal = state / WAL_NAME
     kept = []
     for line in wal.read_text().splitlines(keepends=True):
@@ -443,21 +442,23 @@ def test_resume_at_the_planned_boundary_replans_the_same_tokens(tmp_path, traces
         if parse_journal(line, salvage=True)[0]["kind"] == "planned":
             break
     wal.write_text("".join(kept))
-    shutil.rmtree(state / "checkpoints")
     before = replay_wal(wal).jobs[job_id]
     pairs, pruned = PLANNED["hpccg"]
-    assert before.shards_total == -(-(pairs - pruned) // 8) == len(before.tokens)
+    assert before.shards_total == -(-(pairs - pruned) // 8)
+    assert not before.shards_done
+    del compares[:]
     with service(tmp_path, **config) as svc:
         result = svc.result(job_id, timeout=60)
         status = svc.status(job_id)
     assert result.races.to_json() == reference
-    assert status["resumed"] and status["checkpoint_hits"] == 0
+    assert status["resumed"] and status["shards_total"] == before.shards_total
+    assert result.stats.pair_cache_hits == pairs - pruned
+    assert not compares and result.stats.trees_built == 0
     planned = [
         r
         for r in parse_journal(wal.read_text(), salvage=True)
         if r["kind"] == "planned"
     ]
     assert len(planned) == 2
-    for key in ("shards", "pairs", "pruned", "tokens"):
+    for key in ("shards", "pairs", "pruned"):
         assert planned[0][key] == planned[1][key]
-    assert len(set(planned[0]["tokens"])) == planned[0]["shards"]

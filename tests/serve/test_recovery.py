@@ -1,4 +1,5 @@
-"""Durable recovery: WAL resume, checkpoints, degradation, deadlines."""
+"""Durable recovery: WAL resume through the result cache, degradation,
+deadlines."""
 
 import json
 import shutil
@@ -9,6 +10,7 @@ import pytest
 
 from repro import api
 from repro.faults import sabotage
+from repro.faults.chaos import shard_pair_entries
 from repro.faults.harness import collect_trace
 from repro.serve import (
     CANCELLED,
@@ -22,9 +24,10 @@ from repro.serve import (
     TenantQuota,
     replay_wal,
 )
-from repro.offline.engine import AnalysisStats
-from repro.serve import workers
-from repro.serve.checkpoint import ShardCheckpointStore
+from repro.common.store import ContentStore
+from repro.obs import live
+from repro.offline.cache import CACHE_FORMAT
+from repro.serve.config import CACHE_NAME
 from repro.serve.wal import WAL_NAME
 from repro.sword.traceformat import parse_journal
 
@@ -43,36 +46,50 @@ def racy_trace(tmp_path_factory):
     return trace
 
 
-def durable_service(state_dir, **kwargs):
+def durable_service(state_dir, obs=None, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("use_processes", False)
     kwargs.setdefault("shard_pairs", 2)
     kwargs.setdefault("quota", TenantQuota(max_pending=8))
-    return Service(ServeConfig(state_dir=str(state_dir), **kwargs))
+    return Service(ServeConfig(state_dir=str(state_dir), **kwargs), obs=obs)
 
 
-def truncate_wal(state_dir, drop_kinds):
-    """Drop raw WAL lines of the given kinds, byte-exact for the rest."""
+def truncate_wal(state_dir, drop_kinds, drop=lambda record: False):
+    """Drop raw WAL lines of the given kinds (and those ``drop``
+    accepts), byte-exact for the rest."""
     wal = state_dir / WAL_NAME
     kept = []
     for line in wal.read_text(encoding="utf-8").splitlines(keepends=True):
         records = parse_journal(line, salvage=True)
-        if records and records[0].get("kind") in drop_kinds:
+        if records and (records[0].get("kind") in drop_kinds or drop(records[0])):
             continue
         kept.append(line)
     wal.write_text("".join(kept), encoding="utf-8")
 
 
-def test_restart_resumes_job_from_checkpoints(tmp_path, racy_trace):
+def test_restart_resumes_job_through_the_result_cache(
+    tmp_path, racy_trace, compares
+):
+    """Killed after all but the last shard was logged done: the resumed
+    job replays every pair of the logged shards from the state-dir
+    result cache and compares only the lost shard's pairs again."""
     state = tmp_path / "state"
     with durable_service(state) as svc:
         job_id = svc.submit(racy_trace)
         reference = svc.result(job_id, timeout=60).races.to_json()
-    # Simulate a kill after every shard checkpointed but before the
-    # merge was acknowledged: drop the merged/finalized records.
-    truncate_wal(state, {"merged", "finalized"})
-    durable = len(replay_wal(state / WAL_NAME).jobs[job_id].shards_done)
-    assert durable > 0
+    lost = SHARDS - 1
+    truncate_wal(
+        state,
+        {"merged", "finalized"},
+        lambda r: r["kind"] == "shard-done" and r["shard"] == lost,
+    )
+    entries = shard_pair_entries(racy_trace, shard_pairs=2)
+    for name in entries[lost]:
+        (state / CACHE_NAME / "pairs" / name).unlink()
+    done = replay_wal(state / WAL_NAME).jobs[job_id].shards_done
+    assert done == set(range(SHARDS)) - {lost}
+    durable = sum(len(entries[index]) for index in done)
+    del compares[:]
     with durable_service(state) as svc:
         result = svc.result(job_id, timeout=60)  # same pre-crash id works
         status = svc.status(job_id)
@@ -83,17 +100,23 @@ def test_restart_resumes_job_from_checkpoints(tmp_path, racy_trace):
     assert result.races.to_json() == reference  # byte-identical completion
     assert status["resumed"] is True
     assert status["state"] == DONE
-    # Every shard the WAL proved durable was loaded, never re-executed.
-    assert status["checkpoint_hits"] >= durable
+    # Every pair of a logged shard replayed; only the lost ones ran.
+    resumed = result.stats
+    assert resumed.pair_cache_hits == durable
+    assert len(compares) == len(entries[lost])
+    assert (
+        resumed.pairs_pruned + resumed.pair_cache_hits + len(compares)
+        == resumed.concurrent_pairs
+    )
     assert stats["jobs_resumed"] == 1
     assert fresh != job_id
 
 
 def test_salvage_job_resumes_to_the_uninterrupted_result(
-    tmp_path, racy_trace
+    tmp_path, racy_trace, compares
 ):
     """A salvage job shards like a strict one, so it resumes like one:
-    killed with half its shards checkpointed, the restarted service
+    killed with half its pair entries written, the restarted service
     returns the uninterrupted races and integrity report."""
     torn = tmp_path / "torn"
     shutil.copytree(racy_trace, torn)
@@ -105,18 +128,36 @@ def test_salvage_job_resumes_to_the_uninterrupted_result(
         reference = svc.result(job_id, timeout=60)
         assert svc.status(job_id)["shards_total"] > 1
     truncate_wal(state, {"shard-done", "merged", "finalized"})
-    checkpoints = sorted((state / "checkpoints").glob("*.json"))
-    for ckpt in checkpoints[::2]:
-        ckpt.unlink()
+    entries = sorted((state / CACHE_NAME / "pairs").glob("*.json"))
+    for entry in entries[::2]:
+        entry.unlink()
+    del compares[:]
     with durable_service(state, shard_pairs=1) as svc:
         result = svc.result(job_id, timeout=60)
         status = svc.status(job_id)
-    assert status["resumed"] is True and status["checkpoint_hits"] > 0
+    stats = result.stats
+    assert status["resumed"] is True
+    assert stats.pair_cache_hits == len(entries) - len(entries[::2]) > 0
+    assert (
+        stats.pairs_pruned + stats.pair_cache_hits + len(compares)
+        == stats.concurrent_pairs
+    )
     assert result.races.to_json() == reference.races.to_json()
     assert result.integrity.to_json() == reference.integrity.to_json()
     assert result.races.to_json() == api.analyze(
         torn, integrity="salvage"
     ).races.to_json()
+
+
+def test_a_durable_service_requires_its_result_cache(tmp_path):
+    """A resumed job replays its decided pairs from the result cache; a
+    state dir without one would silently recompute every resumed job."""
+    config = ServeConfig(state_dir=str(tmp_path / "state"), result_cache=False)
+    with pytest.raises(ValueError, match="result_cache"):
+        config.validate()
+    with pytest.raises(ValueError, match="result_cache"):
+        Service(config)
+    assert not (tmp_path / "state").exists()
 
 
 def test_restart_with_no_planned_record_replans_from_scratch(
@@ -128,8 +169,7 @@ def test_restart_with_no_planned_record_replans_from_scratch(
         reference = svc.result(job_id, timeout=60).races.to_json()
     # Kill straight after admission: only the submitted record survives.
     truncate_wal(state, {"planned", "shard-done", "merged", "finalized"})
-    for ckpt in (state / "checkpoints").glob("*.json"):
-        ckpt.unlink()
+    shutil.rmtree(state / CACHE_NAME)
     with durable_service(state) as svc:
         result = svc.result(job_id, timeout=60)
     assert result.races.to_json() == reference
@@ -301,58 +341,6 @@ def test_cancel_after_finalization_is_a_stable_no(tmp_path, racy_trace):
     assert replay_wal(state / WAL_NAME).jobs[job_id].final_state == before
 
 
-def test_identical_jobs_share_checkpoints(tmp_path, racy_trace):
-    # Checkpoint tokens hash trace content + shard shape, not job ids:
-    # the second identical submission is served from checkpoints.
-    with durable_service(tmp_path / "state") as svc:
-        first = svc.submit(racy_trace)
-        svc.result(first, timeout=60)
-        second = svc.submit(racy_trace)
-        svc.result(second, timeout=60)
-        status = svc.status(second)
-        assert status["checkpoint_hits"] > 0
-        assert (
-            svc._job(first).races.to_json() == svc._job(second).races.to_json()
-        )
-
-
-def test_checkpoint_written_before_the_ledger_still_loads(tmp_path):
-    """An outcome as an earlier commit wrote it — 25 ``stats`` keys, the
-    two derived ones and the deleted ``site_pairs_skipped`` included —
-    decodes every field that still exists; the deleted key is
-    ignored."""
-    stats = {
-        "intervals": 0, "concurrent_pairs": 0, "trees_built": 4,
-        "tree_nodes": 36, "events_read": 1024, "overlap_candidates": 96,
-        "ilp_solves": 90, "races_found": 0, "pairs_pruned": 1,
-        "solver_memo_hits": 5, "solver_memo_misses": 85,
-        "pair_cache_hits": 2, "tree_cache_disk_hits": 3,
-        "bytes_inflated": 32768, "frames_pruned": 2, "frames_inflated": 4,
-        "sites_proven_free": 6, "sites_definite_race": 1,
-        "events_elided": 640, "site_pairs_skipped": 7,
-        "plan_seconds": 0.0, "build_seconds": 0.25, "compare_seconds": 0.5,
-        "total_seconds": 0.75, "events_per_second": 1365.3333333333333,
-    }
-    payload = {
-        "format": 1,
-        "rows": [[1, 2, 4096, True, False, 0, 1, 3, 3, 0, 0]],
-        "stats": stats,
-        "integrity": None,
-        "cache_hits": 5,
-    }
-    store = ShardCheckpointStore(tmp_path)
-    (tmp_path / "parent.json").write_text(json.dumps(payload))
-    outcome = store.load("parent", job_id="j", index=2)
-    assert outcome.from_checkpoint and outcome.cache_hits == 5
-    assert outcome.rows == [(1, 2, 4096, True, False, 0, 1, 3, 3, 0, 0)]
-    del stats["site_pairs_skipped"]
-    assert outcome.stats == AnalysisStats(
-        **{k: v for k, v in stats.items()
-           if k not in ("total_seconds", "events_per_second")}
-    )
-    assert outcome.stats.to_json() == stats
-
-
 @pytest.fixture(scope="module")
 def qsomp_trace(tmp_path_factory):
     trace = tmp_path_factory.mktemp("traces") / "qsomp"
@@ -364,53 +352,54 @@ def _edit(text, **fields):
     return json.dumps({**json.loads(text), **fields})
 
 
-#: Shard-checkpoint bodies a torn write or a tamperer leaves behind.
+#: A race report as a pair entry stores it.
+REPORT = {
+    "pc_a": 1, "pc_b": 2, "address": 4096, "write_a": True,
+    "write_b": False, "gid_a": 0, "gid_b": 1, "pid_a": 3, "pid_b": 3,
+    "bid_a": 0, "bid_b": 0,
+}
+
+#: Pair-entry bodies a torn write or a tamperer leaves behind.
 TAMPERED = {
     "torn": lambda text: text[:20],
     "not-an-object": lambda text: "[]",
-    "two-field-row": lambda text: _edit(text, rows=[[1, 2]]),
+    "two-field-row": lambda text: _edit(text, reports=[[1, 2]]),
     "string-field": lambda text: _edit(
-        text, rows=[[1, 2, "4096", True, False, 0, 1, 3, 3, 0, 0]]
+        text, reports=[{**REPORT, "address": "0x1000"}]
     ),
-    "non-numeric-stat": lambda text: _edit(
-        text, stats={**json.loads(text)["stats"], "trees_built": "x"}
+    "missing-field": lambda text: _edit(
+        text, reports=[{k: v for k, v in REPORT.items() if k != "pc_b"}]
     ),
-    "integrity-shape": lambda text: _edit(text, integrity=["not", "a"]),
+    "reports-shape": lambda text: _edit(text, reports=7),
     "format-2": lambda text: _edit(text, format=2),
 }
 
 
 @pytest.mark.parametrize("body", TAMPERED)
-def test_tampered_checkpoint_is_recomputed_not_hung(
-    tmp_path, qsomp_trace, body, monkeypatch
-):
-    """A checkpoint is outside input.  One that does not decode field by
-    field is evicted and its shard recomputed — a hit that only fails at
-    the merge would kill the pool thread and leave the job running
-    forever.  Another ``format`` is a plain miss, overwritten."""
+def test_resume_over_tampered_pair_entries(tmp_path, qsomp_trace, body):
+    """A pair entry is outside input.  A resumed job whose every entry
+    does not decode evicts them, counts the evictions and recomputes
+    the pairs; another ``format`` is a plain miss, overwritten."""
     trace, reference = qsomp_trace
     state = tmp_path / "state"
-    with durable_service(state, result_cache=False) as svc:
-        svc.result(svc.submit(trace), timeout=30)
-    checkpoints = sorted((state / "checkpoints").glob("*.json"))
-    assert checkpoints
-    for path in checkpoints:
-        path.write_text(TAMPERED[body](path.read_text()))
-    stores = []
-    real_store = workers._checkpoint_store
-
-    def recording_store(spec):
-        stores.append(real_store(spec))
-        return stores[-1]
-
-    monkeypatch.setattr(workers, "_checkpoint_store", recording_store)
-    with durable_service(state, result_cache=False) as svc:
+    with durable_service(state) as svc:
         job_id = svc.submit(trace)
+        svc.result(job_id, timeout=30)
+    truncate_wal(state, {"merged", "finalized"})
+    entries = sorted((state / CACHE_NAME / "pairs").glob("*.json"))
+    assert entries
+    for path in entries:
+        path.write_text(TAMPERED[body](path.read_text()))
+    with durable_service(state, obs=live()) as svc:
         result = svc.result(job_id, timeout=30)
-        assert svc.status(job_id)["state"] == DONE
+        job = svc._job(job_id)
+        assert job.resumed and job.state == DONE
     assert result.races.to_json() == reference
-    evictions = sum(store.entries.evictions for store in stores)
-    assert evictions == (0 if body == "format-2" else len(checkpoints))
-    reader = ShardCheckpointStore(state / "checkpoints")
-    for path in checkpoints:
-        assert reader.load(path.stem, job_id="j", index=0) is not None
+    assert result.stats.pair_cache_hits == 0
+    evictions = job.worker_metrics["counters"].get(
+        "offline.pair_cache_corrupt_evictions", 0
+    )
+    assert evictions == (0 if body == "format-2" else len(entries))
+    store = ContentStore(state / CACHE_NAME / "pairs", CACHE_FORMAT)
+    for path in entries:
+        assert store.load(path.stem, lambda payload: payload["reports"]) is not None

@@ -18,15 +18,9 @@ def write_lifecycle(wal, job="job-000001", shards=2):
         integrity="strict",
         trace_id="t1",
     )
-    wal.append(
-        "planned",
-        job,
-        shards=shards,
-        pairs=8,
-        tokens=[f"tok{i}" for i in range(shards)],
-    )
+    wal.append("planned", job, shards=shards, pairs=8, pruned=0)
     for i in range(shards):
-        wal.append("shard-done", job, shard=i, token=f"tok{i}", races=1, pairs=4)
+        wal.append("shard-done", job, shard=i, races=1, pairs=4)
     wal.append("merged", job, races=2)
     wal.append("finalized", job, state="done", races=2)
 
@@ -43,10 +37,7 @@ def test_append_replay_roundtrip(tmp_path):
     assert job.tenant == "acme"
     assert job.trace_path == "/tmp/trace"
     assert job.shards_total == 2
-    assert job.pairs_total == 8
-    assert job.tokens == ["tok0", "tok1"]
-    assert job.shards_done == {0: "tok0", 1: "tok1"}
-    assert job.merged is True
+    assert job.shards_done == {0, 1}
     assert job.final_state == "done"
     assert job.finished
     assert replay.unfinished == []
@@ -58,7 +49,7 @@ def test_unfinished_jobs_in_submission_order(tmp_path):
         write_lifecycle(wal, job="job-000001")  # finished
         wal.append("submitted", "job-000002", tenant="b", trace="x")
         wal.append("submitted", "job-000003", tenant="c", trace="y")
-        wal.append("planned", "job-000003", shards=1, pairs=2, tokens=["t"])
+        wal.append("planned", "job-000003", shards=1, pairs=2)
     replay = replay_wal(path)
     assert [j.job_id for j in replay.unfinished] == ["job-000002", "job-000003"]
     assert replay.max_seq() == 3
@@ -85,12 +76,13 @@ def test_corrupt_crc_line_is_dropped(tmp_path):
     with JobWal(path) as wal:
         write_lifecycle(wal)
     lines = path.read_text().splitlines(keepends=True)
-    # Flip a payload byte in the "merged" record; its CRC no longer matches.
-    bad = lines[4].replace(b"merged".decode(), "mergeX", 1)
-    path.write_text("".join(lines[:4] + [bad] + lines[5:]))
+    # Flip a payload byte in shard 1's "shard-done" record; its CRC no
+    # longer matches.
+    bad = lines[3].replace("shard-done", "shard-dXne", 1)
+    path.write_text("".join(lines[:3] + [bad] + lines[4:]))
     replay = replay_wal(path)
     job = replay.jobs["job-000001"]
-    assert job.merged is False  # the damaged record was dropped
+    assert job.shards_done == {0}  # the damaged record was dropped
     assert job.final_state == "done"  # later records still parse
 
 
@@ -104,6 +96,18 @@ def test_orphaned_records_counted_not_fatal(tmp_path):
     replay = replay_wal(path)
     assert replay.jobs == {}
     assert replay.orphaned == 5
+
+
+def test_fields_replay_does_not_read_are_ignored(tmp_path):
+    """A log written when ``planned`` and ``shard-done`` still named
+    per-shard tokens replays like a current one."""
+    path = tmp_path / "wal.jsonl"
+    with JobWal(path) as wal:
+        wal.append("submitted", "job-000001", tenant="a", trace="x")
+        wal.append("planned", "job-000001", shards=2, pairs=4, tokens=["a", "b"])
+        wal.append("shard-done", "job-000001", shard=1, token="b", races=0, pairs=2)
+    job = replay_wal(path).jobs["job-000001"]
+    assert (job.shards_total, job.shards_done, job.finished) == (2, {1}, False)
 
 
 def test_future_version_records_skipped(tmp_path):
@@ -177,5 +181,12 @@ def test_records_match_checked_in_schema(tmp_path):
     with JobWal(path) as wal:
         write_lifecycle(wal)
     records = parse_journal(path.read_text(), salvage=True)
-    errors = validate(records, json.loads(schema_path.read_text()))
-    assert errors == []
+    schema = json.loads(schema_path.read_text())
+    assert validate(records, schema) == []
+    planned = next(r for r in records if r["kind"] == "planned")
+    # ``planned`` requires its counts, and carries nothing replay ignores.
+    for bad in (
+        {k: v for k, v in planned.items() if k != "pairs"},
+        {**planned, "tokens": []},
+    ):
+        assert validate([bad], schema)

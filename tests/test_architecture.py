@@ -106,8 +106,7 @@ FORBIDDEN = {
         None,
     ),
     # No offline static pair skip: every site pair is decided by the
-    # digest prune, the pair cache or the compare.  Tests keep one
-    # payload written with the deleted counter, to show it still loads.
+    # digest prune, the pair cache or the compare.
     "no-static-pair-skip": (
         r"static_skip|proven_free_by_pid|_static_free",
         ("src", "tests", "benchmarks", "examples"),
@@ -115,7 +114,7 @@ FORBIDDEN = {
     ),
     "no-site-pairs-skipped": (
         r"site_pairs_skipped",
-        ("src", "benchmarks", "examples"),
+        ("src", "tests", "benchmarks", "examples"),
         None,
     ),
     # One driver: serial analysis is a function over the inventory's one
@@ -140,6 +139,14 @@ FORBIDDEN = {
     "no-stream-checkpoint": (
         r"checkpoint_path|max_pairs|StreamingInterrupted|CHECKPOINT_EVERY"
         r"|stream\.checkpoint|stream\.pairs_skipped",
+        ("src", "tests", "benchmarks", "examples"),
+        None,
+    ),
+    # ... and so does a resumed service job: the state-dir result cache
+    # is its one durable store, and the shard checkpoint stays deleted.
+    "no-shard-checkpoint": (
+        r"ShardCheckpointStore|checkpoint_token|checkpoint_hits"
+        r"|from_checkpoint|checkpoint_root|serve\.checkpoint",
         ("src", "tests", "benchmarks", "examples"),
         None,
     ),

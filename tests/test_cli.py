@@ -347,3 +347,13 @@ def test_analyze_no_static_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(trace), "--no-static"])
     assert exc.value.code == 2
+
+
+def test_serve_refuses_a_state_dir_without_the_cache(tmp_path, capsys):
+    # Refused before any corpus is collected or service booted.
+    state = tmp_path / "state"
+    argv = ["serve", "--in-process", "--submissions", "1", "--threads", "2"]
+    assert main(argv + ["--state-dir", str(state), "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "result_cache" in err
+    assert not state.exists()
