@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache",
         action="store_true",
-        help="persist per-interval trees and pair verdicts next to the trace",
+        help="persist pair verdicts next to the trace (a rerun resumes from them)",
     )
     p.add_argument(
         "--cache-dir",

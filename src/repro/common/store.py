@@ -5,9 +5,9 @@ and the one rule for when a read-back entry is trusted.
 the previous one.  :class:`ContentStore` is a directory of
 ``<token>.json`` entries tagged with a ``format``, whose loads return
 the decoded entry or a miss, never an error.  The result cache
-(:mod:`repro.offline.cache`) keeps its trees and pair verdicts in two
-content stores; it is the one durable store every analysis mode and the
-service resume from.
+(:mod:`repro.offline.cache`) keeps its pair verdicts in one content
+store; it is the one durable store every analysis mode and the service
+resume from.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Persistent content-hashed result cache for the offline analysis.
 
-Watch-mode re-analysis and repeated ``analyze`` invocations redo work the
-trace already paid for: the per-interval trees and the per-pair verdicts
-are pure functions of the trace bytes.  This cache keys both by content
+Watch-mode re-analysis, repeated ``analyze`` invocations and resumed
+runs redo work the trace already paid for: each pair's verdict is a pure
+function of the trace bytes.  This cache keys the verdicts by content
 hashes so unchanged work is skipped and *any* change to the underlying
 files invalidates exactly the entries it affects:
 
@@ -10,26 +10,22 @@ files invalidates exactly the entries it affects:
   digests plus the interval identity and its chunk list;
 * **context token** — sha256 over the trace-wide tables that feed pair
   verdicts (mutex sets, task graph, regions) and the verdict format
-  version (not the tree format: a verdict does not depend on how a tree
-  is laid out on disk);
+  version;
 * **pair token** — context token plus both interval tokens, oriented
   canonically (by interval identity, exactly like the engine's
   comparison) so either argument order finds the same entry.
 
-Trees are stored as their in-order rows (:mod:`repro.itree.serialize`)
-and reloaded through the ``IntervalTree`` constructor, which rejects rows
-out of order — a reloaded tree is the built one, row for row, or a miss
-— preserving canonical-witness determinism.  Pair
-verdicts store the full report list the comparison generated (often
-empty); replaying them through :meth:`RaceSet.add` is order-independent.
+A verdict stores the full report list the comparison generated (often
+empty); replaying it through :meth:`RaceSet.add` is order-independent.
+Interval trees are not stored: the compressed log is their one lasting
+form, and a pair that misses rebuilds its trees from it.
 
-Trees and verdicts live in two :class:`~repro.common.store.ContentStore`\\ s,
-``trees/`` and ``pairs/``, so writes are atomic and a read-only,
-corrupted or older cache degrades to a miss, never to a wrong answer.
-An entry that fails to decode (torn write, bit rot, tampered rows) is
-evicted on discovery — counted on
-``offline.pair_cache_corrupt_evictions`` — so one bad entry costs one
-recompute, not one failed read per run forever.  The cache is only
+The verdicts live in one :class:`~repro.common.store.ContentStore`,
+``pairs/``, so writes are atomic and a read-only, corrupted or older
+cache degrades to a miss, never to a wrong answer.  An entry that
+fails to decode (torn write, bit rot, tampered fields) is evicted on
+discovery — counted on ``offline.pair_cache_corrupt_evictions`` — so
+one bad entry costs one recompute, not one failed read per run forever.  The cache is only
 sound for *closed* traces — the engine never attaches one to a live
 streaming source.
 """
@@ -42,8 +38,6 @@ from pathlib import Path
 from typing import Optional
 
 from ..common.store import ContentStore, file_sha
-from ..itree.serialize import TREE_FORMAT, tree_from_rows, tree_to_rows
-from ..itree.tree import IntervalTree
 from ..sword.traceformat import (
     MUTEXSETS_NAME,
     REGIONS_NAME,
@@ -60,7 +54,7 @@ CACHE_FORMAT = 1
 
 
 class ResultCache:
-    """Content-addressed store of interval trees and pair verdicts."""
+    """Content-addressed store of pair verdicts."""
 
     def __init__(
         self,
@@ -85,9 +79,6 @@ class ResultCache:
             "offline.pair_cache_corrupt_evictions",
             "corrupt/truncated cache entries deleted on discovery",
         ).inc
-        self.trees = ContentStore(
-            self.root / "trees", TREE_FORMAT, on_evict=evicted
-        )
         self.pairs = ContentStore(
             self.root / "pairs", CACHE_FORMAT, on_evict=evicted
         )
@@ -143,18 +134,6 @@ class ResultCache:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- entries ---------------------------------------------------------------
-
-    def load_tree(self, interval: IntervalData) -> Optional[IntervalTree]:
-        """Reload one interval's tree, or None on a miss."""
-        return self.trees.load(
-            self.interval_token(interval),
-            lambda payload: tree_from_rows(payload["nodes"]),
-        )
-
-    def store_tree(self, interval: IntervalData, tree: IntervalTree) -> None:
-        self.trees.store(
-            self.interval_token(interval), {"nodes": tree_to_rows(tree)}
-        )
 
     def load_pair(
         self, ia: IntervalData, ib: IntervalData

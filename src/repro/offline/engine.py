@@ -110,7 +110,6 @@ class AnalysisStats:
     solver_memo_hits: int = _stat("sum", "Diophantine solves served memoized")
     solver_memo_misses: int = _stat("sum", "Diophantine solves computed")
     pair_cache_hits: int = _stat("sum", "pair verdicts replayed from cache")
-    tree_cache_disk_hits: int = _stat("sum", "trees reloaded from cache")
     #: Uncompressed bytes actually decompressed (the lazy-inflation
     #: claim: scales with races found, not with trace size).
     bytes_inflated: int = _stat("sum", "uncompressed bytes decompressed")
@@ -405,18 +404,13 @@ class AnalysisEngine:
         return reader
 
     def build_tree(self, interval: IntervalData) -> IntervalTree:
-        """Stream one interval's chunks into a summarised tree (cached)."""
+        """Stream one interval's chunks into a summarised tree (LRU-cached
+        in memory; never stored on disk)."""
         key = interval.key
         cached = self._tree_cache.get(key)
         if cached is not None:
             self._m_cache_hits.inc()
             return cached
-        if self._result_cache is not None:
-            loaded = self._result_cache.load_tree(interval)
-            if loaded is not None:
-                self.stats.tree_cache_disk_hits += 1
-                self._tree_cache.put(key, loaded)
-                return loaded
         t0 = time.perf_counter()
         with self.obs.tracer.span(
             "tree-build", category="offline", gid=key.gid,
@@ -438,8 +432,6 @@ class AnalysisEngine:
         self.stats.build_seconds += elapsed
         self._m_tree_nodes.observe(len(tree))
         self._m_build_seconds.observe(elapsed)
-        if self._result_cache is not None:
-            self._result_cache.store_tree(interval, tree)
         self._tree_cache.put(key, tree)
         return tree
 

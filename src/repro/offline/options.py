@@ -14,6 +14,7 @@ setting.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,11 +30,20 @@ class FastPathOptions:
     the cache on or off.
     """
 
-    #: Persist per-interval trees and pair verdicts keyed by trace
-    #: content hashes (opt-in: writes under the trace directory, or
-    #: ``cache_dir`` when set).  Only engaged for closed traces.
+    #: Persist pair verdicts keyed by trace content hashes (opt-in:
+    #: writes under the trace directory, or ``cache_dir`` when set).
+    #: Only engaged for closed traces.
     result_cache: bool = False
     cache_dir: Optional[str] = None
+
+
+def check_cache_dir(cache_dir: Optional[str]) -> None:
+    """Refuse a result-cache root that exists but is not a directory:
+    every store there would miss, so resume would be off without a word.
+    (A read-only or full disk still costs misses, not errors.)"""
+    if cache_dir is not None and os.path.exists(cache_dir):
+        if not os.path.isdir(cache_dir):
+            raise ConfigError(f"cache_dir {cache_dir!r} is not a directory")
 
 
 @dataclass(slots=True)
@@ -65,6 +75,7 @@ class AnalysisOptions:
                 f"integrity must be 'strict' or 'salvage', "
                 f"got {self.integrity!r}"
             )
+        check_cache_dir(self.fastpath.cache_dir)
 
     def copy(self, **overrides) -> "AnalysisOptions":
         return replace(self, **overrides)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..offline.options import AnalysisOptions
+from ..offline.options import AnalysisOptions, check_cache_dir
 
 #: Where a durable service roots its result cache under the state dir.
 CACHE_NAME = "result-cache"
@@ -58,8 +58,8 @@ class ServeConfig:
     queue_capacity: int = 16
     quota: TenantQuota = field(default_factory=TenantQuota)
     shard_pairs: int = 32
-    #: Shared content-hashed tree/verdict cache across all jobs and
-    #: tenants (identical shards are computed once fleet-wide).
+    #: Shared content-hashed pair-verdict cache across all jobs and
+    #: tenants (a pair decided once is replayed fleet-wide).
     result_cache: bool = True
     cache_dir: Optional[str] = None
     #: Transient shard I/O failures get this many extra attempts.
@@ -125,5 +125,6 @@ class ServeConfig:
                 "state_dir needs result_cache: a resumed job replays its "
                 "decided pairs from the result cache"
             )
+        check_cache_dir(self.cache_dir)
         self.quota.validate()
         self.options.validate()

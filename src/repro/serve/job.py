@@ -189,15 +189,12 @@ class JobRecord:
     #: coordinator (the service-level TTFR; None when the job is clean).
     ttfr_seconds: Optional[float] = None
     finished_at: Optional[float] = None
-    cache_hits: int = 0
     #: Submission-to-terminal wall deadline (None: unbounded); enforced
     #: by the scheduler, which stops dispatching and fails the job.
     deadline_s: Optional[float] = None
     #: True when this record was rebuilt from the WAL by a restarted
     #: service rather than submitted in this process's lifetime.
     resumed: bool = False
-    #: The planner's total concurrent-pair count (coverage denominator).
-    pairs_total: int = 0
     #: Pairs that survived the plan-time digest prune and went out in
     #: shards.
     pairs_shipped: int = 0
@@ -263,7 +260,7 @@ class JobRecord:
                 "pairs_shipped": self.pairs_shipped,
                 "ttfr_seconds": self.ttfr_seconds,
                 "elapsed_seconds": self.elapsed_seconds,
-                "cache_hits": self.cache_hits,
+                "cache_hits": self.stats.pair_cache_hits,
                 "deadline_s": self.deadline_s,
                 "resumed": self.resumed,
                 "shards_quarantined": len(self.quarantined),

@@ -88,7 +88,7 @@ class JobScheduler:
         )
         self._m_cache = registry.counter(
             "serve.cross_job_cache_hits",
-            "persistent-cache hits served to shards (cross-job reuse)",
+            "pair verdicts shards replayed from the shared result cache",
         )
         self._m_queue_wait = registry.histogram(
             "serve.queue_wait_seconds",
@@ -217,7 +217,6 @@ class JobScheduler:
             job.integrity_report = plan.integrity
             job.stats.plan_seconds = plan_seconds
             job.shards_total = len(plan.shards)
-            job.pairs_total = plan.stats.concurrent_pairs
             job.pairs_shipped = plan.pairs_shipped
             if self.obs_config is not None and self.obs_config.metrics:
                 merge_snapshots(
@@ -298,9 +297,7 @@ class JobScheduler:
         if outcome.integrity is not None:  # a salvage job's shard
             job.integrity_parts[outcome.index] = outcome.integrity
         job.stats.merge(outcome.stats)
-        if outcome.cache_hits:
-            job.cache_hits += outcome.cache_hits
-            self._m_cache.inc(outcome.cache_hits)
+        self._m_cache.inc(outcome.stats.pair_cache_hits)
         if outcome.spans:
             job.worker_spans.append((outcome.worker_pid, outcome.spans))
         if outcome.metrics:
@@ -439,7 +436,7 @@ class JobScheduler:
                 job.degradation = DegradationReport(
                     job_id=job.job_id,
                     shards_total=job.shards_total,
-                    pairs_total=job.pairs_total,
+                    pairs_total=job.stats.concurrent_pairs,
                     quarantined=list(job.quarantined),
                 )
                 job.state = DEGRADED
@@ -497,7 +494,7 @@ class JobScheduler:
             state=job.state,
             races=len(job.races),
             shards=job.shards_total,
-            cache_hits=job.cache_hits,
+            cache_hits=job.stats.pair_cache_hits,
             quarantined=len(job.quarantined) or None,
             elapsed_seconds=round(job.elapsed_seconds, 6),
             error=job.error or None,

@@ -10,7 +10,10 @@ remote node reading a shared filesystem — logs, mutex sets, task graph),
 drives the shared :class:`~repro.offline.engine.AnalysisEngine` over the
 interval pairs its spec carries, and ships races back as plain tuples —
 no tree or engine pickling, and no second scan of the meta files: the
-planner parsed them once and shipped what each shard needs.
+planner parsed them once and shipped what each shard needs.  A shard
+builds the trees of its own pairs in its engine's in-memory LRU and
+shares only pair verdicts through the result cache, so how many trees a
+job builds is a function of its plan, not of how its shards interleave.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ class ShardOutcome:
     stats: AnalysisStats = field(default_factory=AnalysisStats)
     #: A salvage job's shard: the pairs its engine abandoned.
     integrity: Optional[IntegrityReport] = None
-    #: Persistent-cache hits this shard served (tree + pair verdicts) —
-    #: the coordinator's cross-job reuse signal.
-    cache_hits: int = 0
     #: Spans this shard recorded, as wall-clock dicts
     #: (:meth:`repro.obs.tracer.Span.to_json`) — empty with tracing off.
     spans: list[dict] = field(default_factory=list)
@@ -127,7 +127,4 @@ def _execute_shard(spec: ShardSpec, obs: Instrumentation) -> ShardOutcome:
             outcome.stats = engine.stats
         outcome.integrity = engine.abandoned
     outcome.rows = race_rows(races)
-    outcome.cache_hits = (
-        outcome.stats.pair_cache_hits + outcome.stats.tree_cache_disk_hits
-    )
     return outcome

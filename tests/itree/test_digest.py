@@ -17,12 +17,7 @@ from repro.common.events import (
     KIND_ACCESS,
 )
 from repro.ilp import intervals_share_address
-from repro.itree import (
-    IntervalTree,
-    StridedInterval,
-    tree_from_rows,
-    tree_to_rows,
-)
+from repro.itree import IntervalTree, StridedInterval
 from repro.sword.digest import FrameDigest, digests_may_race
 
 
@@ -123,16 +118,6 @@ def test_shared_residue_class_not_pruned():
     da = digest_of([interval(0, stride=8, size=4, count=50)])
     db = digest_of([interval(8, stride=8, size=4, count=50)])
     assert digests_may_race(da, db)
-
-
-@settings(max_examples=100, deadline=None)
-@given(tree_st)
-def test_serialize_roundtrip(intervals):
-    """tree_from_rows rebuilds the same interval sequence, tie order included."""
-    tree = make_tree(intervals)
-    rebuilt = tree_from_rows(tree_to_rows(tree))
-    assert rebuilt.intervals() == tree.intervals()
-    assert tree_to_rows(rebuilt) == tree_to_rows(tree)
 
 
 def test_residue_window_math_matches_brute_force():

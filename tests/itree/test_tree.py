@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.itree.interval import StridedInterval
-from repro.itree.serialize import tree_from_rows, tree_to_rows
 from repro.itree.tree import IntervalTree
 
 
@@ -173,7 +172,3 @@ class TestColumns:
         tree = IntervalTree(_mixed_intervals(200, 1))
         assert_columns_match(tree)
         assert tree.columns() is tree.columns()  # built once
-
-    def test_reloaded_from_rows(self):
-        tree = IntervalTree(_mixed_intervals(64, 2))
-        assert_columns_match(tree_from_rows(tree_to_rows(tree)))

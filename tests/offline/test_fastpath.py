@@ -9,7 +9,9 @@ import tempfile
 
 import pytest
 
+from repro import api
 from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
+from repro.common.errors import ConfigError
 from repro.offline import (
     AnalysisOptions,
     FastPathOptions,
@@ -171,6 +173,22 @@ def test_explicit_cache_dir(tmp_path):
     assert not (tmp_path / "trace" / ".sword-cache").exists()
 
 
+@pytest.mark.parametrize("mode", ["serial", "streaming", "parallel"])
+def test_cache_dir_that_is_a_file_is_refused(tmp_path, mode):
+    """A file where the cache root should be would turn every store into
+    a miss: resume silently off.  Every mode refuses it up front."""
+    trace_path = str(tmp_path / "trace")
+    collect(REGISTRY.get("plusplus-orig-yes"), trace_path)
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    opts = AnalysisOptions(
+        workers=2,
+        fastpath=FastPathOptions(result_cache=True, cache_dir=str(not_a_dir)),
+    )
+    with pytest.raises(ConfigError, match="not a directory"):
+        api.analyze(trace_path, mode=mode, options=opts)
+
+
 def test_memo_counts_surface_in_stats(tmp_path):
     trace_path = str(tmp_path / "trace")
     tool = SwordTool(SwordConfig(log_dir=trace_path, buffer_events=256))
@@ -185,6 +203,5 @@ def test_memo_counts_surface_in_stats(tmp_path):
         "solver_memo_hits",
         "solver_memo_misses",
         "pair_cache_hits",
-        "tree_cache_disk_hits",
     ):
         assert key in payload

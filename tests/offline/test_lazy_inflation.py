@@ -18,10 +18,8 @@ from repro import api
 from repro.common.config import SwordConfig
 from repro.common.errors import TraceFormatError
 from repro.offline.analyzer import reference_analyze
-from repro.offline.engine import AnalysisEngine
-from repro.offline.cache import ResultCache
 from repro.offline.intervals import IntervalInventory
-from repro.offline.options import AnalysisOptions, FastPathOptions
+from repro.offline.options import AnalysisOptions
 from repro.sword import SwordTool, TraceDir
 
 
@@ -159,30 +157,3 @@ def test_row_without_a_d1_digest_is_malformed(tmp_path, program, head):
     eager = analyze(tmp_path, lazy=False, integrity="salvage")
     assert lazy.integrity.rows_dropped == eager.integrity.rows_dropped == 1
     assert race_bytes(lazy) == race_bytes(eager)
-
-
-def test_tree_cache_entry_from_before_the_digest_was_dropped_loads(tmp_path):
-    """Tree entries used to carry ``digest``/``events_in`` keys; such an
-    entry (whatever its digest version) must load, never raise."""
-    trace_path = tmp_path / "trace"
-    collect(racy_program, trace_path)
-    trace = TraceDir(trace_path)
-    interval = next(iter(IntervalInventory(trace).intervals.values()))
-    options = AnalysisOptions(fastpath=FastPathOptions(result_cache=True))
-    with AnalysisEngine(trace, options=options) as engine:
-        built = engine.build_tree(interval)
-    cache = ResultCache(trace_path)
-    path = cache.trees.path(cache.interval_token(interval))
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"format", "nodes"}
-    payload["digest"] = {"version": 99, "nodes": 1}
-    payload["events_in"] = 7
-    path.write_text(json.dumps(payload))
-    loaded = cache.load_tree(interval)
-    assert loaded is not None and len(loaded) == len(built)
-    assert cache.trees.evictions == 0
-    # A genuinely torn entry is still a counted, evicted miss.
-    path.write_text(json.dumps({"format": payload["format"]}))
-    assert cache.load_tree(interval) is None
-    assert cache.trees.evictions == 1
-    assert not path.exists()

@@ -26,7 +26,7 @@ JSON_KEYS = [
     "intervals", "concurrent_pairs", "trees_built", "tree_nodes",
     "events_read", "overlap_candidates", "ilp_solves", "races_found",
     "pairs_pruned", "solver_memo_hits", "solver_memo_misses",
-    "pair_cache_hits", "tree_cache_disk_hits", "bytes_inflated",
+    "pair_cache_hits", "bytes_inflated",
     "frames_pruned", "frames_inflated", "sites_proven_free",
     "sites_definite_race", "events_elided", "plan_seconds", "build_seconds", "compare_seconds",
     "total_seconds", "events_per_second",
@@ -35,7 +35,7 @@ JSON_KEYS = [
 MIRRORED = {
     "trees_built", "events_read", "overlap_candidates", "ilp_solves",
     "pairs_pruned", "solver_memo_hits", "solver_memo_misses",
-    "pair_cache_hits", "tree_cache_disk_hits", "bytes_inflated",
+    "pair_cache_hits", "bytes_inflated",
     "frames_pruned", "frames_inflated",
 }
 
@@ -117,7 +117,7 @@ def test_counters_equal_stats_in_every_mode(qsomp_trace):
             options=AnalysisOptions(workers=2),
         )
         seen[mode] = counters = _mirrored_counters(bundle)
-        # Zero-valued counters are exported too: all twelve, always.
+        # Zero-valued counters are exported too: all eleven, always.
         assert counters == {
             f"offline.{name}": getattr(result.stats, name) for name in MIRRORED
         }, mode

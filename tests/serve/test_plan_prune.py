@@ -20,6 +20,7 @@ import repro.api as api
 from repro.common.errors import TraceFormatError
 from repro.faults.harness import collect_trace
 from repro.offline.analyzer import reference_analyze
+from repro.offline.engine import TREE_CACHE_CAPACITY
 from repro.offline.intervals import IntervalInventory
 from repro.offline.options import AnalysisOptions, FastPathOptions
 from repro.serve import DONE, JobFailedError, ServeConfig, Service, replay_wal
@@ -50,9 +51,9 @@ PLANNED = {
     "wshift": (12, 12),
 }
 #: Per-pair work is a function of the pair alone, so these must equal the
-#: serial analysis however the pairs are cut into shards; ``trees_built``
-#: joins them when one worker shares one cold cache (two workers can
-#: both miss the same tree and both build it).
+#: serial analysis however the pairs are cut into shards.  ``trees_built``
+#: is not one of them: each shard builds the trees of its own pairs
+#: (:func:`planned_builds`), so it is a function of the plan.
 PAIR_COUNTERS = (
     "concurrent_pairs", "pairs_pruned", "frames_pruned",
     "overlap_candidates", "ilp_solves",
@@ -110,6 +111,19 @@ def service(tmp_path, **kwargs) -> Service:
 
 def counters(stats, names=PAIR_COUNTERS) -> dict:
     return {name: getattr(stats, name) for name in names}
+
+
+def planned_builds(trace, workers) -> int:
+    """The trees a cold job builds: each shard's engine builds every
+    distinct interval of its pairs once, since a shard's <= 32 pairs
+    touch at most 64 intervals, all of which its in-memory LRU holds."""
+    plan = plan_shards(trace, shard_pairs=32, min_shards=workers)
+    builds = 0
+    for spec in plan.shards:
+        keys = {interval.key for pair in spec.pairs for interval in pair}
+        assert len(keys) <= TREE_CACHE_CAPACITY
+        builds += len(keys)
+    return builds
 
 
 @pytest.fixture
@@ -231,17 +245,17 @@ def test_service_equals_serial_on_a_cold_cache(
     serial = api.analyze(
         traces[label], mode="serial", options=cached(tmp_path / "serial")
     )
+    builds = planned_builds(traces[label], workers=1)
     del inventories[:]
-    # One worker: every tree is built once and shared through the cache,
-    # as in the serial run, so trees_built is comparable too.
     with service(tmp_path, workers=1) as svc:
         job_id = svc.submit(traces[label])
         result = svc.result(job_id, timeout=60)
         status = svc.status(job_id)
-    names = PAIR_COUNTERS + ("trees_built", "races_found")
+    names = PAIR_COUNTERS + ("races_found",)
     assert result.races.to_json() == serial.races.to_json()
     assert counters(result.stats, names) == counters(serial.stats, names)
-    assert result.stats.pair_cache_hits == 0
+    assert result.stats.trees_built == builds
+    assert result.stats.pair_cache_hits == status["cache_hits"] == 0
     surviving = status["pairs_planned"] - status["pairs_pruned"]
     assert status["pairs_shipped"] == surviving
     assert status["shards_total"] == -(-surviving // 32)
@@ -277,23 +291,43 @@ def test_parallel_mode_equals_serial_on_a_cold_cache(
     serial = api.analyze(
         traces[label], mode="serial", options=cached(tmp_path / "serial")
     )
+    builds = planned_builds(traces[label], workers=2)
     del inventories[:]
-    # The shard code path in-process, one at a time (see above).
+    # The shard code path in-process, where the spy sees every thread.
     monkeypatch.setattr(
-        "repro.serve.pool.ProcessPoolExecutor",
-        lambda max_workers: ThreadPoolExecutor(max_workers=1),
+        "repro.serve.pool.ProcessPoolExecutor", ThreadPoolExecutor
     )
     parallel = api.analyze(
         traces[label],
         mode="parallel",
         options=cached(tmp_path / "parallel").copy(workers=2),
     )
-    names = PAIR_COUNTERS + ("trees_built", "races_found")
+    names = PAIR_COUNTERS + ("races_found",)
     assert parallel.races.to_json() == serial.races.to_json()
     assert counters(parallel.stats, names) == counters(serial.stats, names)
+    assert parallel.stats.trees_built == builds
     # Parallel mode is a one-job service: its planner thread parsed the
     # metadata, once; no worker did.
     assert inventories == ["serve-scheduler"]
+
+
+def test_cold_process_service_ledger_is_a_function_of_the_plan(
+    tmp_path, traces
+):
+    """Two cold runs of a two-process-worker service build the same
+    trees and hit the cache as often, however the shards interleave."""
+    ledgers = []
+    for run in ("first", "second"):
+        with service(
+            tmp_path, use_processes=True, cache_dir=str(tmp_path / run)
+        ) as svc:
+            job_id = svc.submit(traces["hpccg"])
+            result = svc.result(job_id, timeout=60)
+            status = svc.status(job_id)
+        ledgers.append((result.stats.trees_built, status["cache_hits"]))
+    assert ledgers[0] == ledgers[1] == (
+        planned_builds(traces["hpccg"], workers=2), 0,
+    )
 
 
 def test_parallel_mode_across_processes(traces):

@@ -8,6 +8,7 @@ import pytest
 
 import repro.api as api
 from repro.common.config import RunConfig, SwordConfig
+from repro.common.errors import ConfigError
 from repro.faults import FaultySinkFactory, SinkFaultSpec
 from repro.faults.harness import collect_trace
 from repro.omp import OpenMPRuntime
@@ -87,6 +88,14 @@ def test_cross_job_cache_hits_on_resubmission(racy_trace):
         assert (
             svc._job(first).races.to_json() == svc._job(second).races.to_json()
         )
+
+
+def test_cache_dir_that_is_a_file_is_refused(tmp_path):
+    """Resubmissions would report no cache hits: refused at boot."""
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    with pytest.raises(ConfigError, match="not a directory"):
+        thread_service(cache_dir=str(not_a_dir))
 
 
 def test_salvage_job_carries_integrity_report(torn_trace):

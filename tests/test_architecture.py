@@ -150,6 +150,14 @@ FORBIDDEN = {
         ("src", "tests", "benchmarks", "examples"),
         None,
     ),
+    # The result cache stores pair verdicts only: an interval tree's one
+    # lasting form is the compressed log it is rebuilt from.
+    "no-tree-store": (
+        r"tree_cache_disk_hits|load_tree|store_tree|tree_to_rows"
+        r"|tree_from_rows|TREE_FORMAT|itree\.serialize",
+        ("src", "tests", "benchmarks", "examples"),
+        None,
+    ),
 }
 
 

@@ -216,6 +216,15 @@ def test_analyze_modes_and_fastpath_flags(tmp_path, capsys):
     assert warm["metrics"]["counters"]["offline.pair_cache_hits"] > 0
     assert (trace / ".sword-cache").is_dir()
 
+    # A cache root that is a file is an error, not a run that caches
+    # nothing.
+    not_a_dir = tmp_path / "cache-file"
+    not_a_dir.write_text("")
+    assert main(["analyze", str(trace), "--cache-dir", str(not_a_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cache_dir ")
+    assert "not a directory" in captured.err and "races" not in captured.out
+
 
 def _durable_trace(trace):
     """A small durable trace (journal + per-row CRCs) for salvage tests."""
