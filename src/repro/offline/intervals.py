@@ -6,8 +6,10 @@ may run concurrently — the only pairs the race checker compares.  It is
 the one planner, with one pair emitter: :meth:`~IntervalInventory.complete`
 returns, as an interval completes, every pair that became sound to
 compare.  Streaming grows the inventory row by row and completes each
-interval as it ends; a closed trace's rows are loaded whole and
-:meth:`~IntervalInventory.concurrent_pairs` completes them in load order.
+interval as it ends; a closed trace's meta tables
+(:attr:`~repro.sword.reader.ThreadTraceReader.table`) are loaded whole
+and :meth:`~IntervalInventory.concurrent_pairs` completes them in load
+order.
 Both end with :meth:`~IntervalInventory.finish`, which pairs the groups
 that never sealed (a salvaged trace that lost a teammate's rows).
 
@@ -27,6 +29,14 @@ Pairs come from the structure of the judgment
   top-level region can relate, so a trace without nesting does no
   cross-region work.  These pairs are emitted as soon as both sides have
   completed, the ancestor's (else the older region's) interval first.
+
+An interval none of whose chunks logged an access (every digest has
+``nodes == 0``, the digest prune's first rule) races with nothing.  It
+never becomes :class:`IntervalData` and never enters a pair: its pairs
+are counted as they become ready — C(n, 2) − C(n−k, 2) in a group of n
+with k empty, plus k self-pairs in a tasky group, and one per admitted
+partner across regions — and :meth:`~IntervalInventory.charge` adds
+them, with their chunks, to a driver's concurrent and pruned pairs.
 """
 
 from __future__ import annotations
@@ -34,9 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from ..osl.concurrency import IntervalLabel
+from ..sword.digest import FrameDigest
 from ..sword.reader import build_interval_label
 from ..sword.traceformat import MetaRow
 
@@ -63,6 +76,19 @@ class IntervalData:
     digests: list = field(default_factory=list)
 
 
+class _Done(NamedTuple):
+    """A completed interval as the planner keeps it; ``data`` is None
+    when it logged no access (its pairs are counted, never emitted)."""
+
+    gid: int
+    pid: int
+    bid: int
+    slot: int
+    span: int
+    frames: int
+    data: IntervalData | None
+
+
 _gid = attrgetter("key.gid")
 
 #: A comparison the planner emits: two intervals (the same one twice for
@@ -84,11 +110,10 @@ class RegionRelation(NamedTuple):
     bid: int = 0
     slot: int = 0
 
-    def admits(self, data: IntervalData) -> bool:
-        """Does ``data`` (of either region) take part in the relation?"""
-        key = data.key
-        return key.pid != self.ancestor or (
-            key.bid == self.bid and data.slot != self.slot
+    def admits(self, done: _Done) -> bool:
+        """Does ``done`` (of either region) take part in the relation?"""
+        return done.pid != self.ancestor or (
+            done.bid == self.bid and done.slot != self.slot
         )
 
 
@@ -99,39 +124,45 @@ class IntervalInventory:
     """All intervals of a trace plus the concurrent-pair plan.
 
     ``trace`` provides ``regions`` and ``task_graph``; with ``load`` (the
-    default) also ``thread_gids`` and ``reader(gid)``, whose rows are
-    read now (:meth:`concurrent_pairs` then completes every interval).
-    A streaming caller passes ``load=False``, grows the inventory itself
-    and completes each interval as it ends.
+    default) also ``thread_gids`` and ``reader(gid)``, whose meta tables
+    are read now (:meth:`concurrent_pairs` then completes every
+    interval).  A streaming caller passes ``load=False``, grows the
+    inventory itself and completes each interval as it ends.
     """
 
     def __init__(self, trace, *, load: bool = True) -> None:
         self.trace = trace
+        #: The intervals that logged an access, and streaming's open
+        #: ones; an empty interval leaves a count when it completes.
         self.intervals: dict[IntervalKey, IntervalData] = {}
+        self.empty_intervals = 0
+        #: Pairs with an empty side not yet charged, and their chunks.
+        self.pairs_counted = self.frames_counted = 0
         #: Completed intervals per region, then per bid, in completion
         #: order (a closed trace: load order).
-        self._by_region: dict[int, list[IntervalData]] = {}
-        self._groups: dict[int, dict[int, list[IntervalData]]] = {}
+        self._by_region: dict[int, list[_Done]] = {}
+        self._groups: dict[int, dict[int, list[_Done]]] = {}
         #: Regions with completed intervals, per top-level region, and
         #: each such region's entry there.
         self._trees: dict[int, list[int]] = {}
         self._tree_of: dict[int, list[int]] = {}
         self._chains: dict[int, IntervalLabel] = {}
         self._relations: dict[tuple[int, int], RegionRelation | None] = {}
-        self._skipped: set[IntervalKey] = set()
+        self._skipped: set[tuple[int, int, int]] = set()
         #: What :meth:`complete` was told (a repeat emits nothing).
         self._completed: set[tuple[int, int, int]] = set()
+        #: A loaded trace's intervals, in load order.
+        self._loaded: list[_Done] = []
         if load:
             for gid in trace.thread_gids:
                 reader = trace.reader(gid)
                 try:
-                    for row in reader.rows:
-                        self.add_row(gid, row)
+                    self._load(gid, reader.table)
                 finally:
                     reader.close()
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.intervals) + self.empty_intervals
 
     # -- growth -------------------------------------------------------------------
 
@@ -139,28 +170,72 @@ class IntervalInventory:
         """Register a forked region's fork-position record."""
         self.trace.regions[pid] = info
 
+    def _load(self, gid: int, table: np.ndarray) -> None:
+        """One thread's meta table, its intervals in first-row order; only
+        an interval that logged an access reads its rows (columns: pid 0,
+        bid 2, offset 3, span 4, chunk 6-7, digest 8-, its nodes 9)."""
+        keys, first, of_row, frames = np.unique(
+            table[:, [0, 2]], axis=0, return_index=True,
+            return_inverse=True, return_counts=True,
+        )
+        of_row = of_row.ravel()
+        logged = np.bincount(of_row, table[:, 9] != 0, len(keys)).tolist()
+        rows, ends = np.argsort(of_row, kind="stable"), np.cumsum(frames)
+        slots, spans = table[first, 3].tolist(), table[first, 4].tolist()
+        keys, frames = keys.tolist(), frames.tolist()
+        for j in np.argsort(first).tolist():
+            (pid, bid), data = keys[j], None
+            if not self._placed(gid, pid, bid):
+                continue
+            if logged[j]:
+                key = IntervalKey(gid=gid, pid=pid, bid=bid)
+                data = self.intervals[key] = IntervalData(key, slots[j], spans[j])
+                for row in table[rows[ends[j] - frames[j] : ends[j]]].tolist():
+                    data.chunks.append((row[6], row[7]))
+                    data.digests.append(FrameDigest.from_ints(row[8:]))
+            self.empty_intervals += data is None
+            self._loaded.append(
+                _Done(gid, pid, bid, slots[j], spans[j], frames[j], data)
+            )
+
     def add_row(self, gid: int, row: MetaRow) -> None:
         """Register one Table-I row, growing its interval's chunk list."""
         key = IntervalKey(gid=gid, pid=row.pid, bid=row.bid)
         data = self.intervals.get(key)
         if data is None:
-            try:
-                self._chain(row.pid)
-            except KeyError:
-                # Salvage: the region's fork record did not survive, so
-                # the interval cannot be placed in the concurrency
-                # structure — skip it (an under-report, never a wrong
-                # report).
-                if getattr(self.trace, "integrity_mode", "strict") != "salvage":
-                    raise
-                if key not in self._skipped:
-                    self._skipped.add(key)
-                    self.trace.integrity.intervals_skipped += 1
+            if not self._placed(gid, row.pid, row.bid):
                 return
             data = IntervalData(key=key, slot=row.offset, span=row.span)
             self.intervals[key] = data
         data.chunks.append((row.data_begin, row.size))
         data.digests.append(row.digest)
+
+    def _placed(self, gid: int, pid: int, bid: int) -> bool:
+        """Can the interval be placed in the concurrency structure?  In
+        salvage, not when its region's fork record did not survive: it
+        is skipped and counted (an under-report, never a wrong report)."""
+        try:
+            self._chain(pid)
+            return True
+        except KeyError:
+            if getattr(self.trace, "integrity_mode", "strict") != "salvage":
+                raise
+        if (gid, pid, bid) not in self._skipped:
+            self._skipped.add((gid, pid, bid))
+            self.trace.integrity.intervals_skipped += 1
+        return False
+
+    def _close(self, gid: int, pid: int, bid: int, slot: int, span: int) -> _Done:
+        """Close a grown interval: one that logged no access (or,
+        defensively, no row) leaves :attr:`intervals` as a count."""
+        key = IntervalKey(gid=gid, pid=pid, bid=bid)
+        data = self.intervals.get(key)
+        frames = len(data.chunks) if data else 0
+        if data is None or not any(digest.nodes for digest in data.digests):
+            self.intervals.pop(key, None)
+            self.empty_intervals += 1
+            data = None
+        return _Done(gid, pid, bid, slot, span, frames, data)
 
     # -- pair emission ------------------------------------------------------------------
 
@@ -171,17 +246,10 @@ class IntervalInventory:
         if (gid, pid, bid) in self._completed:
             return []  # idempotent: a duplicate completion emits nothing
         self._completed.add((gid, pid, bid))
-        key = IntervalKey(gid=gid, pid=pid, bid=bid)
-        data = self.intervals.get(key)
-        if data is None:
-            if key in self._skipped:
-                return []  # salvage could not place it
-            # Defensive: an interval that logged nothing (cannot race).
-            data = self.intervals[key] = IntervalData(
-                key=key, slot=slot, span=span
-            )
+        if (gid, pid, bid) in self._skipped:
+            return []  # salvage could not place it
         pairs: list[Pair] = []
-        self._complete(data, pairs)
+        self._complete(self._close(gid, pid, bid, slot, span), pairs)
         return pairs
 
     def concurrent_pairs(self) -> list[Pair]:
@@ -196,18 +264,31 @@ class IntervalInventory:
         concurrent with its executor's and creator's surrounding code, so
         same-thread chunks can race through tasks (tasking extension).
         """
+        if not self._loaded:  # grown row by row: close every interval
+            self._loaded = [
+                self._close(key.gid, key.pid, key.bid, data.slot, data.span)
+                for key, data in list(self.intervals.items())
+            ]
         pairs: list[Pair] = []
-        for data in self.intervals.values():
-            self._complete(data, pairs)
+        for done in self._loaded:
+            self._complete(done, pairs)
         pairs.extend(self.finish())
         return pairs
+
+    def charge(self, stats) -> None:
+        """Add the pairs counted since the last charge to ``stats``: they
+        are concurrent, and pruned with their chunks (an empty side)."""
+        stats.concurrent_pairs += self.pairs_counted
+        stats.pairs_pruned += self.pairs_counted
+        stats.frames_pruned += self.frames_counted
+        self.pairs_counted = self.frames_counted = 0
 
     def finish(self) -> list[Pair]:
         """The pairs of every group that never sealed (after a full trace
         there are none; a salvaged one may have lost a teammate's rows)."""
         pairs: list[Pair] = []
         for pid, bid in self.unsealed_groups():
-            pairs.extend(self._group_pairs(pid, bid))
+            self._seal(pid, bid, pairs)
         return pairs
 
     def unsealed_groups(self) -> list[tuple[int, int]]:
@@ -219,10 +300,9 @@ class IntervalInventory:
             if len(group) < group[0].span
         ]
 
-    def _complete(self, data: IntervalData, pairs: list[Pair]) -> None:
+    def _complete(self, done: _Done, pairs: list[Pair]) -> None:
         """Register one completed interval, appending its ready pairs."""
-        key = data.key
-        pid = key.pid
+        pid = done.pid
         region = self._by_region.get(pid)
         if region is None:
             region = self._by_region[pid] = []
@@ -234,27 +314,42 @@ class IntervalInventory:
         # a related region, the ancestor's (else the older region's) first.
         for other in self._tree_of[pid]:
             relation = None if other == pid else self._relation(pid, other)
-            if relation is None or not relation.admits(data):
+            if relation is None or not relation.admits(done):
                 continue
             first = (relation.ancestor or min(pid, other)) == pid
             for b in self._by_region[other]:
-                if b.key.gid != key.gid and relation.admits(b):
-                    pairs.append((data, b) if first else (b, data))
-        region.append(data)
-        group = self._groups[pid].setdefault(key.bid, [])
-        group.append(data)
-        if len(group) == data.span:
-            pairs.extend(self._group_pairs(pid, key.bid))
+                if b.gid == done.gid or not relation.admits(b):
+                    continue
+                if done.data is None or b.data is None:
+                    self.pairs_counted += 1
+                    self.frames_counted += done.frames + b.frames
+                else:
+                    pairs.append(
+                        (done.data, b.data) if first else (b.data, done.data)
+                    )
+        region.append(done)
+        group = self._groups[pid].setdefault(done.bid, [])
+        group.append(done)
+        if len(group) == done.span:
+            self._seal(pid, done.bid, pairs)
 
-    def _group_pairs(self, pid: int, bid: int) -> Iterator[Pair]:
+    def _seal(self, pid: int, bid: int, pairs: list[Pair]) -> None:
         """One (pid, bid) group's pairs: self-pairs when it holds tasks,
         then every teammate pair (one interval per thread) in gid order —
-        completion order is the run's interleaving."""
-        group = sorted(self._groups[pid][bid], key=_gid)
-        if self.trace.task_graph.holds_tasks(pid, bid):
-            for a in group:
-                yield a, a
-        yield from combinations(group, 2)
+        completion order is the run's interleaving.  With k of its n
+        intervals empty, C(n, 2) − C(n−k, 2) pairs (and the k empty
+        self-pairs of a tasky group) are counted instead."""
+        group = self._groups[pid][bid]
+        full = sorted((d.data for d in group if d.data is not None), key=_gid)
+        tasky = self.trace.task_graph.holds_tasks(pid, bid)
+        n, m = len(group), len(full)
+        empty = sum(done.frames for done in group if done.data is None)
+        logged = sum(len(data.chunks) for data in full)
+        self.pairs_counted += n * (n - 1) // 2 - m * (m - 1) // 2 + (n - m) * tasky
+        self.frames_counted += empty * (n - 1 + 2 * tasky) + logged * (n - m)
+        if tasky:
+            pairs.extend((data, data) for data in full)
+        pairs.extend(combinations(full, 2))
 
     # -- region-pair relation -----------------------------------------------------------
 

@@ -38,12 +38,19 @@ class FastPathOptions:
 
 
 def check_cache_dir(cache_dir: Optional[str]) -> None:
-    """Refuse a result-cache root that exists but is not a directory:
-    every store there would miss, so resume would be off without a word.
+    """Refuse a result-cache root that cannot be a directory: one whose
+    nearest existing ancestor (itself included) is not a directory.
+    Every store there would miss, so resume would be off without a word.
     (A read-only or full disk still costs misses, not errors.)"""
-    if cache_dir is not None and os.path.exists(cache_dir):
-        if not os.path.isdir(cache_dir):
-            raise ConfigError(f"cache_dir {cache_dir!r} is not a directory")
+    if cache_dir is None:
+        return
+    path = os.path.abspath(cache_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(
+            f"cache_dir {cache_dir!r} is not a directory ({path!r} is a file)"
+        )
 
 
 @dataclass(slots=True)

@@ -153,6 +153,7 @@ def plan_shards(
         plan.integrity = trace.integrity
     plan.stats.intervals = len(inventory)
     plan.stats.concurrent_pairs = len(pairs)
+    inventory.charge(plan.stats)
     pruner = DigestPruner()
     pairs = [pair for pair in pairs if not pruner.prunes(*pair, plan.stats)]
     if pairs and min_shards > 1:

@@ -102,7 +102,6 @@ class StreamAnalyzer(TraceObserver):
         self.races = RaceSet()
         self.source = LiveTraceSource(self.directory)
         self.inventory = IntervalInventory(self.source, load=False)
-        self.pairs_planned = 0
         #: The serial driver's ``plan_seconds``: the inventory's time,
         #: paid call by call.
         self.plan_seconds = 0.0
@@ -188,7 +187,8 @@ class StreamAnalyzer(TraceObserver):
 
     def _process(self, pairs: list[Pair]) -> None:
         assert self.engine is not None, "on_trace_begin not delivered"
-        self.pairs_planned += len(pairs)
+        self.inventory.charge(self.engine.stats)
+        self.engine.stats.concurrent_pairs += len(pairs)
         for ia, ib in pairs:
             self.engine.analyze_pair(
                 ia, ib, self.races, on_race=self._race_seen
@@ -211,7 +211,6 @@ class StreamAnalyzer(TraceObserver):
                 table=getattr(self._producer, "static_verdicts", None),
             )
         stats.intervals = len(self.inventory)
-        stats.concurrent_pairs = self.pairs_planned
         stats.plan_seconds = self.plan_seconds
         stats.races_found = len(self.races)
         salvage = self.options.integrity == "salvage"

@@ -12,7 +12,7 @@ from .traceformat import (
     log_name,
     meta_name,
     pack_frame,
-    parse_meta_file,
+    parse_meta_table,
     unpack_frame_header,
 )
 
@@ -30,6 +30,6 @@ __all__ = [
     "log_name",
     "meta_name",
     "pack_frame",
-    "parse_meta_file",
+    "parse_meta_table",
     "unpack_frame_header",
 ]

@@ -51,9 +51,8 @@ DIGEST_FIELDS = (
     "width", "pc_lo", "pc_hi",
 )
 _TOKEN_FIELDS = len(DIGEST_FIELDS)
-_TOKEN_HEAD = f"d{FRAME_DIGEST_VERSION}"
 #: ``%``-format of the meta-row token over a digest's 11 ints.
-DIGEST_TOKEN_FORMAT = f"{_TOKEN_HEAD}=" + ",".join(["%d"] * _TOKEN_FIELDS)
+DIGEST_TOKEN_FORMAT = f"d{FRAME_DIGEST_VERSION}=" + ",".join(["%d"] * _TOKEN_FIELDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,18 +263,3 @@ def digests_may_race(a: FrameDigest, b: FrameDigest) -> bool:
         if a.width <= d <= big - b.width:
             return False
     return True
-
-
-def decode_digest(token: str) -> FrameDigest:
-    """Parse one ``d1=`` meta-row token.
-
-    Raises :class:`ValueError` for anything else: a token of another
-    digest version, a wrong field count, or a non-integer field.
-    """
-    head, sep, body = token.partition("=")
-    if not sep or head != _TOKEN_HEAD:
-        raise ValueError(f"not a {_TOKEN_HEAD}= digest token: {token!r}")
-    parts = body.split(",")
-    if len(parts) != _TOKEN_FIELDS:
-        raise ValueError(f"digest token has {len(parts)} fields: {token!r}")
-    return FrameDigest.from_ints([int(p) for p in parts])

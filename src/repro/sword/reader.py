@@ -65,11 +65,11 @@ from .traceformat import (
     check_commit_trailer,
     crc32,
     decode_payload,
+    format_row,
     log_name,
     meta_name,
     parse_journal,
-    parse_meta_file,
-    parse_meta_file_salvage,
+    parse_meta_table,
     unpack_frame_header,
 )
 
@@ -223,7 +223,9 @@ class ThreadTraceReader:
         self._scan_pos = 0
         self._truncated = False
         self._index()
-        self.rows: list[MetaRow] = self._load_rows()
+        #: The meta file as one int64 array, a row per chunk (see
+        #: :func:`~repro.sword.traceformat.parse_meta_table`).
+        self.table: np.ndarray = self._load_table()
         self._file = open(self.log_path, "rb")
         # One-block decompression cache (ranges are read in ascending order).
         self._cached_block: int = -1
@@ -231,7 +233,7 @@ class ThreadTraceReader:
         #: Uncompressed bytes this reader actually decompressed — the
         #: lazy-inflation accounting the engine folds into its stats.
         self.bytes_inflated = 0
-        self._row_index: dict[tuple[int, int], MetaRow] | None = None
+        self._row_index: dict[tuple[int, int], int] | None = None
 
     @property
     def salvage(self) -> bool:
@@ -358,59 +360,62 @@ class ThreadTraceReader:
 
     # -- meta rows ------------------------------------------------------------
 
-    def _load_rows(self) -> list[MetaRow]:
-        if not self.meta_path.exists():
-            if self.live:
-                return []
-            if self.salvage:
-                self.integrity.errors.append(f"{self.meta_path}: missing")
-                return []
-            raise TraceFormatError(f"{self.meta_path}: missing meta file")
-        text = self.meta_path.read_text()
+    def _load_table(self) -> np.ndarray:
+        text = ""
+        if self.meta_path.exists():
+            text = self.meta_path.read_text()
+        elif not self.live:
+            if not self.salvage:
+                raise TraceFormatError(f"{self.meta_path}: missing meta file")
+            self.integrity.errors.append(f"{self.meta_path}: missing")
+        table, dropped = parse_meta_table(text, salvage=self.salvage)
         if not self.salvage:
-            return parse_meta_file(text)
-        rows, dropped = parse_meta_file_salvage(text)
-        reconciled = self._reconcile(rows)
+            return table
+        table = self._reconcile(table)
         self.integrity.rows_dropped += dropped
         if dropped:
             self.integrity.errors.append(
                 f"{self.meta_path}: {dropped} malformed/torn row(s) dropped"
             )
-        self.integrity.rows_recovered = len(reconciled)
-        return reconciled
+        self.integrity.rows_recovered = len(table)
+        return table
 
-    def _reconcile(self, rows: list[MetaRow]) -> list[MetaRow]:
+    def _reconcile(self, table: np.ndarray) -> np.ndarray:
         """Keep only meta rows fully covered by the recovered bytes.
 
         Rows pointing past the truncation point, misaligned rows, and
         exact duplicates (the duplicate-record fault) are dropped and
         accounted; what remains is guaranteed readable.
         """
-        extent = self.uncompressed_bytes
-        kept: list[MetaRow] = []
-        seen: set[MetaRow] = set()
-        for row in rows:
-            if row in seen:
-                self.integrity.rows_dropped += 1
-                self.integrity.errors.append(
-                    f"{self.meta_path}: duplicate row dropped: {row.format()}"
-                )
+        begin, size = table[:, 6], table[:, 7]
+        bad = (
+            (begin % EVENT_BYTES != 0)
+            | (size % EVENT_BYTES != 0)
+            | (size < 0)
+            | (begin + size > self.uncompressed_bytes)
+        ).tolist()
+        keep: list[int] = []
+        seen: set[tuple[int, ...]] = set()
+        for i, row in enumerate(map(tuple, table.tolist())):
+            if bad[i]:
+                problem = "row beyond recovered data (or misaligned)"
+            elif row in seen:
+                problem = "duplicate row"
+            else:
+                seen.add(row)
+                keep.append(i)
                 continue
-            if (
-                row.data_begin % EVENT_BYTES
-                or row.size % EVENT_BYTES
-                or row.size < 0
-                or row.data_begin + row.size > extent
-            ):
-                self.integrity.rows_dropped += 1
-                self.integrity.errors.append(
-                    f"{self.meta_path}: row beyond recovered data "
-                    f"(or misaligned) dropped: {row.format()}"
-                )
-                continue
-            seen.add(row)
-            kept.append(row)
-        return kept
+            self.integrity.rows_dropped += 1
+            self.integrity.errors.append(
+                f"{self.meta_path}: {problem} dropped: {format_row(row)}"
+            )
+        return table[keep]
+
+    @property
+    def rows(self) -> list[MetaRow]:
+        """The table's rows as :class:`MetaRow` objects (for callers that
+        take one row at a time)."""
+        return list(map(MetaRow.from_ints, self.table.tolist()))
 
     # -- byte ranges ----------------------------------------------------------
 
@@ -482,10 +487,10 @@ class ThreadTraceReader:
         sub-ranges) get a digest-less view that always inflates.
         """
         if self._row_index is None:
-            self._row_index = {
-                (row.data_begin, row.size): row for row in self.rows
-            }
-        row = self._row_index.get((begin, size))
+            extents = zip(self.table[:, 6].tolist(), self.table[:, 7].tolist())
+            self._row_index = {extent: i for i, extent in enumerate(extents)}
+        i = self._row_index.get((begin, size))
+        row = None if i is None else MetaRow.from_ints(self.table[i].tolist())
         return FrameView(self, begin, size, row)
 
     def frames(self) -> list[FrameView]:

@@ -63,14 +63,17 @@ frame defect, like a bad magic.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..common.errors import TraceFormatError
 from .compression.filters import delta_decode, delta_encode
 from .compression.zlibwrap import ZlibCodec
-from .digest import DIGEST_TOKEN_FORMAT, FrameDigest, decode_digest
+from .digest import DIGEST_FIELDS, DIGEST_TOKEN_FORMAT, FrameDigest
 
 #: On-disk format version recorded in the manifest (v2: CRC-framed
 #: chunks + commit markers).
@@ -214,44 +217,6 @@ class MetaRow:
             self.level, self.data_begin, self.size,
         ) + self.digest.ints()
 
-    def format(self) -> str:
-        return format_row(self.ints())
-
-    def format_durable(self) -> str:
-        """Row text plus a ``*crc32`` suffix so a torn line is detectable."""
-        return format_row(self.ints(), durable=True)
-
-    @classmethod
-    def parse(cls, line: str) -> "MetaRow":
-        parts = line.split()
-        if parts and parts[-1].startswith("*"):
-            body = line[: line.rindex("*")].rstrip()
-            try:
-                expected = int(parts[-1][1:], 16)
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed meta row: {line!r}") from exc
-            if crc32(body.encode()) != expected:
-                raise TraceFormatError(f"meta row CRC mismatch: {line!r}")
-            parts = parts[:-1]
-        if len(parts) != len(META_COLUMNS) + 1:
-            raise TraceFormatError(f"malformed meta row: {line!r}")
-        try:
-            digest = decode_digest(parts[-1])
-            ppid = -1 if parts[1] == "-" else int(parts[1])
-            return cls(
-                pid=int(parts[0]),
-                ppid=ppid,
-                bid=int(parts[2]),
-                offset=int(parts[3]),
-                span=int(parts[4]),
-                level=int(parts[5]),
-                data_begin=int(parts[6]),
-                size=int(parts[7]),
-                digest=digest,
-            )
-        except ValueError as exc:
-            raise TraceFormatError(f"malformed meta row: {line!r}") from exc
-
 
 #: The 8 Table-I columns (``ppid`` as ``%s``: -1 prints as ``-``)
 #: followed by the chunk digest's ``d1=`` token.
@@ -280,35 +245,49 @@ def format_meta_file(rows, *, durable: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_meta_file(text: str) -> list[MetaRow]:
-    """Parse a meta file, skipping comments and blank lines (fail-fast)."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(MetaRow.parse(line))
-    return rows
+#: One meta row as :func:`format_row` writes it, durable or not; ints of
+#: at most 18 digits, so every field fits int64.
+_INT = "-?[0-9]{1,18}"
+_FIELDS = _ROW_FORMAT.replace("%d", _INT).replace("%s", f"(?:-|{_INT})")
+_ROW = re.compile(rf"({_FIELDS})(?: \*([0-9a-f]{{8}}))?")
+_CRC = re.compile(r"(.*) \*([0-9a-f]{8})")
+#: Columns of a meta table: the Table-I columns, then the digest's ints.
+META_TABLE_COLUMNS = len(META_COLUMNS) + len(DIGEST_FIELDS)
 
 
-def parse_meta_file_salvage(text: str) -> tuple[list[MetaRow], int]:
-    """Lenient meta parse: drop invalid rows instead of raising.
+def parse_meta_table(
+    text: str, *, salvage: bool = False
+) -> tuple[np.ndarray, int]:
+    """Parse a meta file into one int64 table of
+    :data:`META_TABLE_COLUMNS` columns, a row per chunk: the
+    :data:`META_COLUMNS` (a ``-`` ppid reads -1), then the chunk
+    digest's ints.  Comments and blank lines are skipped.
 
-    Each row is validated independently (the durable format checksums
-    per line), so a deleted or torn record in the middle only loses that
-    record, not everything after it.  Returns ``(rows, dropped)``.
+    Every row is validated: its fields, the ``d1=`` token and a durable
+    row's ``*crc32``.  Strict mode raises on the first bad row;
+    ``salvage`` drops each bad row alone (the durable format checksums
+    per line, so a torn record only loses itself).  Returns ``(table,
+    dropped)``.
     """
-    rows: list[MetaRow] = []
+    kept: list[str] = []
     dropped = 0
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            rows.append(MetaRow.parse(line))
-        except TraceFormatError:
-            dropped += 1
-    return rows, dropped
+        row = _ROW.fullmatch(line)
+        if row and (not row[2] or crc32(row[1].encode()) == int(row[2], 16)):
+            kept.append(row[1])
+            continue
+        if not salvage:
+            crc = _CRC.fullmatch(line)
+            torn = crc and crc32(crc[1].encode()) != int(crc[2], 16)
+            problem = "meta row CRC mismatch" if torn else "malformed meta row"
+            raise TraceFormatError(f"{problem}: {line!r}")
+        dropped += 1
+    ints = " ".join(kept).replace(" d1=", " ").replace(",", " ")
+    table = np.fromstring(ints.replace(" - ", " -1 "), dtype=np.int64, sep=" ")
+    return table.reshape(-1, META_TABLE_COLUMNS), dropped
 
 
 # -- checksummed JSON journal lines (regions.jsonl, verdicts.jsonl) ------------

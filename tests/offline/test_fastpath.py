@@ -175,18 +175,20 @@ def test_explicit_cache_dir(tmp_path):
 
 @pytest.mark.parametrize("mode", ["serial", "streaming", "parallel"])
 def test_cache_dir_that_is_a_file_is_refused(tmp_path, mode):
-    """A file where the cache root should be would turn every store into
-    a miss: resume silently off.  Every mode refuses it up front."""
+    """A file where the cache root, or one of its ancestors, should be
+    would turn every store into a miss: resume silently off.  Every mode
+    refuses it up front."""
     trace_path = str(tmp_path / "trace")
     collect(REGISTRY.get("plusplus-orig-yes"), trace_path)
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("")
-    opts = AnalysisOptions(
-        workers=2,
-        fastpath=FastPathOptions(result_cache=True, cache_dir=str(not_a_dir)),
-    )
-    with pytest.raises(ConfigError, match="not a directory"):
-        api.analyze(trace_path, mode=mode, options=opts)
+    for cache_dir in (not_a_dir, not_a_dir / "sub"):
+        opts = AnalysisOptions(
+            workers=2,
+            fastpath=FastPathOptions(result_cache=True, cache_dir=str(cache_dir)),
+        )
+        with pytest.raises(ConfigError, match="not a directory"):
+            api.analyze(trace_path, mode=mode, options=opts)
 
 
 def test_memo_counts_surface_in_stats(tmp_path):

@@ -4,7 +4,9 @@ The reference is the per-label judgment itself: every two intervals of
 different threads whose labels are concurrent, plus each interval of a
 barrier interval holding explicit tasks paired with itself.  The
 inventory's structural plan (``concurrent_pairs``) and the pairs it emits
-while growing row by row under the streaming analyzer must both equal it.
+while growing row by row under the streaming analyzer must both equal the
+reference pairs whose sides both logged an access; the rest it counts
+(pairs, and the chunks of their two sides).
 """
 
 from itertools import combinations
@@ -17,10 +19,15 @@ from repro.offline.intervals import IntervalInventory
 from repro.osl.concurrency import concurrent_intervals
 from repro.stream import StreamAnalyzer, replay_trace
 from repro.sword import TraceDir
-from repro.sword.digest import FrameDigest
+from repro.sword.digest import FrameDigest, fold_digests
+from repro.sword.reader import build_interval_label
 from repro.sword.traceformat import MetaRow
 from repro.tasking.graph import TaskGraph, TaskInfo
 from repro.workloads import REGISTRY
+
+#: Chunk digests of an interval that logged nothing, and of one write.
+EMPTY = FrameDigest.empty()
+LOGGED = FrameDigest.from_ints((1, 1, 1, 0, 0, 0, 7, 0, 8, 0, 0))
 
 # -- hand-built region tables -------------------------------------------------------
 
@@ -40,10 +47,10 @@ def region(ppid, parent_slot, span=2):
             "span": span, "level": int(ppid > 0)}
 
 
-def row(pid, bid, slot, span=3):
+def row(pid, bid, slot, span=3, digest=LOGGED):
     return MetaRow(
         pid=pid, ppid=0, bid=bid, offset=slot, span=span, level=0,
-        data_begin=0, size=24, digest=FrameDigest.empty(),
+        data_begin=0, size=24, digest=digest,
     )
 
 
@@ -52,15 +59,17 @@ def complete(inv, gid, pid, bid, slot, span=3):
     return inv.complete(gid, pid, bid, slot, span)
 
 
-def pair_key(key_a, key_b):
+def ident(key):
+    return (key.gid, key.pid, key.bid)
+
+
+def pair_key(a, b):
     """Order-normalised identity of one interval pair."""
-    a = (key_a.gid, key_a.pid, key_a.bid)
-    b = (key_b.gid, key_b.pid, key_b.bid)
     return (a, b) if a <= b else (b, a)
 
 
 def keys(pairs):
-    return {pair_key(a.key, b.key) for a, b in pairs}
+    return {pair_key(ident(a.key), ident(b.key)) for a, b in pairs}
 
 
 def test_same_group_pairs_only_at_seal():
@@ -152,18 +161,43 @@ PLANNED = [
 ]
 
 
-def reference(trace, intervals):
-    """Brute force: the label judgment over every interval pair."""
+def reference(trace, slots):
+    """Brute force: the label judgment over every interval pair
+    (``slots`` maps each interval's (gid, pid, bid) to its slot)."""
     labels = {
-        key: trace.interval_label(key.pid, data.slot, key.bid)
-        for key, data in intervals.items()
+        key: trace.interval_label(key[1], slot, key[2])
+        for key, slot in slots.items()
     }
     tasky = {(t.pid, t.bid) for t in trace.task_graph.tasks()}
-    expected = {pair_key(k, k) for k in labels if (k.pid, k.bid) in tasky}
+    expected = {(k, k) for k in labels if (k[1], k[2]) in tasky}
     for a, b in combinations(labels, 2):
-        if a.gid != b.gid and concurrent_intervals(labels[a], labels[b]):
+        if a[0] != b[0] and concurrent_intervals(labels[a], labels[b]):
             expected.add(pair_key(a, b))
     return expected
+
+
+def split(plan, chunks):
+    """The plan's pairs whose sides both logged an access (emitted), the
+    others (counted), and the chunks of the counted pairs' sides.
+    ``chunks`` maps each interval to its chunk digests; the oracle for
+    "logged an access" is their fold, as the digest prune sees it."""
+    logged = {key for key, digests in chunks.items() if fold_digests(digests).nodes}
+    emitted = {pair for pair in plan if logged.issuperset(pair)}
+    counted = plan - emitted
+    frames = sum(len(chunks[a]) + len(chunks[b]) for a, b in counted)
+    return emitted, len(counted), frames
+
+
+def all_intervals(trace):
+    """Every interval of the trace, empty ones too: slot and digests."""
+    slots, chunks = {}, {}
+    for gid in trace.thread_gids:
+        with trace.reader(gid) as reader:
+            for r in reader.rows:
+                key = (gid, r.pid, r.bid)
+                slots.setdefault(key, r.offset)
+                chunks.setdefault(key, []).append(r.digest)
+    return slots, chunks
 
 
 @pytest.mark.parametrize("nthreads", [2, 4])
@@ -176,19 +210,82 @@ def test_plan_matches_reference(name, params, nthreads, trace_dir):
         trace_dir=trace_dir, keep_trace=True, **params,
     )
     trace = TraceDir(trace_dir)
+    slots, chunks = all_intervals(trace)
+    emitted, counted, frames = split(reference(trace, slots), chunks)
+
     batch = IntervalInventory(trace)
-    expected = reference(trace, batch.intervals)
-    planned = [pair_key(a.key, b.key) for a, b in batch.concurrent_pairs()]
+    planned = [pair_key(ident(a.key), ident(b.key)) for a, b in batch.concurrent_pairs()]
     assert len(planned) == len(set(planned))
-    assert set(planned) == expected
+    assert set(planned) == emitted
+    assert (batch.pairs_counted, batch.frames_counted) == (counted, frames)
+    assert len(batch) == len(slots)
 
     analyzer = StreamAnalyzer(trace_dir)
     streamed = []
     analyzer._process = lambda pairs: streamed.extend(
-        pair_key(a.key, b.key) for a, b in pairs
+        pair_key(ident(a.key), ident(b.key)) for a, b in pairs
     )
     replay_trace(trace, analyzer)
     assert len(streamed) == len(set(streamed))
-    assert set(streamed) == expected
-    assert analyzer.inventory.intervals.keys() == batch.intervals.keys()
-    assert analyzer.inventory.unsealed_groups() == []
+    assert set(streamed) == emitted
+    inventory = analyzer.inventory
+    assert (inventory.pairs_counted, inventory.frames_counted) == (counted, frames)
+    assert inventory.intervals.keys() == batch.intervals.keys()
+    assert len(inventory) == len(slots)
+    assert inventory.unsealed_groups() == []
+
+
+def test_counted_pairs_in_a_tasky_group_and_across_regions():
+    """A tasky group mixing empty and logged intervals, and a region
+    nested at bid 1 of an ancestor whose intervals there are partly
+    empty: emitted and counted pairs split the brute-force plan."""
+    regions = {
+        1: {"ppid": 0, "parent_slot": 0, "parent_bid": 0, "span": 3, "level": 0},
+        2: {"ppid": 1, "parent_slot": 0, "parent_bid": 1, "span": 2, "level": 1},
+    }
+    #: (gid, pid, bid, slot, chunk digests), in completion order.
+    intervals = [
+        (0, 1, 0, 0, [LOGGED, EMPTY]),
+        (1, 1, 0, 1, [EMPTY]),
+        (2, 1, 0, 2, [LOGGED]),
+        (0, 2, 0, 0, [LOGGED]),
+        (3, 2, 0, 1, [EMPTY, EMPTY]),
+        (1, 1, 1, 1, [EMPTY]),
+        (0, 1, 1, 0, [EMPTY, EMPTY]),
+        (2, 1, 1, 2, [LOGGED, EMPTY]),
+    ]
+    slots = {(g, p, b): slot for g, p, b, slot, _ in intervals}
+    chunks = {(g, p, b): digests for g, p, b, _, digests in intervals}
+    graph = TaskGraph()
+    graph.add(TaskInfo(1, 0, 0, 1, 0, 0))
+    trace = SimpleNamespace(
+        task_graph=graph,
+        interval_label=lambda pid, slot, bid: build_interval_label(
+            regions, pid, slot, bid
+        ),
+    )
+    plan = reference(trace, slots)
+    emitted, counted, frames = split(plan, chunks)
+    assert emitted and counted
+    assert any(a[1] != b[1] for a, b in plan - emitted)  # across regions
+
+    def grown():
+        inv = inventory((1, 0))
+        for pid, info in regions.items():
+            inv.add_region(pid, dict(info))
+        return inv
+
+    streamed, batch = grown(), grown()
+    pairs = []
+    for gid, pid, bid, slot, digests in intervals:
+        span = regions[pid]["span"]
+        for digest in digests:
+            streamed.add_row(gid, row(pid, bid, slot, span, digest))
+            batch.add_row(gid, row(pid, bid, slot, span, digest))
+        pairs += streamed.complete(gid, pid, bid, slot, span)
+    pairs += streamed.finish()
+    for inv, planned in ((streamed, pairs), (batch, batch.concurrent_pairs())):
+        assert len(planned) == len(keys(planned))
+        assert keys(planned) == emitted
+        assert (inv.pairs_counted, inv.frames_counted) == (counted, frames)
+        assert len(inv) == len(intervals)

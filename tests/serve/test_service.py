@@ -91,11 +91,13 @@ def test_cross_job_cache_hits_on_resubmission(racy_trace):
 
 
 def test_cache_dir_that_is_a_file_is_refused(tmp_path):
-    """Resubmissions would report no cache hits: refused at boot."""
+    """Resubmissions would report no cache hits: refused at boot, also
+    when the file is an ancestor of the cache root."""
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("")
-    with pytest.raises(ConfigError, match="not a directory"):
-        thread_service(cache_dir=str(not_a_dir))
+    for cache_dir in (not_a_dir, not_a_dir / "sub"):
+        with pytest.raises(ConfigError, match="not a directory"):
+            thread_service(cache_dir=str(cache_dir))
 
 
 def test_salvage_job_carries_integrity_report(torn_trace):

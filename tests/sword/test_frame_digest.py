@@ -27,7 +27,6 @@ from repro.common.config import SwordConfig
 from repro.sword import SwordTool, TraceDir
 from repro.sword.digest import (
     FrameDigest,
-    decode_digest,
     digests_may_race,
     fold_digests,
     segment_digests,
@@ -74,8 +73,7 @@ from repro.sword.traceformat import (
     MetaRow,
     crc32,
     format_meta_file,
-    parse_meta_file,
-    parse_meta_file_salvage,
+    parse_meta_table,
 )
 
 
@@ -227,20 +225,19 @@ class TestTokenRoundTrip:
         d = FrameDigest.from_records(
             _records(_access(8, count=3, stride=24), _access(56, write=False))
         )
-        assert decode_digest(d.encode()) == d
+        table, _ = parse_meta_table(f"1 - 0 0 2 0 0 40 {d.encode()}\n")
+        assert FrameDigest.from_ints(table[0, 8:].tolist()) == d
 
     @pytest.mark.parametrize("head", ["d0", "d-3", "d01", "d2", "d9", "d99"])
     def test_only_d1_tokens_decode(self, head):
-        with pytest.raises(ValueError):
-            decode_digest(f"{head}=1,1,1,0,0,0,8,8,0,5,5")
+        with pytest.raises(TraceFormatError, match="malformed meta row"):
+            parse_meta_table(f"1 0 2 0 4 0 0 40 {head}=1,1,1,0,0,0,8,8,0,5,5")
 
     def test_malformed_tokens_raise(self):
-        with pytest.raises(ValueError):
-            decode_digest("d1=1,2,3")  # wrong field count
-        with pytest.raises(ValueError):
-            decode_digest("d1=a,b,c,d,e,f,g,h,i,j,k")  # non-integer
-        with pytest.raises(ValueError):
-            decode_digest("x1=1")  # not a digest token
+        # Wrong field count, non-integer, not a digest token.
+        for token in ("d1=1,2,3", "d1=a,b,c,d,e,f,g,h,i,j,k", "x1=1"):
+            with pytest.raises(TraceFormatError, match="malformed meta row"):
+                parse_meta_table(f"1 0 2 0 4 0 0 40 {token}")
 
     def test_meta_row_carries_digest_through_durable_crc(self):
         digest = FrameDigest.from_records(_records(_access(512, size=4)))
@@ -249,8 +246,10 @@ class TestTokenRoundTrip:
             level=0, data_begin=0, size=40, digest=digest,
         )
         text = format_meta_file([row.ints()], durable=True)
-        (parsed,) = parse_meta_file(text)
-        assert parsed.digest == digest
+        table, dropped = parse_meta_table(text)
+        assert dropped == 0
+        (parsed,) = map(MetaRow.from_ints, table.tolist())
+        assert parsed == row and parsed.digest == digest
 
     @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
     @pytest.mark.parametrize(
@@ -262,12 +261,13 @@ class TestTokenRoundTrip:
         if durable:  # a valid CRC does not make the row well-formed
             line = f"{line} *{crc32(line.encode()):08x}"
         with pytest.raises(TraceFormatError, match="malformed meta row"):
-            parse_meta_file(line + "\n")
-        assert parse_meta_file_salvage(line + "\n") == ([], 1)
+            parse_meta_table(line + "\n")
+        table, dropped = parse_meta_table(line + "\n", salvage=True)
+        assert table.shape == (0, 19) and dropped == 1
 
     def test_malformed_digest_token_is_a_format_error(self):
-        with pytest.raises(TraceFormatError):
-            parse_meta_file("1 0 2 0 4 0 0 40 d1=1,2\n")
+        with pytest.raises(TraceFormatError, match="malformed meta row"):
+            parse_meta_table("1 0 2 0 4 0 0 40 d1=1,2\n")
 
 
 def _tiny_regions_program(m):

@@ -1,6 +1,9 @@
 """CRC block framing and Table-I metadata rows."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import TraceFormatError
 from repro.sword.digest import FrameDigest
@@ -10,16 +13,17 @@ from repro.sword.traceformat import (
     FRAME_FILTER_ID,
     FRAME_HEADER_BYTES,
     FRAME_MAGIC,
+    META_TABLE_COLUMNS,
     TRACE_FORMAT_VERSION,
     MetaRow,
     check_commit_trailer,
     crc32,
     format_meta_file,
+    format_row,
     journal_line,
     pack_frame,
     parse_journal,
-    parse_meta_file,
-    parse_meta_file_salvage,
+    parse_meta_table,
     unpack_frame_header,
 )
 
@@ -27,12 +31,24 @@ from repro.sword.traceformat import (
 DIGEST = FrameDigest.from_ints((5, 4, 1, 3, 0, 64, 127, 8, 8, 4096, 4160))
 
 
+def parse_rows(text, **kwargs):
+    """The meta table's rows as :class:`MetaRow` objects."""
+    table, dropped = parse_meta_table(text, **kwargs)
+    assert table.dtype == np.int64 and table.shape[1] == META_TABLE_COLUMNS
+    assert dropped == 0 or kwargs.get("salvage")
+    return [MetaRow.from_ints(row) for row in table.tolist()]
+
+
+def parse_line(line):
+    (row,) = parse_rows(line + "\n")
+    return row
+
+
 class TestMetaRows:
     def test_table1_column_roundtrip(self):
         row = MetaRow(pid=1, ppid=-1, bid=0, offset=0, span=24, level=1,
                       data_begin=0, size=50_000, digest=DIGEST)
-        parsed = MetaRow.parse(row.format())
-        assert parsed == row
+        assert parse_line(format_row(row.ints())) == row
 
     def test_table1_example_rows(self):
         """The paper's Table-I example rows, each followed by its chunk
@@ -46,11 +62,11 @@ class TestMetaRows:
             ["# pid ppid bid offset span level data_begin size"]
             + [f"{row} {DIGEST.encode()}" for row in table1]
         )
-        rows = parse_meta_file(text)
+        rows = parse_rows(text)
         assert len(rows) == 3
         assert all(r.digest == DIGEST for r in rows)
         with pytest.raises(TraceFormatError, match="malformed meta row"):
-            MetaRow.parse(table1[0])
+            parse_meta_table(table1[0])
         assert rows[0].span == 24
         assert rows[1].bid == 1
         assert rows[1].data_begin == 50_000
@@ -60,13 +76,16 @@ class TestMetaRows:
     def test_nested_ppid_kept(self):
         row = MetaRow(pid=7, ppid=3, bid=2, offset=1, span=2, level=2,
                       data_begin=400, size=80, digest=DIGEST)
-        assert MetaRow.parse(row.format()).ppid == 3
+        assert parse_line(format_row(row.ints())).ppid == 3
 
     def test_malformed_rows_rejected(self):
         with pytest.raises(TraceFormatError):
-            MetaRow.parse("1 2 3")
+            parse_meta_table("1 2 3")
         with pytest.raises(TraceFormatError):
-            MetaRow.parse("a b c d e f g h")
+            parse_meta_table("a b c d e f g h")
+        too_big = f"1 - 0 0 4 1 0 {2**63} {DIGEST.encode()}"
+        with pytest.raises(TraceFormatError, match="malformed meta row"):
+            parse_meta_table(too_big)
 
     def test_file_format_skips_comments_and_blanks(self):
         rows = [
@@ -75,7 +94,55 @@ class TestMetaRows:
             for i in range(3)
         ]
         text = format_meta_file([r.ints() for r in rows]) + "\n# trailing comment\n\n"
-        assert parse_meta_file(text) == rows
+        assert parse_rows(text) == rows
+
+
+#: One meta row's ints: ``ppid`` -1 (printed ``-``) or not negative,
+#: ``all_atomic`` 0 or 1, the rest anything of at most 18 digits (a
+#: wider field is malformed: the table is int64).
+_INT = st.integers(-(10**18) + 1, 10**18 - 1)
+_ROWS = st.lists(
+    st.tuples(
+        _INT,
+        st.one_of(st.just(-1), st.integers(0, 10**18 - 1)),
+        *[_INT] * 6,
+        *[st.integers(0, 2**40)] * 4,
+        st.integers(0, 1),
+        *[st.integers(0, 2**40)] * 6,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestMetaTable:
+    """The one meta parser: what the formatter writes comes back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS, durable=st.booleans(), bad=st.integers(0, 7))
+    def test_round_trip_and_one_corrupted_line(self, rows, durable, bad):
+        text = format_meta_file(rows, durable=durable)
+        table, dropped = parse_meta_table(text)
+        assert dropped == 0
+        assert [tuple(row) for row in table.tolist()] == rows
+
+        bad %= len(rows)
+        lines = text.splitlines()
+        line = lines[bad + 1].replace(" d1=", " d2=")
+        lines[bad + 1] = line
+        torn = "\n".join(lines) + "\n"
+        problem = "meta row CRC mismatch" if durable else "malformed meta row"
+        with pytest.raises(TraceFormatError) as info:
+            parse_meta_table(torn)
+        assert str(info.value) == f"{problem}: {line!r}"
+        kept, dropped = parse_meta_table(torn, salvage=True)
+        assert dropped == 1
+        assert [tuple(row) for row in kept.tolist()] == rows[:bad] + rows[bad + 1 :]
+
+    def test_empty_file(self):
+        for text in ("", format_meta_file([]), format_meta_file([], durable=True)):
+            table, dropped = parse_meta_table(text)
+            assert table.shape == (0, META_TABLE_COLUMNS) and dropped == 0
 
 
 class TestFrameV2:
@@ -126,29 +193,29 @@ class TestDurableMetaRows:
                   data_begin=1024, size=2048, digest=DIGEST)
 
     def test_durable_row_roundtrip(self):
-        line = self.ROW.format_durable()
-        assert line.endswith(f"*{crc32(self.ROW.format().encode()):08x}")
-        assert MetaRow.parse(line) == self.ROW
+        line = format_row(self.ROW.ints(), durable=True)
+        assert line.endswith(f"*{crc32(format_row(self.ROW.ints()).encode()):08x}")
+        assert parse_line(line) == self.ROW
 
     def test_durable_row_crc_mismatch_rejected(self):
-        line = self.ROW.format_durable()
+        line = format_row(self.ROW.ints(), durable=True)
         torn = line.replace(" 2048 ", " 2049 ", 1)  # flip a digit, keep the CRC
         with pytest.raises(TraceFormatError, match="CRC mismatch"):
-            MetaRow.parse(torn)
+            parse_meta_table(torn)
 
     def test_salvage_parse_drops_only_bad_rows(self):
-        good = [self.ROW.format_durable(),
-                MetaRow(pid=2, ppid=-1, bid=0, offset=1, span=8, level=1,
-                        data_begin=0, size=64, digest=DIGEST).format_durable()]
+        other = MetaRow(pid=2, ppid=-1, bid=0, offset=1, span=8, level=1,
+                        data_begin=0, size=64, digest=DIGEST)
+        good = [format_row(row.ints(), durable=True) for row in (self.ROW, other)]
         text = "\n".join([good[0], "1 - 0 0 8 1 torn", good[1]])
-        rows, dropped = parse_meta_file_salvage(text)
+        table, dropped = parse_meta_table(text, salvage=True)
         assert dropped == 1
-        assert [r.pid for r in rows] == [1, 2]
+        assert table[:, 0].tolist() == [1, 2]
 
     def test_durable_file_format(self):
         text = format_meta_file([self.ROW.ints()], durable=True)
         assert "*" in text.splitlines()[1]
-        assert parse_meta_file(text) == [self.ROW]
+        assert parse_rows(text) == [self.ROW]
 
 
 class TestJournal:
