@@ -81,8 +81,6 @@ def _drive(engine_type, trace, options, obs) -> AnalysisResult:
         stats.intervals = len(inventory)
         stats.concurrent_pairs = len(pairs)
         inventory.charge(stats)
-        if engine_type is _ReferenceEngine:  # it prunes nothing
-            stats.pairs_pruned = stats.frames_pruned = 0
         stats.plan_seconds = time.perf_counter() - t0
         obs.registry.gauge("offline.intervals").set(len(inventory))
         obs.registry.gauge("offline.concurrent_pairs").set(stats.concurrent_pairs)
@@ -129,9 +127,9 @@ def reference_analyze(
     injection and witness rule (:meth:`AnalysisEngine._orient`), but
     every concurrent pair's trees are built and compared node by node
     with the un-memoized solver: no digest prune, no result cache, no
-    columnar join.  A pair with a side that logged no access is only
-    counted (there is nothing to compare), not pruned.  No production
-    caller.
+    columnar join — except that the planner counts a pair with a side
+    whose digests all read ``nodes == 0`` as pruned, never compared, as
+    in the fast path.  No production caller.
     """
     return _drive(
         _ReferenceEngine, trace, AnalysisOptions(integrity=integrity), None

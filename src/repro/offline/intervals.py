@@ -51,7 +51,10 @@ import numpy as np
 from ..osl.concurrency import IntervalLabel
 from ..sword.digest import FrameDigest
 from ..sword.reader import build_interval_label
-from ..sword.traceformat import MetaRow
+from ..sword.traceformat import (
+    COL_BEGIN, COL_BID, COL_DIGEST, COL_NODES, COL_OFFSET, COL_PID, COL_SIZE,
+    COL_SPAN, MetaRow,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,16 +175,16 @@ class IntervalInventory:
 
     def _load(self, gid: int, table: np.ndarray) -> None:
         """One thread's meta table, its intervals in first-row order; only
-        an interval that logged an access reads its rows (columns: pid 0,
-        bid 2, offset 3, span 4, chunk 6-7, digest 8-, its nodes 9)."""
+        an interval that logged an access reads its rows."""
         keys, first, of_row, frames = np.unique(
-            table[:, [0, 2]], axis=0, return_index=True,
+            table[:, [COL_PID, COL_BID]], axis=0, return_index=True,
             return_inverse=True, return_counts=True,
         )
         of_row = of_row.ravel()
-        logged = np.bincount(of_row, table[:, 9] != 0, len(keys)).tolist()
+        logged = np.bincount(of_row, table[:, COL_NODES] != 0, len(keys)).tolist()
         rows, ends = np.argsort(of_row, kind="stable"), np.cumsum(frames)
-        slots, spans = table[first, 3].tolist(), table[first, 4].tolist()
+        slots = table[first, COL_OFFSET].tolist()
+        spans = table[first, COL_SPAN].tolist()
         keys, frames = keys.tolist(), frames.tolist()
         for j in np.argsort(first).tolist():
             (pid, bid), data = keys[j], None
@@ -191,8 +194,8 @@ class IntervalInventory:
                 key = IntervalKey(gid=gid, pid=pid, bid=bid)
                 data = self.intervals[key] = IntervalData(key, slots[j], spans[j])
                 for row in table[rows[ends[j] - frames[j] : ends[j]]].tolist():
-                    data.chunks.append((row[6], row[7]))
-                    data.digests.append(FrameDigest.from_ints(row[8:]))
+                    data.chunks.append((row[COL_BEGIN], row[COL_SIZE]))
+                    data.digests.append(FrameDigest.from_ints(row[COL_DIGEST:]))
             self.empty_intervals += data is None
             self._loaded.append(
                 _Done(gid, pid, bid, slots[j], spans[j], frames[j], data)
@@ -264,11 +267,6 @@ class IntervalInventory:
         concurrent with its executor's and creator's surrounding code, so
         same-thread chunks can race through tasks (tasking extension).
         """
-        if not self._loaded:  # grown row by row: close every interval
-            self._loaded = [
-                self._close(key.gid, key.pid, key.bid, data.slot, data.span)
-                for key, data in list(self.intervals.items())
-            ]
         pairs: list[Pair] = []
         for done in self._loaded:
             self._complete(done, pairs)

@@ -52,6 +52,8 @@ from ..static.table import STATIC_VERDICTS_KEY
 from ..tasking.graph import IMPLICIT, TaskGraph
 from .integrity import IntegrityReport, ThreadIntegrity
 from .traceformat import (
+    COL_BEGIN,
+    COL_SIZE,
     COMMIT_TRAILER_BYTES,
     FRAME_HEADER_BYTES,
     FRAME_MAGIC,
@@ -387,7 +389,7 @@ class ThreadTraceReader:
         exact duplicates (the duplicate-record fault) are dropped and
         accounted; what remains is guaranteed readable.
         """
-        begin, size = table[:, 6], table[:, 7]
+        begin, size = table[:, COL_BEGIN], table[:, COL_SIZE]
         bad = (
             (begin % EVENT_BYTES != 0)
             | (size % EVENT_BYTES != 0)
@@ -487,7 +489,7 @@ class ThreadTraceReader:
         sub-ranges) get a digest-less view that always inflates.
         """
         if self._row_index is None:
-            extents = zip(self.table[:, 6].tolist(), self.table[:, 7].tolist())
+            extents = map(tuple, self.table[:, [COL_BEGIN, COL_SIZE]].tolist())
             self._row_index = {extent: i for i, extent in enumerate(extents)}
         i = self._row_index.get((begin, size))
         row = None if i is None else MetaRow.from_ints(self.table[i].tolist())

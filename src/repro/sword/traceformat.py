@@ -208,7 +208,8 @@ class MetaRow:
     @classmethod
     def from_ints(cls, row) -> "MetaRow":
         """Rebuild a row from its 19 ints (see :func:`format_row`)."""
-        return cls(*row[:8], digest=FrameDigest.from_ints(row[8:]))
+        head, digest = row[:COL_DIGEST], row[COL_DIGEST:]
+        return cls(*head, digest=FrameDigest.from_ints(digest))
 
     def ints(self) -> tuple[int, ...]:
         """The row as ints: 8 Table-I columns, then 11 digest ints."""
@@ -253,6 +254,12 @@ _ROW = re.compile(rf"({_FIELDS})(?: \*([0-9a-f]{{8}}))?")
 _CRC = re.compile(r"(.*) \*([0-9a-f]{8})")
 #: Columns of a meta table: the Table-I columns, then the digest's ints.
 META_TABLE_COLUMNS = len(META_COLUMNS) + len(DIGEST_FIELDS)
+#: Meta-table column indices: the Table-I columns, the first digest int
+#: and the digest's ``nodes``.
+(COL_PID, COL_PPID, COL_BID, COL_OFFSET, COL_SPAN, COL_LEVEL, COL_BEGIN,
+ COL_SIZE) = range(len(META_COLUMNS))
+COL_DIGEST = len(META_COLUMNS)
+COL_NODES = COL_DIGEST + DIGEST_FIELDS.index("nodes")
 
 
 def parse_meta_table(

@@ -14,6 +14,7 @@ import errno
 import io
 import shutil
 import tempfile
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from repro.common.config import RunConfig, SchedulerConfig, SwordConfig
 from repro.faults.fixtures import *  # noqa: F401,F403 (fault-injection fixtures)
 from repro.offline import AnalysisEngine, analyze_trace, oracle_races
 from repro.omp import OpenMPRuntime, RecordingTool, ToolMux
+from repro.osl.concurrency import concurrent_intervals
 from repro.sword import SwordTool, TraceDir
 
 
@@ -66,6 +68,39 @@ def sword_and_oracle(program, trace_path, *, nthreads=4, seed=0, yield_every=0):
     analysis = analyze_trace(TraceDir(trace_path))
     oracle = oracle_races(rec, rt.mutexsets)
     return analysis.races, oracle, rec, rt
+
+
+def interval_rows(trace):
+    """Every interval of a trace, empty ones too: its (gid, pid, bid)
+    mapped to its meta rows."""
+    rows = {}
+    for gid in trace.thread_gids:
+        with trace.reader(gid) as reader:
+            for row in reader.rows:
+                rows.setdefault((gid, row.pid, row.bid), []).append(row)
+    return rows
+
+
+def pair_key(a, b):
+    """Order-normalised identity of one interval pair."""
+    return (a, b) if a <= b else (b, a)
+
+
+def reference_pairs(trace, slots):
+    """The planner's brute-force oracle: the label judgment over every
+    two intervals of different threads, plus each interval of a barrier
+    interval holding explicit tasks with itself (``slots`` maps each
+    interval's (gid, pid, bid) to its slot)."""
+    labels = {
+        key: trace.interval_label(key[1], slot, key[2])
+        for key, slot in slots.items()
+    }
+    tasky = {(t.pid, t.bid) for t in trace.task_graph.tasks()}
+    expected = {(k, k) for k in labels if (k[1], k[2]) in tasky}
+    for a, b in combinations(labels, 2):
+        if a[0] != b[0] and concurrent_intervals(labels[a], labels[b]):
+            expected.add(pair_key(a, b))
+    return expected
 
 
 @pytest.fixture

@@ -9,14 +9,15 @@ reference pairs whose sides both logged an access; the rest it counts
 (pairs, and the chunks of their two sides).
 """
 
-from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from conftest import interval_rows, pair_key, reference_pairs
 
+from repro.common.events import KIND_ACCESS
 from repro.harness.tools import driver
 from repro.offline.intervals import IntervalInventory
-from repro.osl.concurrency import concurrent_intervals
 from repro.stream import StreamAnalyzer, replay_trace
 from repro.sword import TraceDir
 from repro.sword.digest import FrameDigest, fold_digests
@@ -34,12 +35,31 @@ LOGGED = FrameDigest.from_ints((1, 1, 1, 0, 0, 0, 7, 0, 8, 0, 0))
 TOP_REGION = {"ppid": 0, "parent_slot": 0, "parent_bid": 0, "span": 3, "level": 0}
 
 
-def inventory(*tasky_groups):
+def task_graph(*tasky_groups):
     graph = TaskGraph()
     for task_id, (pid, bid) in enumerate(tasky_groups, start=1):
         graph.add(TaskInfo(task_id, 0, 0, pid, bid, 0))
-    source = SimpleNamespace(regions={}, task_graph=graph)
+    return graph
+
+
+def inventory(*tasky_groups):
+    source = SimpleNamespace(regions={}, task_graph=task_graph(*tasky_groups))
     return IntervalInventory(source, load=False)
+
+
+def loaded(regions, rows, *tasky_groups):
+    """An inventory that loads ``rows`` ({gid: [MetaRow]}) whole, as a
+    closed trace's meta tables."""
+    tables = {
+        gid: np.array([r.ints() for r in meta], dtype=np.int64)
+        for gid, meta in rows.items()
+    }
+    source = SimpleNamespace(
+        regions=dict(regions), task_graph=task_graph(*tasky_groups),
+        thread_gids=list(tables),
+        reader=lambda gid: SimpleNamespace(table=tables[gid], close=lambda: None),
+    )
+    return IntervalInventory(source)
 
 
 def region(ppid, parent_slot, span=2):
@@ -61,11 +81,6 @@ def complete(inv, gid, pid, bid, slot, span=3):
 
 def ident(key):
     return (key.gid, key.pid, key.bid)
-
-
-def pair_key(a, b):
-    """Order-normalised identity of one interval pair."""
-    return (a, b) if a <= b else (b, a)
 
 
 def keys(pairs):
@@ -115,10 +130,8 @@ def test_tasky_group_gets_self_pairs():
     cross = [(a, b) for a, b in pairs if a.key != b.key]
     assert len(selfs) == 3 and len(cross) == 3
     # The same rows loaded whole plan the same pairs.
-    batch = inventory((1, 0))
-    batch.add_region(1, TOP_REGION)
-    for slot in range(3):
-        batch.add_row(slot, row(1, 0, slot))
+    rows = {slot: [row(1, 0, slot)] for slot in range(3)}
+    batch = loaded({1: TOP_REGION}, rows, (1, 0))
     assert keys(pairs) == keys(batch.concurrent_pairs())
 
 
@@ -161,21 +174,6 @@ PLANNED = [
 ]
 
 
-def reference(trace, slots):
-    """Brute force: the label judgment over every interval pair
-    (``slots`` maps each interval's (gid, pid, bid) to its slot)."""
-    labels = {
-        key: trace.interval_label(key[1], slot, key[2])
-        for key, slot in slots.items()
-    }
-    tasky = {(t.pid, t.bid) for t in trace.task_graph.tasks()}
-    expected = {(k, k) for k in labels if (k[1], k[2]) in tasky}
-    for a, b in combinations(labels, 2):
-        if a[0] != b[0] and concurrent_intervals(labels[a], labels[b]):
-            expected.add(pair_key(a, b))
-    return expected
-
-
 def split(plan, chunks):
     """The plan's pairs whose sides both logged an access (emitted), the
     others (counted), and the chunks of the counted pairs' sides.
@@ -190,14 +188,9 @@ def split(plan, chunks):
 
 def all_intervals(trace):
     """Every interval of the trace, empty ones too: slot and digests."""
-    slots, chunks = {}, {}
-    for gid in trace.thread_gids:
-        with trace.reader(gid) as reader:
-            for r in reader.rows:
-                key = (gid, r.pid, r.bid)
-                slots.setdefault(key, r.offset)
-                chunks.setdefault(key, []).append(r.digest)
-    return slots, chunks
+    rows = interval_rows(trace)
+    slots = {key: meta[0].offset for key, meta in rows.items()}
+    return slots, {key: [r.digest for r in meta] for key, meta in rows.items()}
 
 
 @pytest.mark.parametrize("nthreads", [2, 4])
@@ -211,7 +204,7 @@ def test_plan_matches_reference(name, params, nthreads, trace_dir):
     )
     trace = TraceDir(trace_dir)
     slots, chunks = all_intervals(trace)
-    emitted, counted, frames = split(reference(trace, slots), chunks)
+    emitted, counted, frames = split(reference_pairs(trace, slots), chunks)
 
     batch = IntervalInventory(trace)
     planned = [pair_key(ident(a.key), ident(b.key)) for a, b in batch.concurrent_pairs()]
@@ -264,28 +257,55 @@ def test_counted_pairs_in_a_tasky_group_and_across_regions():
             regions, pid, slot, bid
         ),
     )
-    plan = reference(trace, slots)
+    plan = reference_pairs(trace, slots)
     emitted, counted, frames = split(plan, chunks)
     assert emitted and counted
     assert any(a[1] != b[1] for a, b in plan - emitted)  # across regions
 
-    def grown():
-        inv = inventory((1, 0))
-        for pid, info in regions.items():
-            inv.add_region(pid, dict(info))
-        return inv
-
-    streamed, batch = grown(), grown()
-    pairs = []
+    streamed = inventory((1, 0))
+    for pid, info in regions.items():
+        streamed.add_region(pid, dict(info))
+    pairs, rows = [], {}
     for gid, pid, bid, slot, digests in intervals:
         span = regions[pid]["span"]
         for digest in digests:
             streamed.add_row(gid, row(pid, bid, slot, span, digest))
-            batch.add_row(gid, row(pid, bid, slot, span, digest))
+            rows.setdefault(gid, []).append(row(pid, bid, slot, span, digest))
         pairs += streamed.complete(gid, pid, bid, slot, span)
     pairs += streamed.finish()
+    batch = loaded(regions, rows, (1, 0))
     for inv, planned in ((streamed, pairs), (batch, batch.concurrent_pairs())):
         assert len(planned) == len(keys(planned))
         assert keys(planned) == emitted
         assert (inv.pairs_counted, inv.frames_counted) == (counted, frames)
         assert len(inv) == len(intervals)
+
+
+#: Every registry workload but the benchmark-tier ones, at the unit
+#: tier's sizes.
+SIZES = {"lulesh": {"steps": 6}, "amg2013_10": {"sweeps": 5}, "amg2013_20": {"sweeps": 5}}
+LOGGED_PROBES = [w for w in REGISTRY if w.name not in ("amg2013_30", "amg2013_40")]
+
+
+@pytest.mark.parametrize("workload", LOGGED_PROBES, ids=lambda w: w.name)
+def test_counted_intervals_hold_no_access(workload, trace_dir):
+    """The planner counts an interval's pairs instead of comparing them
+    when its chunk digests all read ``nodes == 0``; every analysis mode,
+    the reference included, trusts that.  Checked here against the log
+    itself: inflating every chunk, an interval holds an access record
+    exactly when the inventory keeps it for pairing."""
+    driver("sword").run(
+        workload, nthreads=2, seed=0, trace_dir=trace_dir,
+        keep_trace=True, **SIZES.get(workload.name, {}),
+    )
+    trace = TraceDir(trace_dir)
+    accessed = set()
+    for gid in trace.thread_gids:
+        with trace.reader(gid) as reader:
+            for r in reader.rows:
+                events = reader.frame_at(r.data_begin, r.size).events()
+                if np.any(events["kind"] == KIND_ACCESS):
+                    accessed.add((gid, r.pid, r.bid))
+    inv = IntervalInventory(trace)
+    assert {ident(key) for key in inv.intervals} == accessed
+    assert len(inv) == len(interval_rows(trace))

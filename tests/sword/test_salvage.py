@@ -13,7 +13,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from conftest import Killed, kill_after
+from conftest import Killed, interval_rows, kill_after, reference_pairs
 
 from repro import api
 from repro.common.errors import TraceFormatError
@@ -23,12 +23,7 @@ from repro.faults.harness import (
     frame_kill_points,
     kill_sweep,
 )
-from repro.offline import (
-    AnalysisEngine,
-    AnalysisOptions,
-    FastPathOptions,
-    IntervalInventory,
-)
+from repro.offline import AnalysisEngine, AnalysisOptions, FastPathOptions
 from repro.sword import TraceDir
 from repro.sword.traceformat import (
     COMMIT_TRAILER_BYTES,
@@ -293,12 +288,14 @@ def test_a_lost_thread_leaves_its_teammates_paired(tmp_path, in_every_mode):
     yet every mode still pairs the survivors."""
     trace = tmp_path / "trace"
     collect_trace("plusplus-orig-yes", trace, nthreads=4, seed=0)
-    # The pairs among the other threads' intervals (those with an empty
-    # side are counted, not emitted) on the intact trace.
+    # The brute-force judgment over every interval of the intact trace,
+    # empty ones included: the pairs with no side on the lost thread.
     intact = TraceDir(trace)
-    lost = intact.thread_gids.pop()
-    inventory = IntervalInventory(intact)
-    survivors = len(inventory.concurrent_pairs()) + inventory.pairs_counted
+    lost = intact.thread_gids[-1]
+    slots = {key: rows[0].offset for key, rows in interval_rows(intact).items()}
+    survivors = sum(
+        lost not in (a[0], b[0]) for a, b in reference_pairs(intact, slots)
+    )
     clean_pairs = api.analyze(trace).races.pc_pairs()
     (trace / meta_name(lost)).unlink()
     results = in_every_mode(trace)

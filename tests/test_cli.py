@@ -221,8 +221,7 @@ def test_analyze_modes_and_fastpath_flags(tmp_path, capsys):
     not_a_dir = tmp_path / "cache-file"
     not_a_dir.write_text("")
     for cache_dir in (not_a_dir, not_a_dir / "sub"):
-        args = ["analyze", str(trace), "--cache", "--cache-dir", str(cache_dir)]
-        assert main(args) == 2
+        assert main(["analyze", str(trace), "--cache-dir", str(cache_dir)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cache_dir ")
         assert "not a directory" in captured.err and "races" not in captured.out
