@@ -22,7 +22,7 @@ from ...common.config import RunConfig, SchedulerConfig, SwordConfig
 from ...common.sourceloc import pc_of
 from ...ilp.model import OverlapSystem
 from ...ilp.overlap import constraint_of
-from ...itree.builder import TreeBuilder
+from ...itree.builder import build_tree
 from ...offline.analyzer import analyze_trace
 from ...omp.recording import RecordingTool
 from ...omp.runtime import OpenMPRuntime
@@ -95,10 +95,10 @@ def run_fig5(n: int = 1000) -> tuple[Table, str]:
     )
     rt.run(lambda m: fig5_program(m, n))
 
-    builders = {}
+    accesses: dict[int, list] = {}
     for entry in rec.accesses():
-        builders.setdefault(entry.gid, TreeBuilder()).add_access(entry.access)
-    trees = {gid: b.finish() for gid, b in builders.items()}
+        accesses.setdefault(entry.gid, []).append(entry.access)
+    trees = {gid: build_tree(items) for gid, items in accesses.items()}
 
     table = Table(
         "E10b / Figure 5: per-thread summarised interval trees",
@@ -107,7 +107,7 @@ def run_fig5(n: int = 1000) -> tuple[Table, str]:
     for gid in sorted(trees):
         tree = trees[gid]
         # Depth of the implicit median-split search over the sorted rows.
-        table.add(gid, len(tree), builders[gid].events_in, len(tree).bit_length())
+        table.add(gid, len(tree), len(accesses[gid]), len(tree).bit_length())
 
     # Find one overlapping cross-thread node pair and render its system.
     gids = sorted(trees)

@@ -129,14 +129,6 @@ class StridedInterval:
             return True
         return False
 
-    def __str__(self) -> str:  # pragma: no cover - debug aid
-        op = "W" if self.is_write else "R"
-        at = "a" if self.is_atomic else ""
-        return (
-            f"[{self.low:#x}..{self.high:#x}] {op}{at} x{self.count} "
-            f"stride={self.stride} size={self.size} pc={self.pc:#x}"
-        )
-
 
 def interval_from_access(access: Access) -> StridedInterval:
     """Build a (normalised) strided interval from one access event."""

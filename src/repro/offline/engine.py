@@ -64,13 +64,13 @@ from .report import RaceSet, make_report
 _JOIN_BLOCK_ROWS = 1 << 13
 
 #: ``len(tree_a) * len(tree_b)`` below which the scalar walk wins: the
-#: join pays NumPy's fixed per-call cost (~0.05-0.1 ms a comparison, and
-#: a column build the first time a tree is joined) whatever the tree
-#: sizes, against ~8 us for a 1x1-node pair.  64x64 is where the join
-#: with its views cached wins and the one building both inside the call
-#: breaks even (scalar 0.29 ms, warm 0.22, cold 0.30; at 32x32 0.19 /
-#: 0.19 / 0.25 — unmoved by the two-bisection ``iter_overlaps``, which
-#: sped up the walk and the column build alike); re-measure with
+#: join pays NumPy's fixed per-call cost (~0.1 ms a comparison) whatever
+#: the tree sizes, while the walk pays per candidate row and, on a tree's
+#: first comparison, for making its interval objects (the join makes them
+#: only for solver rows).  At 64x64 the join (0.22 ms) ties the walk with
+#: its objects made (0.23 ms) and beats it without (0.26-0.27 ms); at
+#: 32x32 the walk wins both ways (0.15-0.17 / 0.18 against 0.19 ms).
+#: Re-measure with
 #: benchmarks/test_micro_kernels.py::test_bench_compare_kernels.
 _COLUMNAR_MIN_NODE_PRODUCT = 4096
 
@@ -508,13 +508,22 @@ class AnalysisEngine:
 
         mutexsets = self.source.mutexsets
         graph = self.source.task_graph
+        # Each A node's window of B rows (the columnar join's), of which
+        # the rows that end before the node starts are not overlaps.
+        ca = tree_a.columns()
+        firsts, stops = tree_b.windows(ca.low, ca.high)
+        highs_b = tree_b.columns().high.tolist()
+        nodes_b = tree_b.intervals()
         # Per-comparison dedup only: a site pair repeating across *this*
         # pair's nodes is solved once, but other interval pairs still get
         # to contribute their own witness so the canonical-witness merge in
         # RaceSet stays independent of pair order across analysis modes.
         seen_here: set[tuple[int, int]] = set()
-        for si in tree_a:
-            for other in tree_b.iter_overlaps(si.low, si.high):
+        for si, first, stop in zip(tree_a, firsts.tolist(), stops.tolist()):
+            for j in range(first, stop):
+                if highs_b[j] < si.low:
+                    continue
+                other = nodes_b[j]
                 self.stats.overlap_candidates += 1
                 if use_tasks:
                     ent_a, seq_a = decode_point(si.point)
@@ -533,7 +542,10 @@ class AnalysisEngine:
                 if address is None:
                     continue
                 seen_here.add(pair_key)
-                self._report_race(si, other, address, ia, ib, races, on_race, sink)
+                self._report_race(
+                    (si.pc, si.is_write), (other.pc, other.is_write), address,
+                    ia, ib, races, on_race, sink,
+                )
 
     def _compare_columnar(
         self, tree_a, tree_b, ia, ib, races, on_race, sink
@@ -548,28 +560,25 @@ class AnalysisEngine:
         one at a time and in row order, so the memo sees the same calls.
         """
         ca, cb = tree_a.columns(), tree_b.columns()
-        # An A row's window of B rows: from the first row whose running
-        # max high (the max_high augmentation, in-order) reaches the
-        # probe's low, up to the last row starting at or before the
-        # probe's high (where the scalar walk stops).
-        first = np.searchsorted(np.maximum.accumulate(cb.high), ca.low, "left")
-        stop = np.searchsorted(cb.low, ca.high, "right")
+        # An A row's window of B rows, as the scalar walk scans it.
+        first, stop = tree_b.windows(ca.low, ca.high)
         width = np.maximum(stop - first, 0)
         ends = np.cumsum(width)
         total = int(ends[-1]) if len(ends) else 0
         starts = ends - width
         # A pc pair as one int64: pcs ranked over both trees (rank order
         # is pc order), key = low rank * #pcs + high rank.
-        pcs = np.union1d(ca.pcs, cb.pcs)
-        rank_a = np.searchsorted(pcs, ca.pcs)[ca.pc_rank]
-        rank_of_b = np.searchsorted(pcs, cb.pcs)
+        pcs = np.union1d(ca.pc, cb.pc)
+        rank_a = np.searchsorted(pcs, ca.pc)
+        rank_b = np.searchsorted(pcs, cb.pc)
+        dense_a, dense_b = ca.dense, cb.dense
         mutexsets = self.source.mutexsets
         stats = self.stats
         #: Keys needing no more solves: already raced (the scalar loop's
         #: ``seen_here``).
         decided = np.empty(0, np.int64)
-        #: Both trees' in-order intervals, walked out for the first row
-        #: that needs the objects (a solver row or a report).
+        #: Both trees' interval objects, made (once a tree) for the first
+        #: solver row.
         nodes = None
         for r0 in range(0, total, _JOIN_BLOCK_ROWS):
             r1 = min(r0 + _JOIN_BLOCK_ROWS, total)
@@ -584,7 +593,7 @@ class AnalysisEngine:
             overlap = cb.high[bi] >= ca.low[ai]
             ai, bi = ai[overlap], bi[overlap]
             stats.overlap_candidates += len(ai)
-            ra, rb = rank_a[ai], rank_of_b[cb.pc_rank[bi]]
+            ra, rb = rank_a[ai], rank_b[bi]
             key = np.minimum(ra, rb) * len(pcs) + np.maximum(ra, rb)
             live = ~np.isin(key, decided)
             ai, bi, key = ai[live], bi[live], key[live]
@@ -597,14 +606,14 @@ class AnalysisEngine:
             if len(locked):
                 span = int(mb.max()) + 1
                 sets, inverse = np.unique(
-                    ma[locked].astype(np.int64) * span + mb[locked],
+                    ma[locked] * span + mb[locked],
                     return_inverse=True,
                 )
                 disjoint = np.array(
                     [mutexsets.disjoint(*divmod(s, span)) for s in sets.tolist()]
                 )
                 rows = np.delete(rows, locked[~disjoint[inverse]])
-            dense = ca.dense[ai[rows]] & cb.dense[bi[rows]]
+            dense = dense_a[ai[rows]] & dense_b[bi[rows]]
             # key -> (first racing row, witness address) within this block.
             racing: dict[int, tuple[int, int]] = {}
             easy = rows[dense]
@@ -616,7 +625,7 @@ class AnalysisEngine:
                     zip(keys.tolist(), zip(easy.tolist(), address.tolist()))
                 )
             hard = rows[~dense].tolist()
-            if nodes is None and (hard or racing):
+            if nodes is None and hard:
                 nodes = tree_a.intervals(), tree_b.intervals()
             for row in hard:
                 k = int(key[row])
@@ -640,19 +649,22 @@ class AnalysisEngine:
                 decided = np.concatenate((decided, raced))
             stats.ilp_solves += int(solves)
             for row, address in sorted(racing.values()):
+                a, b = ai[row], bi[row]
                 self._report_race(
-                    nodes[0][ai[row]], nodes[1][bi[row]], address,
-                    ia, ib, races, on_race, sink,
+                    (int(ca.pc[a]), bool(ca.write[a])),
+                    (int(cb.pc[b]), bool(cb.write[b])),
+                    address, ia, ib, races, on_race, sink,
                 )
 
-    def _report_race(self, si, other, address, ia, ib, races, on_race, sink):
-        """One racing node pair into ``races`` / ``sink`` / ``on_race``."""
+    def _report_race(self, site_a, site_b, address, ia, ib, races, on_race, sink):
+        """One racing node pair — each side its ``(pc, is_write)`` — into
+        ``races`` / ``sink`` / ``on_race``."""
         report = make_report(
-            pc_a=si.pc,
-            pc_b=other.pc,
+            pc_a=site_a[0],
+            pc_b=site_b[0],
             address=address,
-            write_a=si.is_write,
-            write_b=other.is_write,
+            write_a=site_a[1],
+            write_b=site_b[1],
             gid_a=ia.key.gid,
             gid_b=ib.key.gid,
             pid_a=ia.key.pid,

@@ -138,3 +138,90 @@ def test_property_record_slicing_does_not_change_the_tree(ops, cuts):
     for lo, hi in zip(bounds, bounds[1:]):
         sliced.add_records(records[lo:hi])
     assert list(sliced.finish()) == list(whole.finish())
+
+
+@st.composite
+def access_streams(draw):
+    """Accesses of a few sites (all six site fields drawn) over a small
+    address range: scalar, bulk, descending, duplicate and mixed runs."""
+    sites = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0x10, 0x11, 0x12]),    # pc
+                st.booleans(),                          # write
+                st.booleans(),                          # atomic
+                st.sampled_from([1, 4, 8]),             # size
+                st.sampled_from([0, 1]),                # msid
+                st.sampled_from([0, 1 << 24]),          # point
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(sites) - 1),
+                st.integers(0, 24),                     # element index
+                st.sampled_from([1, 1, 1, 2, 3, 5]),    # count
+                st.sampled_from([-8, -4, 4, 8, 16]),    # bulk stride
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    return [
+        Access(
+            addr=0x100 + 4 * idx, size=size, count=count,
+            stride=stride if count > 1 else 0, is_write=write,
+            is_atomic=atomic, pc=pc, msid=msid, task_point=point,
+        )
+        for s, idx, count, stride in ops
+        for pc, write, atomic, size, msid, point in [sites[s]]
+    ]
+
+
+def node_rows(tree):
+    return [
+        (s.low, s.stride, s.size, s.count, s.is_write, s.is_atomic, s.pc,
+         s.msid, s.point)
+        for s in tree
+    ]
+
+
+def assert_columns_are_the_nodes(tree):
+    cols = tree.columns()
+    nodes = list(tree)
+    assert len(tree) == len(nodes) == len(cols.low)
+    fields = ("low", "stride", "size", "count", "write", "atomic", "pc",
+              "msid", "point")
+    assert list(zip(*(getattr(cols, f).tolist() for f in fields))) == (
+        node_rows(tree)
+    )
+    highs = [s.high for s in nodes]
+    assert cols.high.tolist() == highs
+    assert cols.max_high.tolist() == [
+        max(highs[: i + 1]) for i in range(len(highs))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(accesses=access_streams(), cuts=st.lists(st.integers(1, 79), max_size=6))
+def test_property_batches_build_the_one_record_tree(accesses, cuts):
+    """``add_records``, however the stream is cut into batches, seals the
+    tree ``add_access`` seals one record at a time: the same nodes in the
+    same order, ties included."""
+    reference = TreeBuilder()
+    for a in accesses:
+        reference.add_access(a)
+    expected = reference.finish()
+    records = accesses_to_records(accesses)
+    bounds = sorted({0, len(records), *(c for c in cuts if c < len(records))})
+    batched = TreeBuilder()
+    for lo, hi in zip(bounds, bounds[1:]):
+        batched.add_records(records[lo:hi])
+    assert batched.events_in == reference.events_in == len(accesses)
+    tree = batched.finish()
+    assert node_rows(tree) == node_rows(expected)
+    assert_columns_are_the_nodes(tree)
+    assert_columns_are_the_nodes(expected)

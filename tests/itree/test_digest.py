@@ -29,7 +29,7 @@ def interval(low, stride=1, size=1, count=1, write=True, atomic=False, pc=0):
 
 
 def make_tree(intervals):
-    return IntervalTree(sorted(intervals, key=lambda si: si.low))
+    return IntervalTree.from_intervals(sorted(intervals, key=lambda si: si.low))
 
 
 def digest_of(intervals) -> FrameDigest:

@@ -20,12 +20,12 @@ def si(low, high, **kw):
 
 
 def tree_of(spans):
-    return IntervalTree(sorted((si(lo, hi) for lo, hi in spans), key=lambda s: s.low))
+    return IntervalTree.from_intervals(sorted((si(lo, hi) for lo, hi in spans), key=lambda s: s.low))
 
 
 class TestBasics:
     def test_empty(self):
-        t = IntervalTree()
+        t = IntervalTree.from_intervals([])
         assert len(t) == 0
         assert not t
         assert list(t) == []
@@ -33,7 +33,7 @@ class TestBasics:
 
     def test_inorder_iteration(self):
         ivs = [si(lo, lo + 5) for lo in (10, 20, 30, 50, 70)]
-        t = IntervalTree(ivs)
+        t = IntervalTree.from_intervals(ivs)
         assert len(t) == 5
         assert list(t) == t.intervals() == ivs
         assert all(got is want for got, want in zip(t, ivs))
@@ -41,19 +41,19 @@ class TestBasics:
     def test_duplicates_allowed(self):
         """Equal keys keep the order given."""
         ivs = [si(5, 9, pc=i) for i in range(4)]
-        t = IntervalTree(ivs)
+        t = IntervalTree.from_intervals(ivs)
         assert len(t) == 4
         assert [s.pc for s in t] == [0, 1, 2, 3]
         assert [s.pc for s in t.iter_overlaps(9, 9)] == [0, 1, 2, 3]
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
-            IntervalTree([si(5, 9), si(4, 9)])
+            IntervalTree.from_intervals([si(5, 9), si(4, 9)])
         with pytest.raises(ValueError):
-            IntervalTree([si(1, 2), si(3, 4), si(3, 9), si(2, 9)])
+            IntervalTree.from_intervals([si(1, 2), si(3, 4), si(3, 9), si(2, 9)])
 
     def test_no_mutators(self):
-        t = IntervalTree([si(1, 2)])
+        t = IntervalTree.from_intervals([si(1, 2)])
         assert not hasattr(t, "insert") and not hasattr(t, "delete")
         t.intervals().clear()  # a copy: the summary keeps its rows
         assert len(t) == 1
@@ -89,11 +89,9 @@ class TestOverlapQueries:
 def column_window(tree, lo, hi):
     """The row indices ``_compare_columnar`` selects for a probe ``[lo, hi]``
     from the column view (same expressions, one probe)."""
-    cols = tree.columns()
-    first = np.searchsorted(np.maximum.accumulate(cols.high), lo, "left")
-    stop = np.searchsorted(cols.low, hi, "right")
+    first, stop = tree.windows(lo, hi)
     rows = np.arange(first, max(stop, first))
-    return rows[cols.high[rows] >= lo].tolist()
+    return rows[tree.columns().high[rows] >= lo].tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,7 +115,7 @@ def test_property_overlaps_match_bruteforce(spans, queries):
         (si(lo, lo + length, pc=i) for i, (lo, length) in enumerate(spans)),
         key=lambda s: s.low,
     )
-    t = IntervalTree(given_order)
+    t = IntervalTree.from_intervals(given_order)
     for qlo, qlen in queries:
         qhi = qlo + qlen
         expected = [s for s in given_order if s.low <= qhi and qlo <= s.high]
@@ -155,20 +153,31 @@ def assert_columns_match(tree):
     cols = tree.columns()
     nodes = list(tree)
     for name, attr in (
-        ("low", "low"), ("high", "high"), ("write", "is_write"),
-        ("atomic", "is_atomic"), ("dense", "dense"), ("msid", "msid"),
+        ("low", "low"), ("stride", "stride"), ("size", "size"),
+        ("count", "count"), ("write", "is_write"), ("atomic", "is_atomic"),
+        ("pc", "pc"), ("msid", "msid"), ("point", "point"), ("high", "high"),
+        ("dense", "dense"),
     ):
         assert getattr(cols, name).tolist() == [getattr(s, attr) for s in nodes]
-    assert cols.pcs.tolist() == sorted({s.pc for s in nodes})
-    assert cols.pcs[cols.pc_rank].tolist() == [s.pc for s in nodes]
+    highs = [s.high for s in nodes]
+    assert cols.max_high.tolist() == [max(highs[: i + 1]) for i in range(len(nodes))]
 
 
 class TestColumns:
     def test_empty_tree(self):
-        cols = IntervalTree().columns()
-        assert cols.low.shape == cols.pc_rank.shape == cols.pcs.shape == (0,)
+        cols = IntervalTree.from_intervals([]).columns()
+        assert cols.low.shape == cols.max_high.shape == cols.point.shape == (0,)
 
     def test_bulk_built(self):
-        tree = IntervalTree(_mixed_intervals(200, 1))
+        tree = IntervalTree.from_intervals(_mixed_intervals(200, 1))
         assert_columns_match(tree)
-        assert tree.columns() is tree.columns()  # built once
+        assert tree.columns() is tree.columns()
+
+    def test_objects_are_made_once_from_the_columns(self):
+        """A tree built from columns makes its interval objects on first
+        use, equal to the ones the columns came from, and keeps them."""
+        given = _mixed_intervals(200, 2)
+        tree = IntervalTree(IntervalTree.from_intervals(given).columns())
+        assert list(tree) == given
+        assert all(a is b for a, b in zip(tree, tree.intervals()))
+        assert_columns_match(tree)

@@ -158,6 +158,14 @@ FORBIDDEN = {
         ("src", "tests", "benchmarks", "examples"),
         None,
     ),
+    # Trees are columns from the builder on: no per-record coalescing
+    # loop, and no object or per-field lists behind the tree.
+    "trees-are-columns": (
+        r"_coalesce_scalar|_coalesce_dense|_max_high|\b_lows\b|\b_highs\b"
+        r"|pc_rank",
+        ("src", "tests", "benchmarks", "examples"),
+        None,
+    ),
 }
 
 
